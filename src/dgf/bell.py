@@ -2,12 +2,18 @@
 
 A multiplicative function is pinned down by a master equation giving
 a(p^e) as an integer polynomial in p, optionally overridden at finitely
-many exceptional primes.  The Bell series sum_e a(p^e) x^e (x = p^-s)
-is kept as an exact rational function over Z[p] whenever one exists.
+many exceptional primes; each coefficient is memoized on its master
+equation.  The Bell series sum_e a(p^e) x^e (x = p^-s) is kept as an
+exact rational function over Z[p] whenever one exists.  Combinators are
+single coefficient rules over their operands' memoized coefficients, the
+same rule serving the generic prime and every exceptional prime.
 """
 from __future__ import annotations
 
+import operator
+import weakref
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError
@@ -277,28 +283,39 @@ class BellRational:
 
 
 class MasterEquation:
-    """Rule e -> a(p^e) for generic p, plus per-prime integer overrides."""
+    """Rule e -> a(p^e) for generic p, plus per-prime integer overrides.
+
+    Each coefficient is computed once: generic_poly(e) and value(q, e) at
+    an exceptional prime q share one memo, keyed (None, e) and (q, e).
+    """
 
     def __init__(self, generic: Callable[[int], PrimePoly],
                  exceptions: dict[int, Callable[[int], int]] | None = None):
         self.generic = generic
         self.exceptions = dict(exceptions or {})
+        self._memo: dict[tuple[int | None, int], PrimePoly | int] = {}
 
     def generic_poly(self, e: int) -> PrimePoly:
         if e == 0:
             return PrimePoly.one
-        v = self.generic(e)
-        if not isinstance(v, PrimePoly):
-            raise MasterEquationError("prime-uniform Bell series unavailable")
+        v = self._memo.get((None, e))
+        if v is None:
+            v = self.generic(e)
+            if not isinstance(v, PrimePoly):
+                raise MasterEquationError("prime-uniform Bell series unavailable")
+            self._memo[None, e] = v
         return v
 
     def value(self, p: int, e: int) -> int:
         if e == 0:
             return 1
         rule = self.exceptions.get(p)
-        if rule is not None:
-            return rule(e)
-        return self.generic_poly(e).evaluate(p)
+        if rule is None:
+            return self.generic_poly(e).evaluate(p)
+        v = self._memo.get((p, e))
+        if v is None:
+            v = self._memo[p, e] = rule(e)
+        return v
 
 
 def bell_from_master(master: MasterEquation, K: int) -> list[PrimePoly]:
@@ -343,9 +360,8 @@ class MultiplicativeFunction:
             b = self.bell
             return b.bind_prime(q) if b is not None else None
         if q not in self._locals:
-            rule = self.master.exceptions[q]
-            vals = [1] + [rule(e) for e in range(1, 2 * LOCAL_DEGREE_CAP + 4)]
-            series = [PrimePoly.const(v) for v in vals]
+            series = [PrimePoly.const(self.master.value(q, e))
+                      for e in range(2 * LOCAL_DEGREE_CAP + 4)]
             try:
                 self._locals[q] = rationalize(series, LOCAL_DEGREE_CAP)
             except DegreeBoundError:
@@ -369,11 +385,30 @@ class MultiplicativeFunction:
 
 # ---------------------------------------------------------------------------
 # combinators
+#
+# Each combinator is one coefficient rule(q, e, c, *ops): the result's
+# a(q^e) from the operands' coefficients ops[i](l) and the result's own
+# earlier ones c(l), all read through the memoized MasterEquations.  _lift
+# binds the rule to the generic prime (q None, PrimePoly coefficients) and
+# to every exceptional prime of an operand (int coefficients).
 
-def _union_exceptions(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                      combine: Callable[..., Callable[[int], int]]):
-    primes = set(f.master.exceptions) | set(g.master.exceptions)
-    return {q: combine(f, g, q) for q in sorted(primes)}
+_sum = partial(reduce, operator.add)
+
+
+def _lift(rule, *fs: MultiplicativeFunction) -> MasterEquation:
+    masters = [f.master for f in fs]
+
+    def bind(q):
+        at = (lambda m: m.generic_poly) if q is None else \
+            (lambda m: partial(m.value, q))
+        return lambda e: rule(q, e, at(me()), *map(at, masters))
+
+    primes = sorted(set().union(*(m.exceptions for m in masters)))
+    out = MasterEquation(bind(None), {q: bind(q) for q in primes})
+    # weak, so that the rules and their master form no reference cycle and
+    # the memo goes with the function, not at the next full collection
+    me = weakref.ref(out)
+    return out
 
 
 def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
@@ -388,124 +423,64 @@ def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
 def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
                        name: str | None = None) -> MultiplicativeFunction:
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
-    fm, gm = f.master, g.master
-
-    def generic(e: int) -> PrimePoly:
-        acc = PrimePoly.zero
-        for l in range(e + 1):
-            acc = acc + fm.generic_poly(l) * gm.generic_poly(e - l)
-        return acc
-
-    def combine(f_, g_, q):
-        def rule(e: int) -> int:
-            return sum(f_.master.value(q, l) * g_.master.value(q, e - l)
-                       for l in range(e + 1))
-        return rule
-
-    master = MasterEquation(generic, _union_exceptions(f, g, combine))
+    master = _lift(lambda q, e, c, a, b:
+                   _sum(a(l) * b(e - l) for l in range(e + 1)), f, g)
     bell: BellRational | None = _UNSET
     fb, gb = f.bell, g.bell
     if fb is not None and gb is not None:
         bell = _reduce_product(fb.num * gb.num, fb.den * gb.den)
-    out = MultiplicativeFunction(name or "(%s <*> %s)" % (f.name, g.name),
-                                 master, bell=bell)
-    return out
+    return MultiplicativeFunction(name or "(%s <*> %s)" % (f.name, g.name),
+                                  master, bell=bell)
 
 
 def dirichlet_inverse(f: MultiplicativeFunction,
                       name: str | None = None) -> MultiplicativeFunction:
     """Inverse under Dirichlet convolution; Bell series is flipped."""
-    fm = f.master
-    cache: dict[int, PrimePoly] = {0: PrimePoly.one}
-
-    def generic(e: int) -> PrimePoly:
-        if e not in cache:
-            acc = PrimePoly.zero
-            for l in range(1, e + 1):
-                acc = acc + fm.generic_poly(l) * generic(e - l)
-            cache[e] = -acc
-        return cache[e]
-
-    def make_rule(q):
-        vcache = {0: 1}
-
-        def rule(e: int) -> int:
-            if e not in vcache:
-                vcache[e] = -sum(fm.value(q, l) * rule(e - l)
-                                 for l in range(1, e + 1))
-            return vcache[e]
-        return rule
-
-    master = MasterEquation(generic, {q: make_rule(q) for q in fm.exceptions})
+    master = _lift(lambda q, e, c, a:
+                   -_sum(a(l) * c(e - l) for l in range(1, e + 1)), f)
     fb = f.bell
     bell = fb.reciprocal() if fb is not None else _UNSET
     return MultiplicativeFunction(name or "inv(%s)" % f.name, master, bell=bell)
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                      name: str | None = None,
-                      degree_cap: int = DEFAULT_DEGREE_CAP) -> MultiplicativeFunction:
+                      name: str | None = None) -> MultiplicativeFunction:
     """(f . g)(p^e) = f(p^e) g(p^e); Bell series refitted from the master."""
-    fm, gm = f.master, g.master
-
-    def generic(e: int) -> PrimePoly:
-        return fm.generic_poly(e) * gm.generic_poly(e)
-
-    def combine(f_, g_, q):
-        return lambda e: f_.master.value(q, e) * g_.master.value(q, e)
-
-    master = MasterEquation(generic, _union_exceptions(f, g, combine))
+    master = _lift(lambda q, e, c, a, b: a(e) * b(e), f, g)
     return MultiplicativeFunction(name or "(%s * %s)" % (f.name, g.name),
-                                  master, degree_cap=degree_cap)
+                                  master)
 
 
 def pointwise_power(f: MultiplicativeFunction, j: int,
-                    name: str | None = None,
-                    degree_cap: int = DEFAULT_DEGREE_CAP) -> MultiplicativeFunction:
+                    name: str | None = None) -> MultiplicativeFunction:
     """j-th pointwise power, j >= 1."""
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
-    fm = f.master
-
-    def generic(e: int) -> PrimePoly:
-        v = fm.generic_poly(e)
-        acc = PrimePoly.one
-        for _ in range(j):
-            acc = acc * v
-        return acc
-
-    exceptions = {q: (lambda e, q=q: fm.value(q, e) ** j) for q in fm.exceptions}
-    master = MasterEquation(generic, exceptions)
+    master = _lift(lambda q, e, c, a: reduce(operator.mul, [a(e)] * j), f)
     bell = f.bell if j == 1 else _UNSET
     return MultiplicativeFunction(name or "%s^%d" % (f.name, j), master,
-                                  bell=bell, degree_cap=degree_cap)
+                                  bell=bell)
 
 
 def shift_by_power(f: MultiplicativeFunction, k: int,
                    name: str | None = None) -> MultiplicativeFunction:
     """Multiply by n^k: a(p^e) -> p^(ke) a(p^e)."""
-    fm = f.master
 
-    def generic(e: int) -> PrimePoly:
-        try:
-            return fm.generic_poly(e).shift_p(k * e)
-        except ValueError:
-            raise MasterEquationError(
-                "shift by %d not integral at e=%d" % (k, e)) from None
+    def rule(q, e, c, a):
+        # the one rule that tells PrimePoly from int: exact division by p
+        v, n = a(e), k * e
+        if q is None:
+            try:
+                return v.shift_p(n)
+            except ValueError:
+                pass
+        else:
+            v = v * Fraction(q) ** n
+            if v.denominator == 1:
+                return v.numerator
+        raise MasterEquationError("shift by %d not integral at %se=%d"
+                                  % (k, "" if q is None else "p=%d, " % q, e))
 
-    def make_rule(q):
-        def rule(e: int) -> int:
-            base = fm.value(q, e)
-            if k >= 0:
-                return base * q ** (k * e)
-            div = q ** (-k * e)
-            if base % div:
-                raise MasterEquationError(
-                    "shift by %d not integral at p=%d, e=%d" % (k, q, e))
-            return base // div
-        return rule
-
-    master = MasterEquation(generic, {q: make_rule(q) for q in fm.exceptions})
     bell = _UNSET
     fb = f.bell
     if fb is not None:
@@ -514,21 +489,13 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
         except ValueError:
             bell = _UNSET  # recompute lazily; the shift may not be integral
     return MultiplicativeFunction(name or "shift(%s, %d)" % (f.name, k),
-                                  master, bell=bell)
+                                  _lift(rule, f), bell=bell)
 
 
 def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
                      name: str | None = None) -> MultiplicativeFunction:
     """Unitary convolution: a(p^e) = f(p^e) + g(p^e) for e > 0."""
-    fm, gm = f.master, g.master
-
-    def generic(e: int) -> PrimePoly:
-        return fm.generic_poly(e) + gm.generic_poly(e)
-
-    def combine(f_, g_, q):
-        return lambda e: f_.master.value(q, e) + g_.master.value(q, e)
-
-    master = MasterEquation(generic, _union_exceptions(f, g, combine))
+    master = _lift(lambda q, e, c, a, b: a(e) + b(e), f, g)
     bell: BellRational | None = _UNSET
     fb, gb = f.bell, g.bell
     if fb is not None and gb is not None:

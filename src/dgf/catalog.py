@@ -13,7 +13,7 @@ from typing import Callable
 from .bell import (DEFAULT_DEGREE_CAP, BellRational, MasterEquation,
                    MultiplicativeFunction)
 from .errors import CatalogError
-from .euler import INFINITE
+from .euler import INFINITE, ZetaFactor, _merge_zeta
 from .polys import PrimePoly, XPoly
 
 _MAX_K = 30
@@ -59,12 +59,8 @@ def _bin(S: int, l: int, u: int) -> XPoly:
 
 def _zf(*tuples):
     """Merge (u, l, gamma) tuples into a canonical sorted list."""
-    acc: dict[tuple[int, int], int] = {}
-    for u, l, g in tuples:
-        acc[(u, l)] = acc.get((u, l), 0) + g
-    out = [(u, l, g) for (u, l), g in acc.items() if g]
-    out.sort(key=lambda t: (t[0], -t[1]))
-    return out
+    return [(z.u, z.l, z.gamma)
+            for z in _merge_zeta([ZetaFactor(*t) for t in tuples])]
 
 
 def _is_prime(n: int) -> bool:

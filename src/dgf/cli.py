@@ -21,13 +21,38 @@ from .euler import (INFINITE, abscissa, expand_factor_list, factor_bell,
 from .numeric import eval_euler_product, eval_partial_sum, eval_zeta_form
 from .parser import parse_function
 from .polys import series_eq
-from .sequences import compare_bfile, terms
+from .sequences import MAX_SIEVE, compare_bfile, terms
 
 
 class _ArgParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi], checked before any work."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: %r" % text) from None
+        if v < lo or (hi is not None and v > hi):
+            want = ">= %d" % lo if hi is None else "in [%d, %d]" % (lo, hi)
+            raise argparse.ArgumentTypeError("must be %s, got %d" % (want, v))
+        return v
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError("need a finite number, got %r" % text)
+    return v
 
 
 def _cmd_catalog(ns) -> int:
@@ -197,13 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("bell", help="Bell series of an expression")
     c.add_argument("expr")
-    c.add_argument("-K", "--order", dest="K", type=int, default=8,
+    c.add_argument("-K", "--order", dest="K", type=_int_in(0), default=8,
                    help="series order (default 8)")
     c.set_defaults(func=_cmd_bell)
 
     c = sub.add_parser("factorize", help="Euler product factorisation")
     c.add_argument("expr")
-    c.add_argument("-U", "--order", dest="U", type=int, default=8,
+    c.add_argument("-U", "--order", dest="U", type=_int_in(1), default=8,
                    help="peel factors up to x^U (default 8)")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_factorize)
@@ -215,28 +240,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("terms", help="sequence values a(1..N)")
     c.add_argument("expr")
-    c.add_argument("-n", "--count", type=int, required=True)
+    c.add_argument("-n", "--count", type=_int_in(1, MAX_SIEVE), required=True)
     c.add_argument("--bfile", help="compare against a b-file")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_terms)
 
     c = sub.add_parser("eval", help="numeric value of the Dirichlet series")
     c.add_argument("expr")
-    c.add_argument("-s", "--s", dest="s", type=float, required=True)
+    c.add_argument("-s", "--s", dest="s", type=_finite_float, required=True)
     c.add_argument("--method", choices=["auto", "zeta", "euler", "sum"],
                    default="auto")
-    c.add_argument("-P", "--primes", dest="P", type=int, default=10**5,
+    c.add_argument("-P", "--primes", dest="P", type=_int_in(2), default=10**5,
                    help="prime bound for --method euler")
-    c.add_argument("-N", "--sum", dest="N", type=int, default=10**4,
-                   help="term bound for --method sum")
+    c.add_argument("-N", "--sum", dest="N", type=_int_in(1, MAX_SIEVE),
+                   default=10**4, help="term bound for --method sum")
     c.add_argument("--accel", "--accelerate", dest="accel",
                    choices=["wynn", "none"], default="wynn")
     c.set_defaults(func=_cmd_eval)
 
     c = sub.add_parser("verify", help="internal consistency checks")
     c.add_argument("expr")
-    c.add_argument("-n", "--count", type=int, default=200)
-    c.add_argument("-U", "--order", dest="U", type=int, default=6)
+    c.add_argument("-n", "--count", type=_int_in(1, MAX_SIEVE), default=200)
+    c.add_argument("-U", "--order", dest="U", type=_int_in(1), default=6)
     c.add_argument("--bfile", help="also compare against a b-file")
     c.set_defaults(func=_cmd_verify)
 

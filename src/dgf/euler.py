@@ -7,7 +7,6 @@ order into a truncated infinite product of such binomials.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -88,22 +87,14 @@ def _merge_factors(factors: Sequence[EulerFactor]) -> list[EulerFactor]:
     return out
 
 
-def _binomial_power_inv(S: int, l: int, u: int, gamma: int, K: int) -> list[PrimePoly]:
-    """Series of (1 - S p^l x^u)^(-gamma) to order K (gamma > 0)."""
-    out = [PrimePoly.zero] * (K + 1)
-    out[0] = PrimePoly.one
-    for j in range(1, K // u + 1):
-        c = math.comb(gamma + j - 1, j) * (S ** j)
-        out[u * j] = PrimePoly.monomial(l * j, c)
-    return out
-
-
 def _binomial_power(S: int, l: int, u: int, gamma: int, K: int) -> list[PrimePoly]:
-    """Series of (1 - S p^l x^u)^gamma to order K (gamma > 0)."""
+    """Series of (1 - S p^l x^u)^gamma to order K, for any integer gamma."""
     out = [PrimePoly.zero] * (K + 1)
     out[0] = PrimePoly.one
-    for j in range(1, min(gamma, K // u) + 1):
-        c = math.comb(gamma, j) * ((-S) ** j)
+    c = 1
+    for j in range(1, K // u + 1):
+        # generalized binomial C(gamma, j) (-S)^j; the division is exact
+        c = c * -S * (gamma - j + 1) // j
         out[u * j] = PrimePoly.monomial(l * j, c)
     return out
 
@@ -139,7 +130,7 @@ def euler_expand(b, U: int) -> EulerFactorList:
             else:
                 f = EulerFactor(+1, l, u, -c)
             factors.append(f)
-            R = series_mul(R, _binomial_power_inv(f.S, f.l, f.u, f.gamma, U), U)
+            R = series_mul(R, _binomial_power(f.S, f.l, f.u, -f.gamma, U), U)
     ok = R[0].is_one() and all(R[i].is_zero() for i in range(1, U + 1))
     return EulerFactorList(factors, truncated_at=U, residual_ok=ok)
 
@@ -148,11 +139,7 @@ def expand_factor_list(efl: EulerFactorList, K: int) -> list[PrimePoly]:
     """Multiply a factor list back out as a series (round-trip check)."""
     out = [PrimePoly.one] + [PrimePoly.zero] * K
     for f in efl.factors:
-        if f.gamma > 0:
-            piece = _binomial_power(f.S, f.l, f.u, f.gamma, K)
-        else:
-            piece = _binomial_power_inv(f.S, f.l, f.u, -f.gamma, K)
-        out = series_mul(out, piece, K)
+        out = series_mul(out, _binomial_power(f.S, f.l, f.u, f.gamma, K), K)
     return out
 
 

@@ -1,6 +1,8 @@
 """Master equations, Bell series reconstruction, and the combinators."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from dgf.bell import (
@@ -19,7 +21,7 @@ from dgf.bell import (
 from dgf.catalog import make
 from dgf.errors import DegreeBoundError, MasterEquationError
 from dgf.polys import PrimePoly, XPoly, series_eq
-from dgf.sequences import terms
+from dgf.sequences import brute_convolve, brute_unitary_convolve, terms
 
 P = PrimePoly
 
@@ -162,6 +164,63 @@ def test_shift_non_integral_raises():
     f = shift_by_power(make("phi"), -1)     # phi(p)/p is not integral
     with pytest.raises(MasterEquationError):
         f.value(2, 1)
+
+
+def test_shift_non_integral_raises_at_exceptional_prime():
+    f = shift_by_power(make("sigma_odd", 1), -1)    # sigma_odd(2)/2 = 1/2
+    assert f.exceptional_primes == [2]
+    with pytest.raises(MasterEquationError, match="p=2"):
+        f.value(2, 1)
+
+
+N_SEQ = 2000
+# combinator applied to an exceptional atom f and a generic atom g, and the
+# same operation on the terms a, b of f and g
+COMBINATORS = {
+    "<*>": (dirichlet_convolve, brute_convolve),
+    "<+>": (unitary_convolve, brute_unitary_convolve),
+    "*": (pointwise_product, lambda a, b: [x * y for x, y in zip(a, b)]),
+    "^": (lambda f, g: pointwise_power(f, 3), lambda a, b: [x ** 3 for x in a]),
+    "shift": (lambda f, g: shift_by_power(f, 2),
+              lambda a, b: [n * n * x for n, x in enumerate(a, start=1)]),
+}
+
+
+@pytest.mark.parametrize("atom", [("gcdc", (12,)), ("ramanujan", (12,)),
+                                  ("sigma_odd", (1,)), ("periodic4", (3, 7))])
+@pytest.mark.parametrize("op", [*COMBINATORS, "inv"])
+def test_combinators_match_sequence_operations(atom, op):
+    name, args = atom
+    f, g = make(name, *args), make("sigma", 1)
+    assert f.exceptional_primes
+    a, b = terms(f, N_SEQ), terms(g, N_SEQ)
+    if op == "inv":
+        inv = terms(dirichlet_inverse(f), N_SEQ)
+        assert brute_convolve(a, inv) == [1] + [0] * (N_SEQ - 1)
+        return
+    combine, on_terms = COMBINATORS[op]
+    assert terms(combine(f, g), N_SEQ) == on_terms(a, b)
+
+
+def test_master_rules_run_once_per_exponent():
+    calls = Counter()
+
+    def phi(e):
+        calls["generic", e] += 1
+        return P.monomial(e) - P.monomial(e - 1)
+
+    def at3(e):
+        calls[3, e] += 1
+        return 3 ** (e - 1)
+
+    f = MultiplicativeFunction("counted", MasterEquation(phi, {3: at3}))
+    g = unitary_convolve(
+        pointwise_product(dirichlet_convolve(dirichlet_inverse(f), f),
+                          make("tau", 2)),
+        shift_by_power(f, 1))
+    assert g.bell is not None
+    assert terms(g, 500) and g.local_series(3, 12)
+    assert calls and max(calls.values()) == 1
 
 
 def test_bell_rational_ops():

@@ -148,6 +148,28 @@ def test_exit_code_usage(capsys):
     assert "required: -n/--count" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["terms", "phi", "-n", "-3"],
+    ["terms", "phi", "-n", "0"],
+    ["bell", "phi", "-K", "-2"],
+    ["factorize", "phi", "-U", "-1"],
+    ["factorize", "phi", "-U", "0"],
+    ["verify", "phi", "-n", "0"],
+    ["verify", "phi", "-U", "-1"],
+    ["eval", "sigma(1)", "--s", "3", "--method", "euler", "-P", "1"],
+    ["eval", "phi", "--s", "3", "--method", "sum", "-N", "0"],
+    ["eval", "phi", "--s", "nan"],
+    ["eval", "phi", "--s", "inf"],
+    ["terms", "phi", "-n", "20000000"],     # above the sieve limit
+])
+def test_exit_code_bad_counts_and_s(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("dgf %s: error: argument " % argv[0])
+    assert "Traceback" not in err
+
+
 def test_exit_code_expression_errors(capsys):
     rc, _, err = run(capsys, ["terms", "sigma(", "-n", "5"])
     assert rc == 2
