@@ -11,7 +11,8 @@ from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
                    shift_by_power, unitary_convolve)
 from .catalog import CATALOG, CatalogEntry, make, names
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
-                     DivergenceError, MasterEquationError, ParseError)
+                     DivergenceError, MasterEquationError, ParseError,
+                     SieveLimitError)
 from .euler import (INFINITE, ConvergenceInfo, EulerFactor, EulerFactorList,
                     LocalFactor, ZetaFactor, ZetaForm, abscissa, euler_expand,
                     expand_factor_list, factor_bell, finite_zeta_form,
@@ -20,9 +21,7 @@ from .numeric import (EvalResult, eval_euler_product, eval_partial_sum,
                       eval_zeta_form, riemann_zeta, wynn_epsilon)
 from .parser import build, parse, parse_function, to_text
 from .polys import PrimePoly, XPoly
-from .sequences import (FactorSieve, SequenceWindow, brute_convolve,
-                        brute_unitary_convolve, compare_bfile, oracle, terms,
-                        window)
+from .sequences import FactorSieve, compare_bfile, terms
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "unitary_convolve",
     "CATALOG", "CatalogEntry", "make", "names",
     "BFileError", "CatalogError", "DegreeBoundError", "DgfError",
-    "DivergenceError", "MasterEquationError", "ParseError",
+    "DivergenceError", "MasterEquationError", "ParseError", "SieveLimitError",
     "INFINITE", "ConvergenceInfo", "EulerFactor", "EulerFactorList",
     "LocalFactor", "ZetaFactor", "ZetaForm", "abscissa", "euler_expand",
     "expand_factor_list", "factor_bell", "finite_zeta_form",
@@ -42,7 +41,6 @@ __all__ = [
     "riemann_zeta", "wynn_epsilon",
     "build", "parse", "parse_function", "to_text",
     "PrimePoly", "XPoly",
-    "FactorSieve", "SequenceWindow", "brute_convolve",
-    "brute_unitary_convolve", "compare_bfile", "oracle", "terms", "window",
+    "FactorSieve", "compare_bfile", "terms",
     "__version__",
 ]

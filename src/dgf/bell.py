@@ -327,10 +327,15 @@ _UNSET = object()
 
 
 class MultiplicativeFunction:
-    """A multiplicative function: master equation + cached Bell data."""
+    """A multiplicative function: master equation + cached Bell data.
+
+    bell may also be a function of no arguments that derives the series
+    from operands on first read; it returns _UNSET to fall back to the
+    refit from the master equation.
+    """
 
     def __init__(self, name: str, master: MasterEquation,
-                 bell: BellRational | None = _UNSET,
+                 bell: BellRational | Callable | None = _UNSET,
                  degree_cap: int = DEFAULT_DEGREE_CAP):
         self.name = name
         self.master = master
@@ -343,6 +348,8 @@ class MultiplicativeFunction:
     @property
     def bell(self) -> BellRational | None:
         """Generic-prime Bell series; None marks a non-rational one."""
+        if callable(self._bell):
+            self._bell = self._bell()
         if self._bell is _UNSET:
             try:
                 series = bell_from_master(self.master, 2 * self.degree_cap + 3)
@@ -411,6 +418,15 @@ def _lift(rule, *fs: MultiplicativeFunction) -> MasterEquation:
     return out
 
 
+def _derive(rule, *fs: MultiplicativeFunction):
+    """Deferred Bell series: rule over the operands' series on first read,
+    or _UNSET (refit from the master) when an operand has none."""
+    def bell():
+        bs = [f.bell for f in fs]
+        return _UNSET if any(b is None for b in bs) else rule(*bs)
+    return bell
+
+
 def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
     """Cancel common factors of an explicit rational via refitting."""
     d = max(num.degree(), den.degree())
@@ -425,10 +441,8 @@ def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
     master = _lift(lambda q, e, c, a, b:
                    _sum(a(l) * b(e - l) for l in range(e + 1)), f, g)
-    bell: BellRational | None = _UNSET
-    fb, gb = f.bell, g.bell
-    if fb is not None and gb is not None:
-        bell = _reduce_product(fb.num * gb.num, fb.den * gb.den)
+    bell = _derive(lambda fb, gb:
+                   _reduce_product(fb.num * gb.num, fb.den * gb.den), f, g)
     return MultiplicativeFunction(name or "(%s <*> %s)" % (f.name, g.name),
                                   master, bell=bell)
 
@@ -438,9 +452,8 @@ def dirichlet_inverse(f: MultiplicativeFunction,
     """Inverse under Dirichlet convolution; Bell series is flipped."""
     master = _lift(lambda q, e, c, a:
                    -_sum(a(l) * c(e - l) for l in range(1, e + 1)), f)
-    fb = f.bell
-    bell = fb.reciprocal() if fb is not None else _UNSET
-    return MultiplicativeFunction(name or "inv(%s)" % f.name, master, bell=bell)
+    return MultiplicativeFunction(name or "inv(%s)" % f.name, master,
+                                  bell=_derive(BellRational.reciprocal, f))
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
@@ -457,9 +470,8 @@ def pointwise_power(f: MultiplicativeFunction, j: int,
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
     master = _lift(lambda q, e, c, a: reduce(operator.mul, [a(e)] * j), f)
-    bell = f.bell if j == 1 else _UNSET
     return MultiplicativeFunction(name or "%s^%d" % (f.name, j), master,
-                                  bell=bell)
+                                  bell=(lambda: f.bell) if j == 1 else _UNSET)
 
 
 def shift_by_power(f: MultiplicativeFunction, k: int,
@@ -481,26 +493,25 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
         raise MasterEquationError("shift by %d not integral at %se=%d"
                                   % (k, "" if q is None else "p=%d, " % q, e))
 
-    bell = _UNSET
-    fb = f.bell
-    if fb is not None:
+    def shifted(fb):
         try:
-            bell = fb.substitute_x_pk(k)
+            return fb.substitute_x_pk(k)
         except ValueError:
-            bell = _UNSET  # recompute lazily; the shift may not be integral
+            return _UNSET  # refit instead; the shift may not be integral
+
     return MultiplicativeFunction(name or "shift(%s, %d)" % (f.name, k),
-                                  _lift(rule, f), bell=bell)
+                                  _lift(rule, f), bell=_derive(shifted, f))
 
 
 def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
                      name: str | None = None) -> MultiplicativeFunction:
     """Unitary convolution: a(p^e) = f(p^e) + g(p^e) for e > 0."""
     master = _lift(lambda q, e, c, a, b: a(e) + b(e), f, g)
-    bell: BellRational | None = _UNSET
-    fb, gb = f.bell, g.bell
-    if fb is not None and gb is not None:
+
+    def union(fb, gb):
         den = fb.den * gb.den
         num = fb.num * gb.den + gb.num * fb.den - den  # B_f + B_g - 1
-        bell = _reduce_product(num, den)
+        return _reduce_product(num, den)
+
     return MultiplicativeFunction(name or "(%s <+> %s)" % (f.name, g.name),
-                                  master, bell=bell)
+                                  master, bell=_derive(union, f, g))

@@ -63,18 +63,8 @@ def _zf(*tuples):
             for z in _merge_zeta([ZetaFactor(*t) for t in tuples])]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _factorize(c: int) -> list[tuple[int, int]]:
+    """Trial division: parameters are factored without growing a sieve."""
     out = []
     d = 2
     while d * d <= c:
@@ -121,7 +111,7 @@ class CatalogEntry:
             if not p.lo <= a <= p.hi:
                 raise CatalogError("%s: parameter %s=%d out of range [%d, %d]"
                                    % (self.name, p.name, a, p.lo, p.hi))
-            if p.prime and not _is_prime(a):
+            if p.prime and _factorize(a) != [(a, 1)]:
                 raise CatalogError("%s: parameter %s=%d must be prime"
                                    % (self.name, p.name, a))
             vals.append(a)

@@ -250,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("-s", "--s", dest="s", type=_finite_float, required=True)
     c.add_argument("--method", choices=["auto", "zeta", "euler", "sum"],
                    default="auto")
-    c.add_argument("-P", "--primes", dest="P", type=_int_in(2), default=10**5,
-                   help="prime bound for --method euler")
+    c.add_argument("-P", "--primes", dest="P", type=_int_in(2, MAX_SIEVE),
+                   default=10**5, help="prime bound for --method euler")
     c.add_argument("-N", "--sum", dest="N", type=_int_in(1, MAX_SIEVE),
                    default=10**4, help="term bound for --method sum")
     c.add_argument("--accel", "--accelerate", dest="accel",

@@ -37,3 +37,7 @@ class BFileError(DgfError):
     def __init__(self, message: str, line: int):
         super().__init__("line %d: %s" % (line, message))
         self.line = line
+
+
+class SieveLimitError(DgfError, ValueError):
+    """Sieve or prime bound above sequences.MAX_SIEVE."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bell import BellRational, MultiplicativeFunction, rationalize
+from .bell import BellRational, MultiplicativeFunction, _reduce_product
 from .errors import DegreeBoundError
 from .polys import PrimePoly, XPoly, series_inv, series_mul
 
@@ -230,18 +230,12 @@ class LocalFactor:
     def is_polynomial(self) -> bool:
         return self.den == [1]
 
+    def bell(self) -> BellRational:
+        """num/den as a Bell series with integer coefficients."""
+        return BellRational(XPoly.from_ints(self.num), XPoly.from_ints(self.den))
+
     def series(self, K: int) -> list[int]:
-        inv = [0] * (K + 1)
-        inv[0] = 1
-        for n in range(1, K + 1):
-            inv[n] = -sum(self.den[j] * inv[n - j]
-                          for j in range(1, min(n, len(self.den) - 1) + 1))
-        out = [0] * (K + 1)
-        for i, c in enumerate(self.num[: K + 1]):
-            if c:
-                for j in range(K + 1 - i):
-                    out[i + j] += c * inv[j]
-        return out
+        return [c.constant_value() for c in self.bell().series(K)]
 
     def _poly_str(self, coeffs: list[int]) -> str:
         parts = []
@@ -352,16 +346,6 @@ def _log_exponents(b: BellRational, u_cap: int,
     return [ZetaFactor(u, l, g) for (u, l), g in gammas.items() if g]
 
 
-def _reduce_int_rational(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Cancel common factors of an integer rational function in x."""
-    d = max(len(num), len(den)) - 1
-    series = [PrimePoly.const(v) for v in LocalFactor(2, num, den).series(2 * d + 3)]
-    r = rationalize(series, d)
-    n2 = [c.constant_value() for c in r.num.series(r.num.degree())]
-    d2 = [c.constant_value() for c in r.den.series(r.den.degree())]
-    return n2, d2
-
-
 def finite_zeta_form(f, u_cap: int | None = None):
     """Finite zeta-product form of a function, or the string "infinite".
 
@@ -403,12 +387,10 @@ def finite_zeta_form(f, u_cap: int | None = None):
             if lb is None:
                 return INFINITE
             gb = b.bind_prime(q)
-            num = lb.num * gb.den
-            den = lb.den * gb.num
-            n_ints = [c.constant_value() for c in num.series(num.degree())]
-            d_ints = [c.constant_value() for c in den.series(den.degree())]
-            n_ints, d_ints = _reduce_int_rational(n_ints, d_ints)
-            local.append(LocalFactor(q, n_ints, d_ints))
+            r = _reduce_product(lb.num * gb.den, lb.den * gb.num)
+            num, den = ([c.constant_value() for c in xp.coeffs]
+                        for xp in (r.num, r.den))
+            local.append(LocalFactor(q, num, den))
     return ZetaForm(factors, local)
 
 

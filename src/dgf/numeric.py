@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import sequences
 from .bell import MultiplicativeFunction
 from .errors import DivergenceError
 from .euler import ZetaForm, abscissa, factor_bell
-from .sequences import terms
 
 _BERNOULLI: list[Fraction] = []
 
@@ -100,22 +100,6 @@ class EvalResult:
                                               self.method)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = bytearray(len(range(i * i, n + 1, i)))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def _poly_at(coeffs: Sequence[int], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _local_value(f: MultiplicativeFunction, p: int, s: float) -> float:
     """Value of the Euler factor at one prime: sum over a(p^e) p^(-es)."""
     x = p ** -s
@@ -151,8 +135,7 @@ def eval_zeta_form(zf: ZetaForm, s: float) -> EvalResult:
     for z in zf.zeta_factors:
         value *= riemann_zeta(z.u * s - z.l) ** z.gamma
     for lf in zf.local:
-        x = lf.prime ** -s
-        value *= _poly_at(lf.num, x) / _poly_at(lf.den, x)
+        value *= lf.bell().evaluate(lf.prime, lf.prime ** -s)
     return EvalResult(value, 1e-13 * abs(value), "zeta_form")
 
 
@@ -162,7 +145,8 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
 
     Partial products are recorded at doubling positions P/2^j and, with
     accel="wynn", extrapolated; otherwise the raw product is returned
-    with a prime-tail error estimate.
+    with a prime-tail error estimate.  The primes come from the shared
+    sieve, so P above sequences.MAX_SIEVE raises SieveLimitError.
     """
     if accel not in ("wynn", "none"):
         raise ValueError("accel must be 'wynn' or 'none'")
@@ -170,7 +154,7 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     if s <= float(absc) + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
                               % (s, absc))
-    primes = _primes_up_to(P)
+    primes = sequences._SIEVE.primes(P)
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
@@ -204,7 +188,7 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
     if s <= s0 + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
                               % (s, absc))
-    vals = terms(f, N)
+    vals = sequences.terms(f, N)
     value = math.fsum(v * n ** -s for n, v in enumerate(vals, start=1))
     C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))
     tail = C * N ** (s0 - s) / (s - s0)

@@ -1,27 +1,29 @@
-"""Sequence generation, brute-force convolutions, and b-file comparison.
+"""Sequence terms from a prime-power rule, and b-file comparison.
 
-Oracle implementations live here too: every catalog function has an
-independent definition-level evaluator used to validate the engine.
+One smallest-prime-factor table serves the whole runtime: term
+generation, factorisation and the prime lists of Euler products.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bell import MultiplicativeFunction
-from .errors import BFileError, CatalogError
+from .errors import BFileError, SieveLimitError
 
 MAX_SIEVE = 10**7
 
 
 class FactorSieve:
-    """Smallest-prime-factor table, grown on demand."""
+    """Smallest-prime-factor table, grown on demand.
+
+    Entry n > 1 holds the smallest prime factor of n, or 0 when n is prime.
+    """
 
     def __init__(self):
-        self._spf = array("l", [0, 1])
+        self._spf = array("i", [0, 0])
 
     @property
     def limit(self) -> int:
@@ -31,15 +33,13 @@ class FactorSieve:
         if n <= self.limit:
             return
         if n > MAX_SIEVE:
-            raise ValueError("sieve limit is %d" % MAX_SIEVE)
+            raise SieveLimitError("sieve limit is %d" % MAX_SIEVE)
         size = min(MAX_SIEVE, max(n, 2 * self.limit))
-        spf = array("l", [0]) * (size + 1)
-        spf[1] = 1
-        for i in range(2, size + 1):
-            if spf[i] == 0:
-                for j in range(i, size + 1, i):
-                    if spf[j] == 0:
-                        spf[j] = i
+        small = self.primes(math.isqrt(size))
+        spf = array("i", [0]) * (size + 1)
+        # largest prime first, so that the smallest one writes each entry last
+        for p in reversed(small):
+            spf[p * p::p] = array("i", [p]) * len(range(p * p, size + 1, p))
         self._spf = spf
 
     def factor(self, n: int) -> list[tuple[int, int]]:
@@ -49,7 +49,7 @@ class FactorSieve:
         spf = self._spf
         out = []
         while n > 1:
-            p = spf[n]
+            p = spf[n] or n
             e = 0
             while n % p == 0:
                 n //= p
@@ -60,7 +60,7 @@ class FactorSieve:
     def primes(self, n: int) -> list[int]:
         self.ensure(n)
         spf = self._spf
-        return [i for i in range(2, n + 1) if spf[i] == i]
+        return [i for i in range(2, n + 1) if not spf[i]]
 
 
 _SIEVE = FactorSieve()
@@ -68,81 +68,22 @@ _SIEVE = FactorSieve()
 
 def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
           ) -> list[int]:
-    """a(1), ..., a(N) by multiplying prime-power values."""
+    """a(1), ..., a(N) in one multiplicative pass.
+
+    Each n splits as m p^e with p its smallest prime factor; a(n) is
+    a(m) a(p^e) read back from the output, so f.value runs only at prime
+    powers, once each.
+    """
     sv = sieve or _SIEVE
     sv.ensure(max(N, 1))
-    cache: dict[tuple[int, int], int] = {}
-    out = [0] * N
-    if N >= 1:
-        out[0] = 1
+    spf, value = sv._spf, f.value
+    out = [1] * N
     for n in range(2, N + 1):
-        v = 1
-        for p, e in sv.factor(n):
-            key = (p, e)
-            pv = cache.get(key)
-            if pv is None:
-                pv = f.value(p, e)
-                cache[key] = pv
-            v *= pv
-        out[n - 1] = v
-    return out
-
-
-@dataclass
-class SequenceWindow:
-    """Contiguous run of sequence values indexed by absolute n."""
-    first: int
-    values: list[int]
-
-    def __getitem__(self, n: int) -> int:
-        if not self.first <= n < self.first + len(self.values):
-            raise IndexError("n=%d outside window [%d, %d]"
-                             % (n, self.first, self.first + len(self.values) - 1))
-        return self.values[n - self.first]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def window(f: MultiplicativeFunction, first: int, last: int,
-           sieve: FactorSieve | None = None) -> SequenceWindow:
-    if not 1 <= first <= last:
-        raise ValueError("need 1 <= first <= last")
-    vals = terms(f, last, sieve)
-    return SequenceWindow(first, vals[first - 1:])
-
-
-def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Dirichlet convolution of raw sequences (both indexed from n=1)."""
-    if len(a) != len(b):
-        raise ValueError("sequences differ in length: %d vs %d"
-                         % (len(a), len(b)))
-    N = len(a)
-    out = [0] * N
-    for d in range(1, N + 1):
-        ad = a[d - 1]
-        if ad:
-            for m in range(1, N // d + 1):
-                out[d * m - 1] += ad * b[m - 1]
-    return out
-
-
-def brute_unitary_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Unitary convolution: only coprime divisor splittings contribute."""
-    if len(a) != len(b):
-        raise ValueError("sequences differ in length: %d vs %d"
-                         % (len(a), len(b)))
-    N = len(a)
-    out = [0] * N
-    for d in range(1, N + 1):
-        ad = a[d - 1]
-        if ad:
-            for m in range(1, N // d + 1):
-                if math.gcd(d, m) == 1:
-                    out[d * m - 1] += ad * b[m - 1]
+        p = spf[n] or n
+        q, m, e = p, n // p, 1
+        while m % p == 0:
+            q, m, e = q * p, m // p, e + 1
+        out[n - 1] = out[m - 1] * out[q - 1] if m > 1 else value(p, e)
     return out
 
 
@@ -185,208 +126,3 @@ def compare_bfile(source, values: Sequence[int]) -> None:
         expect = n + 1
     if seen == 0:
         raise BFileError("no data lines", 0)
-
-
-# ---------------------------------------------------------------------------
-# definition-level oracles, independent of the master-equation engine
-
-def _ofactor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _odivisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _ofactor(n):
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
-
-
-def _omu(n: int) -> int:
-    fac = _ofactor(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return (-1) ** len(fac)
-
-
-def _obig_omega(n: int) -> int:
-    return sum(e for _, e in _ofactor(n))
-
-
-def _oomega(n: int) -> int:
-    return len(_ofactor(n))
-
-
-def _ophi(n: int) -> int:
-    return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
-
-
-def _tpow_root(n: int, t: int) -> int:
-    """Largest m with m^t dividing n."""
-    best = 1
-    m = 2
-    while m**t <= n:
-        if n % (m**t) == 0:
-            best = m
-        m += 1
-    return best
-
-
-def _is_tfree(n: int, t: int) -> bool:
-    return all(e < t for _, e in _ofactor(n))
-
-
-def _is_tfull(n: int, t: int) -> bool:
-    return all(e >= t for _, e in _ofactor(n))
-
-
-def _is_tpower(n: int, t: int) -> bool:
-    r = round(n ** (1.0 / t))
-    return any((r + d) ** t == n for d in (-1, 0, 1) if r + d >= 1)
-
-
-def _divisors_of_power(n: int, t: int) -> Iterable[int]:
-    divs = [1]
-    for p, e in _ofactor(n):
-        divs = [d * p**j for d in divs for j in range(t * e + 1)]
-    return divs
-
-
-def _tau_list(k: int, N: int) -> list[int]:
-    acc = [1] * N
-    for _ in range(k - 1):
-        nxt = [0] * N
-        for d in range(1, N + 1):
-            for m in range(d, N + 1, d):
-                nxt[m - 1] += acc[d - 1]
-        acc = nxt
-    return acc
-
-
-def _congruence_count(n: int, t: int) -> int:
-    return sum(1 for x in range(n) if pow(x, t, n) == 0)
-
-
-def _congruence_min(n: int, t: int) -> int:
-    m = 1
-    while pow(m, t, n) != 0:
-        m += 1
-    return m
-
-
-def _per_n(fn):
-    return lambda args, N: [fn(n, *args) for n in range(1, N + 1)]
-
-
-_ORACLES = {
-    "one": _per_n(lambda n: 1),
-    "id": _per_n(lambda n: n),
-    "power": _per_n(lambda n, k: n**k),
-    "const": _per_n(lambda n, c: c ** _obig_omega(n)),
-    "mu": _per_n(_omu),
-    "liouville": _per_n(lambda n: (-1) ** _obig_omega(n)),
-    "mu_star": _per_n(lambda n: (-1) ** _oomega(n)),
-    "mu_apostol": _per_n(lambda n, k:
-                         0 if any(e > k for _, e in _ofactor(n)) else
-                         (-1) ** sum(1 for _, e in _ofactor(n) if e == k)),
-    "eps": _per_n(lambda n, t: 1 if _is_tpower(n, t) else 0),
-    "xi": _per_n(lambda n, t: 1 if _is_tfree(n, t) else 0),
-    "depleted": _per_n(lambda n, q, k: 0 if n % q**k == 0 else 1),
-    "periodic2": _per_n(lambda n, c: c if n % 2 == 0 else 1),
-    "periodic4": _per_n(lambda n, c1, c2:
-                        c1 if n % 4 == 0 else (c2 if n % 2 == 0 else 1)),
-    "gcdc": _per_n(lambda n, c: math.gcd(n, c)),
-    "lcmc": _per_n(lambda n, c: n // math.gcd(n, c)),
-    "core": _per_n(lambda n, t: n // _tpow_root(n, t) ** t),
-    "rad": _per_n(lambda n, t:
-                  math.prod(p ** min(e, t - 1) for p, e in _ofactor(n))),
-    "max_tpow": _per_n(lambda n, t: _tpow_root(n, t) ** t),
-    "root_tpow": _per_n(lambda n, t: _tpow_root(n, t)),
-    "sigma": _per_n(lambda n, k: sum(d**k for d in _odivisors(n))),
-    "sigma_odd": _per_n(lambda n, k:
-                        sum(d**k for d in _odivisors(n) if d % 2 == 1)),
-    "tpow_divisor_sum": _per_n(lambda n, t:
-                               sum(d for d in _odivisors(n)
-                                   if _is_tpower(d, t))),
-    "sigma_tfree": _per_n(lambda n, k, t:
-                          sum(d**k for d in _odivisors(n)
-                              if _is_tfree(d, t))),
-    "sigma_pow": _per_n(lambda n, k, t:
-                        sum(d**k for d in _divisors_of_power(n, t))),
-    "sigma_prime": _per_n(lambda n:
-                          sum(d for d in _odivisors(n)
-                              if math.gcd(d, n // d) == 1 and _omu(d) != 0)),
-    "tau": lambda args, N: _tau_list(args[0], N),
-    "tfull_count": _per_n(lambda n, t:
-                          sum(1 for d in _odivisors(n) if _is_tfull(d, t))),
-    "gcd_pairs": _per_n(lambda n, t:
-                        sum(math.gcd(d, n // d) ** t for d in _odivisors(n))),
-    "lcm_pairs": _per_n(lambda n, t:
-                        sum(math.lcm(d, n // d) ** t for d in _odivisors(n))),
-    "phi": _per_n(_ophi),
-    "phi_kl": _per_n(lambda n, k, l:
-                     sum(_omu(d) * d**k * (n // d) ** l
-                         for d in _odivisors(n))),
-    "phi_prime": _per_n(lambda n: _ophi(n) if _omu(n) != 0 else 0),
-    "jordan": _per_n(lambda n, k:
-                     sum(_omu(d) * (n // d) ** k for d in _odivisors(n))),
-    "jordan_ratio": None,  # defined below: needs an exactness assertion
-    "dedekind": _per_n(lambda n:
-                       sum(_omu(d) ** 2 * (n // d) for d in _odivisors(n))),
-    "psi_k": _per_n(lambda n, k:
-                    sum(_omu(d) ** 2 * (n // d) ** k for d in _odivisors(n))),
-    "ramanujan": _per_n(lambda n, c:
-                        sum(_omu(n // d) * d
-                            for d in _odivisors(math.gcd(n, c)))),
-    "sigma_star": _per_n(lambda n, k:
-                         sum(d**k for d in _odivisors(n)
-                             if math.gcd(d, n // d) == 1)),
-    "sigma_star_odd": _per_n(lambda n, k:
-                             sum(d**k for d in _odivisors(n)
-                                 if math.gcd(d, n // d) == 1 and d % 2 == 1)),
-    "phi_star": _per_n(lambda n:
-                       sum((-1) ** _oomega(d) * (n // d)
-                           for d in _odivisors(n)
-                           if math.gcd(d, n // d) == 1)),
-    "jordan_star": _per_n(lambda n, k:
-                          sum((-1) ** _oomega(d) * (n // d) ** k
-                              for d in _odivisors(n)
-                              if math.gcd(d, n // d) == 1)),
-    "tau_star": _per_n(lambda n, k: k ** _oomega(n)),
-    "congruence_count": _per_n(_congruence_count),
-    "congruence_min": _per_n(_congruence_min),
-}
-
-
-def _jordan_ratio_oracle(args, N):
-    k = args[0]
-    jk = _ORACLES["jordan"]((k,), N)
-    j1 = _ORACLES["jordan"]((1,), N)
-    out = []
-    for a, b in zip(jk, j1):
-        if a % b:
-            raise AssertionError("Jordan ratio not integral")
-        out.append(a // b)
-    return out
-
-
-_ORACLES["jordan_ratio"] = _jordan_ratio_oracle
-
-
-def oracle(name: str, args: Sequence[int], N: int) -> list[int]:
-    """First N values computed straight from the definition."""
-    fn = _ORACLES.get(name)
-    if fn is None:
-        raise CatalogError("no oracle for %r" % name)
-    return fn(tuple(args), N)

@@ -1,0 +1,248 @@
+"""Definition-level oracles and brute-force convolutions for the tests.
+
+Every catalog function has an evaluator written straight from its
+definition, by trial division and divisor sums, independent of the
+master-equation engine and of its sieve.
+"""
+from __future__ import annotations
+
+import math
+from typing import Iterable, Sequence
+
+from dgf.errors import CatalogError
+
+
+def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Dirichlet convolution of raw sequences (both indexed from n=1)."""
+    if len(a) != len(b):
+        raise ValueError("sequences differ in length: %d vs %d"
+                         % (len(a), len(b)))
+    N = len(a)
+    out = [0] * N
+    for d in range(1, N + 1):
+        ad = a[d - 1]
+        if ad:
+            for m in range(1, N // d + 1):
+                out[d * m - 1] += ad * b[m - 1]
+    return out
+
+
+def brute_unitary_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Unitary convolution: only coprime divisor splittings contribute."""
+    if len(a) != len(b):
+        raise ValueError("sequences differ in length: %d vs %d"
+                         % (len(a), len(b)))
+    N = len(a)
+    out = [0] * N
+    for d in range(1, N + 1):
+        ad = a[d - 1]
+        if ad:
+            for m in range(1, N // d + 1):
+                if math.gcd(d, m) == 1:
+                    out[d * m - 1] += ad * b[m - 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# definition-level oracles, independent of the master-equation engine
+
+def _ofactor(n: int) -> list[tuple[int, int]]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _odivisors(n: int) -> list[int]:
+    divs = [1]
+    for p, e in _ofactor(n):
+        divs = [d * p**j for d in divs for j in range(e + 1)]
+    return sorted(divs)
+
+
+def _omu(n: int) -> int:
+    fac = _ofactor(n)
+    if any(e > 1 for _, e in fac):
+        return 0
+    return (-1) ** len(fac)
+
+
+def _obig_omega(n: int) -> int:
+    return sum(e for _, e in _ofactor(n))
+
+
+def _oomega(n: int) -> int:
+    return len(_ofactor(n))
+
+
+def _ophi(n: int) -> int:
+    return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
+
+
+def _tpow_root(n: int, t: int) -> int:
+    """Largest m with m^t dividing n."""
+    best = 1
+    m = 2
+    while m**t <= n:
+        if n % (m**t) == 0:
+            best = m
+        m += 1
+    return best
+
+
+def _is_tfree(n: int, t: int) -> bool:
+    return all(e < t for _, e in _ofactor(n))
+
+
+def _is_tfull(n: int, t: int) -> bool:
+    return all(e >= t for _, e in _ofactor(n))
+
+
+def _is_tpower(n: int, t: int) -> bool:
+    r = round(n ** (1.0 / t))
+    return any((r + d) ** t == n for d in (-1, 0, 1) if r + d >= 1)
+
+
+def _divisors_of_power(n: int, t: int) -> Iterable[int]:
+    divs = [1]
+    for p, e in _ofactor(n):
+        divs = [d * p**j for d in divs for j in range(t * e + 1)]
+    return divs
+
+
+def _tau_list(k: int, N: int) -> list[int]:
+    acc = [1] * N
+    for _ in range(k - 1):
+        nxt = [0] * N
+        for d in range(1, N + 1):
+            for m in range(d, N + 1, d):
+                nxt[m - 1] += acc[d - 1]
+        acc = nxt
+    return acc
+
+
+def _congruence_count(n: int, t: int) -> int:
+    return sum(1 for x in range(n) if pow(x, t, n) == 0)
+
+
+def _congruence_min(n: int, t: int) -> int:
+    m = 1
+    while pow(m, t, n) != 0:
+        m += 1
+    return m
+
+
+def _per_n(fn):
+    return lambda args, N: [fn(n, *args) for n in range(1, N + 1)]
+
+
+_ORACLES = {
+    "one": _per_n(lambda n: 1),
+    "id": _per_n(lambda n: n),
+    "power": _per_n(lambda n, k: n**k),
+    "const": _per_n(lambda n, c: c ** _obig_omega(n)),
+    "mu": _per_n(_omu),
+    "liouville": _per_n(lambda n: (-1) ** _obig_omega(n)),
+    "mu_star": _per_n(lambda n: (-1) ** _oomega(n)),
+    "mu_apostol": _per_n(lambda n, k:
+                         0 if any(e > k for _, e in _ofactor(n)) else
+                         (-1) ** sum(1 for _, e in _ofactor(n) if e == k)),
+    "eps": _per_n(lambda n, t: 1 if _is_tpower(n, t) else 0),
+    "xi": _per_n(lambda n, t: 1 if _is_tfree(n, t) else 0),
+    "depleted": _per_n(lambda n, q, k: 0 if n % q**k == 0 else 1),
+    "periodic2": _per_n(lambda n, c: c if n % 2 == 0 else 1),
+    "periodic4": _per_n(lambda n, c1, c2:
+                        c1 if n % 4 == 0 else (c2 if n % 2 == 0 else 1)),
+    "gcdc": _per_n(lambda n, c: math.gcd(n, c)),
+    "lcmc": _per_n(lambda n, c: n // math.gcd(n, c)),
+    "core": _per_n(lambda n, t: n // _tpow_root(n, t) ** t),
+    "rad": _per_n(lambda n, t:
+                  math.prod(p ** min(e, t - 1) for p, e in _ofactor(n))),
+    "max_tpow": _per_n(lambda n, t: _tpow_root(n, t) ** t),
+    "root_tpow": _per_n(lambda n, t: _tpow_root(n, t)),
+    "sigma": _per_n(lambda n, k: sum(d**k for d in _odivisors(n))),
+    "sigma_odd": _per_n(lambda n, k:
+                        sum(d**k for d in _odivisors(n) if d % 2 == 1)),
+    "tpow_divisor_sum": _per_n(lambda n, t:
+                               sum(d for d in _odivisors(n)
+                                   if _is_tpower(d, t))),
+    "sigma_tfree": _per_n(lambda n, k, t:
+                          sum(d**k for d in _odivisors(n)
+                              if _is_tfree(d, t))),
+    "sigma_pow": _per_n(lambda n, k, t:
+                        sum(d**k for d in _divisors_of_power(n, t))),
+    "sigma_prime": _per_n(lambda n:
+                          sum(d for d in _odivisors(n)
+                              if math.gcd(d, n // d) == 1 and _omu(d) != 0)),
+    "tau": lambda args, N: _tau_list(args[0], N),
+    "tfull_count": _per_n(lambda n, t:
+                          sum(1 for d in _odivisors(n) if _is_tfull(d, t))),
+    "gcd_pairs": _per_n(lambda n, t:
+                        sum(math.gcd(d, n // d) ** t for d in _odivisors(n))),
+    "lcm_pairs": _per_n(lambda n, t:
+                        sum(math.lcm(d, n // d) ** t for d in _odivisors(n))),
+    "phi": _per_n(_ophi),
+    "phi_kl": _per_n(lambda n, k, l:
+                     sum(_omu(d) * d**k * (n // d) ** l
+                         for d in _odivisors(n))),
+    "phi_prime": _per_n(lambda n: _ophi(n) if _omu(n) != 0 else 0),
+    "jordan": _per_n(lambda n, k:
+                     sum(_omu(d) * (n // d) ** k for d in _odivisors(n))),
+    "jordan_ratio": None,  # defined below: needs an exactness assertion
+    "dedekind": _per_n(lambda n:
+                       sum(_omu(d) ** 2 * (n // d) for d in _odivisors(n))),
+    "psi_k": _per_n(lambda n, k:
+                    sum(_omu(d) ** 2 * (n // d) ** k for d in _odivisors(n))),
+    "ramanujan": _per_n(lambda n, c:
+                        sum(_omu(n // d) * d
+                            for d in _odivisors(math.gcd(n, c)))),
+    "sigma_star": _per_n(lambda n, k:
+                         sum(d**k for d in _odivisors(n)
+                             if math.gcd(d, n // d) == 1)),
+    "sigma_star_odd": _per_n(lambda n, k:
+                             sum(d**k for d in _odivisors(n)
+                                 if math.gcd(d, n // d) == 1 and d % 2 == 1)),
+    "phi_star": _per_n(lambda n:
+                       sum((-1) ** _oomega(d) * (n // d)
+                           for d in _odivisors(n)
+                           if math.gcd(d, n // d) == 1)),
+    "jordan_star": _per_n(lambda n, k:
+                          sum((-1) ** _oomega(d) * (n // d) ** k
+                              for d in _odivisors(n)
+                              if math.gcd(d, n // d) == 1)),
+    "tau_star": _per_n(lambda n, k: k ** _oomega(n)),
+    "congruence_count": _per_n(_congruence_count),
+    "congruence_min": _per_n(_congruence_min),
+}
+
+
+def _jordan_ratio_oracle(args, N):
+    k = args[0]
+    jk = _ORACLES["jordan"]((k,), N)
+    j1 = _ORACLES["jordan"]((1,), N)
+    out = []
+    for a, b in zip(jk, j1):
+        if a % b:
+            raise AssertionError("Jordan ratio not integral")
+        out.append(a // b)
+    return out
+
+
+_ORACLES["jordan_ratio"] = _jordan_ratio_oracle
+
+
+def oracle(name: str, args: Sequence[int], N: int) -> list[int]:
+    """First N values computed straight from the definition."""
+    fn = _ORACLES.get(name)
+    if fn is None:
+        raise CatalogError("no oracle for %r" % name)
+    return fn(tuple(args), N)

@@ -35,9 +35,10 @@ from dgf.numeric import (
 )
 from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly
-from dgf.sequences import FactorSieve, brute_convolve, oracle, terms
+from dgf.sequences import FactorSieve, terms
 
 from conftest import GRID, GRID_ONE_PER_NAME, ef_tuples, zf_tuples
+from oracles import brute_convolve, oracle
 
 
 def criterion(num: int):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import dgf.bell as bell_module
 from dgf.bell import (
     BellRational,
     MasterEquation,
@@ -20,8 +21,11 @@ from dgf.bell import (
 )
 from dgf.catalog import make
 from dgf.errors import DegreeBoundError, MasterEquationError
+from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly, series_eq
-from dgf.sequences import brute_convolve, brute_unitary_convolve, terms
+from dgf.sequences import terms
+
+from oracles import brute_convolve, brute_unitary_convolve
 
 P = PrimePoly
 
@@ -146,6 +150,25 @@ def test_pointwise_product_bell_path():
     g = pointwise_power(make("phi"), 2)
     assert series_eq(f.series(8), g.series(8), 8)
     assert terms(f, 40) == [phi * phi for phi in terms(make("phi"), 40)]
+
+
+def test_combinators_derive_bell_on_first_read(monkeypatch):
+    calls = Counter()
+    fit = bell_module.rationalize
+
+    def counting(series, max_degree):
+        calls["rationalize"] += 1
+        return fit(series, max_degree)
+
+    monkeypatch.setattr(bell_module, "rationalize", counting)
+    f = parse_function("(sigma(1)*sigma(2)*sigma(3)) <*> one")
+    assert calls["rationalize"] == 0
+    assert terms(f, 12) == brute_convolve(
+        terms(parse_function("sigma(1)*sigma(2)*sigma(3)"), 12), [1] * 12)
+    assert calls["rationalize"] == 0
+    # B_f B_one with nothing to cancel, as when it was derived at build time
+    b = parse_function("sigma(1)*sigma(2)*sigma(3)").bell
+    assert f.bell == BellRational(b.num, b.den * XPoly.binomial(1, 0, 1))
 
 
 def test_shift_by_power_multiplies_by_nk():

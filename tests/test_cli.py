@@ -161,6 +161,7 @@ def test_exit_code_usage(capsys):
     ["eval", "phi", "--s", "nan"],
     ["eval", "phi", "--s", "inf"],
     ["terms", "phi", "-n", "20000000"],     # above the sieve limit
+    ["eval", "sigma(1)", "--s", "3", "--method", "euler", "-P", "20000000"],
 ])
 def test_exit_code_bad_counts_and_s(capsys, argv):
     rc, out, err = run(capsys, argv)

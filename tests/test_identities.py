@@ -3,7 +3,9 @@ from __future__ import annotations
 
 from dgf.bell import shift_by_power
 from dgf.catalog import make
-from dgf.sequences import FactorSieve, brute_convolve, terms
+from dgf.sequences import FactorSieve, terms
+
+from oracles import brute_convolve
 
 N = 2000
 _SIEVE = FactorSieve()

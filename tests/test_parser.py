@@ -19,7 +19,9 @@ from dgf.parser import (
     to_text,
     tokenize,
 )
-from dgf.sequences import brute_convolve, terms
+from dgf.sequences import terms
+
+from oracles import brute_convolve
 
 
 def test_tokenize_kinds_and_columns():

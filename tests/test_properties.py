@@ -18,9 +18,10 @@ from dgf.catalog import make
 from dgf.euler import euler_expand, expand_factor_list
 from dgf.parser import Atom, Conv, Inv, PMul, PPow, Shift, UConv, parse, to_text
 from dgf.polys import XPoly, series_eq
-from dgf.sequences import brute_convolve, brute_unitary_convolve, terms
+from dgf.sequences import terms
 
 from conftest import GRID
+from oracles import brute_convolve, brute_unitary_convolve
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)

@@ -1,27 +1,26 @@
-"""Term generation, brute-force convolutions, and b-file checking."""
+"""Term generation, the sieve, brute-force convolutions, b-file checking."""
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
+from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
-from dgf.errors import BFileError, CatalogError
-from dgf.sequences import (
-    FactorSieve,
-    brute_convolve,
-    brute_unitary_convolve,
-    compare_bfile,
-    oracle,
-    terms,
-    window,
-)
+from dgf.errors import BFileError, CatalogError, SieveLimitError
+from dgf.sequences import MAX_SIEVE, FactorSieve, compare_bfile, terms
 
 from conftest import GRID
+from oracles import _ofactor, brute_convolve, brute_unitary_convolve, oracle
 
 
 def test_terms_fixtures():
     assert terms(make("phi"), 10) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
     assert terms(make("mu"), 8) == [1, -1, -1, 0, -1, 1, -1, 0]
     assert terms(make("eps", 2), 9) == [1, 0, 0, 1, 0, 0, 0, 0, 1]
+    assert terms(make("phi"), 0) == []
+    assert terms(make("phi"), 1) == [1]
+    assert terms(make("mu"), 2) == [1, -1]
 
 
 @pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))
@@ -38,6 +37,28 @@ def test_shared_sieve_reuse():
     assert a[11] == 4 and b[11] == 28
 
 
+def test_terms_value_once_per_prime_power():
+    calls = Counter()
+
+    class Counting(MasterEquation):
+        def value(self, p, e):
+            calls[p, e] += 1
+            return super().value(p, e)
+
+    f = MultiplicativeFunction("sigma(1)", Counting(make("sigma", 1).master.generic))
+    N = 2000
+    assert terms(f, N) == oracle("sigma", (1,), N)
+    want = {(p, e): 1 for p in range(2, N + 1) if _ofactor(p) == [(p, 1)]
+            for e in range(1, N.bit_length()) if p**e <= N}
+    assert calls == want
+
+
+def test_terms_above_sieve_limit():
+    with pytest.raises(SieveLimitError, match="sieve limit is %d" % MAX_SIEVE):
+        terms(make("phi"), MAX_SIEVE + 1)
+    assert issubclass(SieveLimitError, ValueError)
+
+
 def test_factor_sieve():
     s = FactorSieve()
     assert s.factor(12) == [(2, 2), (3, 1)]
@@ -45,6 +66,16 @@ def test_factor_sieve():
     assert s.factor(97) == [(97, 1)]
     with pytest.raises(ValueError):
         s.factor(0)
+    # grown in steps or at once, the table gives each n its trial-division
+    # factorisation, smallest prime first
+    grown, fresh = FactorSieve(), FactorSieve()
+    for n in (50, 1000, 5000):
+        grown.ensure(n)
+    fresh.ensure(5000)
+    assert grown.limit == fresh.limit == 5000
+    for n in range(1, 5001):
+        assert grown.factor(n) == fresh.factor(n) == _ofactor(n), n
+    assert fresh.primes(100) == [p for p in range(2, 101) if _ofactor(p) == [(p, 1)]]
 
 
 def test_brute_convolve_fixtures():
@@ -68,12 +99,6 @@ def test_brute_length_mismatch():
         brute_convolve([1, 1, 1], [1, 1, 1, 1])
     with pytest.raises(ValueError, match="differ in length"):
         brute_unitary_convolve([1], [1, 2])
-
-
-def test_window():
-    w = window(make("phi"), 5, 9)
-    assert w.first == 5
-    assert w.values == [4, 2, 6, 4, 6]
 
 
 def test_compare_bfile_accepts_comments_and_blanks():
