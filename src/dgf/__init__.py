@@ -12,7 +12,7 @@ from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
 from .catalog import CATALOG, CatalogEntry, make, names
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError,
-                     SieveLimitError)
+                     SeriesWindowError, SieveLimitError)
 from .euler import (INFINITE, ConvergenceInfo, EulerFactor, EulerFactorList,
                     LocalFactor, ZetaFactor, ZetaForm, abscissa, euler_expand,
                     expand_factor_list, factor_bell, finite_zeta_form,
@@ -32,7 +32,8 @@ __all__ = [
     "unitary_convolve",
     "CATALOG", "CatalogEntry", "make", "names",
     "BFileError", "CatalogError", "DegreeBoundError", "DgfError",
-    "DivergenceError", "MasterEquationError", "ParseError", "SieveLimitError",
+    "DivergenceError", "MasterEquationError", "ParseError",
+    "SeriesWindowError", "SieveLimitError",
     "INFINITE", "ConvergenceInfo", "EulerFactor", "EulerFactorList",
     "LocalFactor", "ZetaFactor", "ZetaForm", "abscissa", "euler_expand",
     "expand_factor_list", "factor_bell", "finite_zeta_form",

@@ -4,9 +4,11 @@ A multiplicative function is pinned down by a master equation giving
 a(p^e) as an integer polynomial in p, optionally overridden at finitely
 many exceptional primes; each coefficient is memoized on its master
 equation.  The Bell series sum_e a(p^e) x^e (x = p^-s) is kept as an
-exact rational function over Z[p] whenever one exists.  Combinators are
-single coefficient rules over their operands' memoized coefficients, the
-same rule serving the generic prime and every exceptional prime.
+exact rational function over Z[p] whenever one exists; it is found by
+Berlekamp-Massey at numeric specialisations of p, interpolated in p and
+verified over Z[p].  Combinators are single coefficient rules over their
+operands' memoized coefficients, the same rule serving the generic prime
+and every exceptional prime.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Sequence
 
-from .errors import DegreeBoundError, MasterEquationError
+from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
 from .polys import PrimePoly, XPoly, series_eq, series_inv, series_mul
 
 DEFAULT_DEGREE_CAP = 16
@@ -26,75 +28,39 @@ LOCAL_DEGREE_CAP = 40
 # ---------------------------------------------------------------------------
 # rational reconstruction
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an (over)determined linear system exactly.
-
-    Returns None when inconsistent; free variables are set to zero.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None  # 0 = nonzero
-    x = [Fraction(0)] * n
-    for i, col in enumerate(piv_cols):
-        x[col] = a[i][n]
-    return x
-
-
 def _scalar_pade(vals: Sequence[Fraction], d_cap: int):
     """Minimal-degree rational fit N/D, D(0)=1, matching all of vals.
 
     vals are the series coefficients at one numeric specialisation of p.
-    Returns (num, den, degree) or None if nothing of degree <= d_cap fits.
+    Berlekamp-Massey (Massey 1969) finds in one pass the shortest linear
+    recurrence D of vals[1:], which holds over the whole window; N is the
+    product D * vals below x^(d+1).  The recurrence is unique once
+    2d + 1 <= M, so the fit is the minimal one.  Returns (num, den, d)
+    with both lists of length d+1, or None when d > d_cap or 2d+1 > M.
     """
     M = len(vals) - 1
-    for d in range(0, d_cap + 1):
-        if 2 * d + 1 > M:
-            return None
-        if d == 0:
-            den = [Fraction(1)]
-            num = [Fraction(vals[0])]
-            cand = (num, den)
-        else:
-            # sum_{i=1..d} D_i c_{j-i} = -c_j  for j = d+1 .. 2d+1
-            rows = [[Fraction(vals[j - i]) for i in range(1, d + 1)]
-                    for j in range(d + 1, 2 * d + 2)]
-            rhs = [Fraction(-vals[j]) for j in range(d + 1, 2 * d + 2)]
-            sol = _solve_exact(rows, rhs)
-            if sol is None:
-                continue
-            den = [Fraction(1)] + sol
-            num = [sum(den[i] * vals[j - i] for i in range(0, min(j, d) + 1))
-                   for j in range(0, d + 1)]
-            cand = (num, den)
-        num, den = cand
-        ok = True
-        for j in range(d + 1, M + 1):
-            s = sum(den[i] * vals[j - i] for i in range(0, min(j, d) + 1))
-            if s != 0:
-                ok = False
-                break
-        if ok:
+    den, prev = [Fraction(1)], [Fraction(1)]
+    d, n, gap, last = 0, 0, 1, Fraction(1)
+    while d <= d_cap and 2 * d + 1 <= M:
+        n += 1
+        if n > M:
+            den += [Fraction(0)] * (d + 1 - len(den))
+            num = [sum(den[i] * vals[j - i] for i in range(j + 1))
+                   for j in range(d + 1)]
             return num, den, d
+        disc = sum(den[i] * vals[n - i] for i in range(len(den)))
+        if disc == 0:
+            gap += 1
+            continue
+        q = disc / last
+        step = den + [Fraction(0)] * (gap + len(prev) - len(den))
+        for i, c in enumerate(prev):
+            step[gap + i] -= q * c
+        if 2 * d < n:
+            prev, d, gap, last = den, n - d, 1, disc
+        else:
+            gap += 1
+        den = step
     return None
 
 
@@ -135,18 +101,19 @@ def _fractions_to_primepoly(poly: list[Fraction]) -> PrimePoly | None:
 def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
     """Reconstruct the minimal rational function in x matching a series.
 
-    Needs at least 2*max_degree+2 coefficients; the fit is additionally
-    checked against every remaining coefficient and then re-verified
+    Needs at least 2*max_degree+2 coefficients (SeriesWindowError
+    otherwise).  Each numeric specialisation of p is fitted over the whole
+    window; the fits are interpolated in p and the result re-verified
     symbolically over Z[p].  Raises DegreeBoundError when no rational
     function with numerator and denominator degree <= max_degree fits.
     """
     series = list(series)
     M = len(series) - 1
     if M + 1 < 2 * max_degree + 2:
-        raise ValueError("need at least %d coefficients for degree %d"
-                         % (2 * max_degree + 2, max_degree))
+        raise SeriesWindowError("need at least %d coefficients for degree %d"
+                                % (2 * max_degree + 2, max_degree))
     if not series[0].is_one():
-        raise ValueError("series must start at 1")
+        raise SeriesWindowError("series must start at 1")
 
     if all(c.is_constant() for c in series):
         # prime-independent series: one specialisation carries everything

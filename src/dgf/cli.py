@@ -24,6 +24,12 @@ from .polys import series_eq
 from .sequences import MAX_SIEVE, compare_bfile, terms
 
 
+# bound of -U: the largest order finite_zeta_form reads exponents to,
+# 2 (deg num + deg den) at the default degree cap; peeling cost grows
+# steeply beyond it
+MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
+
+
 class _ArgParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -228,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("factorize", help="Euler product factorisation")
     c.add_argument("expr")
-    c.add_argument("-U", "--order", dest="U", type=_int_in(1), default=8,
-                   help="peel factors up to x^U (default 8)")
+    c.add_argument("-U", "--order", dest="U", type=_int_in(1, MAX_ORDER),
+                   default=8, help="peel factors up to x^U (default 8)")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_factorize)
 
@@ -261,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="internal consistency checks")
     c.add_argument("expr")
     c.add_argument("-n", "--count", type=_int_in(1, MAX_SIEVE), default=200)
-    c.add_argument("-U", "--order", dest="U", type=_int_in(1), default=6)
+    c.add_argument("-U", "--order", dest="U", type=_int_in(1, MAX_ORDER),
+                   default=6)
     c.add_argument("--bfile", help="also compare against a b-file")
     c.set_defaults(func=_cmd_verify)
 

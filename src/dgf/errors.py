@@ -18,6 +18,10 @@ class DegreeBoundError(DgfError):
     """No rational form within the requested degree bound matches the series."""
 
 
+class SeriesWindowError(DgfError, ValueError):
+    """Series too short for the degree bound, or not starting at 1."""
+
+
 class ParseError(DgfError):
     """Expression syntax error; carries a 1-based column position."""
 

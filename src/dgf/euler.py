@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import sequences
 from .bell import BellRational, MultiplicativeFunction, _reduce_product
 from .errors import DegreeBoundError
 from .polys import PrimePoly, XPoly, series_inv, series_mul
@@ -460,49 +461,45 @@ def dirichlet_mul_streams(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def dirichlet_inv_stream(a: list[int]) -> list[int]:
-    N = len(a) - 1
-    if a[1] != 1:
-        raise ValueError("stream must have a(1) = 1")
-    out = [0] * (N + 1)
-    out[1] = 1
-    for n in range(2, N + 1):
-        acc = 0
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                acc += a[d] * out[n // d]
-                if d != n // d:
-                    acc += a[n // d] * out[d]
-            d += 1
-        acc += a[n] * out[1]
-        out[n] = -acc
-    return out
+def _mul_local(acc: list[int], p: int, cs: Sequence[int]) -> None:
+    """Multiply a stream by the Euler factor sum_j cs[j] p^(-js), in place.
+
+    cs[0] must be 1; a(p^j m) gains cs[j] a(m), read from a copy of the
+    entries the factor reads.
+    """
+    N = len(acc) - 1
+    old = acc[:N // p + 1]
+    q = p
+    for c in cs[1:]:
+        if q > N:
+            break
+        if c:
+            acc[q::q] = [a + c * b for a, b in zip(acc[q::q], old[1:N // q + 1])]
+        q *= p
 
 
 def zeta_form_to_coeffs(zf: ZetaForm, N: int) -> list[int]:
-    """First N Dirichlet coefficients of a finite zeta form."""
+    """First N Dirichlet coefficients of a finite zeta form.
+
+    zeta(us - l)^gamma with gamma > 0 multiplies in as a whole stream;
+    with gamma < 0 it is the Euler factor (1 - p^l p^(-us))^(-gamma) at
+    each prime with p^u <= N, applied in place like the local factors.
+    Only the primes come from the shared sieve, so the result stays
+    independent of terms().
+    """
     acc = [0] * (N + 1)
     acc[1] = 1
     for z in zf.zeta_factors:
-        base = _zeta_base_stream(z.u, z.l, N)
-        if z.gamma < 0:
-            base = dirichlet_inv_stream(base)
-        for _ in range(abs(z.gamma)):
-            acc = dirichlet_mul_streams(acc, base)
+        if z.gamma > 0:
+            base = _zeta_base_stream(z.u, z.l, N)
+            for _ in range(z.gamma):
+                acc = dirichlet_mul_streams(acc, base)
+            continue
+        for p in sequences._SIEVE.primes(N):
+            if p ** z.u > N:
+                break
+            for _ in range(-z.gamma):
+                _mul_local(acc, p, [1] + [0] * (z.u - 1) + [-p ** z.l])
     for lf in zf.local:
-        q = lf.prime
-        J = 0
-        while q ** (J + 1) <= N:
-            J += 1
-        cs = lf.series(J)
-        out = [0] * (N + 1)
-        for j in range(J + 1):
-            c = cs[j]
-            if c:
-                step = q**j
-                for m in range(1, N // step + 1):
-                    if acc[m]:
-                        out[step * m] += c * acc[m]
-        acc = out
+        _mul_local(acc, lf.prime, lf.series(N.bit_length()))
     return acc[1:]

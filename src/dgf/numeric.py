@@ -154,16 +154,15 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     if s <= float(absc) + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
                               % (s, absc))
-    primes = sequences._SIEVE.primes(P)
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
-    i = 0
-    for cp in cps:
-        while i < len(primes) and primes[i] <= cp:
-            prod *= _local_value(f, primes[i], s)
-            i += 1
-        partials.append(prod)
+    for p in sequences._SIEVE.primes(P):
+        # the partial product at each checkpoint below p is complete
+        while p > cps[len(partials)]:
+            partials.append(prod)
+        prod *= _local_value(f, p, s)
+    partials += [prod] * (len(cps) - len(partials))
     # prime-tail of the log-product, scaled back to an absolute estimate
     tail = abs(prod) * (P ** (float(absc) - s)) \
         / ((s - float(absc)) * math.log(P))

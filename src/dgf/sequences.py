@@ -1,14 +1,17 @@
 """Sequence terms from a prime-power rule, and b-file comparison.
 
 One smallest-prime-factor table serves the whole runtime: term
-generation, factorisation and the prime lists of Euler products.
+generation, factorisation, and the primes of Euler products and of
+zeta-form coefficients.
 """
 from __future__ import annotations
 
 import math
+import operator
 from array import array
+from itertools import compress, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bell import MultiplicativeFunction
 from .errors import BFileError, SieveLimitError
@@ -35,7 +38,7 @@ class FactorSieve:
         if n > MAX_SIEVE:
             raise SieveLimitError("sieve limit is %d" % MAX_SIEVE)
         size = min(MAX_SIEVE, max(n, 2 * self.limit))
-        small = self.primes(math.isqrt(size))
+        small = list(self.primes(math.isqrt(size)))
         spf = array("i", [0]) * (size + 1)
         # largest prime first, so that the smallest one writes each entry last
         for p in reversed(small):
@@ -57,10 +60,11 @@ class FactorSieve:
             out.append((p, e))
         return out
 
-    def primes(self, n: int) -> list[int]:
+    def primes(self, n: int) -> Iterator[int]:
+        """Primes <= n in increasing order, read lazily off the table."""
         self.ensure(n)
-        spf = self._spf
-        return [i for i in range(2, n + 1) if not spf[i]]
+        return compress(range(2, n + 1),
+                        map(operator.not_, islice(self._spf, 2, n + 1)))
 
 
 _SIEVE = FactorSieve()

@@ -20,7 +20,8 @@ from dgf.bell import (
     unitary_convolve,
 )
 from dgf.catalog import make
-from dgf.errors import DegreeBoundError, MasterEquationError
+from dgf.errors import (DegreeBoundError, DgfError, MasterEquationError,
+                        SeriesWindowError)
 from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly, series_eq
 from dgf.sequences import terms
@@ -109,6 +110,27 @@ def test_rationalize_degree_bound():
            P.const(120), P.const(720), P.const(5040), P.const(40320)]
     with pytest.raises(DegreeBoundError):
         rationalize(ser, 3)
+
+
+@pytest.mark.parametrize("num, den, d", [
+    # collapses to 1 at p = 2, a degenerate specialisation
+    (xp(1, -2), XPoly.binomial(1, 1, 1), 1),
+    # numerator of higher degree than the denominator
+    (xp(1, 0, 0, 0, P.monomial(1)), XPoly.binomial(1, 1, 1), 4),
+    (xp(1, -1, 0, 0, 0, 1), xp(1), 5),
+])
+def test_rationalize_kernel_edges(num, den, d):
+    # recovered exactly from the fewest coefficients the degree needs
+    b = BellRational(num, den)
+    assert rationalize(b.series(2 * d + 1), d) == b
+
+
+def test_rationalize_argument_errors():
+    for series, d in [([P.one] * 5, 2), ([P.const(2)] + [P.one] * 5, 1)]:
+        with pytest.raises(SeriesWindowError) as exc:
+            rationalize(series, d)
+        assert isinstance(exc.value, DgfError)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_exceptional_primes_local_bell():

@@ -156,6 +156,8 @@ def test_exit_code_usage(capsys):
     ["factorize", "phi", "-U", "0"],
     ["verify", "phi", "-n", "0"],
     ["verify", "phi", "-U", "-1"],
+    ["factorize", "phi", "-U", "65"],       # above the peeling order bound
+    ["verify", "phi", "-U", "65"],
     ["eval", "sigma(1)", "--s", "3", "--method", "euler", "-P", "1"],
     ["eval", "phi", "--s", "3", "--method", "sum", "-N", "0"],
     ["eval", "phi", "--s", "nan"],

@@ -10,7 +10,6 @@ from dgf.euler import (
     ZetaFactor,
     ZetaForm,
     abscissa,
-    dirichlet_inv_stream,
     dirichlet_mul_streams,
     euler_expand,
     expand_factor_list,
@@ -175,6 +174,10 @@ def test_zeta_form_to_coeffs_fixtures():
     assert zeta_form_to_coeffs(ZetaForm([ZetaFactor(1, 0, 1)], []), 5) == [1] * 5
     ratio = ZetaForm([ZetaFactor(1, 1, 1), ZetaFactor(1, 0, -1)], [])
     assert zeta_form_to_coeffs(ratio, 6) == [1, 1, 2, 2, 4, 2]
+    # zeta(s)/zeta(2s): the indicator of the squarefree numbers
+    squarefree = ZetaForm([ZetaFactor(1, 0, 1), ZetaFactor(2, 0, -1)], [])
+    assert zeta_form_to_coeffs(squarefree, 12) == \
+        [1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0]
 
 
 def test_zeta_form_round_trip_with_local():
@@ -192,10 +195,6 @@ def test_coefficient_streams():
     ones = [0] + [1] * 8
     moebius = [0, 1, -1, -1, 0, -1, 1, -1, 0]
     assert dirichlet_mul_streams(ones, moebius) == [0, 1] + [0] * 7
-    assert dirichlet_inv_stream(ones) == moebius
-    seq = [0, 1, 4, -2, 7, 0, 3, 1, 1]
-    assert dirichlet_mul_streams(seq, dirichlet_inv_stream(seq)) == \
-        [0, 1] + [0] * 7
 
 
 def test_abscissa_values():

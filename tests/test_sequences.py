@@ -75,7 +75,7 @@ def test_factor_sieve():
     assert grown.limit == fresh.limit == 5000
     for n in range(1, 5001):
         assert grown.factor(n) == fresh.factor(n) == _ofactor(n), n
-    assert fresh.primes(100) == [p for p in range(2, 101) if _ofactor(p) == [(p, 1)]]
+    assert list(fresh.primes(100)) == [p for p in range(2, 101) if _ofactor(p) == [(p, 1)]]
 
 
 def test_brute_convolve_fixtures():
