@@ -5,10 +5,10 @@ a(p^e) as an integer polynomial in p, optionally overridden at finitely
 many exceptional primes; each coefficient is memoized on its master
 equation.  The Bell series sum_e a(p^e) x^e (x = p^-s) is kept as an
 exact rational function over Z[p] whenever one exists; it is found by
-Berlekamp-Massey at numeric specialisations of p, interpolated in p and
-verified over Z[p].  Combinators are single coefficient rules over their
-operands' memoized coefficients, the same rule serving the generic prime
-and every exceptional prime.
+one Berlekamp-Massey pass at the single point p = 2^k, read back from
+balanced base-2^k digits and verified over Z[p].  Combinators are single
+coefficient rules over their operands' memoized coefficients, the same
+rule serving the generic prime and every exceptional prime.
 """
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ from .polys import PrimePoly, XPoly, series_eq, series_inv, series_mul
 
 DEFAULT_DEGREE_CAP = 16
 LOCAL_DEGREE_CAP = 40
+# times rationalize may double the radix bits before giving up
+_RADIX_DOUBLINGS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -64,48 +66,38 @@ def _scalar_pade(vals: Sequence[Fraction], d_cap: int):
     return None
 
 
-def _interp_poly(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    """Coefficients (low to high) of the interpolating polynomial."""
-    n = len(xs)
-    dd = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)]
-    basis = [Fraction(1)]
-    for i in range(n):
-        for e, b in enumerate(basis):
-            if e == len(poly):
-                poly.append(Fraction(0))
-            poly[e] += dd[i] * b
-        nb = [Fraction(0)] * (len(basis) + 1)
-        for e, b in enumerate(basis):
-            nb[e] -= xs[i] * b
-            nb[e + 1] += b
-        basis = nb
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
+def _start_bits(series: Sequence[PrimePoly]) -> int:
+    """Bits of the first radix: those of the largest |coefficient|, plus 2."""
+    return max((abs(v) for c in series for _, v in c.items()),
+               default=0).bit_length() + 2
 
 
-def _fractions_to_primepoly(poly: list[Fraction]) -> PrimePoly | None:
-    c = {}
-    for e, v in enumerate(poly):
-        if v != 0:
-            if v.denominator != 1:
-                return None
-            c[e] = int(v)
-    return PrimePoly(c)
+def _balanced_digits(v: int, k: int) -> PrimePoly:
+    """The PrimePoly with value v at p = 2^k, k >= 2, and digits (its
+    coefficients) in [-2^(k-1), 2^(k-1))."""
+    digits, e, half = {}, 0, 1 << (k - 1)
+    while v:
+        r = ((v + half) & ((1 << k) - 1)) - half
+        digits[e] = r
+        v, e = (v - r) >> k, e + 1
+    return PrimePoly(digits)
 
 
 def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
     """Reconstruct the minimal rational function in x matching a series.
 
     Needs at least 2*max_degree+2 coefficients (SeriesWindowError
-    otherwise).  Each numeric specialisation of p is fitted over the whole
-    window; the fits are interpolated in p and the result re-verified
-    symbolically over Z[p].  Raises DegreeBoundError when no rational
-    function with numerator and denominator degree <= max_degree fits.
+    otherwise).  The window is specialised at the single point p = 2^k,
+    which packs each Z[p] coefficient into one integer (Kronecker
+    substitution); one Berlekamp-Massey fit there is split back into
+    balanced base-2^k digits and re-verified symbolically over Z[p].
+    Specialising can only shorten the fit, so a degree above max_degree
+    at 2^k rejects, and so does a non-integer fit: the minimal fit of an
+    integer window is integral (Gauss's lemma) whenever a fit over Z[p]
+    exists.  A degenerate point or a too-small radix fails the re-check
+    and k doubles, at most _RADIX_DOUBLINGS times.  Raises
+    DegreeBoundError when no rational function with numerator and
+    denominator degree <= max_degree fits.
     """
     series = list(series)
     M = len(series) - 1
@@ -114,75 +106,23 @@ def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
                                 % (2 * max_degree + 2, max_degree))
     if not series[0].is_one():
         raise SeriesWindowError("series must start at 1")
-
-    if all(c.is_constant() for c in series):
-        # prime-independent series: one specialisation carries everything
-        fit = _scalar_pade([Fraction(c.constant_value()) for c in series], max_degree)
+    k = _start_bits(series)
+    for _ in range(_RADIX_DOUBLINGS + 1):
+        fit = _scalar_pade([Fraction(c.evaluate(1 << k)) for c in series],
+                           max_degree)
         if fit is None:
             raise DegreeBoundError("no rational form of degree <= %d" % max_degree)
         num, den, _ = fit
-        n_pp = [_fractions_to_primepoly([v]) for v in num]
-        d_pp = [_fractions_to_primepoly([v]) for v in den]
-        if any(c is None for c in n_pp + d_pp):
+        if any(v.denominator != 1 for v in num + den):
             raise DegreeBoundError("rational form has non-integer coefficients")
-        return BellRational(XPoly(n_pp), XPoly(d_pp))
-
-    pts: list[int] = []
-    fits: dict[int, tuple] = {}
-    dmax = 0
-    p0 = 2
-    want = 4
-    for _round in range(32):
-        while len(pts) < want:
-            vals = [Fraction(c.evaluate(p0)) for c in series]
-            fit = _scalar_pade(vals, max_degree)
-            if fit is None:
-                raise DegreeBoundError("no rational form of degree <= %d" % max_degree)
-            num, den, d = fit
-            if d > dmax:
-                # earlier points were degenerate specialisations; drop them
-                dmax = d
-                drop = [q for q in pts if fits[q][2] < dmax]
-                for q in drop:
-                    pts.remove(q)
-                    del fits[q]
-            if d == dmax:
-                pts.append(p0)
-                fits[p0] = fit
-            p0 += 1
-        use, hold = pts[:-2], pts[-2:]
-        if len(use) < 2:
-            want += 2
-            continue
-        stable = True
-        num_polys: list[list[Fraction]] = []
-        den_polys: list[list[Fraction]] = []
-        for j in range(dmax + 1):
-            poly = _interp_poly(use, [fits[q][0][j] for q in use])
-            if any(sum(c * q**e for e, c in enumerate(poly)) != fits[q][0][j] for q in hold):
-                stable = False
-                break
-            num_polys.append(poly)
-        if stable:
-            for j in range(dmax + 1):
-                poly = _interp_poly(use, [fits[q][1][j] for q in use])
-                if any(sum(c * q**e for e, c in enumerate(poly)) != fits[q][1][j] for q in hold):
-                    stable = False
-                    break
-                den_polys.append(poly)
-        if not stable:
-            want = want + max(2, want // 2)
-            continue
-        n_pp = [_fractions_to_primepoly(c) for c in num_polys]
-        d_pp = [_fractions_to_primepoly(c) for c in den_polys]
-        if any(c is None for c in n_pp + d_pp):
-            raise DegreeBoundError("rational form has non-integer coefficients")
-        cand = BellRational(XPoly(n_pp), XPoly(d_pp))
+        cand = BellRational(
+            XPoly([_balanced_digits(v.numerator, k) for v in num]),
+            XPoly([_balanced_digits(v.numerator, k) for v in den]))
         # symbolic re-verification over Z[p] against the whole input window
         if series_eq(series_mul(cand.den.series(M), series, M),
                      cand.num.series(M), M):
             return cand
-        want = want + max(2, want // 2)
+        k *= 2
     raise DegreeBoundError("rational reconstruction did not stabilise")
 
 

@@ -155,11 +155,10 @@ def _cmd_terms(ns) -> int:
 def _cmd_eval(ns) -> int:
     f = parse_function(ns.expr)
     method = ns.method
+    zf = finite_zeta_form(f) if method in ("auto", "zeta") else None
     if method == "auto":
-        zf = finite_zeta_form(f)
         method = "zeta" if zf != INFINITE else "euler"
     if method == "zeta":
-        zf = finite_zeta_form(f)
         if zf == INFINITE:
             raise DegreeBoundError(
                 "no finite zeta form; use --method euler or sum")
@@ -190,8 +189,8 @@ def _cmd_verify(ns) -> int:
           series_eq(expand_factor_list(efl, ns.U), f.series(ns.U), ns.U)
           and efl.residual_ok)
     zf = finite_zeta_form(f)
+    seq = terms(f, ns.count)
     if zf != INFINITE:
-        seq = terms(f, ns.count)
         check("zeta form reproduces the first %d terms" % ns.count,
               zeta_form_to_coeffs(zf, ns.count) == seq)
         conv = [z for z in zeta_factors_from_euler(efl) if z.u <= ns.U]
@@ -199,7 +198,6 @@ def _cmd_verify(ns) -> int:
         check("Euler factors agree with the zeta form through order %d" % ns.U,
               sorted((z.u, z.l, z.gamma) for z in conv) ==
               sorted((z.u, z.l, z.gamma) for z in want))
-    seq = terms(f, ns.count)
     ok = True
     for m in range(2, ns.count + 1):
         if not ok:

@@ -38,11 +38,15 @@ class FactorSieve:
         if n > MAX_SIEVE:
             raise SieveLimitError("sieve limit is %d" % MAX_SIEVE)
         size = min(MAX_SIEVE, max(n, 2 * self.limit))
-        small = list(self.primes(math.isqrt(size)))
-        spf = array("i", [0]) * (size + 1)
-        # largest prime first, so that the smallest one writes each entry last
+        small = list(self.primes(math.isqrt(size)))[1:]
+        # 2 at every even entry, then the odd primes at their odd multiples,
+        # largest first, so that the smallest one writes each entry last
+        spf = array("i", [2, 0]) * (size // 2 + 1)
+        del spf[size + 1:]
+        spf[0] = spf[2] = 0
         for p in reversed(small):
-            spf[p * p::p] = array("i", [p]) * len(range(p * p, size + 1, p))
+            spf[p * p::2 * p] = \
+                array("i", [p]) * len(range(p * p, size + 1, 2 * p))
         self._spf = spf
 
     def factor(self, n: int) -> list[tuple[int, int]]:

@@ -118,11 +118,45 @@ def test_rationalize_degree_bound():
     # numerator of higher degree than the denominator
     (xp(1, 0, 0, 0, P.monomial(1)), XPoly.binomial(1, 1, 1), 4),
     (xp(1, -1, 0, 0, 0, 1), xp(1), 5),
+    # a constant window with a coefficient far above the first digit
+    (xp(1), xp(1, -10**6), 1),
+    # negative digits: phi_star's (1 - 2x + p x^2)/((1 - x)(1 - px))
+    (xp(1, -2, P.monomial(1)), XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 1, 1),
+     2),
 ])
 def test_rationalize_kernel_edges(num, den, d):
     # recovered exactly from the fewest coefficients the degree needs
     b = BellRational(num, den)
     assert rationalize(b.series(2 * d + 1), d) == b
+
+
+def test_rationalize_radix_doubling(monkeypatch):
+    # a first radix of 2 bits is too narrow for the digits of sigma(1)*sigma(2)
+    # and fails the re-check over Z[p]; doubling the bits finds the same form
+    want = parse_function("sigma(1)*sigma(2)").bell
+    calls = Counter()
+    fit, kernel = bell_module.rationalize, bell_module._scalar_pade
+
+    def counting_fit(series, max_degree):
+        calls["rationalize"] += 1
+        return fit(series, max_degree)
+
+    def counting_kernel(vals, d_cap):
+        calls["kernel"] += 1
+        return kernel(vals, d_cap)
+
+    monkeypatch.setattr(bell_module, "_start_bits", lambda series: 2)
+    monkeypatch.setattr(bell_module, "rationalize", counting_fit)
+    monkeypatch.setattr(bell_module, "_scalar_pade", counting_kernel)
+    assert parse_function("sigma(1)*sigma(2)").bell == want
+    assert calls["kernel"] > calls["rationalize"] > 0
+    # (1 - 2x)/(1 - px) collapses to 1 at p = 2 and (1 - 4x)/(1 - px) at the
+    # 2-bit radix p = 4, whose fit then fails the re-check once
+    for a, fits in [(2, 1), (4, 2)]:
+        calls.clear()
+        degenerate = BellRational(xp(1, -a), XPoly.binomial(1, 1, 1))
+        assert bell_module.rationalize(degenerate.series(5), 1) == degenerate
+        assert calls["kernel"] == fits
 
 
 def test_rationalize_argument_errors():

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import dgf.cli as cli
 from dgf.cli import main
 
 from conftest import GRID_ONE_PER_NAME
@@ -265,6 +267,24 @@ def test_verify_transcript(capsys):
     lines = out.splitlines()
     assert len(lines) == 5
     assert all(line.startswith("ok  ") for line in lines)
+
+
+@pytest.mark.parametrize("argv, counted", [
+    (["eval", "sigma(1)", "--s", "3"], "finite_zeta_form"),
+    (["eval", "sigma(1)", "--s", "3", "--method", "zeta"], "finite_zeta_form"),
+    (["verify", "phi", "-n", "50"], "terms"),
+])
+def test_cli_computes_once(capsys, monkeypatch, argv, counted):
+    calls = Counter()
+    step = getattr(cli, counted)
+
+    def counting(*args):
+        calls[counted] += 1
+        return step(*args)
+
+    monkeypatch.setattr(cli, counted, counting)
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0 and calls[counted] == 1
 
 
 def test_verify_every_catalog_entry(capsys):

@@ -69,12 +69,19 @@ def test_factor_sieve():
     # grown in steps or at once, the table gives each n its trial-division
     # factorisation, smallest prime first
     grown, fresh = FactorSieve(), FactorSieve()
-    for n in (50, 1000, 5000):
+    for n in (2, 3, 9, 50, 101, 1000, 2001, 5000):
         grown.ensure(n)
     fresh.ensure(5000)
     assert grown.limit == fresh.limit == 5000
     for n in range(1, 5001):
         assert grown.factor(n) == fresh.factor(n) == _ofactor(n), n
+    # odd and even table sizes, the smallest ones included
+    for size in (2, 3, 4, 51, 4999):
+        small = FactorSieve()
+        small.ensure(size)
+        assert small.limit == size
+        assert [small.factor(n) for n in range(1, size + 1)] == \
+            [_ofactor(n) for n in range(1, size + 1)]
     assert list(fresh.primes(100)) == [p for p in range(2, 101) if _ofactor(p) == [(p, 1)]]
 
 
