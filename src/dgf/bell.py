@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 import weakref
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
@@ -313,9 +313,13 @@ def _lift(rule, *fs: MultiplicativeFunction) -> MasterEquation:
     masters = [f.master for f in fs]
 
     def bind(q):
-        at = (lambda m: m.generic_poly) if q is None else \
-            (lambda m: partial(m.value, q))
-        return lambda e: rule(q, e, at(me()), *map(at, masters))
+        if q is None:
+            return lambda e: rule(q, e, me().generic_poly,
+                                  *(m.generic_poly for m in masters))
+        # one memo per operand and prime, so that an operand without an
+        # override at q evaluates each generic polynomial there once
+        ops = [cache(partial(m.value, q)) for m in masters]
+        return lambda e: rule(q, e, partial(me().value, q), *ops)
 
     primes = sorted(set().union(*(m.exceptions for m in masters)))
     out = MasterEquation(bind(None), {q: bind(q) for q in primes})

@@ -13,7 +13,7 @@ from typing import Callable
 from .bell import (DEFAULT_DEGREE_CAP, BellRational, MasterEquation,
                    MultiplicativeFunction)
 from .errors import CatalogError
-from .euler import INFINITE, ZetaFactor, _merge_zeta
+from .euler import INFINITE, ZetaFactor, _merge
 from .polys import PrimePoly, XPoly
 
 _MAX_K = 30
@@ -60,7 +60,7 @@ def _bin(S: int, l: int, u: int) -> XPoly:
 def _zf(*tuples):
     """Merge (u, l, gamma) tuples into a canonical sorted list."""
     return [(z.u, z.l, z.gamma)
-            for z in _merge_zeta([ZetaFactor(*t) for t in tuples])]
+            for z in _merge([ZetaFactor(*t) for t in tuples], ZetaFactor)]
 
 
 def _factorize(c: int) -> list[tuple[int, int]]:

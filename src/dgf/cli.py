@@ -13,7 +13,7 @@ import sys
 
 from .bell import DEFAULT_DEGREE_CAP
 from .catalog import CATALOG, make
-from .errors import (BFileError, CatalogError, DegreeBoundError,
+from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError)
 from .euler import (INFINITE, abscissa, expand_factor_list, factor_bell,
                     finite_zeta_form, zeta_factors_from_euler,
@@ -25,8 +25,9 @@ from .sequences import MAX_SIEVE, compare_bfile, terms
 
 
 # bound of -U: the largest order finite_zeta_form reads exponents to,
-# 2 (deg num + deg den) at the default degree cap; peeling cost grows
-# steeply beyond it
+# 2 (deg num + deg den) at the default degree cap.  Peeling to order U
+# takes O(U d) products for a Bell series of degree d; a raw series and
+# verify's round trip take O(U^2)
 MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
 
 
@@ -293,6 +294,10 @@ def main(argv=None) -> int:
     except BFileError as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return 4
+    except DgfError as e:
+        # any other library error is a math-domain one, never a traceback
+        print("error: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,18 +3,22 @@
 A Bell series either factors exactly through binomials 1 - S p^l x^u
 (giving a finite product of Riemann zeta factors via
 prod_p (1 - p^(l-us))^g = zeta^(-g)(us - l)) or is peeled order by
-order into a truncated infinite product of such binomials.
+order into a truncated infinite product of such binomials.  Both, and
+the round trip back to a series, work on T = x B'/B: a binomial power
+adds monomials to T, so they take no series products (the inverse Euler
+transform, Bernstein and Sloane 1995).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import sequences
 from .bell import BellRational, MultiplicativeFunction, _reduce_product
-from .errors import DegreeBoundError
-from .polys import PrimePoly, XPoly, series_inv, series_mul
+from .errors import SeriesWindowError
+from .polys import PrimePoly, XPoly
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class EulerFactorList:
     residual_ok: bool = True
 
     def __post_init__(self):
-        self.factors = _merge_factors(self.factors)
+        self.factors = _merge(self.factors, EulerFactor)
 
     def __iter__(self):
         return iter(self.factors)
@@ -78,70 +82,106 @@ class EulerFactorList:
                 "truncated_at": self.truncated_at}
 
 
-def _merge_factors(factors: Sequence[EulerFactor]) -> list[EulerFactor]:
-    acc: dict[tuple[int, int, int], int] = {}
+def _merge(factors: Sequence, cls) -> list:
+    """Add up the exponents gamma (the last field) of factors of one base,
+    drop the zero ones and sort into the canonical order of cls."""
+    acc: dict[tuple, int] = {}
     for f in factors:
-        key = (f.S, f.l, f.u)
+        key = tuple(vars(f).values())[:-1]
         acc[key] = acc.get(key, 0) + f.gamma
-    out = [EulerFactor(S, l, u, g) for (S, l, u), g in acc.items() if g]
-    out.sort(key=EulerFactor.sort_key)
-    return out
+    return sorted((cls(*k, g) for k, g in acc.items() if g), key=cls.sort_key)
 
 
-def _binomial_power(S: int, l: int, u: int, gamma: int, K: int) -> list[PrimePoly]:
-    """Series of (1 - S p^l x^u)^gamma to order K, for any integer gamma."""
-    out = [PrimePoly.zero] * (K + 1)
-    out[0] = PrimePoly.one
-    c = 1
-    for j in range(1, K // u + 1):
-        # generalized binomial C(gamma, j) (-S)^j; the division is exact
-        c = c * -S * (gamma - j + 1) // j
-        out[u * j] = PrimePoly.monomial(l * j, c)
-    return out
+def _log_derivative(P: Sequence[PrimePoly], K: int) -> list[PrimePoly]:
+    """x P'/P to order K of a polynomial P in x with P(0) = 1, by
+    L_n = n P_n - sum_{j=1..min(n-1, deg P)} P_j L_(n-j): O(K deg P)
+    products."""
+    if not P or not P[0].is_one():
+        raise SeriesWindowError("Euler expansion needs a series starting at 1")
+    L = [PrimePoly.zero] * (K + 1)
+    for n in range(1, K + 1):
+        acc = P[n].scale(n) if n < len(P) else PrimePoly.zero
+        for j in range(1, min(n, len(P))):
+            if not P[j].is_zero() and not L[n - j].is_zero():
+                acc = acc - P[j] * L[n - j]
+        L[n] = acc
+    return L
 
 
-def _to_series(b, K: int) -> list[PrimePoly]:
+def _log_series(b, K: int) -> list[dict[int, int]]:
+    """T = x B'/B to order K as one {l: c} dict (c p^l) per power of x:
+    x N'/N - x D'/D, a plain series read as a polynomial of degree K."""
     if isinstance(b, BellRational):
-        return b.series(K)
-    if isinstance(b, XPoly):
-        return b.series(K)
-    out = list(b[: K + 1])
-    out += [PrimePoly.zero] * (K + 1 - len(out))
-    return out
+        T = [t - s for t, s in zip(_log_derivative(b.num.coeffs, K),
+                                    _log_derivative(b.den.coeffs, K))]
+    else:
+        T = _log_derivative(b.coeffs if isinstance(b, XPoly) else b[: K + 1], K)
+    return [dict(t.items()) for t in T]
+
+
+def _add_log(T: list[dict[int, int]], f: EulerFactor, sign: int) -> None:
+    """Add sign * x F'/F of F = (1 - S p^l x^u)^gamma to T, in place:
+    -gamma u S^k p^(lk) at each x^(uk), k >= 1."""
+    c, e = -sign * f.gamma * f.u, 0
+    for n in range(f.u, len(T), f.u):
+        c, e = c * f.S, e + f.l
+        v = T[n].get(e, 0) + c
+        if v:
+            T[n][e] = v
+        else:
+            T[n].pop(e, None)
+
+
+def _peel(T: list[dict[int, int]], signed: bool,
+          weight_cap: float = math.inf) -> list[EulerFactor] | None:
+    """Read binomial factors off T = x B'/B order by order, in place.
+
+    With the factors below order u divided out, the residual series is
+    1 + R_u x^u + O(x^(u+1)), so T_u = u R_u.  B and every factor lie in
+    1 + x Z[p][[x]], so the residual does too and R_u = T_u/u is exact.
+    Each monomial c p^l of R_u emits (1 + p^l x^u)^c if signed and c > 0,
+    else (1 - p^l x^u)^(-c), and its contribution leaves T.  None once
+    the weight sum |gamma| u passes weight_cap.
+    """
+    factors: list[EulerFactor] = []
+    weight = 0
+    for u in range(1, len(T)):
+        for l, c in sorted(T[u].items(), reverse=True):
+            r = c // u
+            f = EulerFactor(-1, l, u, r) if signed and r > 0 \
+                else EulerFactor(+1, l, u, -r)
+            factors.append(f)
+            _add_log(T, f, -1)
+            weight += abs(r) * u
+            if weight > weight_cap:
+                return None
+    return factors
 
 
 def euler_expand(b, U: int) -> EulerFactorList:
-    """Peel a series into binomial factors order by order up to x^U.
-
-    Each x^u coefficient of the residual is read as a sum of monomials
-    c p^l; positive c emits (1 + p^l x^u)^c, negative c emits
-    (1 - p^l x^u)^(-c), and the residual is divided by what was emitted.
-    """
-    R = _to_series(b, U)
-    if not R or not R[0].is_one():
-        raise ValueError("Euler expansion needs a series starting at 1")
-    factors: list[EulerFactor] = []
-    for u in range(1, U + 1):
-        coeff = R[u]
-        if coeff.is_zero():
-            continue
-        for l, c in sorted(coeff.items(), key=lambda t: -t[0]):
-            if c > 0:
-                f = EulerFactor(-1, l, u, c)
-            else:
-                f = EulerFactor(+1, l, u, -c)
-            factors.append(f)
-            R = series_mul(R, _binomial_power(f.S, f.l, f.u, -f.gamma, U), U)
-    ok = R[0].is_one() and all(R[i].is_zero() for i in range(1, U + 1))
-    return EulerFactorList(factors, truncated_at=U, residual_ok=ok)
+    """Peel a BellRational, XPoly or plain series starting at 1 into
+    binomial factors up to x^U; residual_ok: the residual T vanished."""
+    T = _log_series(b, U)
+    factors = _peel(T, signed=True)
+    return EulerFactorList(factors, truncated_at=U, residual_ok=not any(T))
 
 
 def expand_factor_list(efl: EulerFactorList, K: int) -> list[PrimePoly]:
-    """Multiply a factor list back out as a series (round-trip check)."""
-    out = [PrimePoly.one] + [PrimePoly.zero] * K
+    """Multiply a factor list back out to order K (the round-trip check),
+    apart from the peel: T summed from the factors is exponentiated by
+    n B_n = sum_k T_k B_(n-k), exact as B lies in 1 + x Z[p][[x]]."""
+    logs: list[dict[int, int]] = [{} for _ in range(K + 1)]
     for f in efl.factors:
-        out = series_mul(out, _binomial_power(f.S, f.l, f.u, f.gamma, K), K)
-    return out
+        _add_log(logs, f, +1)
+    T = [PrimePoly(t) for t in logs]
+    B = [PrimePoly.one] + [PrimePoly.zero] * K
+    for n in range(1, K + 1):
+        acc = PrimePoly.zero
+        for k in range(1, n + 1):
+            if not T[k].is_zero() and not B[n - k].is_zero():
+                acc = acc + T[k] * B[n - k]
+        B[n] = PrimePoly({e: v // n for e, v in acc.items()})
+    return B
 
 
 def _partial_binomials(xp: XPoly) -> tuple[list[tuple[int, int, int]], XPoly]:
@@ -152,20 +192,17 @@ def _partial_binomials(xp: XPoly) -> tuple[list[tuple[int, int, int]], XPoly]:
     """
     found: list[tuple[int, int, int]] = []
     while xp.degree() >= 1:
-        u = next((i for i in range(1, xp.degree() + 1)
-                  if not xp.coeff(i).is_zero()), None)
-        if u is None:
-            break
-        progressed = False
-        for l, c in sorted(xp.coeff(u).items(), key=lambda t: -t[0]):
+        # the top coefficient is nonzero, so some u <= degree is found
+        u = next(i for i in range(1, xp.degree() + 1)
+                 if not xp.coeff(i).is_zero())
+        for l, c in sorted(xp.coeff(u).items(), reverse=True):
             S = -1 if c > 0 else +1
             q = xp.divide_binomial(S, l, u)
             if q is not None:
                 found.append((S, l, u))
                 xp = q
-                progressed = True
                 break
-        if not progressed:
+        else:
             break
     return found, xp
 
@@ -178,14 +215,9 @@ def factor_bell(f, U: int = 8) -> EulerFactorList:
     remaining part is peeled to order U.  Without a rational Bell
     series the raw master-equation series is peeled.
     """
-    if isinstance(f, MultiplicativeFunction):
-        b = f.bell
-        if b is None:
-            return euler_expand(f.series(U), U)
-    elif isinstance(f, BellRational):
-        b = f
-    else:
-        return euler_expand(f, U)
+    b = f.bell if isinstance(f, MultiplicativeFunction) else f
+    if not isinstance(b, BellRational):
+        return euler_expand(f.series(U) if b is None else b, U)
 
     num_facs, num_res = _partial_binomials(b.num)
     den_facs, den_res = _partial_binomials(b.den)
@@ -272,7 +304,7 @@ class ZetaForm:
     local: list[LocalFactor] = field(default_factory=list)
 
     def __post_init__(self):
-        self.zeta_factors = _merge_zeta(self.zeta_factors)
+        self.zeta_factors = _merge(self.zeta_factors, ZetaFactor)
         self.local = sorted(self.local, key=lambda lf: lf.prime)
 
     def __str__(self) -> str:
@@ -306,45 +338,20 @@ class ZetaForm:
 INFINITE = "infinite"
 
 
-def _merge_zeta(factors: Sequence[ZetaFactor]) -> list[ZetaFactor]:
-    acc: dict[tuple[int, int], int] = {}
-    for z in factors:
-        key = (z.u, z.l)
-        acc[key] = acc.get(key, 0) + z.gamma
-    out = [ZetaFactor(u, l, g) for (u, l), g in acc.items() if g]
-    out.sort(key=ZetaFactor.sort_key)
-    return out
-
-
 def _log_exponents(b: BellRational, u_cap: int,
                    weight_cap: int) -> list[ZetaFactor] | None:
     """Exponents gamma(u,l) with B = prod (1 - p^l x^u)^(-gamma), if finite.
 
-    Works on T(x) = x B'(x)/B(x), whose x^n coefficient is
-    sum_{u|n} gamma(u,l) u p^(l n/u); exponents are read off smallest
-    u first and must be integers.  Infinite expansions have exponents
-    whose total weight sum |gamma| u grows without bound, so the scan
-    gives up once weight_cap is passed; the caller verifies exactness.
+    The peel of T = x B'/B up to x^u_cap in the zeta basis S = +1; its
+    exponents are integers (see _peel), so no order can fail on them.
+    Infinite expansions have a weight sum |gamma| u growing without
+    bound, so the scan gives up past weight_cap; the caller verifies
+    exactness.
     """
-    K = u_cap
-    bs = b.series(K)
-    xdb = [bs[n].scale(n) for n in range(K + 1)]
-    T = series_mul(xdb, series_inv(bs, K), K)
-    gammas: dict[tuple[int, int], int] = {}
-    weight = 0
-    for n in range(1, K + 1):
-        resid = T[n]
-        for (u, l), g in gammas.items():
-            if n % u == 0:
-                resid = resid - PrimePoly.monomial(l * (n // u), g * u)
-        for l, c in resid.items():
-            if c % n:
-                return None
-            gammas[(n, l)] = c // n
-            weight += abs(c // n) * n
-            if weight > weight_cap:
-                return None
-    return [ZetaFactor(u, l, g) for (u, l), g in gammas.items() if g]
+    factors = _peel(_log_series(b, u_cap), signed=False, weight_cap=weight_cap)
+    if factors is None:
+        return None
+    return [ZetaFactor(f.u, f.l, -f.gamma) for f in factors]
 
 
 def finite_zeta_form(f, u_cap: int | None = None):
@@ -354,12 +361,8 @@ def finite_zeta_form(f, u_cap: int | None = None):
     prod_zeta; per-prime exceptional factors are carried through as
     local rational corrections in q^-s.
     """
-    if isinstance(f, MultiplicativeFunction):
-        b = f.bell
-        func = f
-    else:
-        b = f
-        func = None
+    func = f if isinstance(f, MultiplicativeFunction) else None
+    b = f if func is None else func.bell
     if b is None:
         return INFINITE
     if u_cap is None:
@@ -369,16 +372,11 @@ def finite_zeta_form(f, u_cap: int | None = None):
     if factors is None:
         return INFINITE
     # exact verification: b.num * prod_{g>0} == b.den * prod_{g<0}
-    lhs, rhs = b.num, b.den
+    sides = [b.num, b.den]
     for z in factors:
-        piece = XPoly.binomial(+1, z.l, z.u)
-        if z.gamma > 0:
-            for _ in range(z.gamma):
-                lhs = lhs * piece
-        else:
-            for _ in range(-z.gamma):
-                rhs = rhs * piece
-    if lhs != rhs:
+        for _ in range(abs(z.gamma)):
+            sides[z.gamma < 0] *= XPoly.binomial(+1, z.l, z.u)
+    if sides[0] != sides[1]:
         return INFINITE
 
     local: list[LocalFactor] = []
@@ -408,7 +406,7 @@ def zeta_factors_from_euler(efl: EulerFactorList) -> list[ZetaFactor]:
         else:
             out.append(ZetaFactor(f.u, f.l, f.gamma))
             out.append(ZetaFactor(2 * f.u, 2 * f.l, -f.gamma))
-    return _merge_zeta(out)
+    return _merge(out, ZetaFactor)
 
 
 # ---------------------------------------------------------------------------

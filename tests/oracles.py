@@ -2,7 +2,8 @@
 
 Every catalog function has an evaluator written straight from its
 definition, by trial division and divisor sums, independent of the
-master-equation engine and of its sieve.
+master-equation engine and of its sieve.  The Euler-factor peel is
+redone by series division, independent of the log-derivative pass.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import math
 from typing import Iterable, Sequence
 
 from dgf.errors import CatalogError
+from dgf.euler import EulerFactor, EulerFactorList
+from dgf.polys import PrimePoly, series_mul
 
 
 def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -246,3 +249,43 @@ def oracle(name: str, args: Sequence[int], N: int) -> list[int]:
     if fn is None:
         raise CatalogError("no oracle for %r" % name)
     return fn(tuple(args), N)
+
+
+# ---------------------------------------------------------------------------
+# Euler factors by series division, one series product per factor
+
+
+def binomial_power(S: int, l: int, u: int, gamma: int, K: int) -> list[PrimePoly]:
+    """Series of (1 - S p^l x^u)^gamma to order K, for any integer gamma."""
+    out = [PrimePoly.zero] * (K + 1)
+    out[0] = PrimePoly.one
+    c = 1
+    for j in range(1, K // u + 1):
+        # generalized binomial C(gamma, j) (-S)^j; the division is exact
+        c = c * -S * (gamma - j + 1) // j
+        out[u * j] = PrimePoly.monomial(l * j, c)
+    return out
+
+
+def peel_by_division(R: list[PrimePoly], U: int) -> EulerFactorList:
+    """Peel a series starting at 1 order by order up to x^U.
+
+    Each x^u coefficient of the residual is read as a sum of monomials
+    c p^l; positive c emits (1 + p^l x^u)^c, negative c emits
+    (1 - p^l x^u)^(-c), and the residual is divided by what was emitted.
+    """
+    assert R[0].is_one()
+    factors: list[EulerFactor] = []
+    for u in range(1, U + 1):
+        coeff = R[u]
+        if coeff.is_zero():
+            continue
+        for l, c in sorted(coeff.items(), key=lambda t: -t[0]):
+            if c > 0:
+                f = EulerFactor(-1, l, u, c)
+            else:
+                f = EulerFactor(+1, l, u, -c)
+            factors.append(f)
+            R = series_mul(R, binomial_power(f.S, f.l, f.u, -f.gamma, U), U)
+    ok = R[0].is_one() and all(R[i].is_zero() for i in range(1, U + 1))
+    return EulerFactorList(factors, truncated_at=U, residual_ok=ok)

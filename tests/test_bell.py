@@ -302,6 +302,22 @@ def test_master_rules_run_once_per_exponent():
     assert calls and max(calls.values()) == 1
 
 
+def test_operands_read_once_at_exceptional_prime():
+    # g has no override at 3, so its a(3^e) comes from the generic rule
+    f, g = make("gcdc", 12), make("sigma", 1)
+    reads = Counter()
+    value = g.master.value
+
+    def counted(p, e):
+        reads[p, e] += 1
+        return value(p, e)
+
+    g.master.value = counted
+    h = dirichlet_convolve(f, g)
+    assert h.local_bell(3) is not None
+    assert reads and max(reads.values()) == 1
+
+
 def test_bell_rational_ops():
     b = make("phi").bell
     r = b.reciprocal()

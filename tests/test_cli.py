@@ -10,6 +10,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import dgf.cli as cli
 from dgf.cli import main
+from dgf.errors import SieveLimitError
+from dgf.euler import euler_expand
+from dgf.polys import PrimePoly
 
 from conftest import GRID_ONE_PER_NAME
 
@@ -188,6 +191,21 @@ def test_exit_code_math_errors(capsys):
     rc, _, err = run(capsys, ["eval", "sigma(1)", "--s", "2"])
     assert rc == 3
     assert "not beyond the abscissa" in err
+
+
+def test_exit_code_any_library_error(capsys, monkeypatch):
+    def over_limit(*args):
+        raise SieveLimitError("sieve limit exceeded")
+
+    monkeypatch.setattr(cli, "terms", over_limit)
+    rc, out, err = run(capsys, ["terms", "phi", "-n", "5"])
+    assert (rc, out, err) == (3, "", "error: sieve limit exceeded\n")
+    # a series not starting at 1 reaches the peel
+    monkeypatch.setattr(cli, "factor_bell",
+                        lambda f, U: euler_expand([PrimePoly.zero], U))
+    rc, out, err = run(capsys, ["factorize", "phi"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_exit_code_bfile_mismatch(capsys, tmp_path):

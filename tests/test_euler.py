@@ -3,10 +3,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import dgf.bell as bell_module
+import dgf.euler as euler_module
+import dgf.polys as polys_module
 from dgf.bell import BellRational, dirichlet_convolve, pointwise_power, pointwise_product
 from dgf.catalog import make
 from dgf.euler import (
     INFINITE,
+    _log_exponents,
     ZetaFactor,
     ZetaForm,
     abscissa,
@@ -96,6 +100,27 @@ def test_expansion_round_trips_series():
         f = make(name, *args)
         efl = factor_bell(f, U=6)
         assert series_eq(expand_factor_list(efl, 6), f.series(6), 6)
+
+
+def test_log_pass_makes_no_series_products(monkeypatch):
+    infinite = pointwise_product(make("sigma", 1), make("phi"))
+    b, raw = infinite.bell, infinite.series(12)
+    finite = make("core", 2).bell
+
+    def banned(*args):
+        raise AssertionError("series product in the log-derivative pass")
+
+    for module in (polys_module, bell_module, euler_module):
+        for name in ("series_mul", "series_inv"):
+            monkeypatch.setattr(module, name, banned, raising=False)
+    efl = euler_expand(b, 12)
+    assert euler_expand(raw, 12).factors == efl.factors
+    assert _log_exponents(b, 16, 64) is None
+    assert sorted((z.u, z.l, z.gamma) for z in _log_exponents(finite, 16, 64)) \
+        == [(1, 1, 1), (2, 0, 1), (2, 2, -1)]
+    expanded = expand_factor_list(efl, 12)
+    monkeypatch.undo()
+    assert series_eq(expanded, b.series(12), 12)
 
 
 def test_factor_bell_exact_totient():

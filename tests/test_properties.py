@@ -17,11 +17,11 @@ from dgf.bell import (
 from dgf.catalog import make
 from dgf.euler import euler_expand, expand_factor_list
 from dgf.parser import Atom, Conv, Inv, PMul, PPow, Shift, UConv, parse, to_text
-from dgf.polys import XPoly, series_eq
+from dgf.polys import PrimePoly, XPoly, series_eq
 from dgf.sequences import terms
 
 from conftest import GRID
-from oracles import brute_convolve, brute_unitary_convolve
+from oracles import brute_convolve, brute_unitary_convolve, peel_by_division
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -103,6 +103,24 @@ def test_euler_expansion_round_trips(num_tail, den_tail):
     U = 5
     efl = euler_expand(b, U)
     assert series_eq(expand_factor_list(efl, U), b.series(U), U)
+
+
+prime_poly = st.dictionaries(st.integers(0, 3), st.integers(-3, 3),
+                             max_size=3).map(PrimePoly)
+prime_poly_tail = st.lists(prime_poly, max_size=3)
+
+
+@MODEST
+@given(prime_poly_tail, prime_poly_tail, st.integers(1, 10))
+def test_euler_expansion_matches_series_division(num_tail, den_tail, U):
+    b = BellRational(XPoly([PrimePoly.one] + num_tail),
+                     XPoly([PrimePoly.one] + den_tail))
+    series = b.series(U)
+    efl = euler_expand(b, U)
+    assert efl.factors == peel_by_division(series, U).factors
+    assert efl.residual_ok
+    assert euler_expand(series, U).factors == efl.factors
+    assert series_eq(expand_factor_list(efl, U), series, U)
 
 
 @MODEST
