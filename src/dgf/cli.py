@@ -146,7 +146,12 @@ def _cmd_terms(ns) -> int:
     if ns.json:
         print(json.dumps(vals))
     else:
-        print(",".join(str(v) for v in vals))
+        # a chunk of values per write, so that the text never exists whole
+        step = 1 << 16
+        for i in range(0, len(vals), step):
+            sys.stdout.write(("," if i else "")
+                             + ",".join(map(str, vals[i:i + step])))
+        sys.stdout.write("\n")
     if ns.bfile:
         compare_bfile(ns.bfile, vals)
         print("b-file check passed", file=sys.stderr)

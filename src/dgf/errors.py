@@ -44,4 +44,4 @@ class BFileError(DgfError):
 
 
 class SieveLimitError(DgfError, ValueError):
-    """Sieve or prime bound above sequences.MAX_SIEVE."""
+    """Sieve, prime or term bound outside [0, sequences.MAX_SIEVE]."""

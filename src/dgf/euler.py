@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterable, Sequence
 
 from . import sequences
 from .bell import BellRational, MultiplicativeFunction, _reduce_product
@@ -437,38 +438,17 @@ def abscissa(obj) -> ConvergenceInfo:
     return ConvergenceInfo(max(Fraction(l + 1, u) for l, u in pairs))
 
 
-def _zeta_base_stream(u: int, l: int, N: int) -> list[int]:
-    out = [0] * (N + 1)
-    out[1] = 1
-    m = 2
-    while m**u <= N:
-        out[m**u] = m**l
-        m += 1
-    return out
-
-
-def dirichlet_mul_streams(a: list[int], b: list[int]) -> list[int]:
-    N = len(a) - 1
-    out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        ad = a[d]
-        if ad:
-            for m in range(1, N // d + 1):
-                if b[m]:
-                    out[d * m] += ad * b[m]
-    return out
-
-
-def _mul_local(acc: list[int], p: int, cs: Sequence[int]) -> None:
+def _mul_local(acc: list[int], p: int, cs: Iterable[int]) -> None:
     """Multiply a stream by the Euler factor sum_j cs[j] p^(-js), in place.
 
-    cs[0] must be 1; a(p^j m) gains cs[j] a(m), read from a copy of the
+    cs[0] must be 1, and cs is read only while p^j <= N, so it may be an
+    endless iterator; a(p^j m) gains cs[j] a(m), read from a copy of the
     entries the factor reads.
     """
     N = len(acc) - 1
     old = acc[:N // p + 1]
     q = p
-    for c in cs[1:]:
+    for c in islice(cs, 1, None):
         if q > N:
             break
         if c:
@@ -479,25 +459,27 @@ def _mul_local(acc: list[int], p: int, cs: Sequence[int]) -> None:
 def zeta_form_to_coeffs(zf: ZetaForm, N: int) -> list[int]:
     """First N Dirichlet coefficients of a finite zeta form.
 
-    zeta(us - l)^gamma with gamma > 0 multiplies in as a whole stream;
-    with gamma < 0 it is the Euler factor (1 - p^l p^(-us))^(-gamma) at
-    each prime with p^u <= N, applied in place like the local factors.
-    Only the primes come from the shared sieve, so the result stays
-    independent of terms().
+    zeta(us - l)^gamma is the Euler factor (1 - p^l p^(-us))^(-gamma) at
+    each prime with p^u <= N: with gamma < 0, -gamma times the binomial
+    1 - p^l x^u; with gamma > 0, gamma times its geometric series
+    sum_k p^(lk) x^(uk), read up to x^j with p^j <= N.  Each applies in
+    place like the local factors.  Only the primes come from the shared
+    sieve, so the result stays independent of terms().
     """
     acc = [0] * (N + 1)
     acc[1] = 1
     for z in zf.zeta_factors:
-        if z.gamma > 0:
-            base = _zeta_base_stream(z.u, z.l, N)
-            for _ in range(z.gamma):
-                acc = dirichlet_mul_streams(acc, base)
-            continue
         for p in sequences._SIEVE.primes(N):
             if p ** z.u > N:
                 break
-            for _ in range(-z.gamma):
-                _mul_local(acc, p, [1] + [0] * (z.u - 1) + [-p ** z.l])
+            c = p ** z.l
+            for _ in range(abs(z.gamma)):
+                if z.gamma > 0:
+                    cs = (c ** (j // z.u) if j % z.u == 0 else 0
+                          for j in count())
+                else:
+                    cs = [1] + [0] * (z.u - 1) + [-c]
+                _mul_local(acc, p, cs)
     for lf in zf.local:
         _mul_local(acc, lf.prime, lf.series(N.bit_length()))
     return acc[1:]

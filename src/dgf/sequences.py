@@ -1,8 +1,9 @@
 """Sequence terms from a prime-power rule, and b-file comparison.
 
-One smallest-prime-factor table serves the whole runtime: term
+One smallest-prime-power table serves the whole runtime: term
 generation, factorisation, and the primes of Euler products and of
-zeta-form coefficients.
+zeta-form coefficients.  Entry n holds the exact power p^e of its
+smallest prime, so a(n) = a(p^e) a(n/p^e) is one lookup and one product.
 """
 from __future__ import annotations
 
@@ -20,17 +21,18 @@ MAX_SIEVE = 10**7
 
 
 class FactorSieve:
-    """Smallest-prime-factor table, grown on demand.
+    """Smallest-prime-power table, grown on demand.
 
-    Entry n > 1 holds the smallest prime factor of n, or 0 when n is prime.
+    Entry n > 1 holds p^e, the exact power dividing n of its smallest
+    prime p, or 0 when n is prime.
     """
 
     def __init__(self):
-        self._spf = array("i", [0, 0])
+        self._spp = array("i", [0, 0])
 
     @property
     def limit(self) -> int:
-        return len(self._spf) - 1
+        return len(self._spp) - 1
 
     def ensure(self, n: int) -> None:
         if n <= self.limit:
@@ -38,37 +40,48 @@ class FactorSieve:
         if n > MAX_SIEVE:
             raise SieveLimitError("sieve limit is %d" % MAX_SIEVE)
         size = min(MAX_SIEVE, max(n, 2 * self.limit))
-        small = list(self.primes(math.isqrt(size)))[1:]
-        # 2 at every even entry, then the odd primes at their odd multiples,
-        # largest first, so that the smallest one writes each entry last
-        spf = array("i", [2, 0]) * (size // 2 + 1)
-        del spf[size + 1:]
-        spf[0] = spf[2] = 0
-        for p in reversed(small):
-            spf[p * p::2 * p] = \
-                array("i", [p]) * len(range(p * p, size + 1, 2 * p))
-        self._spf = spf
+        odd = list(self.primes(math.isqrt(size)))[1:]
+        # the 2-part of every entry from its period-16 pattern; then each
+        # prime power q at its odd multiples: 32, 64, ..., then the odd
+        # primes, largest first and powers increasing, so that the exact
+        # power of the smallest prime writes each entry last
+        t = array("i", [16, 0, 2, 0, 4, 0, 2, 0, 8, 0, 2, 0, 4, 0, 2, 0]) \
+            * (size // 16 + 1)
+        del t[size + 1:]
+        for p, q in [(2, 32)] + [(p, p) for p in reversed(odd)]:
+            while q <= size:
+                t[q::2 * q] = array("i", [q]) * len(range(q, size + 1, 2 * q))
+                q *= p
+        t[0] = t[2] = 0
+        for p in odd:
+            t[p] = 0
+        self._spp = t
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         if n < 1:
             raise ValueError("need n >= 1")
         self.ensure(n)
-        spf = self._spf
+        t = self._spp
         out = []
         while n > 1:
-            p = spf[n] or n
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
+            q = t[n] or n
+            if t[q]:
+                # a proper prime power: its prime is at most sqrt(q)
+                p = next(p for p in self.primes(math.isqrt(q)) if q % p == 0)
+                e, r = 1, p
+                while r < q:
+                    e, r = e + 1, r * p
+                out.append((p, e))
+            else:
+                out.append((q, 1))
+            n //= q
         return out
 
     def primes(self, n: int) -> Iterator[int]:
         """Primes <= n in increasing order, read lazily off the table."""
         self.ensure(n)
         return compress(range(2, n + 1),
-                        map(operator.not_, islice(self._spf, 2, n + 1)))
+                        map(operator.not_, islice(self._spp, 2, n + 1)))
 
 
 _SIEVE = FactorSieve()
@@ -78,20 +91,28 @@ def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
           ) -> list[int]:
     """a(1), ..., a(N) in one multiplicative pass.
 
-    Each n splits as m p^e with p its smallest prime factor; a(n) is
-    a(m) a(p^e) read back from the output, so f.value runs only at prime
-    powers, once each.
+    f.value runs once at each prime power, and only there: first at the
+    proper powers p^e (e >= 2) with p <= sqrt(N), then at each prime as
+    the pass reaches it.  Every other n splits as q (n/q), where q = p^e is
+    its table entry, and a(n) = a(q) a(n/q) is read back from the output.
     """
+    if N < 0:
+        raise SieveLimitError("term count %d is negative" % N)
     sv = sieve or _SIEVE
     sv.ensure(max(N, 1))
-    spf, value = sv._spf, f.value
-    out = [1] * N
-    for n in range(2, N + 1):
-        p = spf[n] or n
-        q, m, e = p, n // p, 1
-        while m % p == 0:
-            q, m, e = q * p, m // p, e + 1
-        out[n - 1] = out[m - 1] * out[q - 1] if m > 1 else value(p, e)
+    t, value = sv._spp, f.value
+    out = [1] * (N + 1)
+    for p in sv.primes(math.isqrt(N)):
+        q, e = p * p, 2
+        while q <= N:
+            out[q] = value(p, e)
+            q, e = q * p, e + 1
+    for n, q in zip(range(2, N + 1), islice(t, 2, N + 1)):
+        if not q:
+            out[n] = value(n, 1)
+        elif q != n:
+            out[n] = out[q] * out[n // q]
+    del out[0]
     return out
 
 
@@ -126,6 +147,9 @@ def compare_bfile(source, values: Sequence[int]) -> None:
             raise BFileError("index %d out of order (expected %d)"
                              % (n, expect), ln)
         if n > len(values):
+            if seen == 0:
+                raise BFileError("index %d exceeds the %d computed terms"
+                                 % (n, len(values)), ln)
             break
         if values[n - 1] != v:
             raise BFileError("a(%d) mismatch: file has %d, sequence has %d"

@@ -3,7 +3,9 @@
 Every catalog function has an evaluator written straight from its
 definition, by trial division and divisor sums, independent of the
 master-equation engine and of its sieve.  The Euler-factor peel is
-redone by series division, independent of the log-derivative pass.
+redone by series division, independent of the log-derivative pass, and
+zeta factors by whole-stream Dirichlet products, independent of the
+prime-by-prime Euler factors.
 """
 from __future__ import annotations
 
@@ -43,6 +45,28 @@ def brute_unitary_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for m in range(1, N // d + 1):
                 if math.gcd(d, m) == 1:
                     out[d * m - 1] += ad * b[m - 1]
+    return out
+
+
+def _zeta_base_stream(u: int, l: int, N: int) -> list[int]:
+    out = [0] * (N + 1)
+    out[1] = 1
+    m = 2
+    while m**u <= N:
+        out[m**u] = m**l
+        m += 1
+    return out
+
+
+def dirichlet_mul_streams(a: list[int], b: list[int]) -> list[int]:
+    N = len(a) - 1
+    out = [0] * (N + 1)
+    for d in range(1, N + 1):
+        ad = a[d]
+        if ad:
+            for m in range(1, N // d + 1):
+                if b[m]:
+                    out[d * m] += ad * b[m]
     return out
 
 

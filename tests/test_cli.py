@@ -113,6 +113,15 @@ def test_terms_transcript(capsys):
     assert out.strip() == "1,0,0,1,0,0,0,0,1"
 
 
+@pytest.mark.parametrize("N", [65536, 65537])
+def test_terms_text_across_write_chunks(capsys, N):
+    from dgf.catalog import make
+    from dgf.sequences import terms
+    rc, out, _ = run(capsys, ["terms", "sigma(1)", "-n", str(N)])
+    assert rc == 0
+    assert out == ",".join(str(v) for v in terms(make("sigma", 1), N)) + "\n"
+
+
 def test_factorize_transcript(capsys):
     rc, out, _ = run(capsys, ["factorize", "mu^2 * phi", "--order", "5"])
     assert rc == 0
@@ -214,6 +223,15 @@ def test_exit_code_bfile_mismatch(capsys, tmp_path):
     rc, _, err = run(capsys, ["terms", "phi", "-n", "5", "--bfile", str(p)])
     assert rc == 4
     assert err.startswith("verification failed: line 2:")
+
+
+def test_exit_code_bfile_starts_beyond_terms(capsys, tmp_path):
+    p = tmp_path / "b.txt"
+    p.write_text("# phi from 5\n5 4\n6 2\n")
+    rc, _, err = run(capsys, ["terms", "phi", "-n", "3", "--bfile", str(p)])
+    assert rc == 4
+    assert err.startswith("verification failed: line 2: "
+                          "index 5 exceeds the 3 computed terms")
 
 
 def test_terms_bfile_ok(capsys, tmp_path):

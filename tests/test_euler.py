@@ -11,10 +11,10 @@ from dgf.catalog import make
 from dgf.euler import (
     INFINITE,
     _log_exponents,
+    LocalFactor,
     ZetaFactor,
     ZetaForm,
     abscissa,
-    dirichlet_mul_streams,
     euler_expand,
     expand_factor_list,
     factor_bell,
@@ -24,6 +24,7 @@ from dgf.euler import (
 from dgf.polys import PrimePoly, XPoly, series_eq
 
 from conftest import ef_tuples, zf_tuples
+from oracles import _zeta_base_stream, dirichlet_mul_streams
 
 P = PrimePoly
 
@@ -213,6 +214,24 @@ def test_zeta_form_round_trip_with_local():
         assert zf is not INFINITE
         from dgf.sequences import terms
         assert zeta_form_to_coeffs(zf, 64) == terms(f, 64)
+
+
+def test_positive_zeta_factors_match_stream_product():
+    # zeta(s)^2 zeta(2s-1) zeta(3s-2) (1 - 2x + 5x^2)/(1 + x) at p = 3,
+    # against whole-stream Dirichlet products
+    N = 3000
+    local = LocalFactor(3, [1, -2, 5], [1, 1])
+    zf = ZetaForm([ZetaFactor(1, 0, 2), ZetaFactor(2, 1, 1),
+                   ZetaFactor(3, 2, 1)], [local])
+    want = [0, 1] + [0] * (N - 1)
+    for z in zf.zeta_factors:
+        for _ in range(z.gamma):
+            want = dirichlet_mul_streams(want, _zeta_base_stream(z.u, z.l, N))
+    at3 = [0] * (N + 1)
+    for j, c in enumerate(local.series(7)):
+        at3[3**j] = c
+    want = dirichlet_mul_streams(want, at3)
+    assert zeta_form_to_coeffs(zf, N) == want[1:]
 
 
 def test_coefficient_streams():

@@ -1,6 +1,7 @@
 """Term generation, the sieve, brute-force convolutions, b-file checking."""
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import BFileError, CatalogError, SieveLimitError
+from dgf.parser import parse_function
 from dgf.sequences import MAX_SIEVE, FactorSieve, compare_bfile, terms
 
 from conftest import GRID
@@ -57,6 +59,52 @@ def test_terms_above_sieve_limit():
     with pytest.raises(SieveLimitError, match="sieve limit is %d" % MAX_SIEVE):
         terms(make("phi"), MAX_SIEVE + 1)
     assert issubclass(SieveLimitError, ValueError)
+
+
+def test_terms_negative_count():
+    with pytest.raises(SieveLimitError, match="term count -1 is negative"):
+        terms(make("phi"), -1)
+
+
+def test_terms_are_products_over_prime_powers():
+    # one plain, one composite and one exceptional function, past 2^16
+    N = 2**16 + 1
+    facs = [_ofactor(n) for n in range(1, N + 1)]
+    for f in (make("sigma", 1),
+              parse_function("(phi <*> sigma(2)) * mu^2"),
+              make("gcdc", 12)):
+        want = [math.prod(f.value(p, e) for p, e in fac) for fac in facs]
+        assert terms(f, N, FactorSieve()) == want, f
+
+
+def _spp_by_trial(n):
+    fac = _ofactor(n)
+    return 0 if fac == [(n, 1)] else fac[0][0] ** fac[0][1]
+
+
+def test_sieve_holds_smallest_prime_power():
+    # entry n: 0 for a prime, else p^e for its smallest prime p, p^e || n;
+    # sizes around the period-16 pattern and the powers of 2 it leaves out
+    for size in (2, 3, 4, 31, 32, 33, 63, 64, 65, 4999, 8192):
+        s = FactorSieve()
+        s.ensure(size)
+        assert s.limit == size
+        assert list(s._spp[2:]) == [_spp_by_trial(n) for n in range(2, size + 1)]
+    grown = FactorSieve()
+    for n in (2, 3, 9, 50, 101, 1000, 2001, 5000):
+        grown.ensure(n)
+        assert list(grown._spp[2:]) == \
+            [_spp_by_trial(m) for m in range(2, grown.limit + 1)], n
+
+
+def test_factor_prime_powers():
+    s = FactorSieve()
+    for k in range(1, 17):
+        assert s.factor(2**k) == [(2, k)]
+    for k in range(1, 11):
+        assert s.factor(3**k) == [(3, k)]
+    assert s.factor(97**2) == [(97, 2)]
+    assert s.factor(97**2 * 2**5 * 3) == [(2, 5), (3, 1), (97, 2)]
 
 
 def test_factor_sieve():
@@ -129,6 +177,10 @@ def test_compare_bfile_gap_and_garbage():
         compare_bfile(["1 2 3"], [1])
     with pytest.raises(BFileError, match="no data lines"):
         compare_bfile(["# nothing"], [1])
+    with pytest.raises(BFileError) as ei:
+        compare_bfile(["# from 5", "5 4", "6 2"], [1, 1, 2])
+    assert ei.value.line == 2
+    assert "index 5 exceeds the 3 computed terms" in str(ei.value)
 
 
 def test_compare_bfile_ignores_tail_beyond_values():
