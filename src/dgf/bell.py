@@ -6,9 +6,9 @@ many exceptional primes; each coefficient is memoized on its master
 equation.  The Bell series sum_e a(p^e) x^e (x = p^-s) is kept as an
 exact rational function over Z[p] whenever one exists; it is found by
 one Berlekamp-Massey pass at the single point p = 2^k, read back from
-balanced base-2^k digits and verified over Z[p].  Combinators are single
-coefficient rules over their operands' memoized coefficients, the same
-rule serving the generic prime and every exceptional prime.
+balanced base-2^k digits and verified over Z[p].  Each combinator is one
+coefficient rule over its operands' memoized coefficients and at most one
+Bell rule over their Bell series, both serving every prime alike.
 """
 from __future__ import annotations
 
@@ -135,20 +135,11 @@ class BellRational:
 
     def __init__(self, num: XPoly, den: XPoly):
         if not num.coeffs or not num.coeffs[0].is_one():
-            raise ValueError("numerator constant term must be 1")
+            raise SeriesWindowError("numerator constant term must be 1")
         if not den.coeffs or not den.coeffs[0].is_one():
-            raise ValueError("denominator constant term must be 1")
+            raise SeriesWindowError("denominator constant term must be 1")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_lists(cls, num, den) -> "BellRational":
-        def conv(rows):
-            return XPoly([PrimePoly(r) if isinstance(r, dict)
-                          else PrimePoly.const(r) if isinstance(r, int)
-                          else r
-                          for r in rows])
-        return cls(conv(num), conv(den))
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_mul(self.num.series(K), series_inv(self.den.series(K), K), K)
@@ -230,57 +221,62 @@ def bell_from_master(master: MasterEquation, K: int) -> list[PrimePoly]:
     return [master.generic_poly(e) for e in range(K + 1)]
 
 
-_UNSET = object()
-
-
 class MultiplicativeFunction:
     """A multiplicative function: master equation + cached Bell data.
 
-    bell may also be a function of no arguments that derives the series
-    from operands on first read; it returns _UNSET to fall back to the
-    refit from the master equation.
+    One cache holds the Bell series at the generic prime (key None) and
+    at each exceptional prime.  A combinator passes derive(q), its Bell
+    rule over the operands' series at q; where there is none or it gives
+    None (an atom, a pointwise product, a power j > 1, a non-integral
+    shift, an operand without a series) the series is refitted from the
+    master equation.
     """
 
     def __init__(self, name: str, master: MasterEquation,
-                 bell: BellRational | Callable | None = _UNSET,
-                 degree_cap: int = DEFAULT_DEGREE_CAP):
+                 degree_cap: int = DEFAULT_DEGREE_CAP,
+                 derive: Callable | None = None):
         self.name = name
         self.master = master
         self.degree_cap = degree_cap
-        self._bell = bell
-        self._locals: dict[int, BellRational | None] = {}
+        self._derive = derive
+        self._bells: dict[int | None, BellRational | None] = {}
 
     # -- Bell series ---------------------------------------------------
 
     @property
     def bell(self) -> BellRational | None:
         """Generic-prime Bell series; None marks a non-rational one."""
-        if callable(self._bell):
-            self._bell = self._bell()
-        if self._bell is _UNSET:
-            try:
-                series = bell_from_master(self.master, 2 * self.degree_cap + 3)
-                self._bell = rationalize(series, self.degree_cap)
-            except DegreeBoundError:
-                self._bell = None
-        return self._bell
+        try:
+            return self._bells[None]
+        except KeyError:
+            return self._bell_at(None)
+
+    def _bell_at(self, q: int | None) -> BellRational | None:
+        """Fill the cache at q: derive, or else refit the master's first
+        2*cap+4 coefficients at the generic (q None) or the local cap."""
+        if q not in self._bells:
+            b = self._derive(q) if self._derive else None
+            if b is None:
+                cap = self.degree_cap if q is None else LOCAL_DEGREE_CAP
+                K = 2 * cap + 3
+                series = (self.series(K) if q is None else
+                          list(map(PrimePoly.const, self.local_series(q, K))))
+                try:
+                    b = rationalize(series, cap)
+                except DegreeBoundError:
+                    pass
+            self._bells[q] = b
+        return self._bells[q]
 
     def series(self, K: int) -> list[PrimePoly]:
         return bell_from_master(self.master, K)
 
     def local_bell(self, q: int) -> BellRational | None:
-        """Bell series at an exceptional prime, as a rational over Z."""
-        if q not in self.master.exceptions:
-            b = self.bell
-            return b.bind_prime(q) if b is not None else None
-        if q not in self._locals:
-            series = [PrimePoly.const(self.master.value(q, e))
-                      for e in range(2 * LOCAL_DEGREE_CAP + 4)]
-            try:
-                self._locals[q] = rationalize(series, LOCAL_DEGREE_CAP)
-            except DegreeBoundError:
-                self._locals[q] = None
-        return self._locals[q]
+        """Bell series at the prime q, as a rational over Z."""
+        if q in self.master.exceptions:
+            return self._bell_at(q)
+        b = self.bell
+        return b.bind_prime(q) if b is not None else None
 
     def local_series(self, q: int, K: int) -> list[int]:
         """a(q^e) for e = 0..K at a concrete prime."""
@@ -304,7 +300,9 @@ class MultiplicativeFunction:
 # a(q^e) from the operands' coefficients ops[i](l) and the result's own
 # earlier ones c(l), all read through the memoized MasterEquations.  _lift
 # binds the rule to the generic prime (q None, PrimePoly coefficients) and
-# to every exceptional prime of an operand (int coefficients).
+# to every exceptional prime of an operand (int coefficients).  Most also
+# have one Bell rule(q, *bells) over the operands' series at q, which
+# _derive binds the same way.
 
 _sum = partial(reduce, operator.add)
 
@@ -330,12 +328,12 @@ def _lift(rule, *fs: MultiplicativeFunction) -> MasterEquation:
 
 
 def _derive(rule, *fs: MultiplicativeFunction):
-    """Deferred Bell series: rule over the operands' series on first read,
-    or _UNSET (refit from the master) when an operand has none."""
-    def bell():
-        bs = [f.bell for f in fs]
-        return _UNSET if any(b is None for b in bs) else rule(*bs)
-    return bell
+    """derive(q): rule over the operands' Bell series at q (generic for
+    None), or None when an operand has none."""
+    def derive(q):
+        bs = [f.bell if q is None else f.local_bell(q) for f in fs]
+        return None if any(b is None for b in bs) else rule(q, *bs)
+    return derive
 
 
 def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
@@ -352,10 +350,10 @@ def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
     master = _lift(lambda q, e, c, a, b:
                    _sum(a(l) * b(e - l) for l in range(e + 1)), f, g)
-    bell = _derive(lambda fb, gb:
-                   _reduce_product(fb.num * gb.num, fb.den * gb.den), f, g)
+    derive = _derive(lambda q, fb, gb:
+                     _reduce_product(fb.num * gb.num, fb.den * gb.den), f, g)
     return MultiplicativeFunction(name or "(%s <*> %s)" % (f.name, g.name),
-                                  master, bell=bell)
+                                  master, derive=derive)
 
 
 def dirichlet_inverse(f: MultiplicativeFunction,
@@ -363,8 +361,9 @@ def dirichlet_inverse(f: MultiplicativeFunction,
     """Inverse under Dirichlet convolution; Bell series is flipped."""
     master = _lift(lambda q, e, c, a:
                    -_sum(a(l) * c(e - l) for l in range(1, e + 1)), f)
+    derive = _derive(lambda q, fb: fb.reciprocal(), f)
     return MultiplicativeFunction(name or "inv(%s)" % f.name, master,
-                                  bell=_derive(BellRational.reciprocal, f))
+                                  derive=derive)
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
@@ -381,8 +380,9 @@ def pointwise_power(f: MultiplicativeFunction, j: int,
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
     master = _lift(lambda q, e, c, a: reduce(operator.mul, [a(e)] * j), f)
+    derive = _derive(lambda q, fb: fb, f) if j == 1 else None
     return MultiplicativeFunction(name or "%s^%d" % (f.name, j), master,
-                                  bell=(lambda: f.bell) if j == 1 else _UNSET)
+                                  derive=derive)
 
 
 def shift_by_power(f: MultiplicativeFunction, k: int,
@@ -404,14 +404,15 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
         raise MasterEquationError("shift by %d not integral at %se=%d"
                                   % (k, "" if q is None else "p=%d, " % q, e))
 
-    def shifted(fb):
+    def shifted(q, fb):
         try:
-            return fb.substitute_x_pk(k)
+            fb = fb.substitute_x_pk(k)
         except ValueError:
-            return _UNSET  # refit instead; the shift may not be integral
+            return None  # refit instead; the shift may not be integral
+        return fb if q is None else fb.bind_prime(q)
 
     return MultiplicativeFunction(name or "shift(%s, %d)" % (f.name, k),
-                                  _lift(rule, f), bell=_derive(shifted, f))
+                                  _lift(rule, f), derive=_derive(shifted, f))
 
 
 def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
@@ -419,10 +420,10 @@ def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
     """Unitary convolution: a(p^e) = f(p^e) + g(p^e) for e > 0."""
     master = _lift(lambda q, e, c, a, b: a(e) + b(e), f, g)
 
-    def union(fb, gb):
+    def union(q, fb, gb):
         den = fb.den * gb.den
         num = fb.num * gb.den + gb.num * fb.den - den  # B_f + B_g - 1
         return _reduce_product(num, den)
 
     return MultiplicativeFunction(name or "(%s <+> %s)" % (f.name, g.name),
-                                  master, bell=_derive(union, f, g))
+                                  master, derive=_derive(union, f, g))

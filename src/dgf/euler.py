@@ -75,9 +75,6 @@ class EulerFactorList:
             body += " ..."
         return body
 
-    def gammas_at(self, u: int) -> dict[tuple[int, int], int]:
-        return {(f.S, f.l): f.gamma for f in self.factors if f.u == u}
-
     def to_json(self) -> dict:
         return {"factors": [f.to_json() for f in self.factors],
                 "truncated_at": self.truncated_at}

@@ -102,15 +102,9 @@ class EvalResult:
 
 def _local_value(f: MultiplicativeFunction, p: int, s: float) -> float:
     """Value of the Euler factor at one prime: sum over a(p^e) p^(-es)."""
-    x = p ** -s
-    if p in f.master.exceptions:
-        lb = f.local_bell(p)
-        if lb is not None:
-            return lb.evaluate(p, x)
-    else:
-        b = f.bell
-        if b is not None:
-            return b.evaluate(p, x)
+    b = f.local_bell(p) if p in f.master.exceptions else f.bell
+    if b is not None:
+        return b.evaluate(p, p ** -s)
     acc, e = 1.0, 1
     while e <= 400:
         t = f.value(p, e) * p ** (-e * s)

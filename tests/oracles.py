@@ -5,16 +5,29 @@ definition, by trial division and divisor sums, independent of the
 master-equation engine and of its sieve.  The Euler-factor peel is
 redone by series division, independent of the log-derivative pass, and
 zeta factors by whole-stream Dirichlet products, independent of the
-prime-by-prime Euler factors.
+prime-by-prime Euler factors.  Local Bell series at exceptional primes
+are refitted from the prime-power values, independent of the
+combinators' Bell rules.
 """
 from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
 
-from dgf.errors import CatalogError
+from dgf.bell import LOCAL_DEGREE_CAP, BellRational, rationalize
+from dgf.errors import CatalogError, DegreeBoundError
 from dgf.euler import EulerFactor, EulerFactorList
 from dgf.polys import PrimePoly, series_mul
+
+
+def refit_local_bell(f, q: int) -> BellRational | None:
+    """Bell series of f at the prime q fitted to its first
+    2*LOCAL_DEGREE_CAP+4 values a(q^e), or None when none fits."""
+    window = f.local_series(q, 2 * LOCAL_DEGREE_CAP + 3)
+    try:
+        return rationalize(list(map(PrimePoly.const, window)), LOCAL_DEGREE_CAP)
+    except DegreeBoundError:
+        return None
 
 
 def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

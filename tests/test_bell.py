@@ -26,7 +26,7 @@ from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly, series_eq
 from dgf.sequences import terms
 
-from oracles import brute_convolve, brute_unitary_convolve
+from oracles import brute_convolve, brute_unitary_convolve, refit_local_bell
 
 P = PrimePoly
 
@@ -274,11 +274,15 @@ def test_combinators_match_sequence_operations(atom, op):
     assert f.exceptional_primes
     a, b = terms(f, N_SEQ), terms(g, N_SEQ)
     if op == "inv":
-        inv = terms(dirichlet_inverse(f), N_SEQ)
-        assert brute_convolve(a, inv) == [1] + [0] * (N_SEQ - 1)
-        return
-    combine, on_terms = COMBINATORS[op]
-    assert terms(combine(f, g), N_SEQ) == on_terms(a, b)
+        h = dirichlet_inverse(f)
+        assert brute_convolve(a, terms(h, N_SEQ)) == [1] + [0] * (N_SEQ - 1)
+    else:
+        combine, on_terms = COMBINATORS[op]
+        h = combine(f, g)
+        assert terms(h, N_SEQ) == on_terms(a, b)
+    # the local series, derived or refitted, is the refit from the values
+    for q in h.exceptional_primes:
+        assert h.local_bell(q) == refit_local_bell(h, q)
 
 
 def test_master_rules_run_once_per_exponent():
@@ -314,8 +318,34 @@ def test_operands_read_once_at_exceptional_prime():
 
     g.master.value = counted
     h = dirichlet_convolve(f, g)
-    assert h.local_bell(3) is not None
+    assert [h.value(3, e) for e in range(84)]
     assert reads and max(reads.values()) == 1
+
+
+def test_local_bell_derived_without_own_coefficients():
+    # every operand has a series at q, so the combinator's Bell rule gives
+    # the local series without evaluating its own a(q^e)
+    h = parse_function("inv(phi) <*> gcdc(60)")
+    assert h.exceptional_primes == [2, 3, 5]
+    calls = Counter()
+    for q, rule in list(h.master.exceptions.items()):
+        def counted(e, q=q, rule=rule):
+            calls[q] += 1
+            return rule(e)
+        h.master.exceptions[q] = counted
+    local = {q: h.local_bell(q) for q in h.exceptional_primes}
+    assert not calls
+    for q, b in local.items():
+        assert b is not None and b == refit_local_bell(h, q)
+    assert calls  # the refit reads through the counted rules
+
+
+def test_bell_rational_constant_terms():
+    for num, den in [(xp(2, 1), xp(1)), (xp(1), xp(0, 1)), (XPoly([]), xp(1))]:
+        with pytest.raises(SeriesWindowError) as exc:
+            BellRational(num, den)
+        assert isinstance(exc.value, DgfError)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_bell_rational_ops():
