@@ -19,7 +19,7 @@ from functools import cache, partial, reduce
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
-from .polys import PrimePoly, XPoly, series_eq, series_inv, series_mul
+from .polys import PrimePoly, XPoly, series_div
 
 DEFAULT_DEGREE_CAP = 16
 LOCAL_DEGREE_CAP = 40
@@ -119,8 +119,7 @@ def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
             XPoly([_balanced_digits(v.numerator, k) for v in num]),
             XPoly([_balanced_digits(v.numerator, k) for v in den]))
         # symbolic re-verification over Z[p] against the whole input window
-        if series_eq(series_mul(cand.den.series(M), series, M),
-                     cand.num.series(M), M):
+        if cand.series(M) == series:
             return cand
         k *= 2
     raise DegreeBoundError("rational reconstruction did not stabilise")
@@ -142,13 +141,10 @@ class BellRational:
         self.den = den
 
     def series(self, K: int) -> list[PrimePoly]:
-        return series_mul(self.num.series(K), series_inv(self.den.series(K), K), K)
+        return series_div(self.num.coeffs, self.den.coeffs, K)
 
     def reciprocal(self) -> "BellRational":
         return BellRational(self.den, self.num)
-
-    def mul(self, other: "BellRational") -> "BellRational":
-        return BellRational(self.num * other.num, self.den * other.den)
 
     def substitute_x_pk(self, k: int) -> "BellRational":
         return BellRational(self.num.substitute_x_pk(k), self.den.substitute_x_pk(k))
@@ -160,9 +156,6 @@ class BellRational:
 
     def evaluate(self, p: int, x) -> float:
         return self.num.evaluate(p, x) / self.den.evaluate(p, x)
-
-    def degree(self) -> int:
-        return max(self.num.degree(), self.den.degree())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BellRational)

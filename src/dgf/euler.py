@@ -4,22 +4,23 @@ A Bell series either factors exactly through binomials 1 - S p^l x^u
 (giving a finite product of Riemann zeta factors via
 prod_p (1 - p^(l-us))^g = zeta^(-g)(us - l)) or is peeled order by
 order into a truncated infinite product of such binomials.  Both, and
-the round trip back to a series, work on T = x B'/B: a binomial power
-adds monomials to T, so they take no series products (the inverse Euler
-transform, Bernstein and Sloane 1995).
+the round trip back to a series, work on T = x B'/B, read off num and
+den by series_div: a binomial power adds monomials to T, so they take
+no series products (the inverse Euler transform, Bernstein and Sloane
+1995).  Zeta-form coefficients expand by the same series_div.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import sequences
 from .bell import BellRational, MultiplicativeFunction, _reduce_product
-from .errors import SeriesWindowError
-from .polys import PrimePoly, XPoly
+from .errors import SieveLimitError
+from .polys import PrimePoly, XPoly, series_div
 
 
 @dataclass(frozen=True)
@@ -90,30 +91,17 @@ def _merge(factors: Sequence, cls) -> list:
     return sorted((cls(*k, g) for k, g in acc.items() if g), key=cls.sort_key)
 
 
-def _log_derivative(P: Sequence[PrimePoly], K: int) -> list[PrimePoly]:
-    """x P'/P to order K of a polynomial P in x with P(0) = 1, by
-    L_n = n P_n - sum_{j=1..min(n-1, deg P)} P_j L_(n-j): O(K deg P)
-    products."""
-    if not P or not P[0].is_one():
-        raise SeriesWindowError("Euler expansion needs a series starting at 1")
-    L = [PrimePoly.zero] * (K + 1)
-    for n in range(1, K + 1):
-        acc = P[n].scale(n) if n < len(P) else PrimePoly.zero
-        for j in range(1, min(n, len(P))):
-            if not P[j].is_zero() and not L[n - j].is_zero():
-                acc = acc - P[j] * L[n - j]
-        L[n] = acc
-    return L
-
-
 def _log_series(b, K: int) -> list[dict[int, int]]:
     """T = x B'/B to order K as one {l: c} dict (c p^l) per power of x:
-    x N'/N - x D'/D, a plain series read as a polynomial of degree K."""
+    x N'/N - x D'/D, a plain series read as a polynomial of degree K.
+    Each x P'/P is series_div(x P', P), O(K deg P) products."""
+    def log(P: Sequence[PrimePoly]) -> list[PrimePoly]:
+        return series_div([c.scale(n) for n, c in enumerate(P)], P, K)
+
     if isinstance(b, BellRational):
-        T = [t - s for t, s in zip(_log_derivative(b.num.coeffs, K),
-                                    _log_derivative(b.den.coeffs, K))]
+        T = [t - s for t, s in zip(log(b.num.coeffs), log(b.den.coeffs))]
     else:
-        T = _log_derivative(b.coeffs if isinstance(b, XPoly) else b[: K + 1], K)
+        T = log(b.coeffs if isinstance(b, XPoly) else b[: K + 1])
     return [dict(t.items()) for t in T]
 
 
@@ -336,6 +324,16 @@ class ZetaForm:
 INFINITE = "infinite"
 
 
+def _zeta_bell(zs: Iterable[ZetaFactor]) -> tuple[XPoly, XPoly]:
+    """The Bell series prod (1 - p^l x^u)^(-gamma) of the factors
+    zeta(us - l)^gamma, as its numerator and denominator."""
+    sides = [XPoly.from_ints([1]), XPoly.from_ints([1])]
+    for z in zs:
+        for _ in range(abs(z.gamma)):
+            sides[z.gamma > 0] *= XPoly.binomial(+1, z.l, z.u)
+    return sides[0], sides[1]
+
+
 def _log_exponents(b: BellRational, u_cap: int,
                    weight_cap: int) -> list[ZetaFactor] | None:
     """Exponents gamma(u,l) with B = prod (1 - p^l x^u)^(-gamma), if finite.
@@ -369,12 +367,8 @@ def finite_zeta_form(f, u_cap: int | None = None):
     factors = _log_exponents(b, u_cap, weight_cap)
     if factors is None:
         return INFINITE
-    # exact verification: b.num * prod_{g>0} == b.den * prod_{g<0}
-    sides = [b.num, b.den]
-    for z in factors:
-        for _ in range(abs(z.gamma)):
-            sides[z.gamma < 0] *= XPoly.binomial(+1, z.l, z.u)
-    if sides[0] != sides[1]:
+    num_z, den_z = _zeta_bell(factors)
+    if b.num * den_z != b.den * num_z:  # exact: b == num_z/den_z
         return INFINITE
 
     local: list[LocalFactor] = []
@@ -436,47 +430,47 @@ def abscissa(obj) -> ConvergenceInfo:
 
 
 def _mul_local(acc: list[int], p: int, cs: Iterable[int]) -> None:
-    """Multiply a stream by the Euler factor sum_j cs[j] p^(-js), in place.
-
-    cs[0] must be 1, and cs is read only while p^j <= N, so it may be an
-    endless iterator; a(p^j m) gains cs[j] a(m), read from a copy of the
-    entries the factor reads.
+    """Multiply a stream by the Euler factor 1 + sum_j cs[j-1] p^(-js),
+    in place: a(p^j m) gains cs[j-1] a(m).  cs is read lazily, only while
+    p^j <= N; a(m) is read for j = 1 before the first write and for
+    j >= 2 from a copy of the entries m <= N/p^2 taken before it.
     """
     N = len(acc) - 1
-    old = acc[:N // p + 1]
-    q = p
-    for c in islice(cs, 1, None):
-        if q > N:
-            break
+    old = acc[:N // (p * p) + 1]
+    q, cs = p, iter(cs)
+    while q <= N:
+        c = next(cs)
         if c:
-            acc[q::q] = [a + c * b for a, b in zip(acc[q::q], old[1:N // q + 1])]
+            src = acc if q == p else old
+            acc[q::q] = [a + c * b for a, b in zip(acc[q::q], src[1:N // q + 1])]
         q *= p
 
 
 def zeta_form_to_coeffs(zf: ZetaForm, N: int) -> list[int]:
     """First N Dirichlet coefficients of a finite zeta form.
 
-    zeta(us - l)^gamma is the Euler factor (1 - p^l p^(-us))^(-gamma) at
-    each prime with p^u <= N: with gamma < 0, -gamma times the binomial
-    1 - p^l x^u; with gamma > 0, gamma times its geometric series
-    sum_k p^(lk) x^(uk), read up to x^j with p^j <= N.  Each applies in
-    place like the local factors.  Only the primes come from the shared
-    sieve, so the result stays independent of terms().
+    The zeta factors multiply to one Bell series num/den over Z[p]
+    (_zeta_bell), expanded once by series_div to x^J with 2^J > N.  At
+    each prime p with p^j0 <= N, x^j0 its first term past 1, it is one
+    Euler factor whose coefficients are evaluated at p only while
+    p^j <= N; each local factor applies the same way at its prime.  Only
+    the primes come from the shared sieve, so the result stays
+    independent of terms().  As there, N < 0 raises SieveLimitError.
     """
+    if N < 0:
+        raise SieveLimitError("term count %d is negative" % N)
+    if N == 0:
+        return []
     acc = [0] * (N + 1)
     acc[1] = 1
-    for z in zf.zeta_factors:
-        for p in sequences._SIEVE.primes(N):
-            if p ** z.u > N:
-                break
-            c = p ** z.l
-            for _ in range(abs(z.gamma)):
-                if z.gamma > 0:
-                    cs = (c ** (j // z.u) if j % z.u == 0 else 0
-                          for j in count())
-                else:
-                    cs = [1] + [0] * (z.u - 1) + [-c]
-                _mul_local(acc, p, cs)
+    J = N.bit_length()
+    num_z, den_z = _zeta_bell(zf.zeta_factors)
+    B = series_div(num_z.coeffs, den_z.coeffs, J)[1:]
+    j0 = next((j for j, c in enumerate(B, 1) if not c.is_zero()), J + 1)
+    for p in sequences._SIEVE.primes(N):
+        if p ** j0 > N:
+            break
+        _mul_local(acc, p, map(PrimePoly.evaluate, B, repeat(p)))
     for lf in zf.local:
-        _mul_local(acc, lf.prime, lf.series(N.bit_length()))
+        _mul_local(acc, lf.prime, lf.series(J)[1:])
     return acc[1:]

@@ -3,12 +3,15 @@
 Two layers: PrimePoly is an integer polynomial in a formal prime p,
 used for values of multiplicative functions at prime powers.  XPoly is
 a polynomial in x (standing for p^-s) whose coefficients are PrimePolys.
-Truncated power series in x are plain lists of PrimePoly.
+Truncated power series in x are plain lists of PrimePoly; series_div is
+the one expansion of a rational function num/den into such a series.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
+
+from .errors import SeriesWindowError
 
 
 class PrimePoly:
@@ -40,7 +43,6 @@ class PrimePoly:
 
     zero: "PrimePoly"
     one: "PrimePoly"
-    p: "PrimePoly"
 
     def items(self):
         return self._c.items()
@@ -119,7 +121,10 @@ class PrimePoly:
         return out
 
     def evaluate(self, p: int) -> int:
-        return sum(v * p**e for e, v in self._c.items())
+        acc = 0
+        for e, v in self._c.items():
+            acc += v * p**e
+        return acc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimePoly) and self._c == other._c
@@ -146,7 +151,6 @@ class PrimePoly:
 
 PrimePoly.zero = PrimePoly()
 PrimePoly.one = PrimePoly.const(1)
-PrimePoly.p = PrimePoly.monomial(1)
 
 
 class XPoly:
@@ -163,10 +167,6 @@ class XPoly:
     @classmethod
     def from_ints(cls, ints: Iterable[int]) -> "XPoly":
         return cls([PrimePoly.const(n) for n in ints])
-
-    @classmethod
-    def one_poly(cls) -> "XPoly":
-        return cls([PrimePoly.one])
 
     @classmethod
     def binomial(cls, S: int, l: int, u: int) -> "XPoly":
@@ -235,11 +235,6 @@ class XPoly:
             return None
         return XPoly(q[: n - u])
 
-    def series(self, K: int) -> list[PrimePoly]:
-        out = list(self.coeffs[: K + 1])
-        out += [PrimePoly.zero] * (K + 1 - len(out))
-        return out
-
     def substitute_x_pk(self, k: int) -> "XPoly":
         """x -> p^k x.  Negative k requires divisibility of each coefficient."""
         return XPoly([c.shift_p(k * e) for e, c in enumerate(self.coeffs)])
@@ -276,38 +271,25 @@ class XPoly:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series helpers (series = list[PrimePoly], index = x power)
 
-def series_mul(a: list[PrimePoly], b: list[PrimePoly], K: int) -> list[PrimePoly]:
-    out = [PrimePoly.zero] * (K + 1)
-    for i, ai in enumerate(a[: K + 1]):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[: K + 1 - i]):
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
+def series_div(num: Sequence[PrimePoly], den: Sequence[PrimePoly],
+               K: int) -> list[PrimePoly]:
+    """num/den to order K, for a den with den[0] = 1.
 
-
-def series_inv(a: list[PrimePoly], K: int) -> list[PrimePoly]:
-    """Inverse of a series with constant term 1."""
-    if not a or not a[0].is_one():
-        raise ValueError("series inversion requires constant term 1")
-    out = [PrimePoly.zero] * (K + 1)
-    out[0] = PrimePoly.one
-    for n in range(1, K + 1):
+    The coefficients obey the linear recurrence of den (Stanley, EC1,
+    Thm 4.1.1): B_n = num_n - sum_{j=1..deg den} den_j B_(n-j), which is
+    O(K deg den) products.  Raises SeriesWindowError unless den[0] = 1.
+    """
+    if not den or not den[0].is_one():
+        raise SeriesWindowError("series division needs a denominator starting at 1")
+    terms = [(j, c) for j, c in enumerate(den[1:K + 1], 1) if not c.is_zero()]
+    out: list[PrimePoly] = []
+    for n in range(K + 1):
         acc = PrimePoly.zero
-        for j in range(1, min(n, len(a) - 1) + 1):
-            if not a[j].is_zero() and not out[n - j].is_zero():
-                acc = acc + a[j] * out[n - j]
-        out[n] = -acc
+        for j, c in terms:
+            if j > n:
+                break
+            if not out[n - j].is_zero():
+                acc = acc + c * out[n - j]
+        out.append((num[n] if n < len(num) else PrimePoly.zero) - acc)
     return out
-
-
-def series_eq(a: list[PrimePoly], b: list[PrimePoly], K: int) -> bool:
-    for i in range(K + 1):
-        ai = a[i] if i < len(a) else PrimePoly.zero
-        bi = b[i] if i < len(b) else PrimePoly.zero
-        if ai != bi:
-            return False
-    return True

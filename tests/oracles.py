@@ -7,7 +7,9 @@ redone by series division, independent of the log-derivative pass, and
 zeta factors by whole-stream Dirichlet products, independent of the
 prime-by-prime Euler factors.  Local Bell series at exceptional primes
 are refitted from the prime-power values, independent of the
-combinators' Bell rules.
+combinators' Bell rules.  Truncated series products, inverses and
+comparisons are written out here, independent of the engine's one
+series division.
 """
 from __future__ import annotations
 
@@ -17,7 +19,44 @@ from typing import Iterable, Sequence
 from dgf.bell import LOCAL_DEGREE_CAP, BellRational, rationalize
 from dgf.errors import CatalogError, DegreeBoundError
 from dgf.euler import EulerFactor, EulerFactorList
-from dgf.polys import PrimePoly, series_mul
+from dgf.polys import PrimePoly
+
+
+def series_mul(a: list[PrimePoly], b: list[PrimePoly], K: int) -> list[PrimePoly]:
+    """Product of two truncated series to order K."""
+    out = [PrimePoly.zero] * (K + 1)
+    for i, ai in enumerate(a[: K + 1]):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b[: K + 1 - i]):
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def series_inv(a: list[PrimePoly], K: int) -> list[PrimePoly]:
+    """Inverse to order K of a series with constant term 1."""
+    if not a or not a[0].is_one():
+        raise ValueError("series inversion requires constant term 1")
+    out = [PrimePoly.zero] * (K + 1)
+    out[0] = PrimePoly.one
+    for n in range(1, K + 1):
+        acc = PrimePoly.zero
+        for j in range(1, min(n, len(a) - 1) + 1):
+            if not a[j].is_zero() and not out[n - j].is_zero():
+                acc = acc + a[j] * out[n - j]
+        out[n] = -acc
+    return out
+
+
+def series_eq(a: list[PrimePoly], b: list[PrimePoly], K: int) -> bool:
+    """Equality to order K, a missing coefficient read as zero."""
+    for i in range(K + 1):
+        ai = a[i] if i < len(a) else PrimePoly.zero
+        bi = b[i] if i < len(b) else PrimePoly.zero
+        if ai != bi:
+            return False
+    return True
 
 
 def refit_local_bell(f, q: int) -> BellRational | None:

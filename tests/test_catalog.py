@@ -6,10 +6,10 @@ import pytest
 from dgf.catalog import CATALOG, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
-from dgf.polys import series_eq
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
+from oracles import series_eq
 
 
 def test_names_sorted_and_complete():

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 import dgf.bell as bell_module
 import dgf.euler as euler_module
 import dgf.polys as polys_module
@@ -21,10 +23,12 @@ from dgf.euler import (
     finite_zeta_form,
     zeta_form_to_coeffs,
 )
-from dgf.polys import PrimePoly, XPoly, series_eq
+from dgf.errors import SieveLimitError
+from dgf.polys import PrimePoly, XPoly, series_div
+from dgf.sequences import terms
 
 from conftest import ef_tuples, zf_tuples
-from oracles import _zeta_base_stream, dirichlet_mul_streams
+from oracles import _zeta_base_stream, dirichlet_mul_streams, series_eq
 
 P = PrimePoly
 
@@ -107,20 +111,33 @@ def test_log_pass_makes_no_series_products(monkeypatch):
     infinite = pointwise_product(make("sigma", 1), make("phi"))
     b, raw = infinite.bell, infinite.series(12)
     finite = make("core", 2).bell
+    dens = []
+
+    def divide(num, den, K):
+        dens.append(list(den))
+        return series_div(num, den, K)
 
     def banned(*args):
         raise AssertionError("series product in the log-derivative pass")
 
-    for module in (polys_module, bell_module, euler_module):
-        for name in ("series_mul", "series_inv"):
-            monkeypatch.setattr(module, name, banned, raising=False)
+    # the pass may divide, but only by a numerator, a denominator or the
+    # raw series: never by a product, and never expanding B itself
+    monkeypatch.setattr(euler_module, "series_div", divide)
+    for module in (polys_module, bell_module):
+        monkeypatch.setattr(module, "series_div", banned)
+    monkeypatch.setattr(XPoly, "__mul__", banned)
     efl = euler_expand(b, 12)
     assert euler_expand(raw, 12).factors == efl.factors
     assert _log_exponents(b, 16, 64) is None
     assert sorted((z.u, z.l, z.gamma) for z in _log_exponents(finite, 16, 64)) \
         == [(1, 1, 1), (2, 0, 1), (2, 2, -1)]
+    divisions = len(dens)
     expanded = expand_factor_list(efl, 12)
     monkeypatch.undo()
+    assert len(dens) == divisions == 7
+    allowed = [b.num.coeffs, b.den.coeffs, raw,
+               finite.num.coeffs, finite.den.coeffs]
+    assert all(den in allowed for den in dens)
     assert series_eq(expanded, b.series(12), 12)
 
 
@@ -204,6 +221,32 @@ def test_zeta_form_to_coeffs_fixtures():
     squarefree = ZetaForm([ZetaFactor(1, 0, 1), ZetaFactor(2, 0, -1)], [])
     assert zeta_form_to_coeffs(squarefree, 12) == \
         [1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0]
+    # counts as terms() takes them: none is empty, a negative one an error
+    assert zeta_form_to_coeffs(two, 1) == [1]
+    assert zeta_form_to_coeffs(two, 0) == []
+    with pytest.raises(SieveLimitError, match="term count -3 is negative"):
+        zeta_form_to_coeffs(two, -3)
+
+
+def test_zeta_form_applies_one_euler_factor_per_prime(monkeypatch):
+    N = 3000
+    primes = [n for n in range(2, N + 1)
+              if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    applied = []
+    mul_local = euler_module._mul_local
+
+    def counted(acc, p, cs):
+        applied.append(p)
+        mul_local(acc, p, cs)
+
+    monkeypatch.setattr(euler_module, "_mul_local", counted)
+    for name, args in [("sigma", (1,)), ("tau", (4,)), ("sigma_star_odd", (1,))]:
+        f = make(name, *args)
+        zf = finite_zeta_form(f)
+        applied.clear()
+        assert zeta_form_to_coeffs(zf, N) == terms(f, N)
+        # every zeta factor at once per prime, then each local factor
+        assert applied == primes + [lf.prime for lf in zf.local]
 
 
 def test_zeta_form_round_trip_with_local():
@@ -212,7 +255,6 @@ def test_zeta_form_round_trip_with_local():
         f = make(name, *args)
         zf = finite_zeta_form(f)
         assert zf is not INFINITE
-        from dgf.sequences import terms
         assert zeta_form_to_coeffs(zf, 64) == terms(f, 64)
 
 

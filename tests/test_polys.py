@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from dgf.polys import PrimePoly, XPoly, series_eq, series_inv, series_mul
+from dgf.errors import DgfError, SeriesWindowError
+from dgf.polys import PrimePoly, XPoly, series_div
+
+from oracles import series_eq, series_inv, series_mul
 
 P = PrimePoly
 
@@ -57,7 +60,7 @@ def test_xpoly_basics():
     assert f.degree() == 2
     assert f.coeff(1) == P.const(-2)
     assert f.coeff(99).is_zero()
-    assert XPoly.one_poly().is_one()
+    assert XPoly.from_ints([1]).is_one()
     assert XPoly.binomial(1, 2, 3).coeff(3) == P.monomial(2, -1)
 
 
@@ -88,24 +91,36 @@ def test_xpoly_substitute():
         XPoly([P.const(1), P.const(1)]).substitute_x_pk(-1)
 
 
-def test_xpoly_series_pads():
-    f = XPoly.from_ints([1, 5])
-    s = f.series(4)
+def test_series_div_pads_polynomial():
+    s = series_div(XPoly.from_ints([1, 5]).coeffs, [P.one], 4)
     assert len(s) == 5
     assert s[1] == P.const(5)
     assert all(c.is_zero() for c in s[2:])
+    assert series_div([P.one, P.const(5)], [P.one], 0) == [P.one]
+
+
+def test_series_div_geometric():
+    a = XPoly.from_ints([1, -1]).coeffs     # 1 - x
+    inv = series_div([P.one], a, 8)
+    assert inv == [P.one] * 9               # geometric series
+    pole = XPoly.binomial(1, 1, 2).coeffs   # 1 - p x^2
+    assert series_div([P.one], pole, 5) == \
+        [P.one, P.zero, P.monomial(1), P.zero, P.monomial(2), P.zero]
 
 
 def test_series_inverse_round_trip():
-    a = XPoly.from_ints([1, -1]).series(8)  # 1 - x
+    a = XPoly.from_ints([1, -1]).coeffs     # 1 - x
     inv = series_inv(a, 8)
     assert all(c.is_one() for c in inv)     # geometric series
-    assert series_eq(series_mul(a, inv, 8), XPoly.one_poly().series(8), 8)
+    assert series_eq(series_mul(a, inv, 8), [P.one], 8)
 
 
-def test_series_inverse_needs_unit():
-    with pytest.raises(ValueError):
-        series_inv(XPoly.from_ints([2, 1]).series(3), 3)
+def test_series_div_needs_unit():
+    for den in ([P.const(2), P.one], [P.zero, P.one], []):
+        with pytest.raises(SeriesWindowError) as exc:
+            series_div([P.one], den, 3)
+        assert isinstance(exc.value, DgfError)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_series_mul_symbolic():

@@ -17,11 +17,12 @@ from dgf.bell import (
 from dgf.catalog import make
 from dgf.euler import euler_expand, expand_factor_list
 from dgf.parser import Atom, Conv, Inv, PMul, PPow, Shift, UConv, parse, to_text
-from dgf.polys import PrimePoly, XPoly, series_eq
+from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
 from conftest import GRID
-from oracles import brute_convolve, brute_unitary_convolve, peel_by_division
+from oracles import (brute_convolve, brute_unitary_convolve, peel_by_division,
+                     series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -108,6 +109,16 @@ def test_euler_expansion_round_trips(num_tail, den_tail):
 prime_poly = st.dictionaries(st.integers(0, 3), st.integers(-3, 3),
                              max_size=3).map(PrimePoly)
 prime_poly_tail = st.lists(prime_poly, max_size=3)
+
+
+@MODEST
+@given(st.lists(prime_poly, max_size=4), prime_poly_tail, st.integers(0, 6))
+def test_series_div_matches_product_with_inverse(num, den_tail, K):
+    # K runs below and above both degrees; an empty tail is den = 1
+    den = [PrimePoly.one] + den_tail
+    assert series_div(num, den, K) == series_mul(num, series_inv(den, K), K)
+    assert series_div(num, [PrimePoly.one], K) == \
+        series_mul(num, [PrimePoly.one], K)
 
 
 @MODEST
