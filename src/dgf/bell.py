@@ -4,14 +4,16 @@ A multiplicative function is pinned down by a master equation giving
 a(p^e) as an integer polynomial in p, optionally overridden at finitely
 many exceptional primes; each coefficient is memoized on its master
 equation.  The Bell series sum_e a(p^e) x^e (x = p^-s) is kept as an
-exact rational function over Z[p] whenever one exists; it is found by
-one Berlekamp-Massey pass at the single point p = 2^k, read back from
-balanced base-2^k digits and verified over Z[p].  Each combinator is one
-coefficient rule over its operands' memoized coefficients and at most one
-Bell rule over their Bell series, both serving every prime alike.
+exact rational function over Z[p] whenever one exists; it is found by one
+fraction-free Berlekamp-Massey pass at p = 2^k, read back from balanced
+base-2^k digits and proved over Z[p] by one product check at p = 2^K.
+Each combinator is one coefficient rule over its operands' memoized
+coefficients and at most one Bell rule over their Bell series, both
+serving every prime alike.
 """
 from __future__ import annotations
 
+import math
 import operator
 import weakref
 from fractions import Fraction
@@ -30,39 +32,43 @@ _RADIX_DOUBLINGS = 4
 # ---------------------------------------------------------------------------
 # rational reconstruction
 
-def _scalar_pade(vals: Sequence[Fraction], d_cap: int):
+def _scalar_pade(vals: Sequence[int], d_cap: int):
     """Minimal-degree rational fit N/D, D(0)=1, matching all of vals.
 
-    vals are the series coefficients at one numeric specialisation of p.
+    vals are the integer series coefficients at one point p = 2^k.
     Berlekamp-Massey (Massey 1969) finds in one pass the shortest linear
-    recurrence D of vals[1:], which holds over the whole window; N is the
-    product D * vals below x^(d+1).  The recurrence is unique once
-    2d + 1 <= M, so the fit is the minimal one.  Returns (num, den, d)
-    with both lists of length d+1, or None when d > d_cap or 2d+1 > M.
+    recurrence D of vals[1:] over the whole window, unique once 2d+1 <= M;
+    N is D * vals below x^(d+1).  Fraction-free: each step, last*D -
+    disc*x^gap*prev, is a multiple of the step over Q with its content
+    divided out, and D(0) is divided out at the end.  Returns (num, den, d),
+    integer lists of length d+1, or None when d > d_cap or 2d+1 > M; raises
+    DegreeBoundError when the fit over Q has non-integer coefficients.
     """
     M = len(vals) - 1
-    den, prev = [Fraction(1)], [Fraction(1)]
-    d, n, gap, last = 0, 0, 1, Fraction(1)
+    den, prev = [1], [1]
+    d, n, gap, last = 0, 0, 1, 1
     while d <= d_cap and 2 * d + 1 <= M:
         n += 1
         if n > M:
-            den += [Fraction(0)] * (d + 1 - len(den))
-            num = [sum(den[i] * vals[j - i] for i in range(j + 1))
-                   for j in range(d + 1)]
-            return num, den, d
-        disc = sum(den[i] * vals[n - i] for i in range(len(den)))
+            den += [0] * (d + 1 - len(den))
+            num = [sum(map(operator.mul, den, vals[j::-1])) for j in range(d + 1)]
+            c = den[0]
+            if any(v % c for v in num + den):
+                raise DegreeBoundError("rational form has non-integer coefficients")
+            return [v // c for v in num], [v // c for v in den], d
+        disc = sum(map(operator.mul, den, vals[n::-1]))
         if disc == 0:
             gap += 1
             continue
-        q = disc / last
-        step = den + [Fraction(0)] * (gap + len(prev) - len(den))
+        step = [last * c for c in den] + [0] * (gap + len(prev) - len(den))
         for i, c in enumerate(prev):
-            step[gap + i] -= q * c
+            step[gap + i] -= disc * c
         if 2 * d < n:
             prev, d, gap, last = den, n - d, 1, disc
         else:
             gap += 1
-        den = step
+        g = math.gcd(*step)
+        den = [c // g for c in step]
     return None
 
 
@@ -87,39 +93,32 @@ def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
     """Reconstruct the minimal rational function in x matching a series.
 
     Needs at least 2*max_degree+2 coefficients (SeriesWindowError
-    otherwise).  The window is specialised at the single point p = 2^k,
-    which packs each Z[p] coefficient into one integer (Kronecker
-    substitution); one Berlekamp-Massey fit there is split back into
-    balanced base-2^k digits and re-verified symbolically over Z[p].
-    Specialising can only shorten the fit, so a degree above max_degree
-    at 2^k rejects, and so does a non-integer fit: the minimal fit of an
-    integer window is integral (Gauss's lemma) whenever a fit over Z[p]
-    exists.  A degenerate point or a too-small radix fails the re-check
-    and k doubles, at most _RADIX_DOUBLINGS times.  Raises
-    DegreeBoundError when no rational function with numerator and
-    denominator degree <= max_degree fits.
+    otherwise).  One integer Berlekamp-Massey fit at the single point
+    p = 2^k, which packs each Z[p] coefficient into one integer (Kronecker
+    substitution), is read back as balanced base-2^k digits and re-checked
+    over Z[p] by BellRational.matches.  Specialising can only shorten the
+    fit, so a degree above max_degree rejects, and so does a non-integer
+    fit: the minimal fit of an integer window is integral (Gauss's lemma)
+    whenever one over Z[p] exists.  A degenerate point or a too-small
+    radix fails the re-check and k doubles, at most _RADIX_DOUBLINGS
+    times.  Raises DegreeBoundError when no rational function with
+    numerator and denominator degree <= max_degree fits.
     """
     series = list(series)
-    M = len(series) - 1
-    if M + 1 < 2 * max_degree + 2:
+    if len(series) < 2 * max_degree + 2:
         raise SeriesWindowError("need at least %d coefficients for degree %d"
                                 % (2 * max_degree + 2, max_degree))
     if not series[0].is_one():
         raise SeriesWindowError("series must start at 1")
     k = _start_bits(series)
     for _ in range(_RADIX_DOUBLINGS + 1):
-        fit = _scalar_pade([Fraction(c.evaluate(1 << k)) for c in series],
-                           max_degree)
+        fit = _scalar_pade([c.pack(k) for c in series], max_degree)
         if fit is None:
             raise DegreeBoundError("no rational form of degree <= %d" % max_degree)
         num, den, _ = fit
-        if any(v.denominator != 1 for v in num + den):
-            raise DegreeBoundError("rational form has non-integer coefficients")
-        cand = BellRational(
-            XPoly([_balanced_digits(v.numerator, k) for v in num]),
-            XPoly([_balanced_digits(v.numerator, k) for v in den]))
-        # symbolic re-verification over Z[p] against the whole input window
-        if cand.series(M) == series:
+        cand = BellRational(XPoly([_balanced_digits(v, k) for v in num]),
+                            XPoly([_balanced_digits(v, k) for v in den]))
+        if cand.matches(series):
             return cand
         k *= 2
     raise DegreeBoundError("rational reconstruction did not stabilise")
@@ -142,6 +141,23 @@ class BellRational:
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_div(self.num.coeffs, self.den.coeffs, K)
+
+    def matches(self, series: Sequence[PrimePoly]) -> bool:
+        """Whether den * series == num below x^len(series), over Z[p].
+
+        Every coefficient in p of the difference is at most B = sup (1 + l1)
+        in size, sup the largest |coefficient| in series and num, l1 the sum
+        of those in den.  With B < 2^(K-1) it vanishes at p = 2^K only if it
+        is zero: O(len(series) deg den) products of packed integers prove it.
+        """
+        num, den, L = self.num.coeffs, self.den.coeffs, len(series)
+        sup = max(abs(v) for c in [*series, *num] for _, v in c.items())
+        l1 = sum(abs(v) for c in den for _, v in c.items())
+        K = (sup * (1 + l1)).bit_length() + 1
+        s, dk, nk = ([c.pack(K) for c in cs]
+                     for cs in (series, den, num[:L] + [PrimePoly.zero] * L))
+        return all(sum(map(operator.mul, dk, s[n::-1])) == nk[n]
+                   for n in range(L))
 
     def reciprocal(self) -> "BellRational":
         return BellRational(self.den, self.num)
@@ -388,7 +404,7 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
         if q is None:
             try:
                 return v.shift_p(n)
-            except ValueError:
+            except MasterEquationError:
                 pass
         else:
             v = v * Fraction(q) ** n
@@ -400,7 +416,7 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
     def shifted(q, fb):
         try:
             fb = fb.substitute_x_pk(k)
-        except ValueError:
+        except MasterEquationError:
             return None  # refit instead; the shift may not be integral
         return fb if q is None else fb.bind_prime(q)
 

@@ -10,7 +10,7 @@ class CatalogError(DgfError):
     """Unknown constructor name or parameter out of its documented range."""
 
 
-class MasterEquationError(DgfError):
+class MasterEquationError(DgfError, ValueError):
     """Master equation cannot supply a prime-uniform polynomial value."""
 
 

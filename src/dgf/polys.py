@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import SeriesWindowError
+from .errors import MasterEquationError, SeriesWindowError
 
 
 class PrimePoly:
@@ -29,7 +29,7 @@ class PrimePoly:
             for exp, v in coeffs.items():
                 if v:
                     if exp < 0:
-                        raise ValueError("negative exponent of p: %d" % exp)
+                        raise MasterEquationError("negative exponent of p: %d" % exp)
                     c[exp] = v
         self._c = c
 
@@ -115,10 +115,14 @@ class PrimePoly:
     def shift_p(self, k: int) -> "PrimePoly":
         """Multiply by p^k.  Negative k requires exact divisibility."""
         if k < 0 and any(e + k < 0 for e in self._c):
-            raise ValueError("not divisible by p^%d: %s" % (-k, self))
+            raise MasterEquationError("not divisible by p^%d: %s" % (-k, self))
         out = PrimePoly.__new__(PrimePoly)
         out._c = {e + k: v for e, v in self._c.items()}
         return out
+
+    def pack(self, k: int) -> int:
+        """The value at p = 2^k, by shifts (Kronecker substitution)."""
+        return sum(v << (e * k) for e, v in self._c.items())
 
     def evaluate(self, p: int) -> int:
         acc = 0

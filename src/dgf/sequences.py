@@ -116,6 +116,17 @@ def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
     return out
 
 
+def is_multiplicative(vals: Sequence[int]) -> bool:
+    """Whether vals[mn-1] = vals[m-1] vals[n-1] for all coprime m, n: checks
+    a(n) = a(q) a(n/q) at each n that is no prime power, q its table entry,
+    which splits n into a coprime pair; by induction each a(n) is then the
+    product of its a(p^e), so every pair holds."""
+    _SIEVE.ensure(max(len(vals), 1))
+    return all(vals[n - 1] == vals[q - 1] * vals[n // q - 1]
+               for n, q in enumerate(islice(_SIEVE._spp, 2, len(vals) + 1), 2)
+               if q and q != n)
+
+
 def compare_bfile(source, values: Sequence[int]) -> None:
     """Check sequence values against b-file lines ("n a(n)" per line).
 

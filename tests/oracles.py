@@ -9,11 +9,13 @@ prime-by-prime Euler factors.  Local Bell series at exceptional primes
 are refitted from the prime-power values, independent of the
 combinators' Bell rules.  Truncated series products, inverses and
 comparisons are written out here, independent of the engine's one
-series division.
+series division, and so is the Berlekamp-Massey fit over Q that the
+engine's fraction-free kernel is checked against.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from dgf.bell import LOCAL_DEGREE_CAP, BellRational, rationalize
@@ -57,6 +59,36 @@ def series_eq(a: list[PrimePoly], b: list[PrimePoly], K: int) -> bool:
         if ai != bi:
             return False
     return True
+
+
+def fraction_pade(vals: Sequence[int], d_cap: int):
+    """Berlekamp-Massey over Q (Massey 1969): the minimal fit N/D, D(0) = 1,
+    of vals, as (num, den, d) with Fraction lists of length d+1, or None
+    when d > d_cap or 2d+1 > len(vals) - 1."""
+    M = len(vals) - 1
+    den, prev = [Fraction(1)], [Fraction(1)]
+    d, n, gap, last = 0, 0, 1, Fraction(1)
+    while d <= d_cap and 2 * d + 1 <= M:
+        n += 1
+        if n > M:
+            den += [Fraction(0)] * (d + 1 - len(den))
+            num = [sum(den[i] * vals[j - i] for i in range(j + 1))
+                   for j in range(d + 1)]
+            return num, den, d
+        disc = sum(den[i] * vals[n - i] for i in range(len(den)))
+        if disc == 0:
+            gap += 1
+            continue
+        q = disc / last
+        step = den + [Fraction(0)] * (gap + len(prev) - len(den))
+        for i, c in enumerate(prev):
+            step[gap + i] -= q * c
+        if 2 * d < n:
+            prev, d, gap, last = den, n - d, 1, disc
+        else:
+            gap += 1
+        den = step
+    return None
 
 
 def refit_local_bell(f, q: int) -> BellRational | None:

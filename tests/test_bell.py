@@ -160,6 +160,48 @@ def test_rationalize_radix_doubling(monkeypatch):
         assert calls["kernel"] == fits
 
 
+def test_matches_is_a_proof_over_zp():
+    # 1 + 2^k x agrees with the window 1 + p x at p = 2^k only; the check's
+    # own radix is wide enough to tell them apart
+    window = [P.one, P.monomial(1)] + [P.zero] * 4
+    assert BellRational(xp(1, P.monomial(1)), xp(1)).matches(window)
+    for k in range(1, 12):
+        fake = BellRational(xp(1, 2**k), xp(1))
+        assert fake.num.coeffs[1].pack(k) == window[1].pack(k)
+        assert not fake.matches(window)
+        # (1 + c x)/(1 - c x), c = 2^(k-1), is 1 + 2^k x + ...: the bound
+        # must count den, whose coefficients exceed every one in the window
+        c = 2 ** (k - 1)
+        fake = BellRational(xp(1, c), xp(1, -c))
+        assert fake.series(1)[1].pack(k) == window[1].pack(k)
+        assert not fake.matches(window[:2])
+    b = parse_function("sigma(1)*sigma(2)").bell
+    ser = b.series(12)
+    assert b.matches(ser)
+    ser[12] = ser[12] + P.monomial(30)
+    assert not b.matches(ser)
+
+
+def test_rationalize_makes_no_series_product(monkeypatch):
+    window = parse_function("sigma(1)*sigma(2)").series(35)
+    want = rationalize(window, 16)
+    calls = Counter()
+    div, mul = bell_module.series_div, P.__mul__
+
+    def counting_div(*args):
+        calls["series_div"] += 1
+        return div(*args)
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(bell_module, "series_div", counting_div)
+    monkeypatch.setattr(P, "__mul__", counting_mul)
+    assert rationalize(window, 16) == want
+    assert calls == Counter()
+
+
 def test_rationalize_argument_errors():
     for series, d in [([P.one] * 5, 2), ([P.const(2)] + [P.one] * 5, 1)]:
         with pytest.raises(SeriesWindowError) as exc:

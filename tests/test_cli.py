@@ -305,6 +305,21 @@ def test_verify_transcript(capsys):
     assert all(line.startswith("ok  ") for line in lines)
 
 
+def test_verify_catches_non_multiplicative_values(capsys, monkeypatch):
+    # a wrong value at the coprime product 6 = 2 * 3 only
+    step = cli.terms
+
+    def corrupted(*args):
+        seq = step(*args)
+        seq[5] += 1
+        return seq
+
+    monkeypatch.setattr(cli, "terms", corrupted)
+    rc, out, _ = run(capsys, ["verify", "phi", "-n", "50"])
+    assert rc == 4
+    assert "FAIL values are multiplicative on coprime pairs" in out.splitlines()
+
+
 @pytest.mark.parametrize("argv, counted", [
     (["eval", "sigma(1)", "--s", "3"], "finite_zeta_form"),
     (["eval", "sigma(1)", "--s", "3", "--method", "zeta"], "finite_zeta_form"),

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from dgf.errors import DgfError, SeriesWindowError
+from dgf.errors import DgfError, MasterEquationError, SeriesWindowError
 from dgf.polys import PrimePoly, XPoly, series_div
 
 from oracles import series_eq, series_inv, series_mul
@@ -42,6 +42,24 @@ def test_primepoly_shift():
     assert P.monomial(1, 4).shift_p(2) == P.monomial(3, 4)
     with pytest.raises(ValueError):
         P.const(3).shift_p(-1)              # 3/p is not in Z[p]
+
+
+def test_primepoly_errors_are_library_errors():
+    # reachable from the library, so they exit 3 in the CLI; still
+    # ValueErrors for callers that catch those
+    for bad in (lambda: P.const(3).shift_p(-1), lambda: P({-1: 2}),
+                lambda: XPoly([P.one, P.one]).substitute_x_pk(-1)):
+        with pytest.raises(MasterEquationError) as exc:
+            bad()
+        assert isinstance(exc.value, DgfError)
+        assert isinstance(exc.value, ValueError)
+
+
+def test_primepoly_pack():
+    # the value at p = 2^k, negative coefficients included
+    for c in (P.zero, P.one, P({0: -3, 2: 5, 7: -1}), P.monomial(4, 2**40)):
+        for k in (1, 2, 5, 33):
+            assert c.pack(k) == c.evaluate(2**k)
 
 
 def test_primepoly_str():

@@ -4,10 +4,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgf.bell import (
     BellRational,
+    _scalar_pade,
     dirichlet_convolve,
     dirichlet_inverse,
     rationalize,
@@ -15,14 +17,15 @@ from dgf.bell import (
     unitary_convolve,
 )
 from dgf.catalog import make
+from dgf.errors import DegreeBoundError
 from dgf.euler import euler_expand, expand_factor_list
 from dgf.parser import Atom, Conv, Inv, PMul, PPow, Shift, UConv, parse, to_text
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
 from conftest import GRID
-from oracles import (brute_convolve, brute_unitary_convolve, peel_by_division,
-                     series_eq, series_inv, series_mul)
+from oracles import (brute_convolve, brute_unitary_convolve, fraction_pade,
+                     peel_by_division, series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -143,6 +146,48 @@ def test_rationalize_recovers_rational_series(num_tail, den_tail):
     K = 2 * d + 4
     r = rationalize(b.series(K), d)
     assert (r.num * b.den).coeffs == (b.num * r.den).coeffs
+
+
+@st.composite
+def kernel_windows(draw):
+    """(vals, cap): an integer window of a rational fit, of one with a
+    common factor, of a non-integral one, of a fit with one perturbed
+    value, or pure noise."""
+    cap = draw(st.integers(0, 6))
+    M = draw(st.integers(2 * cap + 1, 2 * cap + 6))
+    kind = draw(st.sampled_from(["fit", "common", "nonintegral", "perturbed",
+                                 "noise"]))
+    if kind == "noise":
+        big = st.integers(-10**12, 10**12)
+        return [1] + draw(st.lists(big, min_size=M, max_size=M)), cap
+    if kind == "nonintegral":
+        # a geometric tail of ratio u/v, integral on the window only
+        u, v = draw(st.integers(-9, 9)), draw(st.integers(2, 9))
+        a = draw(st.integers(1, 9)) * v ** M
+        return [1] + [a * u**n // v**n for n in range(M)], cap
+    tail = st.lists(st.integers(-2**40, 2**40), max_size=cap + 1)
+    num = XPoly.from_ints([1] + draw(tail))
+    den = XPoly.from_ints([1] + draw(tail))
+    if kind == "common":
+        c = XPoly.from_ints([1] + draw(st.lists(st.integers(-9, 9),
+                                                min_size=1, max_size=2)))
+        num, den = num * c, den * c
+    vals = [c.constant_value() for c in series_div(num.coeffs, den.coeffs, M)]
+    if kind == "perturbed":
+        vals[draw(st.integers(1, M))] += draw(st.integers(1, 9))
+    return vals, cap
+
+
+@settings(deadline=None, max_examples=300)
+@given(kernel_windows())
+def test_integer_kernel_matches_fraction_kernel(window):
+    vals, cap = window
+    want = fraction_pade(vals, cap)
+    if want is not None and any(v.denominator != 1 for v in want[0] + want[1]):
+        with pytest.raises(DegreeBoundError):
+            _scalar_pade(vals, cap)
+    else:
+        assert _scalar_pade(vals, cap) == want
 
 
 @FEW

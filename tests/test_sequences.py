@@ -10,7 +10,8 @@ from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import BFileError, CatalogError, SieveLimitError
 from dgf.parser import parse_function
-from dgf.sequences import MAX_SIEVE, FactorSieve, compare_bfile, terms
+from dgf.sequences import (MAX_SIEVE, FactorSieve, compare_bfile,
+                           is_multiplicative, terms)
 
 from conftest import GRID
 from oracles import _ofactor, brute_convolve, brute_unitary_convolve, oracle
@@ -105,6 +106,24 @@ def test_factor_prime_powers():
         assert s.factor(3**k) == [(3, k)]
     assert s.factor(97**2) == [(97, 2)]
     assert s.factor(97**2 * 2**5 * 3) == [(2, 5), (3, 1), (97, 2)]
+
+
+def test_is_multiplicative_matches_pair_loop():
+    def pairs_ok(seq):
+        N = len(seq)
+        return all(seq[m * n - 1] == seq[m - 1] * seq[n - 1]
+                   for m in range(2, N + 1) for n in range(m + 1, N // m + 1)
+                   if math.gcd(m, n) == 1)
+
+    base = terms(make("sigma", 1), 300)
+    assert is_multiplicative(base) and pairs_ok(base)
+    assert is_multiplicative([]) and is_multiplicative([1])
+    for n in (4, 6, 12, 30, 97, 128, 210, 300):
+        seq = list(base)
+        seq[n - 1] += 1
+        assert is_multiplicative(seq) == pairs_ok(seq)
+        # 128 is a prime power with no odd cofactor below 300 / 128
+        assert pairs_ok(seq) == (n == 128)
 
 
 def test_factor_sieve():
