@@ -171,7 +171,12 @@ class BellRational:
         return BellRational(bind(self.num), bind(self.den))
 
     def evaluate(self, p: int, x) -> float:
-        return self.num.evaluate(p, x) / self.den.evaluate(p, x)
+        return self.evaluate_block([p], [x])[0]
+
+    def evaluate_block(self, ps: Sequence[int], xs: Sequence) -> list[float]:
+        """num/den at each point (ps[i], xs[i])."""
+        return list(map(operator.truediv, self.num.evaluate_block(ps, xs),
+                        self.den.evaluate_block(ps, xs)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BellRational)

@@ -5,12 +5,15 @@ sequence acceleration, and direct partial sums with tail estimates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import mul
 from typing import Sequence
 
 from . import sequences
-from .bell import MultiplicativeFunction
+from .bell import BellRational, MultiplicativeFunction
 from .errors import DivergenceError
 from .euler import ZetaForm, abscissa, factor_bell
 
@@ -115,6 +118,29 @@ def _local_value(f: MultiplicativeFunction, p: int, s: float) -> float:
     return acc
 
 
+# primes per pass of the Euler-product kernel: smaller blocks pay more
+# per-block overhead, and on the numeric grid 4096 ran no faster but
+# raised peak RSS by about 0.6 MB
+_BLOCK = 1024
+
+
+def _block_values(f: MultiplicativeFunction, b: BellRational | None,
+                  blk: list[int], s: float) -> list[float]:
+    """Euler factor values at the primes of blk: the generic Bell series
+    b over the whole block at once, _local_value at exceptional primes or
+    everywhere when b is None."""
+    exc = f.master.exceptions
+    if b is None:
+        return [_local_value(f, p, s) for p in blk]
+    gen = ([p for p in blk if p not in exc]
+           if exc and blk[0] <= max(exc) else blk)
+    vals = b.evaluate_block(gen, list(map(pow, gen, repeat(-s))))
+    if gen is blk:
+        return vals
+    rest = iter(vals)
+    return [_local_value(f, p, s) if p in exc else next(rest) for p in blk]
+
+
 def _abscissa_of(f: MultiplicativeFunction) -> Fraction:
     return abscissa(factor_bell(f, 6)).abscissa
 
@@ -140,7 +166,10 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     Partial products are recorded at doubling positions P/2^j and, with
     accel="wynn", extrapolated; otherwise the raw product is returned
     with a prime-tail error estimate.  The primes come from the shared
-    sieve, so P above sequences.MAX_SIEVE raises SieveLimitError.
+    sieve, so P above sequences.MAX_SIEVE raises SieveLimitError.  They
+    are taken _BLOCK at a time, the Bell series evaluated over the whole
+    block, and multiplied in left to right as a prime-by-prime loop would,
+    so every partial product is the same to the bit.
     """
     if accel not in ("wynn", "none"):
         raise ValueError("accel must be 'wynn' or 'none'")
@@ -151,11 +180,16 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
-    for p in sequences._SIEVE.primes(P):
-        # the partial product at each checkpoint below p is complete
-        while p > cps[len(partials)]:
-            partials.append(prod)
-        prod *= _local_value(f, p, s)
+    b = f.bell
+    primes = sequences._SIEVE.primes(P)
+    while blk := list(islice(primes, _BLOCK)):
+        # the running product, left to right: runs[k] covers blk[:k]
+        runs = list(accumulate(_block_values(f, b, blk, s), mul,
+                               initial=prod))
+        # each checkpoint below the block's last prime is complete in it
+        while cps[len(partials)] < blk[-1]:
+            partials.append(runs[bisect_right(blk, cps[len(partials)])])
+        prod = runs[-1]
     partials += [prod] * (len(cps) - len(partials))
     # prime-tail of the log-product, scaled back to an absolute estimate
     tail = abs(prod) * (P ** (float(absc) - s)) \

@@ -9,7 +9,9 @@ the one expansion of a rational function num/den into such a series.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MasterEquationError, SeriesWindowError
 
@@ -130,6 +132,18 @@ class PrimePoly:
             acc += v * p**e
         return acc
 
+    def evaluate_block(self, ps: Sequence[int]) -> Iterator[int]:
+        """The exact values at every p in ps, by Horner in p in C-level
+        maps: the integers map(self.evaluate, ps) gives, without a Python
+        call per point."""
+        d = self.degree()
+        acc = repeat(self._c.get(d, 0), len(ps))
+        for e in range(d - 1, -1, -1):
+            acc = map(mul, acc, ps)
+            if e in self._c:
+                acc = map(add, acc, repeat(self._c[e]))
+        return acc
+
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimePoly) and self._c == other._c
 
@@ -216,10 +230,14 @@ class XPoly:
         return hash(tuple(self.coeffs))
 
     def evaluate(self, p: int, x: Fraction | float) -> Fraction | float:
-        # Horner in x with p substituted into each coefficient
-        acc: Fraction | float = 0
+        return self.evaluate_block([p], [x])[0]
+
+    def evaluate_block(self, ps: Sequence[int], xs: Sequence) -> list:
+        """Values at the points (ps[i], xs[i]): Horner in x from int 0,
+        adding each coefficient's exact integer value at ps[i]."""
+        acc = [0] * len(ps)
         for c in reversed(self.coeffs):
-            acc = acc * x + c.evaluate(p)
+            acc = list(map(add, map(mul, acc, xs), c.evaluate_block(ps)))
         return acc
 
     def divide_binomial(self, S: int, l: int, u: int) -> "XPoly | None":

@@ -2,7 +2,7 @@
 
 One smallest-prime-power table serves the whole runtime: term
 generation, factorisation, and the primes of Euler products and of
-zeta-form coefficients.  Entry n holds the exact power p^e of its
+zeta-form coefficients, read off it once into a cached prime array.  Entry n holds the exact power p^e of its
 smallest prime, so a(n) = a(p^e) a(n/p^e) is one lookup and one product.
 """
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from bisect import bisect_right
 from itertools import compress, islice
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -18,17 +19,25 @@ from .bell import MultiplicativeFunction
 from .errors import BFileError, SieveLimitError
 
 MAX_SIEVE = 10**7
+# table entries read per step when primes() extends its array: a bounded
+# copy, 512 KB of the 40 MB table at MAX_SIEVE
+_SLICE = 1 << 17
 
 
 class FactorSieve:
     """Smallest-prime-power table, grown on demand.
 
     Entry n > 1 holds p^e, the exact power dividing n of its smallest
-    prime p, or 0 when n is prime.
+    prime p, or 0 when n is prime.  The primes read off it so far are
+    kept in increasing order in a second array, complete up to _scanned;
+    growing the table changes no entry below its old limit, so they stay
+    valid.
     """
 
     def __init__(self):
         self._spp = array("i", [0, 0])
+        self._primes = array("i")
+        self._scanned = 1
 
     @property
     def limit(self) -> int:
@@ -78,10 +87,20 @@ class FactorSieve:
         return out
 
     def primes(self, n: int) -> Iterator[int]:
-        """Primes <= n in increasing order, read lazily off the table."""
-        self.ensure(n)
-        return compress(range(2, n + 1),
-                        map(operator.not_, islice(self._spp, 2, n + 1)))
+        """Primes <= n in increasing order, read lazily off the prime
+        array, which is first extended past its cached extent if n is."""
+        if n > self._scanned:
+            self.ensure(n)
+            t, out = self._spp, self._primes
+            if not out:
+                out.append(2)
+            # the odd entries only, copied out a bounded slice at a time
+            for lo in range((self._scanned + 1) | 1, n + 1, _SLICE):
+                hi = min(n + 1, lo + _SLICE)
+                out.extend(compress(range(lo, hi, 2),
+                                    map(operator.not_, t[lo:hi:2])))
+            self._scanned = n
+        return islice(self._primes, bisect_right(self._primes, n))
 
 
 _SIEVE = FactorSieve()

@@ -10,18 +10,22 @@ are refitted from the prime-power values, independent of the
 combinators' Bell rules.  Truncated series products, inverses and
 comparisons are written out here, independent of the engine's one
 series division, and so is the Berlekamp-Massey fit over Q that the
-engine's fraction-free kernel is checked against.
+engine's fraction-free kernel is checked against.  The Euler product is
+multiplied out one prime at a time over trial-division primes, the
+reference for the engine's blocked kernel.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from dgf.bell import LOCAL_DEGREE_CAP, BellRational, rationalize
 from dgf.errors import CatalogError, DegreeBoundError
 from dgf.euler import EulerFactor, EulerFactorList
-from dgf.polys import PrimePoly
+from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
+from dgf.polys import PrimePoly, XPoly
 
 
 def series_mul(a: list[PrimePoly], b: list[PrimePoly], K: int) -> list[PrimePoly]:
@@ -397,3 +401,59 @@ def peel_by_division(R: list[PrimePoly], U: int) -> EulerFactorList:
             R = series_mul(R, binomial_power(f.S, f.l, f.u, -f.gamma, U), U)
     ok = R[0].is_one() and all(R[i].is_zero() for i in range(1, U + 1))
     return EulerFactorList(factors, truncated_at=U, residual_ok=ok)
+
+
+# ---------------------------------------------------------------------------
+# primes and the Euler product, one prime at a time
+
+@cache
+def trial_primes(n: int) -> tuple[int, ...]:
+    """Primes <= n by trial division."""
+    return tuple(p for p in range(2, n + 1)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def _horner(xp: XPoly, p: int, x: float) -> float:
+    # Horner in x from int 0, each coefficient's exact value at p added in
+    acc = 0
+    for c in reversed(xp.coeffs):
+        acc = acc * x + c.evaluate(p)
+    return acc
+
+
+def euler_factor(f, p: int, s: float) -> float:
+    """The Euler factor of f at p, at real s."""
+    b = f.local_bell(p) if p in f.master.exceptions else f.bell
+    if b is not None:
+        x = p ** -s
+        return _horner(b.num, p, x) / _horner(b.den, p, x)
+    acc, e = 1.0, 1
+    while e <= 400:
+        t = f.value(p, e) * p ** (-e * s)
+        acc += t
+        if abs(t) < 1e-18 * abs(acc):
+            break
+        e += 1
+    return acc
+
+
+def euler_product(f, s: float, P: int, accel: str = "wynn") -> EvalResult:
+    """numeric.eval_euler_product multiplied out one prime at a time."""
+    absc = float(_abscissa_of(f))
+    cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
+    partials = []
+    prod = 1.0
+    for p in trial_primes(P):
+        # the partial product at each checkpoint below p is complete
+        while p > cps[len(partials)]:
+            partials.append(prod)
+        prod *= euler_factor(f, p, s)
+    partials += [prod] * (len(cps) - len(partials))
+    tail = abs(prod) * (P ** (absc - s)) / ((s - absc) * math.log(P))
+    if accel == "wynn" and len(partials) >= 3:
+        value, err = wynn_epsilon(partials)
+        if not math.isfinite(value):
+            value, err = prod, tail
+        return EvalResult(value, max(err, 1e-15 * abs(value)),
+                          "euler_product+wynn")
+    return EvalResult(prod, tail, "euler_product")

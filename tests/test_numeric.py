@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from dgf import numeric
+from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import DivergenceError
 from dgf.euler import finite_zeta_form
@@ -16,6 +18,10 @@ from dgf.numeric import (
     riemann_zeta,
     wynn_epsilon,
 )
+from dgf.parser import parse_function
+from dgf.polys import PrimePoly
+
+import oracles
 
 ZETA2 = 1.6449340668482264
 ZETA3 = 1.2020569031595943
@@ -117,3 +123,36 @@ def test_methods_agree_on_alternating_sign_function():
 def test_eval_result_str():
     r = EvalResult(1.9773043502972958, 2.39e-05, "euler_product+wynn")
     assert str(r) == "1.9773043503 (error <= 2.39e-05, euler_product+wynn)"
+
+
+def _squares():
+    # a(p^e) = 1 when e is a square: a lacunary Bell series, not rational
+    return MultiplicativeFunction("squares", MasterEquation(
+        lambda e: PrimePoly.const(int(math.isqrt(e) ** 2 == e))))
+
+
+_PS = oracles.trial_primes(10 * numeric._BLOCK)
+# P in the first block, at the last prime of a block, at the first prime
+# of the next
+_BOUNDS = (2, 3, _PS[numeric._BLOCK - 1], _PS[numeric._BLOCK])
+# the benchmark's numeric grid; a function whose exceptional prime is not
+# the first prime, and one with exceptional primes in two blocks; one with
+# no rational Bell series
+KERNEL_FUNCTIONS = ["mu", "phi", "sigma(1)", "tau(4)", "psi_k(2)",
+                    "gcdc(12)", "mu^2 * phi", "mu_star", "depleted(5, 2)",
+                    "gcdc(%d)" % (2 * _BOUNDS[-1]), "squares"]
+
+
+@pytest.mark.parametrize("src", KERNEL_FUNCTIONS)
+def test_blocked_euler_product_matches_prime_by_prime(src):
+    f = _squares() if src == "squares" else parse_function(src)
+    assert (f.bell is None) == (src == "squares")
+    absc = float(numeric._abscissa_of(f))
+    for off in (0.01, 0.05, 0.5, 2.0):
+        for P in _BOUNDS:
+            for accel in ("wynn", "none"):
+                got = eval_euler_product(f, absc + off, P=P, accel=accel)
+                want = oracles.euler_product(f, absc + off, P, accel)
+                assert (got.value.hex(), got.error.hex(), got.method) == \
+                    (want.value.hex(), want.error.hex(), want.method), \
+                    (src, off, P, accel)

@@ -1,6 +1,8 @@
 """Polynomial substrate: coefficients in Z[p], dense series in x."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from dgf.errors import DgfError, MasterEquationError, SeriesWindowError
@@ -35,6 +37,23 @@ def test_primepoly_evaluate():
     assert q.evaluate(2) == 2
     assert q.evaluate(5) == 20
     assert P.const(9).evaluate(101) == 9
+
+
+def test_block_evaluation_matches_points():
+    ps = [2, 3, 5, 7919, 10**7 + 19]
+    # gaps in the exponents of p, a zero and a constant coefficient
+    cs = [P.const(1), P.zero, P.monomial(3, 4) + P.const(-7),
+          P.monomial(5, -2) + P.monomial(1), P.const(6)]
+    for c in cs:
+        assert list(c.evaluate_block(ps)) == [c.evaluate(p) for p in ps]
+    xp = XPoly(cs)
+    xs = [Fraction(1, p) for p in ps]
+    assert xp.evaluate_block(ps, xs) == \
+        [sum(c.evaluate(p) * x**i for i, c in enumerate(cs))
+         for p, x in zip(ps, xs)]
+    assert [xp.evaluate(p, x) for p, x in zip(ps, xs)] == \
+        xp.evaluate_block(ps, xs)
+    assert XPoly([]).evaluate_block(ps, xs) == [0] * len(ps)
 
 
 def test_primepoly_shift():

@@ -9,12 +9,15 @@ import pytest
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import BFileError, CatalogError, SieveLimitError
+from dgf.euler import finite_zeta_form, zeta_form_to_coeffs
+from dgf import sequences
 from dgf.parser import parse_function
 from dgf.sequences import (MAX_SIEVE, FactorSieve, compare_bfile,
                            is_multiplicative, terms)
 
 from conftest import GRID
-from oracles import _ofactor, brute_convolve, brute_unitary_convolve, oracle
+from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
+                     oracle, trial_primes)
 
 
 def test_terms_fixtures():
@@ -150,6 +153,36 @@ def test_factor_sieve():
         assert [small.factor(n) for n in range(1, size + 1)] == \
             [_ofactor(n) for n in range(1, size + 1)]
     assert list(fresh.primes(100)) == [p for p in range(2, 101) if _ofactor(p) == [(p, 1)]]
+
+
+@pytest.mark.parametrize("step", [sequences._SLICE, 16])
+def test_primes_read_off_the_cached_prime_array(step, monkeypatch):
+    # the array grows by table slices of `step` entries; 16 puts many
+    # slice boundaries below 20000
+    monkeypatch.setattr(sequences, "_SLICE", step)
+    s = FactorSieve()
+    # small, then large, then small again: the cache only grows, and each
+    # call reads just its own prefix of it
+    for n in (10, 20000, 97, 20000, 1000, 20001, 20011):
+        assert list(s.primes(n)) == list(trial_primes(n)), n
+    # ensure growing the table past the cached extent keeps it valid
+    s.ensure(60000)
+    assert list(s.primes(1000)) == list(trial_primes(1000))
+    assert list(s.primes(50000)) == list(trial_primes(50000))
+    for n in (1, 0, -5):
+        assert list(s.primes(n)) == []
+    for n in (1, 2, 97, 1000, 49999, 50000, 59999):
+        assert s.factor(n) == _ofactor(n), n
+    with pytest.raises(SieveLimitError):
+        s.primes(MAX_SIEVE + 1)
+
+
+def test_zeta_form_coeffs_after_prime_cache_use():
+    # the shared sieve's prime array is read by zeta_form_to_coeffs
+    for name, args, N in (("sigma", (1,), 3000), ("mu", (), 100),
+                          ("gcdc", (12,), 3000), ("phi", (), 40)):
+        zf = finite_zeta_form(make(name, *args))
+        assert zeta_form_to_coeffs(zf, N) == oracle(name, args, N), name
 
 
 def test_brute_convolve_fixtures():
