@@ -15,8 +15,8 @@ from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      SeriesWindowError, SieveLimitError)
 from .euler import (INFINITE, ConvergenceInfo, EulerFactor, EulerFactorList,
                     LocalFactor, ZetaFactor, ZetaForm, abscissa, euler_expand,
-                    expand_factor_list, factor_bell, finite_zeta_form,
-                    zeta_factors_from_euler, zeta_form_to_coeffs)
+                    factor_bell, finite_zeta_form, zeta_factors_from_euler,
+                    zeta_form_to_coeffs)
 from .numeric import (EvalResult, eval_euler_product, eval_partial_sum,
                       eval_zeta_form, riemann_zeta, wynn_epsilon)
 from .parser import build, parse, parse_function, to_text
@@ -36,8 +36,8 @@ __all__ = [
     "SeriesWindowError", "SieveLimitError",
     "INFINITE", "ConvergenceInfo", "EulerFactor", "EulerFactorList",
     "LocalFactor", "ZetaFactor", "ZetaForm", "abscissa", "euler_expand",
-    "expand_factor_list", "factor_bell", "finite_zeta_form",
-    "zeta_factors_from_euler", "zeta_form_to_coeffs",
+    "factor_bell", "finite_zeta_form", "zeta_factors_from_euler",
+    "zeta_form_to_coeffs",
     "EvalResult", "eval_euler_product", "eval_partial_sum", "eval_zeta_form",
     "riemann_zeta", "wynn_epsilon",
     "build", "parse", "parse_function", "to_text",

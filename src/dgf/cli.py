@@ -15,18 +15,18 @@ from .bell import DEFAULT_DEGREE_CAP
 from .catalog import CATALOG, make
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError)
-from .euler import (INFINITE, abscissa, expand_factor_list, factor_bell,
-                    finite_zeta_form, zeta_factors_from_euler,
-                    zeta_form_to_coeffs)
+from .euler import (INFINITE, abscissa, factor_bell, finite_zeta_form,
+                    round_trips, zeta_factors_from_euler, zeta_form_to_coeffs)
 from .numeric import eval_euler_product, eval_partial_sum, eval_zeta_form
 from .parser import parse_function
-from .sequences import MAX_SIEVE, compare_bfile, is_multiplicative, terms
+from .sequences import MAX_SIEVE, compare_bfile, matches_bell, terms
 
 
 # bound of -U: the largest order finite_zeta_form reads exponents to,
 # 2 (deg num + deg den) at the default degree cap.  Peeling to order U
-# takes O(U d) products for a Bell series of degree d; a raw series and
-# verify's round trip take O(U^2)
+# takes O(U d) products for a Bell series of degree d and O(U^2) for a
+# raw series; verify's round trip is one check of O(U^2) products of
+# packed integers
 MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
 
 
@@ -191,7 +191,7 @@ def _cmd_verify(ns) -> int:
               b.matches(f.series(ns.U + 6)))
     efl = factor_bell(f, ns.U)
     check("Euler factors multiply back to the Bell series",
-          expand_factor_list(efl, ns.U) == f.series(ns.U) and efl.residual_ok)
+          round_trips(efl, f.series(ns.U)) and efl.residual_ok)
     zf = finite_zeta_form(f)
     seq = terms(f, ns.count)
     if zf != INFINITE:
@@ -202,8 +202,8 @@ def _cmd_verify(ns) -> int:
         check("Euler factors agree with the zeta form through order %d" % ns.U,
               sorted((z.u, z.l, z.gamma) for z in conv) ==
               sorted((z.u, z.l, z.gamma) for z in want))
-    check("values are multiplicative on coprime pairs",
-          is_multiplicative(seq))
+    check("values match the Bell series at every prime power",
+          matches_bell(f, seq))
     if ns.bfile:
         compare_bfile(ns.bfile, seq)
         print("ok   b-file values match")

@@ -3,11 +3,12 @@
 A Bell series either factors exactly through binomials 1 - S p^l x^u
 (giving a finite product of Riemann zeta factors via
 prod_p (1 - p^(l-us))^g = zeta^(-g)(us - l)) or is peeled order by
-order into a truncated infinite product of such binomials.  Both, and
-the round trip back to a series, work on T = x B'/B, read off num and
-den by series_div: a binomial power adds monomials to T, so they take
-no series products (the inverse Euler transform, Bernstein and Sloane
-1995).  Zeta-form coefficients expand by the same series_div.
+order into a truncated infinite product of such binomials.  Both work on
+T = x B'/B, read off num and den by series_div: a binomial power adds
+monomials to T, so they take no series products (the inverse Euler
+transform, Bernstein and Sloane 1995).  The round trip sums T from the
+factors and proves x S' = T S by one BellRational.matches.  Zeta-form
+coefficients expand by the same series_div.
 """
 from __future__ import annotations
 
@@ -105,10 +106,10 @@ def _log_series(b, K: int) -> list[dict[int, int]]:
     return [dict(t.items()) for t in T]
 
 
-def _add_log(T: list[dict[int, int]], f: EulerFactor, sign: int) -> None:
-    """Add sign * x F'/F of F = (1 - S p^l x^u)^gamma to T, in place:
-    -gamma u S^k p^(lk) at each x^(uk), k >= 1."""
-    c, e = -sign * f.gamma * f.u, 0
+def _divide_out(T: list[dict[int, int]], f: EulerFactor) -> None:
+    """Divide F = (1 - S p^l x^u)^gamma out of a series with x B'/B = T, in
+    place: T loses x F'/F, gaining gamma u S^k p^(lk) at x^(uk), k >= 1."""
+    c, e = f.gamma * f.u, 0
     for n in range(f.u, len(T), f.u):
         c, e = c * f.S, e + f.l
         v = T[n].get(e, 0) + c
@@ -137,7 +138,7 @@ def _peel(T: list[dict[int, int]], signed: bool,
             f = EulerFactor(-1, l, u, r) if signed and r > 0 \
                 else EulerFactor(+1, l, u, -r)
             factors.append(f)
-            _add_log(T, f, -1)
+            _divide_out(T, f)
             weight += abs(r) * u
             if weight > weight_cap:
                 return None
@@ -152,22 +153,16 @@ def euler_expand(b, U: int) -> EulerFactorList:
     return EulerFactorList(factors, truncated_at=U, residual_ok=not any(T))
 
 
-def expand_factor_list(efl: EulerFactorList, K: int) -> list[PrimePoly]:
-    """Multiply a factor list back out to order K (the round-trip check),
-    apart from the peel: T summed from the factors is exponentiated by
-    n B_n = sum_k T_k B_(n-k), exact as B lies in 1 + x Z[p][[x]]."""
-    logs: list[dict[int, int]] = [{} for _ in range(K + 1)]
+def round_trips(efl: EulerFactorList, series: Sequence[PrimePoly]) -> bool:
+    """Whether the factors multiply back to S = series below x^len(S).  Their
+    product B is the one series from 1 with x B' = T B, T = x B'/B, so this
+    is (1 - T) S = S - x S' over Z[p].  Dividing every factor out of D = 1
+    leaves -T from x^1 on, so D ends as 1 - T."""
+    D: list[dict[int, int]] = [{0: 1}] + [{} for _ in series[1:]]
     for f in efl.factors:
-        _add_log(logs, f, +1)
-    T = [PrimePoly(t) for t in logs]
-    B = [PrimePoly.one] + [PrimePoly.zero] * K
-    for n in range(1, K + 1):
-        acc = PrimePoly.zero
-        for k in range(1, n + 1):
-            if not T[k].is_zero() and not B[n - k].is_zero():
-                acc = acc + T[k] * B[n - k]
-        B[n] = PrimePoly({e: v // n for e, v in acc.items()})
-    return B
+        _divide_out(D, f)
+    num = XPoly([c.scale(1 - n) for n, c in enumerate(series)])
+    return BellRational(num, XPoly(map(PrimePoly, D))).matches(series)
 
 
 def _partial_binomials(xp: XPoly) -> tuple[list[tuple[int, int, int]], XPoly]:
@@ -334,39 +329,25 @@ def _zeta_bell(zs: Iterable[ZetaFactor]) -> tuple[XPoly, XPoly]:
     return sides[0], sides[1]
 
 
-def _log_exponents(b: BellRational, u_cap: int,
-                   weight_cap: int) -> list[ZetaFactor] | None:
-    """Exponents gamma(u,l) with B = prod (1 - p^l x^u)^(-gamma), if finite.
-
-    The peel of T = x B'/B up to x^u_cap in the zeta basis S = +1; its
-    exponents are integers (see _peel), so no order can fail on them.
-    Infinite expansions have a weight sum |gamma| u growing without
-    bound, so the scan gives up past weight_cap; the caller verifies
-    exactness.
-    """
-    factors = _peel(_log_series(b, u_cap), signed=False, weight_cap=weight_cap)
-    if factors is None:
-        return None
-    return [ZetaFactor(f.u, f.l, -f.gamma) for f in factors]
-
-
-def finite_zeta_form(f, u_cap: int | None = None):
+def finite_zeta_form(f):
     """Finite zeta-product form of a function, or the string "infinite".
 
-    The generic Bell series must be expressible as a finite product
-    prod_zeta; per-prime exceptional factors are carried through as
-    local rational corrections in q^-s.
+    The generic Bell series B must be a finite product prod (1 - p^l x^u)^-g,
+    g read by the peel of T = x B'/B in the zeta basis S = +1, which gives
+    up once the weight sum |g| u, unbounded for an infinite product, passes
+    a cap; the product found is checked exactly.  Per-prime exceptional
+    factors are carried through as local rational corrections in q^-s.
     """
     func = f if isinstance(f, MultiplicativeFunction) else None
     b = f if func is None else func.bell
     if b is None:
         return INFINITE
-    if u_cap is None:
-        u_cap = max(16, 2 * (b.num.degree() + b.den.degree()))
-    weight_cap = max(64, 4 * (b.num.degree() + b.den.degree()))
-    factors = _log_exponents(b, u_cap, weight_cap)
-    if factors is None:
+    d = b.num.degree() + b.den.degree()
+    peeled = _peel(_log_series(b, max(16, 2 * d)), signed=False,
+                   weight_cap=max(64, 4 * d))
+    if peeled is None:
         return INFINITE
+    factors = [ZetaFactor(e.u, e.l, -e.gamma) for e in peeled]
     num_z, den_z = _zeta_bell(factors)
     if b.num * den_z != b.den * num_z:  # exact: b == num_z/den_z
         return INFINITE

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import sequences
 from .bell import BellRational, MultiplicativeFunction
-from .errors import DivergenceError
+from .errors import DivergenceError, SieveLimitError
 from .euler import ZetaForm, abscissa, factor_bell
 
 _BERNOULLI: list[Fraction] = []
@@ -166,11 +166,14 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     Partial products are recorded at doubling positions P/2^j and, with
     accel="wynn", extrapolated; otherwise the raw product is returned
     with a prime-tail error estimate.  The primes come from the shared
-    sieve, so P above sequences.MAX_SIEVE raises SieveLimitError.  They
-    are taken _BLOCK at a time, the Bell series evaluated over the whole
-    block, and multiplied in left to right as a prime-by-prime loop would,
-    so every partial product is the same to the bit.
+    sieve; P outside [2, sequences.MAX_SIEVE] raises SieveLimitError
+    before any work.  They are taken _BLOCK at a time, the Bell series
+    evaluated over the whole block, and multiplied in left to right as a
+    prime-by-prime loop would, so every partial product is the same to
+    the bit.
     """
+    if not 2 <= P <= sequences.MAX_SIEVE:
+        raise SieveLimitError("prime bound %d is not in [2, sieve limit]" % P)
     if accel not in ("wynn", "none"):
         raise ValueError("accel must be 'wynn' or 'none'")
     absc = _abscissa_of(f)
@@ -208,8 +211,11 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
     """Direct sum of a(n) n^(-s) for n <= N with a crude tail bound.
 
     The tail uses |a(n)| <= C n^(sigma0 - 1) with C fitted on the
-    computed window, so the bound is heuristic, not rigorous.
+    computed window, so the bound is heuristic, not rigorous.  N outside
+    [1, sequences.MAX_SIEVE] raises SieveLimitError before any work.
     """
+    if not 1 <= N <= sequences.MAX_SIEVE:
+        raise SieveLimitError("term bound %d is not in [1, sieve limit]" % N)
     absc = _abscissa_of(f)
     s0 = float(absc)
     if s <= s0 + 1e-6:

@@ -11,7 +11,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from itertools import compress, islice
+from itertools import compress, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -135,15 +135,27 @@ def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
     return out
 
 
-def is_multiplicative(vals: Sequence[int]) -> bool:
-    """Whether vals[mn-1] = vals[m-1] vals[n-1] for all coprime m, n: checks
-    a(n) = a(q) a(n/q) at each n that is no prime power, q its table entry,
-    which splits n into a coprime pair; by induction each a(n) is then the
-    product of its a(p^e), so every pair holds."""
-    _SIEVE.ensure(max(len(vals), 1))
-    return all(vals[n - 1] == vals[q - 1] * vals[n // q - 1]
-               for n, q in enumerate(islice(_SIEVE._spp, 2, len(vals) + 1), 2)
-               if q and q != n)
+def matches_bell(f: MultiplicativeFunction, vals: Sequence[int]) -> bool:
+    """Whether vals[q-1] = a(p^e) at every prime power q = p^e <= N =
+    len(vals), read off the Bell series (the master's if not rational)
+    expanded once to x^J, 2^J > N: each coefficient at all its primes at
+    once, the local series at exceptional primes."""
+    N, J, exc = len(vals), len(vals).bit_length(), f.master.exceptions
+    B = f.series(J) if f.bell is None else f.bell.series(J)
+    ps = list(filterfalse(exc.__contains__, _SIEVE.primes(N)))
+    for e in range(1, J):
+        del ps[bisect_right(ps, N, key=lambda p: p ** e):]
+        at = map(operator.sub, map(pow, ps, repeat(e)), repeat(1))
+        if any(map(operator.ne, B[e].evaluate_block(ps),
+                   map(vals.__getitem__, at))):
+            return False
+    for q in [q for q in exc if q <= N]:
+        lb = f.local_bell(q)
+        want = (f.local_series(q, J) if lb is None else
+                [c.constant_value() for c in lb.series(J)])
+        if any(vals[q**e - 1] != want[e] for e in range(1, J) if q**e <= N):
+            return False
+    return True
 
 
 def compare_bfile(source, values: Sequence[int]) -> None:

@@ -3,7 +3,8 @@
 Every catalog function has an evaluator written straight from its
 definition, by trial division and divisor sums, independent of the
 master-equation engine and of its sieve.  The Euler-factor peel is
-redone by series division, independent of the log-derivative pass, and
+redone by series division and factor lists are multiplied back out one
+binomial power at a time, independent of the log-derivative pass, and
 zeta factors by whole-stream Dirichlet products, independent of the
 prime-by-prime Euler factors.  Local Bell series at exceptional primes
 are refitted from the prime-power values, independent of the
@@ -401,6 +402,15 @@ def peel_by_division(R: list[PrimePoly], U: int) -> EulerFactorList:
             R = series_mul(R, binomial_power(f.S, f.l, f.u, -f.gamma, U), U)
     ok = R[0].is_one() and all(R[i].is_zero() for i in range(1, U + 1))
     return EulerFactorList(factors, truncated_at=U, residual_ok=ok)
+
+
+def expand_factor_list(efl: EulerFactorList, K: int) -> list[PrimePoly]:
+    """A factor list multiplied out to order K, one binomial power at a
+    time: the reference for the engine's round-trip check."""
+    out = [PrimePoly.one] + [PrimePoly.zero] * K
+    for f in efl.factors:
+        out = series_mul(out, binomial_power(f.S, f.l, f.u, f.gamma, K), K)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,7 @@ def test_criterion_02_frozen_expansions():
     # the polynomial identity (1 - x^2)^2 / (1 - x) = (1 + x)(1 - x^2)^... ;
     # check the two factorizations multiply to the same series
     canon = factor_bell(make("mu_apostol", 2), U=11)
-    from dgf.euler import expand_factor_list
-    from oracles import series_eq
+    from oracles import expand_factor_list, series_eq
     assert series_eq(expand_factor_list(canon, 11),
                      make("mu_apostol", 2).series(11), 11)
 

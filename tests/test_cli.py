@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 import dgf.cli as cli
 from dgf.cli import main
 from dgf.errors import SieveLimitError
-from dgf.euler import euler_expand
+from dgf.euler import EulerFactorList, euler_expand
 from dgf.polys import PrimePoly
 
 from conftest import GRID_ONE_PER_NAME
@@ -306,18 +307,36 @@ def test_verify_transcript(capsys):
 
 
 def test_verify_catches_non_multiplicative_values(capsys, monkeypatch):
-    # a wrong value at the coprime product 6 = 2 * 3 only
-    step = cli.terms
+    terms, factor_bell = cli.terms, cli.factor_bell
 
-    def corrupted(*args):
-        seq = step(*args)
-        seq[5] += 1
-        return seq
+    def bump_term(n):
+        def corrupted(*args):
+            seq = terms(*args)
+            seq[n - 1] += 1
+            return seq
+        return corrupted
 
-    monkeypatch.setattr(cli, "terms", corrupted)
-    rc, out, _ = run(capsys, ["verify", "phi", "-n", "50"])
-    assert rc == 4
-    assert "FAIL values are multiplicative on coprime pairs" in out.splitlines()
+    def bump_first_gamma(*args):
+        efl = factor_bell(*args)
+        g = efl.factors[0]
+        return EulerFactorList([replace(g, gamma=g.gamma + 1)]
+                               + efl.factors[1:], efl.truncated_at)
+
+    # a(6) of phi, a coprime product, against its zeta form; a(4) of
+    # mu_star, which has no zeta form, against its Bell series
+    for expr, name, patch, label in [
+            ("phi", "terms", bump_term(6),
+             "zeta form reproduces the first 50 terms"),
+            ("mu_star", "terms", bump_term(4),
+             "values match the Bell series at every prime power"),
+            ("mu_star", "factor_bell", bump_first_gamma,
+             "Euler factors multiply back to the Bell series")]:
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, patch)
+            rc, out, _ = run(capsys, ["verify", expr, "-n", "50"])
+        assert rc == 4, expr
+        assert ["FAIL " + label] == [line for line in out.splitlines()
+                                     if line.startswith("FAIL")]
 
 
 @pytest.mark.parametrize("argv, counted", [

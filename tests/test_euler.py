@@ -1,6 +1,7 @@
 """Euler-product factorization, zeta forms, and coefficient streams."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,23 +13,26 @@ from dgf.bell import BellRational, dirichlet_convolve, pointwise_power, pointwis
 from dgf.catalog import make
 from dgf.euler import (
     INFINITE,
-    _log_exponents,
+    EulerFactorList,
+    _log_series,
+    _peel,
     LocalFactor,
     ZetaFactor,
     ZetaForm,
     abscissa,
     euler_expand,
-    expand_factor_list,
     factor_bell,
     finite_zeta_form,
+    round_trips,
     zeta_form_to_coeffs,
 )
 from dgf.errors import SieveLimitError
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
-from conftest import ef_tuples, zf_tuples
-from oracles import _zeta_base_stream, dirichlet_mul_streams, series_eq
+from conftest import ef_tuples, grid_instances, zf_tuples
+from oracles import (_zeta_base_stream, dirichlet_mul_streams,
+                     expand_factor_list, series_eq)
 
 P = PrimePoly
 
@@ -107,6 +111,22 @@ def test_expansion_round_trips_series():
         assert series_eq(expand_factor_list(efl, 6), f.series(6), 6)
 
 
+def test_round_trip_agrees_with_binomial_products():
+    # the engine's one matches check against the factors multiplied out,
+    # on every grid list and on each list with one exponent bumped
+    U = 8
+    for name, args, f in grid_instances():
+        S = f.series(U)
+        efl = factor_bell(f, U)
+        assert round_trips(efl, S), (name, args)
+        for i, g in enumerate(efl.factors):
+            bumped = EulerFactorList(efl.factors[:i] + efl.factors[i + 1:]
+                                     + [replace(g, gamma=g.gamma + 1)])
+            ok = round_trips(bumped, S)
+            assert ok == series_eq(expand_factor_list(bumped, U), S, U)
+            assert ok == (g.u > U), (name, args, g)
+
+
 def test_log_pass_makes_no_series_products(monkeypatch):
     infinite = pointwise_product(make("sigma", 1), make("phi"))
     b, raw = infinite.bell, infinite.series(12)
@@ -128,17 +148,18 @@ def test_log_pass_makes_no_series_products(monkeypatch):
     monkeypatch.setattr(XPoly, "__mul__", banned)
     efl = euler_expand(b, 12)
     assert euler_expand(raw, 12).factors == efl.factors
-    assert _log_exponents(b, 16, 64) is None
-    assert sorted((z.u, z.l, z.gamma) for z in _log_exponents(finite, 16, 64)) \
-        == [(1, 1, 1), (2, 0, 1), (2, 2, -1)]
+    assert _peel(_log_series(b, 16), signed=False, weight_cap=64) is None
+    peeled = _peel(_log_series(finite, 16), signed=False, weight_cap=64)
+    assert sorted((e.u, e.l, e.gamma) for e in peeled) \
+        == [(1, 1, -1), (2, 0, -1), (2, 2, 1)]
     divisions = len(dens)
-    expanded = expand_factor_list(efl, 12)
+    assert round_trips(efl, raw)
     monkeypatch.undo()
     assert len(dens) == divisions == 7
     allowed = [b.num.coeffs, b.den.coeffs, raw,
                finite.num.coeffs, finite.den.coeffs]
     assert all(den in allowed for den in dens)
-    assert series_eq(expanded, b.series(12), 12)
+    assert series_eq(expand_factor_list(efl, 12), b.series(12), 12)
 
 
 def test_factor_bell_exact_totient():

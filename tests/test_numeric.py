@@ -8,7 +8,7 @@ import pytest
 from dgf import numeric
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
-from dgf.errors import DivergenceError
+from dgf.errors import DivergenceError, SieveLimitError
 from dgf.euler import finite_zeta_form
 from dgf.numeric import (
     EvalResult,
@@ -101,6 +101,20 @@ def test_eval_euler_product_divergence():
             eval_euler_product(f, s, P=100)
     with pytest.raises(DivergenceError):
         eval_partial_sum(f, 2.0, N=100)
+
+
+def test_bounds_checked_before_any_work(monkeypatch):
+    def banned(f):
+        raise AssertionError("work before the bound check")
+
+    monkeypatch.setattr(numeric, "_abscissa_of", banned)
+    f = make("mu")
+    for P in (-5, 0, 1):
+        with pytest.raises(SieveLimitError):
+            eval_euler_product(f, 2.0, P=P)
+    for N in (0, -1):
+        with pytest.raises(SieveLimitError):
+            eval_partial_sum(f, 2.0, N=N)
 
 
 def test_eval_partial_sum_within_error():

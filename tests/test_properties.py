@@ -18,14 +18,15 @@ from dgf.bell import (
 )
 from dgf.catalog import make
 from dgf.errors import DegreeBoundError
-from dgf.euler import euler_expand, expand_factor_list
+from dgf.euler import euler_expand
 from dgf.parser import Atom, Conv, Inv, PMul, PPow, Shift, UConv, parse, to_text
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
 from conftest import GRID
-from oracles import (brute_convolve, brute_unitary_convolve, fraction_pade,
-                     peel_by_division, series_eq, series_inv, series_mul)
+from oracles import (brute_convolve, brute_unitary_convolve,
+                     expand_factor_list, fraction_pade, peel_by_division,
+                     series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)

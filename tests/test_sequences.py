@@ -12,8 +12,9 @@ from dgf.errors import BFileError, CatalogError, SieveLimitError
 from dgf.euler import finite_zeta_form, zeta_form_to_coeffs
 from dgf import sequences
 from dgf.parser import parse_function
+from dgf.polys import PrimePoly
 from dgf.sequences import (MAX_SIEVE, FactorSieve, compare_bfile,
-                           is_multiplicative, terms)
+                           matches_bell, terms)
 
 from conftest import GRID
 from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
@@ -111,22 +112,29 @@ def test_factor_prime_powers():
     assert s.factor(97**2 * 2**5 * 3) == [(2, 5), (3, 1), (97, 2)]
 
 
-def test_is_multiplicative_matches_pair_loop():
-    def pairs_ok(seq):
+def test_matches_bell_agrees_with_master_values():
+    def master_ok(f, seq):
         N = len(seq)
-        return all(seq[m * n - 1] == seq[m - 1] * seq[n - 1]
-                   for m in range(2, N + 1) for n in range(m + 1, N // m + 1)
-                   if math.gcd(m, n) == 1)
+        return all(seq[p ** e - 1] == f.master.value(p, e)
+                   for p in trial_primes(N)
+                   for e in range(1, N.bit_length()) if p ** e <= N)
 
-    base = terms(make("sigma", 1), 300)
-    assert is_multiplicative(base) and pairs_ok(base)
-    assert is_multiplicative([]) and is_multiplicative([1])
-    for n in (4, 6, 12, 30, 97, 128, 210, 300):
-        seq = list(base)
-        seq[n - 1] += 1
-        assert is_multiplicative(seq) == pairs_ok(seq)
-        # 128 is a prime power with no odd cofactor below 300 / 128
-        assert pairs_ok(seq) == (n == 128)
+    # sigma(1) by its Bell series, gcdc(12) by local ones at its
+    # exceptional primes 2 and 3, and e! (3^(e^2) at 3) by the master's
+    # series, as neither has a rational form
+    fact = MultiplicativeFunction("fact", MasterEquation(
+        lambda e: PrimePoly.const(math.factorial(e)), {3: lambda e: 3**(e * e)}))
+    assert fact.bell is None and fact.local_bell(3) is None
+    for f in (make("sigma", 1), make("gcdc", 12), fact):
+        base = terms(f, 300)
+        assert matches_bell(f, base) and master_ok(f, base)
+        assert matches_bell(f, []) and matches_bell(f, base[:1])
+        for n in (2, 3, 4, 6, 8, 9, 12, 30, 97, 128, 210, 243, 289, 300):
+            seq = list(base)
+            seq[n - 1] += 1
+            assert matches_bell(f, seq) == master_ok(f, seq)
+            # a wrong value is caught exactly at a prime power
+            assert master_ok(f, seq) == (len(_ofactor(n)) > 1)
 
 
 def test_factor_sieve():
