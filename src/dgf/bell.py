@@ -9,7 +9,11 @@ fraction-free Berlekamp-Massey pass at p = 2^k, read back from balanced
 base-2^k digits and proved over Z[p] by one product check at p = 2^K.
 Each combinator is one coefficient rule over its operands' memoized
 coefficients and at most one Bell rule over their Bell series, both
-serving every prime alike.
+serving every prime alike.  A catalog atom takes its series from its
+closed form; a pointwise product or power refits at the degree bound of
+the termwise product of its operands' series, a proof when those are
+exact.  Only where neither applies is the master's window refitted at
+the degree cap.
 """
 from __future__ import annotations
 
@@ -239,11 +243,13 @@ class MultiplicativeFunction:
     """A multiplicative function: master equation + cached Bell data.
 
     One cache holds the Bell series at the generic prime (key None) and
-    at each exceptional prime.  A combinator passes derive(q), its Bell
-    rule over the operands' series at q; where there is none or it gives
-    None (an atom, a pointwise product, a power j > 1, a non-integral
-    shift, an operand without a series) the series is refitted from the
-    master equation.
+    at each exceptional prime, filled by derive(q): a catalog atom's
+    closed form, or a combinator's Bell rule over its operands' series at
+    q (for a pointwise product or power j > 1, the refit at their degree
+    bound).  Where there is none or it gives None (an atom without a
+    closed form, an exceptional prime of an atom, a non-integral shift, an
+    operand without a series, a pointwise bound at or above the cap) the
+    master's first 2*cap+4 coefficients are refitted at the degree cap.
     """
 
     def __init__(self, name: str, master: MasterEquation,
@@ -272,15 +278,19 @@ class MultiplicativeFunction:
             b = self._derive(q) if self._derive else None
             if b is None:
                 cap = self.degree_cap if q is None else LOCAL_DEGREE_CAP
-                K = 2 * cap + 3
-                series = (self.series(K) if q is None else
-                          list(map(PrimePoly.const, self.local_series(q, K))))
-                try:
-                    b = rationalize(series, cap)
-                except DegreeBoundError:
-                    pass
+                b = self._refit(q, cap, 2 * cap + 3)
             self._bells[q] = b
         return self._bells[q]
+
+    def _refit(self, q: int | None, d: int, K: int) -> BellRational | None:
+        """The fit of degree <= d to a(q^0), ..., a(q^K) (generic for q
+        None), or None when there is none."""
+        series = (self.series(K) if q is None else
+                  list(map(PrimePoly.const, self.local_series(q, K))))
+        try:
+            return rationalize(series, d)
+        except DegreeBoundError:
+            return None
 
     def series(self, K: int) -> list[PrimePoly]:
         return bell_from_master(self.master, K)
@@ -343,9 +353,12 @@ def _lift(rule, *fs: MultiplicativeFunction) -> MasterEquation:
 
 def _derive(rule, *fs: MultiplicativeFunction):
     """derive(q): rule over the operands' Bell series at q (generic for
-    None), or None when an operand has none."""
+    None), or None when an operand has none or fails to find one."""
     def derive(q):
-        bs = [f.bell if q is None else f.local_bell(q) for f in fs]
+        try:
+            bs = [f.bell if q is None else f.local_bell(q) for f in fs]
+        except DegreeBoundError:
+            return None
         return None if any(b is None for b in bs) else rule(q, *bs)
     return derive
 
@@ -380,23 +393,62 @@ def dirichlet_inverse(f: MultiplicativeFunction,
                                   derive=derive)
 
 
+def hadamard_degree(bells: Sequence[BellRational]) -> int:
+    """A bound D on the numerator and denominator degrees of the termwise
+    (Hadamard) product of the series bells.
+
+    From e0 = max(0, n_i - d_i + 1) on, the coefficients of num_i/den_i
+    (degrees n_i, d_i) satisfy a linear recurrence of order d_i, so their
+    product satisfies one of order R = prod d_i (Stanley, EC1 4.2): it is
+    rational with denominator degree <= R and numerator degree
+    <= R + e0 - 1.
+    """
+    R = math.prod(b.den.degree() for b in bells)
+    e0 = max(0, *(b.num.degree() - b.den.degree() + 1 for b in bells))
+    return R + max(0, e0 - 1)
+
+
+def _pointwise(name: str, master: MasterEquation,
+               fs: Sequence[MultiplicativeFunction]) -> MultiplicativeFunction:
+    """The termwise product of fs (repeats allowed), over its master.
+
+    Where the operands' series at q bound its degree by D below the cap,
+    its Bell series there is the fit of degree <= D to its first 2D+2
+    coefficients: two rationals of degree <= D that agree that far are
+    equal, so the fit is a proof when the operands' series are exact.
+    Where an operand has no series or D reaches the cap, derive gives None
+    and the cap refit runs.
+    """
+    def bounded(q, *bs):
+        D, h = hadamard_degree(bs), me()
+        cap = h.degree_cap if q is None else LOCAL_DEGREE_CAP
+        return h._refit(q, D, 2 * D + 1) if D < cap else None
+
+    out = MultiplicativeFunction(name, master, derive=_derive(bounded, *fs))
+    # weak, as in _lift, so that the function and its rule form no cycle
+    me = weakref.ref(out)
+    return out
+
+
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
                       name: str | None = None) -> MultiplicativeFunction:
-    """(f . g)(p^e) = f(p^e) g(p^e); Bell series refitted from the master."""
+    """(f . g)(p^e) = f(p^e) g(p^e); Bell series refitted at the degree
+    bound of the operands' series (hadamard_degree)."""
     master = _lift(lambda q, e, c, a, b: a(e) * b(e), f, g)
-    return MultiplicativeFunction(name or "(%s * %s)" % (f.name, g.name),
-                                  master)
+    return _pointwise(name or "(%s * %s)" % (f.name, g.name), master, [f, g])
 
 
 def pointwise_power(f: MultiplicativeFunction, j: int,
                     name: str | None = None) -> MultiplicativeFunction:
-    """j-th pointwise power, j >= 1."""
+    """j-th pointwise power, j >= 1: for j > 1 the product of j copies."""
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
     master = _lift(lambda q, e, c, a: reduce(operator.mul, [a(e)] * j), f)
-    derive = _derive(lambda q, fb: fb, f) if j == 1 else None
-    return MultiplicativeFunction(name or "%s^%d" % (f.name, j), master,
-                                  derive=derive)
+    name = name or "%s^%d" % (f.name, j)
+    if j > 1:
+        return _pointwise(name, master, [f] * j)
+    return MultiplicativeFunction(name, master,
+                                  derive=_derive(lambda q, fb: fb, f))
 
 
 def shift_by_power(f: MultiplicativeFunction, k: int,

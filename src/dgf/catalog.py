@@ -2,7 +2,9 @@
 
 Each entry couples a prime-power rule (the function's defining master
 equation) with a short description, the closed Bell series when one is
-known, and the expected finite zeta-factor shape when one exists.
+known, and the expected finite zeta-factor shape when one exists.  The
+closed form is used at runtime: with common factors cancelled it is the
+instance's generic-prime Bell series, so no master window is refitted.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bell import (DEFAULT_DEGREE_CAP, BellRational, MasterEquation,
-                   MultiplicativeFunction)
+                   MultiplicativeFunction, _reduce_product)
 from .errors import CatalogError
 from .euler import INFINITE, ZetaFactor, _merge
 from .polys import PrimePoly, XPoly
@@ -129,8 +131,18 @@ class CatalogEntry:
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
         master, cap = self.build(*vals)
+        derive = None
+        if self.bell is not None:
+            def derive(q):
+                # the closed form with common factors cancelled, built on
+                # first use; exceptional primes refit their values
+                if q is not None:
+                    return None
+                b = self.bell(*vals)
+                return _reduce_product(b.num, b.den)
         return MultiplicativeFunction(self.instance_name(vals), master,
-                                      degree_cap=cap or DEFAULT_DEGREE_CAP)
+                                      degree_cap=cap or DEFAULT_DEGREE_CAP,
+                                      derive=derive)
 
     def closed_bell(self, *args) -> BellRational | None:
         if self.bell is None:

@@ -6,14 +6,15 @@ master-equation engine and of its sieve.  The Euler-factor peel is
 redone by series division and factor lists are multiplied back out one
 binomial power at a time, independent of the log-derivative pass, and
 zeta factors by whole-stream Dirichlet products, independent of the
-prime-by-prime Euler factors.  Local Bell series at exceptional primes
-are refitted from the prime-power values, independent of the
-combinators' Bell rules.  Truncated series products, inverses and
-comparisons are written out here, independent of the engine's one
-series division, and so is the Berlekamp-Massey fit over Q that the
-engine's fraction-free kernel is checked against.  The Euler product is
-multiplied out one prime at a time over trial-division primes, the
-reference for the engine's blocked kernel.
+prime-by-prime Euler factors.  Bell series, generic and at exceptional
+primes, are refitted from the prime-power values at the degree cap,
+independent of the closed forms and of the combinators' Bell rules.
+Truncated series products, inverses and comparisons are written out
+here, independent of the engine's one series division, and so is the
+Berlekamp-Massey fit over Q that the engine's fraction-free kernel is
+checked against.  The Euler product is multiplied out one prime at a
+time over trial-division primes, the reference for the engine's blocked
+kernel.
 """
 from __future__ import annotations
 
@@ -94,6 +95,16 @@ def fraction_pade(vals: Sequence[int], d_cap: int):
             gap += 1
         den = step
     return None
+
+
+def refit_bell(f) -> BellRational | None:
+    """Generic-prime Bell series of f fitted at its degree cap to the first
+    2*cap+4 master coefficients, or None when none fits."""
+    cap = f.degree_cap
+    try:
+        return rationalize(f.series(2 * cap + 3), cap)
+    except DegreeBoundError:
+        return None
 
 
 def refit_local_bell(f, q: int) -> BellRational | None:

@@ -1,6 +1,8 @@
 """Master equations, Bell series reconstruction, and the combinators."""
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ from dgf.bell import (
     bell_from_master,
     dirichlet_convolve,
     dirichlet_inverse,
+    hadamard_degree,
     pointwise_power,
     pointwise_product,
     rationalize,
@@ -26,8 +29,8 @@ from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly
 from dgf.sequences import terms
 
-from oracles import (brute_convolve, brute_unitary_convolve, refit_local_bell,
-                     series_eq)
+from oracles import (brute_convolve, brute_unitary_convolve, refit_bell,
+                     refit_local_bell, series_eq)
 
 P = PrimePoly
 
@@ -249,6 +252,52 @@ def test_pointwise_product_bell_path():
     g = pointwise_power(make("phi"), 2)
     assert series_eq(f.series(8), g.series(8), 8)
     assert terms(f, 40) == [phi * phi for phi in terms(make("phi"), 40)]
+
+
+def test_pointwise_refit_reads_its_degree_bound(monkeypatch):
+    # 1/((1 - p x)(1 - p^2 x)) times 1 + x termwise: R = 2 * 0 and e0 = 2,
+    # so D = 1 and the fit reads a(p^0..p^3), not the 36 of the cap refit
+    ops = [parse_function("phi <*> sigma(2)"), parse_function("mu^2")]
+    D = hadamard_degree([f.bell for f in ops])
+    assert D == 1
+    h = pointwise_product(*ops)
+    read = set()
+    generic_poly = MasterEquation.generic_poly
+
+    def counted(self, e):
+        if self is h.master:
+            read.add(e)
+        return generic_poly(self, e)
+
+    monkeypatch.setattr(MasterEquation, "generic_poly", counted)
+    assert h.bell == BellRational(xp(1, P({1: 1, 2: 1})), xp(1))
+    assert read and len(read) <= 2 * D + 2
+    assert h.bell == refit_bell(h)
+
+
+def test_functions_free_without_the_cycle_collector():
+    # the rules reach their own function only through weak references
+    gc.disable()
+    try:
+        for src in ["(phi <*> sigma(2)) * mu^2", "sigma(1)^3", "gcdc(12) * phi"]:
+            f = parse_function(src)
+            assert f.bell is not None and f.local_bell(2) is not None
+            ref = weakref.ref(f)
+            del f
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_pointwise_falls_back_to_the_cap_refit():
+    # four degree-2 operands bound the product by D = 16, the cap itself
+    ops = [make("sigma", k) for k in (1, 2, 3, 4)]
+    assert hadamard_degree([f.bell for f in ops]) == 16
+    h = ops[0]
+    for f in ops[1:]:
+        h = pointwise_product(h, f)
+    assert h.bell is not None and h.bell == refit_bell(h)
+    assert max(h.bell.num.degree(), h.bell.den.degree()) <= 16
 
 
 def test_combinators_derive_bell_on_first_read(monkeypatch):

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import pytest
 
+from dgf.bell import MultiplicativeFunction, bell_from_master
 from dgf.catalog import CATALOG, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
-from oracles import series_eq
+from oracles import refit_bell, series_eq
 
 
 def test_names_sorted_and_complete():
@@ -46,9 +47,33 @@ def test_closed_bell_matches_master(name, args):
     closed = CATALOG[name].closed_bell(*args)
     if closed is None:
         pytest.skip("no closed bell recorded")
-    K = 10
-    from dgf.bell import bell_from_master
+    # the whole window the master refit used to prove at the degree cap
+    K = 2 * f.degree_cap + 3
     assert series_eq(closed.series(K), bell_from_master(f.master, K), K)
+
+
+@pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))
+def test_bell_equals_master_refit(name, args):
+    # closed forms are runtime data: the series built from one is the one
+    # the master window at the degree cap fits
+    f = make(name, *args)
+    assert f.bell == refit_bell(f)
+
+
+def test_closed_forms_skip_the_master_refit(monkeypatch):
+    refits = []
+    refit = MultiplicativeFunction._refit
+
+    def counted(self, q, d, K):
+        refits.append((self.name, q))
+        return refit(self, q, d, K)
+
+    monkeypatch.setattr(MultiplicativeFunction, "_refit", counted)
+    for name, args, f in grid_instances():
+        assert f.bell is not None
+        if CATALOG[name].bell is not None:
+            assert (f.name, None) not in refits
+    assert refits  # entries without a closed form still refit
 
 
 @pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))

@@ -12,6 +12,7 @@ from dgf.bell import (
     _scalar_pade,
     dirichlet_convolve,
     dirichlet_inverse,
+    hadamard_degree,
     rationalize,
     shift_by_power,
     unitary_convolve,
@@ -19,14 +20,16 @@ from dgf.bell import (
 from dgf.catalog import make
 from dgf.errors import DegreeBoundError
 from dgf.euler import euler_expand
-from dgf.parser import Atom, Conv, Inv, PMul, PPow, Shift, UConv, parse, to_text
+from dgf.parser import (Atom, Conv, Inv, PMul, PPow, Shift, UConv, build,
+                        parse, to_text)
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
 from conftest import GRID
 from oracles import (brute_convolve, brute_unitary_convolve,
                      expand_factor_list, fraction_pade, peel_by_division,
-                     series_eq, series_inv, series_mul)
+                     refit_bell, refit_local_bell, series_eq, series_inv,
+                     series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -206,18 +209,25 @@ atoms = st.sampled_from([
 ])
 
 
-def ast_strategy():
+exceptional_atoms = st.sampled_from([
+    Atom("gcdc", (12,)), Atom("ramanujan", (6,)), Atom("sigma_odd", (1,)),
+    Atom("periodic4", (3, 7)),
+])
+
+
+def ast_strategy(leaves=atoms, shifts=st.integers(-3, 3),
+                 powers=st.integers(1, 5), max_leaves=6):
     return st.recursive(
-        atoms,
+        leaves,
         lambda kids: st.one_of(
             st.tuples(kids, kids).map(lambda t: Conv(*t)),
             st.tuples(kids, kids).map(lambda t: UConv(*t)),
             st.tuples(kids, kids).map(lambda t: PMul(*t)),
-            st.tuples(kids, st.integers(1, 5)).map(lambda t: PPow(*t)),
+            st.tuples(kids, powers).map(lambda t: PPow(*t)),
             kids.map(Inv),
-            st.tuples(kids, st.integers(-3, 3)).map(lambda t: Shift(*t)),
+            st.tuples(kids, shifts).map(lambda t: Shift(*t)),
         ),
-        max_leaves=6,
+        max_leaves=max_leaves,
     )
 
 
@@ -225,3 +235,31 @@ def ast_strategy():
 @given(ast_strategy())
 def test_parser_round_trips_any_tree(ast):
     assert parse(to_text(ast)) == ast
+
+
+# integral shifts only, so that every operand has its coefficients, and
+# small trees and powers, so that a cap refit that finds no fit stays rare
+pointwise_operands = ast_strategy(st.one_of(atoms, exceptional_atoms),
+                                  shifts=st.integers(0, 3),
+                                  powers=st.integers(1, 2), max_leaves=2)
+
+
+@FEW
+@given(st.one_of(
+    st.tuples(pointwise_operands, pointwise_operands).map(lambda t: PMul(*t)),
+    st.tuples(pointwise_operands, st.integers(2, 3)).map(lambda t: PPow(*t))))
+def test_pointwise_bell_is_the_cap_refit(node):
+    # the refit at the degree bound D is the refit at the cap, generic and
+    # at every exceptional prime, and D bounds the series it finds
+    h = build(node)
+    ops = ([build(node.left), build(node.right)] if isinstance(node, PMul)
+           else [build(node.base)] * node.exponent)
+    for q in [None, *h.exceptional_primes]:
+        if q is None:
+            b, bs = h.bell, [f.bell for f in ops]
+            assert b == refit_bell(h)
+        else:
+            b, bs = h.local_bell(q), [f.local_bell(q) for f in ops]
+            assert b == refit_local_bell(h, q)
+        if b is not None and all(o is not None for o in bs):
+            assert max(b.num.degree(), b.den.degree()) <= hadamard_degree(bs)
