@@ -9,8 +9,7 @@ instance's generic-prime Bell series, so no master window is refitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bell import (DEFAULT_DEGREE_CAP, BellRational, MasterEquation,
                    MultiplicativeFunction, _reduce_product)
@@ -82,16 +81,14 @@ def _factorize(c: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     lo: int
     hi: int
     prime: bool = False
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     summary: str
     params: tuple[Param, ...]

@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage problems, 2 expression errors,
-3 math-domain errors (non-integral shifts, divergent evaluation points,
-missing rational forms), 4 verification mismatches.
+Exit codes: 0 success, 1 usage problems or an output pipe closed by its
+reader (`dgf terms ... | head`), 2 expression errors, 3 math-domain
+errors (non-integral shifts, divergent evaluation points, missing
+rational forms), 4 verification mismatches.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from .bell import DEFAULT_DEGREE_CAP
@@ -277,7 +279,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return ns.func(ns) or 0
+        code = ns.func(ns) or 0
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: the rest of the output goes to devnull,
+        # so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

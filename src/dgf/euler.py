@@ -13,19 +13,18 @@ coefficients expand by the same series_div.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import sequences
 from .bell import BellRational, MultiplicativeFunction, _reduce_product
 from .errors import SieveLimitError
 from .polys import PrimePoly, XPoly, series_div
+from .records import Record
 
 
-@dataclass(frozen=True)
-class EulerFactor:
+class EulerFactor(NamedTuple):
     """One factor (1 - S p^l x^u)^gamma of an Euler product over primes."""
     S: int
     l: int
@@ -55,15 +54,15 @@ class EulerFactor:
         return {"S": self.S, "l": self.l, "u": self.u, "gamma": self.gamma}
 
 
-@dataclass
-class EulerFactorList:
+class EulerFactorList(Record):
     """Canonically ordered factor list; truncated_at None means exact."""
-    factors: list[EulerFactor]
-    truncated_at: int | None = None
-    residual_ok: bool = True
+    __slots__ = ("factors", "truncated_at", "residual_ok")
 
-    def __post_init__(self):
-        self.factors = _merge(self.factors, EulerFactor)
+    def __init__(self, factors: Iterable[EulerFactor],
+                 truncated_at: int | None = None, residual_ok: bool = True):
+        self.factors = _merge(factors, EulerFactor)
+        self.truncated_at = truncated_at
+        self.residual_ok = residual_ok
 
     def __iter__(self):
         return iter(self.factors)
@@ -82,12 +81,12 @@ class EulerFactorList:
                 "truncated_at": self.truncated_at}
 
 
-def _merge(factors: Sequence, cls) -> list:
+def _merge(factors: Iterable, cls) -> list:
     """Add up the exponents gamma (the last field) of factors of one base,
     drop the zero ones and sort into the canonical order of cls."""
     acc: dict[tuple, int] = {}
     for f in factors:
-        key = tuple(vars(f).values())[:-1]
+        key = f[:-1]
         acc[key] = acc.get(key, 0) + f.gamma
     return sorted((cls(*k, g) for k, g in acc.items() if g), key=cls.sort_key)
 
@@ -214,8 +213,7 @@ def factor_bell(f, U: int = 8) -> EulerFactorList:
 # ---------------------------------------------------------------------------
 # finite zeta forms
 
-@dataclass(frozen=True)
-class ZetaFactor:
+class ZetaFactor(NamedTuple):
     """zeta(u*s - l)^gamma."""
     u: int
     l: int
@@ -234,12 +232,15 @@ class ZetaFactor:
         return {"u": self.u, "l": self.l, "gamma": self.gamma}
 
 
-@dataclass
-class LocalFactor:
+class LocalFactor(Record):
     """Rational correction in x = q^-s at one exceptional prime."""
-    prime: int
-    num: list[int]
-    den: list[int] = field(default_factory=lambda: [1])
+    __slots__ = ("prime", "num", "den")
+
+    def __init__(self, prime: int, num: list[int],
+                 den: list[int] | None = None):
+        self.prime = prime
+        self.num = num
+        self.den = [1] if den is None else den
 
     def is_polynomial(self) -> bool:
         return self.den == [1]
@@ -278,15 +279,14 @@ class LocalFactor:
         return d
 
 
-@dataclass
-class ZetaForm:
+class ZetaForm(Record):
     """Finite product of zeta factors times per-prime local corrections."""
-    zeta_factors: list[ZetaFactor]
-    local: list[LocalFactor] = field(default_factory=list)
+    __slots__ = ("zeta_factors", "local")
 
-    def __post_init__(self):
-        self.zeta_factors = _merge(self.zeta_factors, ZetaFactor)
-        self.local = sorted(self.local, key=lambda lf: lf.prime)
+    def __init__(self, zeta_factors: Iterable[ZetaFactor],
+                 local: Iterable[LocalFactor] = ()):
+        self.zeta_factors = _merge(zeta_factors, ZetaFactor)
+        self.local = sorted(local, key=lambda lf: lf.prime)
 
     def __str__(self) -> str:
         num = [z for z in self.zeta_factors if z.gamma > 0]
@@ -385,11 +385,13 @@ def zeta_factors_from_euler(efl: EulerFactorList) -> list[ZetaFactor]:
 # ---------------------------------------------------------------------------
 # convergence and Dirichlet coefficients
 
-@dataclass
-class ConvergenceInfo:
+class ConvergenceInfo(Record):
     """Abscissa bound max (l+1)/u; empty products converge everywhere."""
-    abscissa: Fraction
-    from_empty_product: bool = False
+    __slots__ = ("abscissa", "from_empty_product")
+
+    def __init__(self, abscissa: Fraction, from_empty_product: bool = False):
+        self.abscissa = abscissa
+        self.from_empty_product = from_empty_product
 
     def __str__(self) -> str:
         if self.from_empty_product:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul
@@ -16,6 +15,7 @@ from . import sequences
 from .bell import BellRational, MultiplicativeFunction
 from .errors import DivergenceError, SieveLimitError
 from .euler import ZetaForm, abscissa, factor_bell
+from .records import Record
 
 _BERNOULLI: list[Fraction] = []
 
@@ -92,11 +92,13 @@ def wynn_epsilon(seq: Sequence[float]) -> tuple[float, float]:
     return best, abs(best - best_prev)
 
 
-@dataclass
-class EvalResult:
-    value: float
-    error: float
-    method: str
+class EvalResult(Record):
+    __slots__ = ("value", "error", "method")
+
+    def __init__(self, value: float, error: float, method: str):
+        self.value = value
+        self.error = error
+        self.method = method
 
     def __str__(self) -> str:
         return "%.12g (error <= %.3g, %s)" % (self.value, self.error,

@@ -12,17 +12,17 @@ Grammar (highest precedence last):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .bell import (MultiplicativeFunction, dirichlet_convolve,
                    dirichlet_inverse, pointwise_power, pointwise_product,
                    shift_by_power, unitary_convolve)
 from .errors import ParseError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int  # 1-based column
@@ -68,45 +68,56 @@ def tokenize(text: str) -> list[Token]:
 
 # -- syntax tree --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    args: tuple[int, ...] = ()
+class _Node(Record):
+    """Immutable syntax node: nodes of different kinds are never equal."""
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError("%s takes %d fields, got %d" % (
+                type(self).__name__, len(self.__slots__), len(values)))
+        for k, v in zip(self.__slots__, values):
+            object.__setattr__(self, k, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("syntax nodes are immutable")
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class Conv:
-    left: object
-    right: object
+class Atom(_Node):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[int, ...] = ()):
+        super().__init__(name, args)
 
 
-@dataclass(frozen=True)
-class UConv:
-    left: object
-    right: object
+class Conv(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class PMul:
-    left: object
-    right: object
+class UConv(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class PPow:
-    base: object
-    exponent: int
+class PMul(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Inv:
-    inner: object
+class PPow(_Node):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Shift:
-    inner: object
-    k: int
+class Inv(_Node):
+    __slots__ = ("inner",)
+
+
+class Shift(_Node):
+    __slots__ = ("inner", "k")
 
 
 def to_text(node) -> str:

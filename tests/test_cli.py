@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -319,7 +318,7 @@ def test_verify_catches_non_multiplicative_values(capsys, monkeypatch):
     def bump_first_gamma(*args):
         efl = factor_bell(*args)
         g = efl.factors[0]
-        return EulerFactorList([replace(g, gamma=g.gamma + 1)]
+        return EulerFactorList([g._replace(gamma=g.gamma + 1)]
                                + efl.factors[1:], efl.truncated_at)
 
     # a(6) of phi, a coprime product, against its zeta form; a(4) of

@@ -1,7 +1,6 @@
 """Euler-product factorization, zeta forms, and coefficient streams."""
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,8 @@ from dgf.bell import BellRational, dirichlet_convolve, pointwise_power, pointwis
 from dgf.catalog import make
 from dgf.euler import (
     INFINITE,
+    ConvergenceInfo,
+    EulerFactor,
     EulerFactorList,
     _log_series,
     _peel,
@@ -121,7 +122,7 @@ def test_round_trip_agrees_with_binomial_products():
         assert round_trips(efl, S), (name, args)
         for i, g in enumerate(efl.factors):
             bumped = EulerFactorList(efl.factors[:i] + efl.factors[i + 1:]
-                                     + [replace(g, gamma=g.gamma + 1)])
+                                     + [g._replace(gamma=g.gamma + 1)])
             ok = round_trips(bumped, S)
             assert ok == series_eq(expand_factor_list(bumped, U), S, U)
             assert ok == (g.u > U), (name, args, g)
@@ -317,3 +318,39 @@ def test_abscissa_empty_product():
     assert ci.from_empty_product
     assert ci.abscissa == 0
     assert str(ci) == "0 (empty product)"
+
+
+def test_records_print_compare_and_normalise():
+    # a record prints through "%s" % record as one argument, not as a tuple
+    ci = abscissa(factor_bell(make("phi")))
+    assert "%s" % ci == "2" and "%s" % abscissa([]) == "0 (empty product)"
+    assert repr(ci) == ("ConvergenceInfo(abscissa=Fraction(2, 1),"
+                        " from_empty_product=False)")
+    assert ci == ConvergenceInfo(Fraction(2)) != ConvergenceInfo(Fraction(2),
+                                                                 True)
+    # the constructors merge exponents, drop zero ones and sort
+    efl = EulerFactorList([EulerFactor(1, 0, 1, 1), EulerFactor(1, 1, 1, 2),
+                           EulerFactor(1, 0, 1, -1)], truncated_at=4)
+    assert efl.factors == [EulerFactor(1, 1, 1, 2)]
+    assert efl == EulerFactorList([EulerFactor(1, 1, 1, 2)], 4)
+    assert efl != EulerFactorList([EulerFactor(1, 1, 1, 2)])
+    assert repr(efl) == ("EulerFactorList(factors=[EulerFactor(S=1, l=1, u=1,"
+                         " gamma=2)], truncated_at=4, residual_ok=True)")
+    assert efl.factors[0]._replace(gamma=3) == EulerFactor(1, 1, 1, 3)
+    zf = ZetaForm([ZetaFactor(1, 0, 1), ZetaFactor(1, 1, 1),
+                   ZetaFactor(1, 0, 1)],
+                  [LocalFactor(3, [1, 2]), LocalFactor(2, [1, 1], [1, -1])])
+    assert zf.zeta_factors == [ZetaFactor(1, 1, 1), ZetaFactor(1, 0, 2)]
+    assert [lf.prime for lf in zf.local] == [2, 3]
+    assert zf.local[1] == LocalFactor(3, [1, 2], [1])
+    assert zf == ZetaForm([ZetaFactor(1, 0, 2), ZetaFactor(1, 1, 1)],
+                          zf.local[::-1])
+    assert zf != ZetaForm(zf.zeta_factors)
+    assert str(zf) == ("zeta(s-1)*zeta(s)^2 * (1 + 2^(-s))/(1 - 2^(-s)) [p=2]"
+                       " * (1 + 2*3^(-s)) [p=3]")
+    assert repr(ZetaForm([ZetaFactor(2, 0, -1)])) == (
+        "ZetaForm(zeta_factors=[ZetaFactor(u=2, l=0, gamma=-1)], local=[])")
+    # mutable records are unhashable, as before
+    for rec in (ci, efl, zf, zf.local[0]):
+        with pytest.raises(TypeError):
+            hash(rec)

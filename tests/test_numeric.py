@@ -139,6 +139,16 @@ def test_eval_result_str():
     assert str(r) == "1.9773043503 (error <= 2.39e-05, euler_product+wynn)"
 
 
+def test_eval_result_record():
+    # one argument to "%s", never a tuple of three
+    r = EvalResult(1.9773043502972958, 2.39e-05, "euler_product+wynn")
+    assert "%s" % r == "1.9773043503 (error <= 2.39e-05, euler_product+wynn)"
+    assert repr(r) == ("EvalResult(value=1.9773043502972958, error=2.39e-05,"
+                       " method='euler_product+wynn')")
+    assert r == EvalResult(1.9773043502972958, 2.39e-05, "euler_product+wynn")
+    assert r != (r.value, r.error, r.method)
+
+
 def _squares():
     # a(p^e) = 1 when e is a square: a lacunary Bell series, not rational
     return MultiplicativeFunction("squares", MasterEquation(

@@ -1,6 +1,9 @@
 """Expression language: tokens, precedence, round trips, and errors."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from dgf.catalog import make
@@ -52,6 +55,28 @@ def test_atom_arguments_inv_shift():
     assert parse("inv(one)") == Inv(Atom("one"))
     assert parse("shift(phi, 2)") == Shift(Atom("phi"), 2)
     assert parse("shift(phi, -1)") == Shift(Atom("phi"), -1)
+
+
+def test_node_kinds_equality_and_hash():
+    a, b = Atom("mu"), Atom("phi")
+    nodes = [Conv(a, b), UConv(a, b), PMul(a, b), PPow(a, 2), Inv(a),
+             Shift(a, 2)]
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            assert (x == y) == (i == j), (x, y)
+    # equal trees of separate parses hash alike, so a set keeps one each
+    again = [parse(to_text(n)) for n in nodes]
+    assert again == nodes
+    assert [hash(n) for n in again] == [hash(n) for n in nodes]
+    assert len(set(nodes + again)) == len(nodes)
+    assert Conv(a, b) != (a, b) and Atom("mu") != ("mu", ())
+    assert repr(Shift(a, 2)) == "Shift(inner=Atom(name='mu', args=()), k=2)"
+    assert copy.deepcopy(nodes) == nodes
+    assert pickle.loads(pickle.dumps(nodes)) == nodes
+    with pytest.raises(AttributeError):
+        a.name = "phi"
+    with pytest.raises(TypeError):
+        Conv(a)
 
 
 @pytest.mark.parametrize("src", [
