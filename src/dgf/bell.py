@@ -246,18 +246,17 @@ class MultiplicativeFunction:
     at each exceptional prime, filled by derive(q): a catalog atom's
     closed form, or a combinator's Bell rule over its operands' series at
     q (for a pointwise product or power j > 1, the refit at their degree
-    bound).  Where there is none or it gives None (an atom without a
-    closed form, an exceptional prime of an atom, a non-integral shift, an
+    bound).  Where there is none or it gives None (a function built
+    without one, an exceptional prime of an atom, a non-integral shift, an
     operand without a series, a pointwise bound at or above the cap) the
-    master's first 2*cap+4 coefficients are refitted at the degree cap.
+    master's first 2*cap+4 coefficients are refitted at the degree cap,
+    DEFAULT_DEGREE_CAP at the generic prime and LOCAL_DEGREE_CAP at q.
     """
 
     def __init__(self, name: str, master: MasterEquation,
-                 degree_cap: int = DEFAULT_DEGREE_CAP,
                  derive: Callable | None = None):
         self.name = name
         self.master = master
-        self.degree_cap = degree_cap
         self._derive = derive
         self._bells: dict[int | None, BellRational | None] = {}
 
@@ -277,7 +276,7 @@ class MultiplicativeFunction:
         if q not in self._bells:
             b = self._derive(q) if self._derive else None
             if b is None:
-                cap = self.degree_cap if q is None else LOCAL_DEGREE_CAP
+                cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
                 b = self._refit(q, cap, 2 * cap + 3)
             self._bells[q] = b
         return self._bells[q]
@@ -420,9 +419,9 @@ def _pointwise(name: str, master: MasterEquation,
     and the cap refit runs.
     """
     def bounded(q, *bs):
-        D, h = hadamard_degree(bs), me()
-        cap = h.degree_cap if q is None else LOCAL_DEGREE_CAP
-        return h._refit(q, D, 2 * D + 1) if D < cap else None
+        D = hadamard_degree(bs)
+        cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
+        return me()._refit(q, D, 2 * D + 1) if D < cap else None
 
     out = MultiplicativeFunction(name, master, derive=_derive(bounded, *fs))
     # weak, as in _lift, so that the function and its rule form no cycle

@@ -1,20 +1,25 @@
 """Built-in library of multiplicative functions.
 
 Each entry couples a prime-power rule (the function's defining master
-equation) with a short description, the closed Bell series when one is
-known, and the expected finite zeta-factor shape when one exists.  The
-closed form is used at runtime: with common factors cancelled it is the
-instance's generic-prime Bell series, so no master window is refitted.
+equation) with a short description and the closed form of its Bell
+series at a generic prime.  Where the Dirichlet series is a finite
+product of zeta factors zeta(us - l)^gamma, the entry's zeta= list of
+(u, l, gamma) is that closed form: its Bell series is the product of
+(1 - p^l x^u)^-gamma.  Only the entries whose series is no such product
+for some parameter values (zeta= gives "infinite" or None there) carry
+an explicit bell= form.  At runtime the closed form, with common factors
+cancelled, is the instance's generic-prime Bell series, so no master
+window is refitted; exceptional primes refit their values.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple
 
-from .bell import (DEFAULT_DEGREE_CAP, BellRational, MasterEquation,
-                   MultiplicativeFunction, _reduce_product)
+from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
+                   _reduce_product)
 from .errors import CatalogError
-from .euler import INFINITE, ZetaFactor, _merge
+from .euler import INFINITE, ZetaFactor, _merge, _zeta_bell
 from .polys import PrimePoly, XPoly
 
 _MAX_K = 30
@@ -125,26 +130,30 @@ class CatalogEntry(NamedTuple):
             return self.name
         return "%s(%s)" % (self.name, ",".join(str(a) for a in args))
 
+    def _closed(self, vals) -> BellRational:
+        """The generic Bell series in closed form: the bell= form if the
+        entry has one, else the product of its zeta= factors, which is
+        then a finite list for every parameter value."""
+        if self.bell is not None:
+            return self.bell(*vals)
+        zs = map(ZetaFactor._make, self.zeta(*vals))
+        return BellRational(*_zeta_bell(zs))
+
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
-        master, cap = self.build(*vals)
-        derive = None
-        if self.bell is not None:
-            def derive(q):
-                # the closed form with common factors cancelled, built on
-                # first use; exceptional primes refit their values
-                if q is not None:
-                    return None
-                b = self.bell(*vals)
-                return _reduce_product(b.num, b.den)
-        return MultiplicativeFunction(self.instance_name(vals), master,
-                                      degree_cap=cap or DEFAULT_DEGREE_CAP,
-                                      derive=derive)
 
-    def closed_bell(self, *args) -> BellRational | None:
-        if self.bell is None:
-            return None
-        return self.bell(*self.check_args(args))
+        def derive(q):
+            # the closed form with common factors cancelled, built on
+            # first use; exceptional primes refit their values
+            if q is not None:
+                return None
+            b = self._closed(vals)
+            return _reduce_product(b.num, b.den)
+        return MultiplicativeFunction(self.instance_name(vals),
+                                      self.build(*vals), derive=derive)
+
+    def closed_bell(self, *args) -> BellRational:
+        return self._closed(self.check_args(args))
 
     def expected_zeta(self, *args):
         """Finite form as (u, l, gamma) tuples, "infinite", or None."""
@@ -186,24 +195,21 @@ _QP = Param("q", 2, _MAX_C, prime=True)
 # -- all-ones, identity and power scales ------------------------------------
 
 @_register("one", "constantly 1; unit of Dirichlet convolution products",
-           bell=lambda: BellRational(_xp(1), _bin(1, 0, 1)),
            zeta=lambda: [(1, 0, 1)])
 def _build_one():
-    return MasterEquation(lambda e: _ONE), None
+    return MasterEquation(lambda e: _ONE)
 
 
 @_register("id", "identity map n",
-           bell=lambda: BellRational(_xp(1), _bin(1, 1, 1)),
            zeta=lambda: [(1, 1, 1)])
 def _build_id():
-    return MasterEquation(lambda e: _P(e)), None
+    return MasterEquation(lambda e: _P(e))
 
 
 @_register("power", "k-th power n^k", [_K],
-           bell=lambda k: BellRational(_xp(1), _bin(1, k, 1)),
            zeta=lambda k: [(1, k, 1)])
 def _build_power(k):
-    return MasterEquation(lambda e: _P(k * e)), None
+    return MasterEquation(lambda e: _P(k * e))
 
 
 @_register("const", "c raised to the number of prime factors with "
@@ -211,30 +217,28 @@ def _build_power(k):
            bell=lambda c: BellRational(_xp(1), _xp(1, -c)),
            zeta=lambda c: [(1, 0, 1)] if c == 1 else INFINITE)
 def _build_const(c):
-    return MasterEquation(lambda e: _C(c**e)), None
+    return MasterEquation(lambda e: _C(c**e))
 
 
 # -- sign functions ----------------------------------------------------------
 
 @_register("mu", "Moebius function: parity of squarefree factorisations",
-           bell=lambda: BellRational(_xp(1, -1), _xp(1)),
            zeta=lambda: [(1, 0, -1)])
 def _build_mu():
-    return MasterEquation(lambda e: _C(-1) if e == 1 else _ZERO), None
+    return MasterEquation(lambda e: _C(-1) if e == 1 else _ZERO)
 
 
 @_register("liouville", "parity of the total number of prime factors",
-           bell=lambda: BellRational(_xp(1), _xp(1, 1)),
            zeta=lambda: [(2, 0, 1), (1, 0, -1)])
 def _build_liouville():
-    return MasterEquation(lambda e: _C((-1) ** e)), None
+    return MasterEquation(lambda e: _C((-1) ** e))
 
 
 @_register("mu_star", "sign from the number of distinct prime factors",
            bell=lambda: BellRational(_xp(1, -2), _xp(1, -1)),
            zeta=lambda: INFINITE)
 def _build_mu_star():
-    return MasterEquation(lambda e: _C(-1)), None
+    return MasterEquation(lambda e: _C(-1))
 
 
 @_register("mu_apostol", "1 on k-th-power-free n, -1 when some prime "
@@ -248,24 +252,22 @@ def _build_mu_apostol(k):
         if e < k:
             return _ONE
         return _C(-1) if e == k else _ZERO
-    return MasterEquation(rule), max(DEFAULT_DEGREE_CAP, k + 3)
+    return MasterEquation(rule)
 
 
 # -- indicator-style selectors -----------------------------------------------
 
 @_register("eps", "indicator of perfect t-th powers", [_T],
-           bell=lambda t: BellRational(_xp(1), _bin(1, 0, t)),
            zeta=lambda t: [(t, 0, 1)])
 def _build_eps(t):
-    return MasterEquation(lambda e: _ONE if e % t == 0 else _ZERO), None
+    return MasterEquation(lambda e: _ONE if e % t == 0 else _ZERO)
 
 
 @_register("xi", "indicator of t-free numbers (no prime power p^t divides)",
            [_T],
-           bell=lambda t: BellRational(_bin(1, 0, t), _bin(1, 0, 1)),
            zeta=lambda t: [(1, 0, 1), (t, 0, -1)])
 def _build_xi(t):
-    return MasterEquation(lambda e: _ONE if e < t else _ZERO), None
+    return MasterEquation(lambda e: _ONE if e < t else _ZERO)
 
 
 @_register("depleted", "drops multiples of q^k, 1 elsewhere",
@@ -273,13 +275,13 @@ def _build_xi(t):
            zeta=lambda q, k: [(1, 0, 1)])
 def _build_depleted(q, k):
     return MasterEquation(lambda e: _ONE,
-                          {q: lambda e: 1 if e < k else 0}), None
+                          {q: lambda e: 1 if e < k else 0})
 
 
 @_register("periodic2", "c on even numbers, 1 on odd", [_CP],
            zeta=lambda c: [(1, 0, 1)])
 def _build_periodic2(c):
-    return MasterEquation(lambda e: _ONE, {2: lambda e: c}), None
+    return MasterEquation(lambda e: _ONE, {2: lambda e: c})
 
 
 @_register("periodic4", "c1 on multiples of 4, c2 on other evens, 1 on odd",
@@ -287,7 +289,7 @@ def _build_periodic2(c):
            zeta=lambda c1, c2: [(1, 0, 1)])
 def _build_periodic4(c1, c2):
     return MasterEquation(lambda e: _ONE,
-                          {2: lambda e: c2 if e == 1 else c1}), None
+                          {2: lambda e: c2 if e == 1 else c1})
 
 
 # -- fixed-argument gcd and lcm ----------------------------------------------
@@ -297,7 +299,7 @@ def _build_periodic4(c1, c2):
 def _build_gcdc(c):
     exc = {q: (lambda e, q=q, eq=eq: q ** min(e, eq))
            for q, eq in _factorize(c)}
-    return MasterEquation(lambda e: _ONE, exc), None
+    return MasterEquation(lambda e: _ONE, exc)
 
 
 @_register("lcmc", "lcm(n, c)/c for fixed c", [_CP],
@@ -305,18 +307,16 @@ def _build_gcdc(c):
 def _build_lcmc(c):
     exc = {q: (lambda e, q=q, eq=eq: q ** max(e - eq, 0))
            for q, eq in _factorize(c)}
-    return MasterEquation(lambda e: _P(e), exc), None
+    return MasterEquation(lambda e: _P(e), exc)
 
 
 # -- power-part extractors ---------------------------------------------------
 
 @_register("core", "t-free part: n divided by its largest t-th-power divisor",
            [_T],
-           bell=lambda t: BellRational(_bin(1, t, t),
-                                       _bin(1, 0, t) * _bin(1, 1, 1)),
            zeta=lambda t: [(t, 0, 1), (1, 1, 1), (t, t, -1)])
 def _build_core(t):
-    return MasterEquation(lambda e: _P(e % t)), None
+    return MasterEquation(lambda e: _P(e % t))
 
 
 @_register("rad", "prime exponents clipped at t-1 (t=2 gives the radical)",
@@ -326,57 +326,47 @@ def _build_core(t):
                _bin(1, 0, 1)),
            zeta=lambda t: INFINITE)
 def _build_rad(t):
-    return MasterEquation(lambda e: _P(min(e, t - 1))), None
+    return MasterEquation(lambda e: _P(min(e, t - 1)))
 
 
 @_register("max_tpow", "largest t-th power dividing n", [_T],
-           bell=lambda t: BellRational(_bin(1, 0, t),
-                                       _bin(1, 0, 1) * _bin(1, t, t)),
            zeta=lambda t: [(1, 0, 1), (t, t, 1), (t, 0, -1)])
 def _build_max_tpow(t):
-    return MasterEquation(lambda e: _P(t * (e // t))), None
+    return MasterEquation(lambda e: _P(t * (e // t)))
 
 
 @_register("root_tpow", "t-th root of the largest t-th power dividing n",
            [_T],
-           bell=lambda t: BellRational(_bin(1, 0, t),
-                                       _bin(1, 0, 1) * _bin(1, 1, t)),
            zeta=lambda t: [(1, 0, 1), (t, 1, 1), (t, 0, -1)])
 def _build_root_tpow(t):
-    return MasterEquation(lambda e: _P(e // t)), None
+    return MasterEquation(lambda e: _P(e // t))
 
 
 # -- divisor sums ------------------------------------------------------------
 
 @_register("sigma", "sum of k-th powers of divisors", [_K],
-           bell=lambda k: BellRational(_xp(1),
-                                       _bin(1, 0, 1) * _bin(1, k, 1)),
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1)))
 def _build_sigma(k):
-    return MasterEquation(lambda e: _geom(k, e + 1)), None
+    return MasterEquation(lambda e: _geom(k, e + 1))
 
 
 @_register("sigma_odd", "sum of k-th powers of odd divisors", [_K],
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1)))
 def _build_sigma_odd(k):
-    return MasterEquation(lambda e: _geom(k, e + 1), {2: lambda e: 1}), None
+    return MasterEquation(lambda e: _geom(k, e + 1), {2: lambda e: 1})
 
 
 @_register("tpow_divisor_sum", "sum of divisors that are t-th powers", [_T],
-           bell=lambda t: BellRational(_xp(1),
-                                       _bin(1, 0, 1) * _bin(1, t, t)),
            zeta=lambda t: [(1, 0, 1), (t, t, 1)])
 def _build_tpow_divisor_sum(t):
-    return MasterEquation(lambda e: _geom(t, e // t + 1)), None
+    return MasterEquation(lambda e: _geom(t, e // t + 1))
 
 
 @_register("sigma_tfree", "sum of k-th powers of t-free divisors",
            [_K, _T],
-           bell=lambda k, t: BellRational(_bin(1, t * k, t),
-                                          _bin(1, 0, 1) * _bin(1, k, 1)),
            zeta=lambda k, t: _zf((1, 0, 1), (1, k, 1), (t, t * k, -1)))
 def _build_sigma_tfree(k, t):
-    return MasterEquation(lambda e: _geom(k, min(e, t - 1) + 1)), None
+    return MasterEquation(lambda e: _geom(k, min(e, t - 1) + 1))
 
 
 @_register("sigma_pow", "divisor power sum of a perfect power: "
@@ -388,7 +378,7 @@ def _build_sigma_tfree(k, t):
                                   (2, 2 * k, -1))
                               if t == 2 else INFINITE))
 def _build_sigma_pow(k, t):
-    return MasterEquation(lambda e: _geom(k, e * t + 1)), None
+    return MasterEquation(lambda e: _geom(k, e * t + 1))
 
 
 @_register("sigma_prime", "sum over coprime unitary splittings d * m = n "
@@ -396,19 +386,15 @@ def _build_sigma_pow(k, t):
            bell=lambda: BellRational(_xp(1, {1: 1}, {1: -1}), _bin(1, 0, 1)),
            zeta=lambda: INFINITE)
 def _build_sigma_prime():
-    return MasterEquation(lambda e: _ONE + _P(1) if e == 1 else _ONE), None
+    return MasterEquation(lambda e: _ONE + _P(1) if e == 1 else _ONE)
 
 
 # -- divisor counts ----------------------------------------------------------
 
 @_register("tau", "ordered factorisations of n into k parts", [_K1],
-           bell=lambda k: BellRational(
-               _xp(*(math.comb(k, j) * (-1) ** j for j in range(k + 1))),
-               _xp(1)).reciprocal(),
            zeta=lambda k: [(1, 0, k)])
 def _build_tau(k):
-    return MasterEquation(lambda e: _C(math.comb(e + k - 1, k - 1))), \
-        max(DEFAULT_DEGREE_CAP, k + 2)
+    return MasterEquation(lambda e: _C(math.comb(e + k - 1, k - 1)))
 
 
 @_register("tfull_count", "number of t-full divisors (every prime exponent "
@@ -419,14 +405,12 @@ def _build_tau(k):
            zeta=lambda t: (_zf((1, 0, 1), (2, 0, 1), (3, 0, 1), (6, 0, -1))
                            if t == 2 else None))
 def _build_tfull_count(t):
-    return MasterEquation(lambda e: _C(max(1, e - t + 2))), None
+    return MasterEquation(lambda e: _C(max(1, e - t + 2)))
 
 
 # -- pair statistics over divisor splittings ---------------------------------
 
 @_register("gcd_pairs", "sum of gcd(d, n/d)^t over divisors d", [_T1],
-           bell=lambda t: BellRational(_xp(1, 1),
-                                       _bin(1, 0, 1) * _bin(1, t, 2)),
            zeta=lambda t: _zf((1, 0, 2), (2, t, 1), (2, 0, -1)))
 def _build_gcd_pairs(t):
     def rule(e):
@@ -435,12 +419,10 @@ def _build_gcd_pairs(t):
             l = t * min(m, e - m)
             acc[l] = acc.get(l, 0) + 1
         return PrimePoly(acc)
-    return MasterEquation(rule), None
+    return MasterEquation(rule)
 
 
 @_register("lcm_pairs", "sum of lcm(d, n/d)^t over divisors d", [_T1],
-           bell=lambda t: BellRational(_xp(1, {t: 1}),
-                                       _bin(1, t, 1) * _bin(1, t, 2)),
            zeta=lambda t: _zf((1, t, 2), (2, t, 1), (2, 2 * t, -1)))
 def _build_lcm_pairs(t):
     def rule(e):
@@ -449,25 +431,23 @@ def _build_lcm_pairs(t):
             l = t * max(m, e - m)
             acc[l] = acc.get(l, 0) + 1
         return PrimePoly(acc)
-    return MasterEquation(rule), None
+    return MasterEquation(rule)
 
 
 # -- totients and their relatives --------------------------------------------
 
 @_register("phi", "count of residues mod n coprime to n",
-           bell=lambda: BellRational(_bin(1, 0, 1), _bin(1, 1, 1)),
            zeta=lambda: [(1, 1, 1), (1, 0, -1)])
 def _build_phi():
-    return MasterEquation(lambda e: _P(e) - _P(e - 1)), None
+    return MasterEquation(lambda e: _P(e) - _P(e - 1))
 
 
 @_register("phi_kl", "weighted totient: divisor sum of mu(d) d^k (n/d)^l",
            [Param("k", 0, _MAX_K), Param("l", 1, _MAX_K)],
-           bell=lambda k, l: BellRational(_bin(1, k, 1), _bin(1, l, 1)),
            zeta=lambda k, l: [(1, l, 1), (1, k, -1)],
            validate=lambda k, l: None if k < l else "needs k < l")
 def _build_phi_kl(k, l):
-    return MasterEquation(lambda e: _P(l * e) - _P(k + l * (e - 1))), None
+    return MasterEquation(lambda e: _P(l * e) - _P(k + l * (e - 1)))
 
 
 @_register("phi_prime", "totient restricted to squarefree arguments",
@@ -475,14 +455,13 @@ def _build_phi_kl(k, l):
            zeta=lambda: INFINITE)
 def _build_phi_prime():
     return MasterEquation(
-        lambda e: _P(1) - _ONE if e == 1 else _ZERO), None
+        lambda e: _P(1) - _ONE if e == 1 else _ZERO)
 
 
 @_register("jordan", "count of coprime k-tuples mod n", [_K1],
-           bell=lambda k: BellRational(_bin(1, 0, 1), _bin(1, k, 1)),
            zeta=lambda k: [(1, k, 1), (1, 0, -1)])
 def _build_jordan(k):
-    return MasterEquation(lambda e: _P(k * e) - _P(k * (e - 1))), None
+    return MasterEquation(lambda e: _P(k * e) - _P(k * (e - 1)))
 
 
 @_register("jordan_ratio", "ratio of the k-th to the first Jordan totient",
@@ -494,21 +473,19 @@ def _build_jordan(k):
                            else INFINITE))
 def _build_jordan_ratio(k):
     return MasterEquation(
-        lambda e: _geom(1, k, start=(k - 1) * (e - 1))), None
+        lambda e: _geom(1, k, start=(k - 1) * (e - 1)))
 
 
 @_register("dedekind", "totient-like product over p | n of n (1 + 1/p)",
-           bell=lambda: BellRational(_xp(1, 1), _bin(1, 1, 1)),
            zeta=lambda: [(1, 0, 1), (1, 1, 1), (2, 0, -1)])
 def _build_dedekind():
-    return MasterEquation(lambda e: _P(e) + _P(e - 1)), None
+    return MasterEquation(lambda e: _P(e) + _P(e - 1))
 
 
 @_register("psi_k", "k-th power analogue of the Dedekind product", [_K1],
-           bell=lambda k: BellRational(_xp(1, 1), _bin(1, k, 1)),
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, 0, -1)))
 def _build_psi_k(k):
-    return MasterEquation(lambda e: _P(k * e) + _P(k * (e - 1))), None
+    return MasterEquation(lambda e: _P(k * e) + _P(k * (e - 1)))
 
 
 @_register("ramanujan", "trigonometric divisor sum at fixed modulus c: "
@@ -523,25 +500,23 @@ def _build_ramanujan(c):
         return rule
     exc = {q: local_rule(q, eq) for q, eq in _factorize(c)}
     generic = lambda e: _C(-1) if e == 1 else _ZERO
-    return MasterEquation(generic, exc), None
+    return MasterEquation(generic, exc)
 
 
 # -- unitary-divisor analogues ------------------------------------------------
 
 @_register("sigma_star", "sum of k-th powers of unitary divisors "
            "(divisors coprime to their cofactor)", [_K],
-           bell=lambda k: BellRational(_bin(1, k, 2),
-                                       _bin(1, 0, 1) * _bin(1, k, 1)),
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)))
 def _build_sigma_star(k):
-    return MasterEquation(lambda e: _ONE + _P(k * e)), None
+    return MasterEquation(lambda e: _ONE + _P(k * e))
 
 
 @_register("sigma_star_odd", "sum of k-th powers of odd unitary divisors",
            [_K],
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)))
 def _build_sigma_star_odd(k):
-    return MasterEquation(lambda e: _ONE + _P(k * e), {2: lambda e: 1}), None
+    return MasterEquation(lambda e: _ONE + _P(k * e), {2: lambda e: 1})
 
 
 @_register("phi_star", "unitary totient: product of p^e - 1 over "
@@ -550,7 +525,7 @@ def _build_sigma_star_odd(k):
                                      _bin(1, 0, 1) * _bin(1, 1, 1)),
            zeta=lambda: INFINITE)
 def _build_phi_star():
-    return MasterEquation(lambda e: _P(e) - _ONE), None
+    return MasterEquation(lambda e: _P(e) - _ONE)
 
 
 @_register("jordan_star", "unitary Jordan totient: product of p^(ek) - 1",
@@ -559,7 +534,7 @@ def _build_phi_star():
                                        _bin(1, 0, 1) * _bin(1, k, 1)),
            zeta=lambda k: INFINITE)
 def _build_jordan_star(k):
-    return MasterEquation(lambda e: _P(e * k) - _ONE), None
+    return MasterEquation(lambda e: _P(e * k) - _ONE)
 
 
 @_register("tau_star", "k to the number of distinct primes dividing n",
@@ -569,7 +544,7 @@ def _build_jordan_star(k):
                            _zf((1, 0, 2), (2, 0, -1)) if k == 2
                            else INFINITE))
 def _build_tau_star(k):
-    return MasterEquation(lambda e: _C(k)), None
+    return MasterEquation(lambda e: _C(k))
 
 
 # -- power congruence counts ---------------------------------------------------
@@ -582,7 +557,7 @@ def _build_tau_star(k):
            zeta=lambda t: (_zf((1, 0, 1), (2, 1, 1), (2, 0, -1))
                            if t == 2 else INFINITE))
 def _build_congruence_count(t):
-    return MasterEquation(lambda e: _P(e - (e + t - 1) // t)), None
+    return MasterEquation(lambda e: _P(e - (e + t - 1) // t))
 
 
 @_register("congruence_min", "least m whose t-th power n divides", [_T],
@@ -592,4 +567,4 @@ def _build_congruence_count(t):
            zeta=lambda t: (_zf((1, 1, 1), (2, 1, 1), (2, 2, -1))
                            if t == 2 else INFINITE))
 def _build_congruence_min(t):
-    return MasterEquation(lambda e: _P((e + t - 1) // t)), None
+    return MasterEquation(lambda e: _P((e + t - 1) // t))

@@ -1,9 +1,10 @@
 """Sequence terms from a prime-power rule, and b-file comparison.
 
 One smallest-prime-power table serves the whole runtime: term
-generation, factorisation, and the primes of Euler products and of
-zeta-form coefficients, read off it once into a cached prime array.  Entry n holds the exact power p^e of its
-smallest prime, so a(n) = a(p^e) a(n/p^e) is one lookup and one product.
+generation and the primes of Euler products and of zeta-form
+coefficients, read off it once into a cached prime array.  Entry n holds
+the exact power p^e of its smallest prime, so a(n) = a(p^e) a(n/p^e) is
+one lookup and one product.
 """
 from __future__ import annotations
 
@@ -65,26 +66,6 @@ class FactorSieve:
         for p in odd:
             t[p] = 0
         self._spp = t
-
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        if n < 1:
-            raise ValueError("need n >= 1")
-        self.ensure(n)
-        t = self._spp
-        out = []
-        while n > 1:
-            q = t[n] or n
-            if t[q]:
-                # a proper prime power: its prime is at most sqrt(q)
-                p = next(p for p in self.primes(math.isqrt(q)) if q % p == 0)
-                e, r = 1, p
-                while r < q:
-                    e, r = e + 1, r * p
-                out.append((p, e))
-            else:
-                out.append((q, 1))
-            n //= q
-        return out
 
     def primes(self, n: int) -> Iterator[int]:
         """Primes <= n in increasing order, read lazily off the prime

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from dgf.bell import LOCAL_DEGREE_CAP, BellRational, rationalize
+from dgf.bell import (DEFAULT_DEGREE_CAP, LOCAL_DEGREE_CAP, BellRational,
+                      rationalize)
 from dgf.errors import CatalogError, DegreeBoundError
 from dgf.euler import EulerFactor, EulerFactorList
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
@@ -98,9 +99,9 @@ def fraction_pade(vals: Sequence[int], d_cap: int):
 
 
 def refit_bell(f) -> BellRational | None:
-    """Generic-prime Bell series of f fitted at its degree cap to the first
+    """Generic-prime Bell series of f fitted at the degree cap to the first
     2*cap+4 master coefficients, or None when none fits."""
-    cap = f.degree_cap
+    cap = DEFAULT_DEGREE_CAP
     try:
         return rationalize(f.series(2 * cap + 3), cap)
     except DegreeBoundError:

@@ -38,7 +38,7 @@ from dgf.polys import PrimePoly, XPoly
 from dgf.sequences import FactorSieve, terms
 
 from conftest import GRID, GRID_ONE_PER_NAME, ef_tuples, zf_tuples
-from oracles import brute_convolve, oracle
+from oracles import _ofactor, brute_convolve, oracle
 
 
 def criterion(num: int):
@@ -284,8 +284,7 @@ def test_criterion_04_identity_suite():
 
     def argpow(name, args, k):
         f = make(name, *args)
-        sieve.ensure(N)
-        return [math.prod(f.value(p, k * e) for p, e in sieve.factor(n))
+        return [math.prod(f.value(p, k * e) for p, e in _ofactor(n))
                 for n in range(1, N + 1)]
 
     ones, k, t = T("one"), 2, 2

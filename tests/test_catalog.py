@@ -1,16 +1,19 @@
 """Registry integrity: bells match masters, claimed zeta forms hold."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from dgf.bell import MultiplicativeFunction, bell_from_master
+from dgf.bell import (DEFAULT_DEGREE_CAP, MultiplicativeFunction,
+                      bell_from_master, rationalize)
 from dgf.catalog import CATALOG, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
-from oracles import refit_bell, series_eq
+from oracles import _ofactor, refit_bell, series_eq
 
 
 def test_names_sorted_and_complete():
@@ -45,10 +48,8 @@ def test_instance_names():
 def test_closed_bell_matches_master(name, args):
     f = make(name, *args)
     closed = CATALOG[name].closed_bell(*args)
-    if closed is None:
-        pytest.skip("no closed bell recorded")
     # the whole window the master refit used to prove at the degree cap
-    K = 2 * f.degree_cap + 3
+    K = 2 * DEFAULT_DEGREE_CAP + 3
     assert series_eq(closed.series(K), bell_from_master(f.master, K), K)
 
 
@@ -69,11 +70,48 @@ def test_closed_forms_skip_the_master_refit(monkeypatch):
         return refit(self, q, d, K)
 
     monkeypatch.setattr(MultiplicativeFunction, "_refit", counted)
+    local = []
     for name, args, f in grid_instances():
         assert f.bell is not None
-        if CATALOG[name].bell is not None:
-            assert (f.name, None) not in refits
-    assert refits  # entries without a closed form still refit
+        for q in f.exceptional_primes:
+            assert f.local_bell(q) is not None
+            local.append((f.name, q))
+    # no atom refits its generic master window; each exceptional prime
+    # refits its values once
+    assert local and refits == local
+
+
+def _bound_values(p):
+    hi = p.hi
+    while p.prime and _ofactor(hi) != [(hi, 1)]:
+        hi -= 1
+    return sorted({p.lo, hi})
+
+
+def _bound_instances():
+    out = []
+    for name in names():
+        entry = CATALOG[name]
+        for args in itertools.product(*map(_bound_values, entry.params)):
+            try:
+                entry.check_args(args)
+            except CatalogError:
+                continue  # e.g. phi_kl needs k < l
+            out.append((name, args))
+    # a large exceptional prime power: gcdc's local factor has degree 20
+    return out + [("gcdc", (2**19,)), ("lcmc", (2**19,)),
+                  ("ramanujan", (2**19,))]
+
+
+@pytest.mark.parametrize("name,args", _bound_instances(),
+                         ids=lambda v: str(v))
+def test_bell_at_parameter_bounds_equals_master_refit(name, args):
+    # the closed form is the series the master window fits at a cap of at
+    # least its degree, also where that degree exceeds the default cap
+    f = make(name, *args)
+    b = f.bell
+    d = max(b.num.degree(), b.den.degree(), DEFAULT_DEGREE_CAP)
+    assert b == rationalize(f.series(2 * d + 3), d)
 
 
 @pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))

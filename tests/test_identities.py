@@ -5,7 +5,7 @@ from dgf.bell import shift_by_power
 from dgf.catalog import make
 from dgf.sequences import FactorSieve, terms
 
-from oracles import brute_convolve
+from oracles import _ofactor, brute_convolve
 
 N = 2000
 _SIEVE = FactorSieve()
@@ -18,11 +18,10 @@ def T(name, *args):
 def argpow_terms(name, args, k: int, count: int = N):
     # f evaluated at n^k, term by term, via the prime factorization of n
     f = make(name, *args)
-    _SIEVE.ensure(count)
     out = []
     for n in range(1, count + 1):
         v = 1
-        for p, e in _SIEVE.factor(n):
+        for p, e in _ofactor(n):
             v *= f.value(p, k * e)
         out.append(v)
     return out

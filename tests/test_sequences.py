@@ -103,13 +103,15 @@ def test_sieve_holds_smallest_prime_power():
 
 
 def test_factor_prime_powers():
+    # a prime reads 0, a proper prime power itself
+    n = 97**2 * 2**5 * 3
     s = FactorSieve()
-    for k in range(1, 17):
-        assert s.factor(2**k) == [(2, k)]
-    for k in range(1, 11):
-        assert s.factor(3**k) == [(3, k)]
-    assert s.factor(97**2) == [(97, 2)]
-    assert s.factor(97**2 * 2**5 * 3) == [(2, 5), (3, 1), (97, 2)]
+    s.ensure(n)
+    for p, top in ((2, 16), (3, 10), (97, 2)):
+        assert s._spp[p] == _spp_by_trial(p) == 0
+        for k in range(2, top + 1):
+            assert s._spp[p**k] == _spp_by_trial(p**k) == p**k
+    assert s._spp[n] == _spp_by_trial(n) == 2**5
 
 
 def test_matches_bell_agrees_with_master_values():
@@ -138,28 +140,22 @@ def test_matches_bell_agrees_with_master_values():
 
 
 def test_factor_sieve():
-    s = FactorSieve()
-    assert s.factor(12) == [(2, 2), (3, 1)]
-    assert s.factor(1) == []
-    assert s.factor(97) == [(97, 1)]
-    with pytest.raises(ValueError):
-        s.factor(0)
-    # grown in steps or at once, the table gives each n its trial-division
-    # factorisation, smallest prime first
+    # grown in steps or at once, the table gives each n the smallest prime
+    # power of its trial-division factorisation
     grown, fresh = FactorSieve(), FactorSieve()
     for n in (2, 3, 9, 50, 101, 1000, 2001, 5000):
         grown.ensure(n)
     fresh.ensure(5000)
     assert grown.limit == fresh.limit == 5000
-    for n in range(1, 5001):
-        assert grown.factor(n) == fresh.factor(n) == _ofactor(n), n
+    want = [_spp_by_trial(n) for n in range(2, 5001)]
+    assert list(grown._spp[2:]) == list(fresh._spp[2:]) == want
+    assert (fresh._spp[12], fresh._spp[97]) == (4, 0)
     # odd and even table sizes, the smallest ones included
     for size in (2, 3, 4, 51, 4999):
         small = FactorSieve()
         small.ensure(size)
         assert small.limit == size
-        assert [small.factor(n) for n in range(1, size + 1)] == \
-            [_ofactor(n) for n in range(1, size + 1)]
+        assert list(small._spp[2:]) == want[:size - 1]
     assert list(fresh.primes(100)) == [p for p in range(2, 101) if _ofactor(p) == [(p, 1)]]
 
 
@@ -179,8 +175,8 @@ def test_primes_read_off_the_cached_prime_array(step, monkeypatch):
     assert list(s.primes(50000)) == list(trial_primes(50000))
     for n in (1, 0, -5):
         assert list(s.primes(n)) == []
-    for n in (1, 2, 97, 1000, 49999, 50000, 59999):
-        assert s.factor(n) == _ofactor(n), n
+    for n in (2, 97, 1000, 49999, 50000, 59999):
+        assert s._spp[n] == _spp_by_trial(n), n
     with pytest.raises(SieveLimitError):
         s.primes(MAX_SIEVE + 1)
 
