@@ -6,9 +6,9 @@ truncated Euler products, generates and checks sequence terms, and
 evaluates the series numerically inside its half-plane of convergence.
 """
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
-                   bell_from_master, dirichlet_convolve, dirichlet_inverse,
-                   pointwise_power, pointwise_product, rationalize,
-                   shift_by_power, unitary_convolve)
+                   dirichlet_convolve, dirichlet_inverse, pointwise_power,
+                   pointwise_product, rationalize, shift_by_power,
+                   unitary_convolve)
 from .catalog import CATALOG, CatalogEntry, make, names
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellRational", "MasterEquation", "MultiplicativeFunction",
-    "bell_from_master", "dirichlet_convolve", "dirichlet_inverse",
+    "dirichlet_convolve", "dirichlet_inverse",
     "pointwise_power", "pointwise_product", "rationalize", "shift_by_power",
     "unitary_convolve",
     "CATALOG", "CatalogEntry", "make", "names",

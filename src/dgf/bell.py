@@ -1,27 +1,26 @@
-"""Master equations at prime powers and their Bell series.
+"""Multiplicative functions as nodes, and their Bell series.
 
-A multiplicative function is pinned down by a master equation giving
-a(p^e) as an integer polynomial in p, optionally overridden at finitely
-many exceptional primes; each coefficient is memoized on its master
-equation.  The Bell series sum_e a(p^e) x^e (x = p^-s) is kept as an
-exact rational function over Z[p] whenever one exists; it is found by one
-fraction-free Berlekamp-Massey pass at p = 2^k, read back from balanced
-base-2^k digits and proved over Z[p] by one product check at p = 2^K.
-Each combinator is one coefficient rule over its operands' memoized
-coefficients and at most one Bell rule over their Bell series, both
-serving every prime alike.  A catalog atom takes its series from its
-closed form; a pointwise product or power refits at the degree bound of
-the termwise product of its operands' series, a proof when those are
-exact.  Only where neither applies is the master's window refitted at
-the degree cap.
+An atom is pinned down by a master equation giving a(p^e) as an integer
+polynomial in p, optionally overridden at finitely many exceptional
+primes.  A combinator is a node over its operands: one coefficient rule
+over their coefficients and at most one Bell rule over their Bell series
+at the same prime, so both serve every prime alike; each node memoizes
+its own coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
+kept as an exact rational function over Z[p] whenever one exists; it is
+found by one fraction-free Berlekamp-Massey pass at p = 2^k, read back
+from balanced base-2^k digits and proved over Z[p] by one product check
+at p = 2^K.  A catalog atom takes its series from its closed form; a
+pointwise product or power refits at the degree bound of the termwise
+product of its operands' series, a proof when those are exact.  Only
+where neither applies are the function's coefficients refitted at the
+degree cap.
 """
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
@@ -199,66 +198,74 @@ class BellRational:
 
 
 class MasterEquation:
-    """Rule e -> a(p^e) for generic p, plus per-prime integer overrides.
+    """An atom's coefficient rule: a(p^e) = generic(e), a PrimePoly, at a
+    generic prime, overridden by the integer exceptions[q](e) at finitely
+    many primes q."""
 
-    Each coefficient is computed once: generic_poly(e) and value(q, e) at
-    an exceptional prime q share one memo, keyed (None, e) and (q, e).
-    """
+    __slots__ = ("generic", "exceptions")
 
     def __init__(self, generic: Callable[[int], PrimePoly],
                  exceptions: dict[int, Callable[[int], int]] | None = None):
         self.generic = generic
         self.exceptions = dict(exceptions or {})
-        self._memo: dict[tuple[int | None, int], PrimePoly | int] = {}
 
-    def generic_poly(self, e: int) -> PrimePoly:
-        if e == 0:
-            return PrimePoly.one
-        v = self._memo.get((None, e))
-        if v is None:
-            v = self.generic(e)
-            if not isinstance(v, PrimePoly):
-                raise MasterEquationError("prime-uniform Bell series unavailable")
-            self._memo[None, e] = v
+    def __call__(self, h, q: int | None, e: int) -> PrimePoly | int:
+        if q is not None:
+            return self.exceptions[q](e)
+        v = self.generic(e)
+        if not isinstance(v, PrimePoly):
+            raise MasterEquationError("prime-uniform Bell series unavailable")
         return v
-
-    def value(self, p: int, e: int) -> int:
-        if e == 0:
-            return 1
-        rule = self.exceptions.get(p)
-        if rule is None:
-            return self.generic_poly(e).evaluate(p)
-        v = self._memo.get((p, e))
-        if v is None:
-            v = self._memo[p, e] = rule(e)
-        return v
-
-
-def bell_from_master(master: MasterEquation, K: int) -> list[PrimePoly]:
-    """First K+1 Bell series coefficients of the generic-prime rule."""
-    return [master.generic_poly(e) for e in range(K + 1)]
 
 
 class MultiplicativeFunction:
-    """A multiplicative function: master equation + cached Bell data.
+    """A multiplicative function as a node: its operands ops, one
+    coefficient rule with its memo, and at most one Bell rule.
+
+    rule(h, q, e) is h's a(q^e), a PrimePoly at the generic prime (q None)
+    and an int at an exceptional prime q, read off the operands'
+    f.coeff(q, l) and h's own earlier h.coeff(q, l); an atom's rule is its
+    MasterEquation.  The exceptional primes are an atom's overrides or the
+    union of the operands'.  coeff memoizes every coefficient a rule reads;
+    value(p, e) at any other prime evaluates the generic polynomial
+    unmemoized, so a long run of terms builds no per-prime memo.
 
     One cache holds the Bell series at the generic prime (key None) and
-    at each exceptional prime, filled by derive(q): a catalog atom's
-    closed form, or a combinator's Bell rule over its operands' series at
-    q (for a pointwise product or power j > 1, the refit at their degree
+    at each exceptional prime q: derive(h, q, *bells) over the operands'
+    series at q, a catalog atom's closed form or a combinator's Bell rule
+    (for a pointwise product or power j > 1, the refit at their degree
     bound).  Where there is none or it gives None (a function built
     without one, an exceptional prime of an atom, a non-integral shift, an
     operand without a series, a pointwise bound at or above the cap) the
-    master's first 2*cap+4 coefficients are refitted at the degree cap,
+    first 2*cap+4 coefficients are refitted at the degree cap,
     DEFAULT_DEGREE_CAP at the generic prime and LOCAL_DEGREE_CAP at q.
     """
 
-    def __init__(self, name: str, master: MasterEquation,
-                 derive: Callable | None = None):
-        self.name = name
-        self.master = master
-        self._derive = derive
+    def __init__(self, name: str, rule: Callable,
+                 derive: Callable | None = None,
+                 ops: tuple["MultiplicativeFunction", ...] = ()):
+        self.name, self.rule, self.derive, self.ops = name, rule, derive, ops
+        self.exceptions = (frozenset().union(*(f.exceptions for f in ops))
+                           if ops else frozenset(rule.exceptions))
+        self._memo: dict[tuple[int | None, int], PrimePoly | int] = {}
         self._bells: dict[int | None, BellRational | None] = {}
+
+    def coeff(self, q: int | None, e: int) -> PrimePoly | int:
+        """a(q^e), memoized: the rule's at the generic prime (q None) and
+        at an exceptional q, the generic polynomial at any other q."""
+        if e == 0:
+            return PrimePoly.one if q is None else 1
+        v = self._memo.get((q, e))
+        if v is None:
+            v = self._memo[q, e] = (
+                self.rule(self, q, e) if q is None or q in self.exceptions
+                else self.coeff(None, e).evaluate(q))
+        return v
+
+    def value(self, p: int, e: int) -> int:
+        if p in self.exceptions:
+            return self.coeff(p, e)
+        return self.coeff(None, e).evaluate(p)
 
     # -- Bell series ---------------------------------------------------
 
@@ -271,11 +278,16 @@ class MultiplicativeFunction:
             return self._bell_at(None)
 
     def _bell_at(self, q: int | None) -> BellRational | None:
-        """Fill the cache at q: derive, or else refit the master's first
-        2*cap+4 coefficients at the generic (q None) or the local cap."""
+        """Fill the cache at q: derive over the operands' series at q, or
+        else refit the first 2*cap+4 coefficients at the generic (q None)
+        or the local cap."""
         if q not in self._bells:
-            b = self._derive(q) if self._derive else None
-            if b is None:
+            try:
+                bs = [f.local_bell(q) if q else f.bell for f in self.ops]
+            except DegreeBoundError:
+                bs = [None]
+            b = self.derive and None not in bs and self.derive(self, q, *bs)
+            if not b:
                 cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
                 b = self._refit(q, cap, 2 * cap + 3)
             self._bells[q] = b
@@ -292,25 +304,23 @@ class MultiplicativeFunction:
             return None
 
     def series(self, K: int) -> list[PrimePoly]:
-        return bell_from_master(self.master, K)
+        """First K+1 Bell series coefficients at the generic prime."""
+        return [self.coeff(None, e) for e in range(K + 1)]
 
     def local_bell(self, q: int) -> BellRational | None:
         """Bell series at the prime q, as a rational over Z."""
-        if q in self.master.exceptions:
+        if q in self.exceptions:
             return self._bell_at(q)
         b = self.bell
         return b.bind_prime(q) if b is not None else None
 
     def local_series(self, q: int, K: int) -> list[int]:
         """a(q^e) for e = 0..K at a concrete prime."""
-        return [self.master.value(q, e) for e in range(K + 1)]
-
-    def value(self, p: int, e: int) -> int:
-        return self.master.value(p, e)
+        return [self.value(q, e) for e in range(K + 1)]
 
     @property
     def exceptional_primes(self) -> list[int]:
-        return sorted(self.master.exceptions)
+        return sorted(self.exceptions)
 
     def __repr__(self):
         return "MultiplicativeFunction(%r)" % self.name
@@ -319,47 +329,11 @@ class MultiplicativeFunction:
 # ---------------------------------------------------------------------------
 # combinators
 #
-# Each combinator is one coefficient rule(q, e, c, *ops): the result's
-# a(q^e) from the operands' coefficients ops[i](l) and the result's own
-# earlier ones c(l), all read through the memoized MasterEquations.  _lift
-# binds the rule to the generic prime (q None, PrimePoly coefficients) and
-# to every exceptional prime of an operand (int coefficients).  Most also
-# have one Bell rule(q, *bells) over the operands' series at q, which
-# _derive binds the same way.
+# Each combinator is one node: its coefficient rule reads its operands
+# h.ops, and its Bell rule gets their series at the same prime, so both
+# serve the generic prime and every exceptional prime alike.
 
 _sum = partial(reduce, operator.add)
-
-
-def _lift(rule, *fs: MultiplicativeFunction) -> MasterEquation:
-    masters = [f.master for f in fs]
-
-    def bind(q):
-        if q is None:
-            return lambda e: rule(q, e, me().generic_poly,
-                                  *(m.generic_poly for m in masters))
-        # one memo per operand and prime, so that an operand without an
-        # override at q evaluates each generic polynomial there once
-        ops = [cache(partial(m.value, q)) for m in masters]
-        return lambda e: rule(q, e, partial(me().value, q), *ops)
-
-    primes = sorted(set().union(*(m.exceptions for m in masters)))
-    out = MasterEquation(bind(None), {q: bind(q) for q in primes})
-    # weak, so that the rules and their master form no reference cycle and
-    # the memo goes with the function, not at the next full collection
-    me = weakref.ref(out)
-    return out
-
-
-def _derive(rule, *fs: MultiplicativeFunction):
-    """derive(q): rule over the operands' Bell series at q (generic for
-    None), or None when an operand has none or fails to find one."""
-    def derive(q):
-        try:
-            bs = [f.bell if q is None else f.local_bell(q) for f in fs]
-        except DegreeBoundError:
-            return None
-        return None if any(b is None for b in bs) else rule(q, *bs)
-    return derive
 
 
 def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
@@ -371,25 +345,30 @@ def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
     return rationalize(cand.series(2 * d + 3), d)
 
 
+def _convolve(h, q, e):
+    f, g = h.ops
+    return _sum(f.coeff(q, l) * g.coeff(q, e - l) for l in range(e + 1))
+
+
 def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
                        name: str | None = None) -> MultiplicativeFunction:
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
-    master = _lift(lambda q, e, c, a, b:
-                   _sum(a(l) * b(e - l) for l in range(e + 1)), f, g)
-    derive = _derive(lambda q, fb, gb:
-                     _reduce_product(fb.num * gb.num, fb.den * gb.den), f, g)
-    return MultiplicativeFunction(name or "(%s <*> %s)" % (f.name, g.name),
-                                  master, derive=derive)
+    return MultiplicativeFunction(
+        name or "(%s <*> %s)" % (f.name, g.name), _convolve,
+        lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den),
+        (f, g))
+
+
+def _invert(h, q, e):
+    f, = h.ops
+    return -_sum(f.coeff(q, l) * h.coeff(q, e - l) for l in range(1, e + 1))
 
 
 def dirichlet_inverse(f: MultiplicativeFunction,
                       name: str | None = None) -> MultiplicativeFunction:
     """Inverse under Dirichlet convolution; Bell series is flipped."""
-    master = _lift(lambda q, e, c, a:
-                   -_sum(a(l) * c(e - l) for l in range(1, e + 1)), f)
-    derive = _derive(lambda q, fb: fb.reciprocal(), f)
-    return MultiplicativeFunction(name or "inv(%s)" % f.name, master,
-                                  derive=derive)
+    return MultiplicativeFunction(name or "inv(%s)" % f.name, _invert,
+                                  lambda h, q, fb: fb.reciprocal(), (f,))
 
 
 def hadamard_degree(bells: Sequence[BellRational]) -> int:
@@ -407,34 +386,27 @@ def hadamard_degree(bells: Sequence[BellRational]) -> int:
     return R + max(0, e0 - 1)
 
 
-def _pointwise(name: str, master: MasterEquation,
-               fs: Sequence[MultiplicativeFunction]) -> MultiplicativeFunction:
-    """The termwise product of fs (repeats allowed), over its master.
+def _termwise(h, q, e):
+    return reduce(operator.mul, [f.coeff(q, e) for f in h.ops])
 
-    Where the operands' series at q bound its degree by D below the cap,
-    its Bell series there is the fit of degree <= D to its first 2D+2
-    coefficients: two rationals of degree <= D that agree that far are
-    equal, so the fit is a proof when the operands' series are exact.
-    Where an operand has no series or D reaches the cap, derive gives None
-    and the cap refit runs.
-    """
-    def bounded(q, *bs):
-        D = hadamard_degree(bs)
-        cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
-        return me()._refit(q, D, 2 * D + 1) if D < cap else None
 
-    out = MultiplicativeFunction(name, master, derive=_derive(bounded, *fs))
-    # weak, as in _lift, so that the function and its rule form no cycle
-    me = weakref.ref(out)
-    return out
+def _bounded(h, q, *bs):
+    """The termwise product's Bell series at q: where the operands' series
+    bound its degree by D below the cap, the fit of degree <= D to its
+    first 2D+2 coefficients.  Two rationals of degree <= D that agree that
+    far are equal, so the fit is a proof when the operands' series are
+    exact.  Otherwise None, and the cap refit runs."""
+    D = hadamard_degree(bs)
+    cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
+    return h._refit(q, D, 2 * D + 1) if D < cap else None
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
                       name: str | None = None) -> MultiplicativeFunction:
     """(f . g)(p^e) = f(p^e) g(p^e); Bell series refitted at the degree
     bound of the operands' series (hadamard_degree)."""
-    master = _lift(lambda q, e, c, a, b: a(e) * b(e), f, g)
-    return _pointwise(name or "(%s * %s)" % (f.name, g.name), master, [f, g])
+    return MultiplicativeFunction(name or "(%s * %s)" % (f.name, g.name),
+                                  _termwise, _bounded, (f, g))
 
 
 def pointwise_power(f: MultiplicativeFunction, j: int,
@@ -442,21 +414,18 @@ def pointwise_power(f: MultiplicativeFunction, j: int,
     """j-th pointwise power, j >= 1: for j > 1 the product of j copies."""
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
-    master = _lift(lambda q, e, c, a: reduce(operator.mul, [a(e)] * j), f)
-    name = name or "%s^%d" % (f.name, j)
-    if j > 1:
-        return _pointwise(name, master, [f] * j)
-    return MultiplicativeFunction(name, master,
-                                  derive=_derive(lambda q, fb: fb, f))
+    return MultiplicativeFunction(name or "%s^%d" % (f.name, j), _termwise,
+                                  _bounded if j > 1 else lambda h, q, fb: fb,
+                                  (f,) * j)
 
 
 def shift_by_power(f: MultiplicativeFunction, k: int,
                    name: str | None = None) -> MultiplicativeFunction:
     """Multiply by n^k: a(p^e) -> p^(ke) a(p^e)."""
 
-    def rule(q, e, c, a):
+    def rule(h, q, e):
         # the one rule that tells PrimePoly from int: exact division by p
-        v, n = a(e), k * e
+        v, n = f.coeff(q, e), k * e
         if q is None:
             try:
                 return v.shift_p(n)
@@ -469,7 +438,7 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
         raise MasterEquationError("shift by %d not integral at %se=%d"
                                   % (k, "" if q is None else "p=%d, " % q, e))
 
-    def shifted(q, fb):
+    def shifted(h, q, fb):
         try:
             fb = fb.substitute_x_pk(k)
         except MasterEquationError:
@@ -477,18 +446,19 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
         return fb if q is None else fb.bind_prime(q)
 
     return MultiplicativeFunction(name or "shift(%s, %d)" % (f.name, k),
-                                  _lift(rule, f), derive=_derive(shifted, f))
+                                  rule, shifted, (f,))
+
+
+def _union(h, q, fb, gb):
+    den = fb.den * gb.den
+    num = fb.num * gb.den + gb.num * fb.den - den  # B_f + B_g - 1
+    return _reduce_product(num, den)
 
 
 def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
                      name: str | None = None) -> MultiplicativeFunction:
     """Unitary convolution: a(p^e) = f(p^e) + g(p^e) for e > 0."""
-    master = _lift(lambda q, e, c, a, b: a(e) + b(e), f, g)
-
-    def union(q, fb, gb):
-        den = fb.den * gb.den
-        num = fb.num * gb.den + gb.num * fb.den - den  # B_f + B_g - 1
-        return _reduce_product(num, den)
-
-    return MultiplicativeFunction(name or "(%s <+> %s)" % (f.name, g.name),
-                                  master, derive=_derive(union, f, g))
+    return MultiplicativeFunction(
+        name or "(%s <+> %s)" % (f.name, g.name),
+        lambda h, q, e: h.ops[0].coeff(q, e) + h.ops[1].coeff(q, e),
+        _union, (f, g))

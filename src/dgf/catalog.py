@@ -142,7 +142,7 @@ class CatalogEntry(NamedTuple):
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
 
-        def derive(q):
+        def derive(h, q):
             # the closed form with common factors cancelled, built on
             # first use; exceptional primes refit their values
             if q is not None:

@@ -107,7 +107,7 @@ class EvalResult(Record):
 
 def _local_value(f: MultiplicativeFunction, p: int, s: float) -> float:
     """Value of the Euler factor at one prime: sum over a(p^e) p^(-es)."""
-    b = f.local_bell(p) if p in f.master.exceptions else f.bell
+    b = f.local_bell(p) if p in f.exceptions else f.bell
     if b is not None:
         return b.evaluate(p, p ** -s)
     acc, e = 1.0, 1
@@ -131,7 +131,7 @@ def _block_values(f: MultiplicativeFunction, b: BellRational | None,
     """Euler factor values at the primes of blk: the generic Bell series
     b over the whole block at once, _local_value at exceptional primes or
     everywhere when b is None."""
-    exc = f.master.exceptions
+    exc = f.exceptions
     if b is None:
         return [_local_value(f, p, s) for p in blk]
     gen = ([p for p in blk if p not in exc]

@@ -118,10 +118,10 @@ def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
 
 def matches_bell(f: MultiplicativeFunction, vals: Sequence[int]) -> bool:
     """Whether vals[q-1] = a(p^e) at every prime power q = p^e <= N =
-    len(vals), read off the Bell series (the master's if not rational)
+    len(vals), read off the Bell series (f.series if not rational)
     expanded once to x^J, 2^J > N: each coefficient at all its primes at
     once, the local series at exceptional primes."""
-    N, J, exc = len(vals), len(vals).bit_length(), f.master.exceptions
+    N, J, exc = len(vals), len(vals).bit_length(), f.exceptions
     B = f.series(J) if f.bell is None else f.bell.series(J)
     ps = list(filterfalse(exc.__contains__, _SIEVE.primes(N)))
     for e in range(1, J):

@@ -445,7 +445,7 @@ def _horner(xp: XPoly, p: int, x: float) -> float:
 
 def euler_factor(f, p: int, s: float) -> float:
     """The Euler factor of f at p, at real s."""
-    b = f.local_bell(p) if p in f.master.exceptions else f.bell
+    b = f.local_bell(p) if p in f.exceptions else f.bell
     if b is not None:
         x = p ** -s
         return _horner(b.num, p, x) / _horner(b.den, p, x)

@@ -12,7 +12,6 @@ from dgf.bell import (
     BellRational,
     MasterEquation,
     MultiplicativeFunction,
-    bell_from_master,
     dirichlet_convolve,
     dirichlet_inverse,
     hadamard_degree,
@@ -48,12 +47,10 @@ def bell_is(b: BellRational, num: XPoly, den: XPoly) -> bool:
 
 def test_bell_from_master_examples():
     K = 3
-    assert bell_from_master(make("mu").master, K) == \
-        [P.const(1), P.const(-1), P.zero, P.zero]
-    assert bell_from_master(make("one").master, 2) == [P.one, P.one, P.one]
-    assert bell_from_master(make("id").master, 2) == \
-        [P.one, P.monomial(1), P.monomial(2)]
-    assert bell_from_master(make("sigma", 1).master, 2) == \
+    assert make("mu").series(K) == [P.const(1), P.const(-1), P.zero, P.zero]
+    assert make("one").series(2) == [P.one, P.one, P.one]
+    assert make("id").series(2) == [P.one, P.monomial(1), P.monomial(2)]
+    assert make("sigma", 1).series(2) == \
         [P.one, P.monomial(1) + P.one, P.monomial(2) + P.monomial(1) + P.one]
 
 
@@ -262,21 +259,20 @@ def test_pointwise_refit_reads_its_degree_bound(monkeypatch):
     assert D == 1
     h = pointwise_product(*ops)
     read = set()
-    generic_poly = MasterEquation.generic_poly
+    rule = h.rule
 
-    def counted(self, e):
-        if self is h.master:
-            read.add(e)
-        return generic_poly(self, e)
+    def counted(node, q, e):
+        read.add(e)
+        return rule(node, q, e)
 
-    monkeypatch.setattr(MasterEquation, "generic_poly", counted)
+    h.rule = counted
     assert h.bell == BellRational(xp(1, P({1: 1, 2: 1})), xp(1))
     assert read and len(read) <= 2 * D + 2
     assert h.bell == refit_bell(h)
 
 
 def test_functions_free_without_the_cycle_collector():
-    # the rules reach their own function only through weak references
+    # the rules get their function as an argument and never hold it
     gc.disable()
     try:
         for src in ["(phi <*> sigma(2)) * mu^2", "sigma(1)^3", "gcdc(12) * phi"]:
@@ -398,17 +394,17 @@ def test_master_rules_run_once_per_exponent():
     assert calls and max(calls.values()) == 1
 
 
-def test_operands_read_once_at_exceptional_prime():
+def test_operands_read_once_at_exceptional_prime(monkeypatch):
     # g has no override at 3, so its a(3^e) comes from the generic rule
     f, g = make("gcdc", 12), make("sigma", 1)
     reads = Counter()
-    value = g.master.value
+    evaluate = P.evaluate
 
-    def counted(p, e):
-        reads[p, e] += 1
-        return value(p, e)
+    def counted(poly, p):
+        reads[p, poly] += 1
+        return evaluate(poly, p)
 
-    g.master.value = counted
+    monkeypatch.setattr(P, "evaluate", counted)
     h = dirichlet_convolve(f, g)
     assert [h.value(3, e) for e in range(84)]
     assert reads and max(reads.values()) == 1
@@ -420,11 +416,13 @@ def test_local_bell_derived_without_own_coefficients():
     h = parse_function("inv(phi) <*> gcdc(60)")
     assert h.exceptional_primes == [2, 3, 5]
     calls = Counter()
-    for q, rule in list(h.master.exceptions.items()):
-        def counted(e, q=q, rule=rule):
-            calls[q] += 1
-            return rule(e)
-        h.master.exceptions[q] = counted
+    rule = h.rule
+
+    def counted(node, q, e):
+        calls[q] += 1
+        return rule(node, q, e)
+
+    h.rule = counted
     local = {q: h.local_bell(q) for q in h.exceptional_primes}
     assert not calls
     for q, b in local.items():

@@ -263,3 +263,23 @@ def test_pointwise_bell_is_the_cap_refit(node):
             assert b == refit_local_bell(h, q)
         if b is not None and all(o is not None for o in bs):
             assert max(b.num.degree(), b.den.degree()) <= hadamard_degree(bs)
+
+
+# all six combinators over generic and exceptional atoms; integral shifts,
+# so that every node has its coefficients
+mixed_trees = ast_strategy(st.one_of(atoms, exceptional_atoms),
+                           shifts=st.integers(0, 2), powers=st.integers(1, 2),
+                           max_leaves=4)
+
+
+@settings(deadline=None, max_examples=150)
+@given(mixed_trees)
+def test_derived_bell_is_the_refit_on_mixed_trees(node):
+    # wherever the cap refit finds a form, the Bell rules derive the same
+    # series from the operands', generic and at every exceptional prime
+    h = build(node)
+    want = refit_bell(h)
+    assert want is None or h.bell == want
+    for q in h.exceptional_primes:
+        want = refit_local_bell(h, q)
+        assert want is None or h.local_bell(q) == want

@@ -47,17 +47,34 @@ def test_shared_sieve_reuse():
 def test_terms_value_once_per_prime_power():
     calls = Counter()
 
-    class Counting(MasterEquation):
+    class Counting(MultiplicativeFunction):
         def value(self, p, e):
             calls[p, e] += 1
             return super().value(p, e)
 
-    f = MultiplicativeFunction("sigma(1)", Counting(make("sigma", 1).master.generic))
+    f = Counting("sigma(1)", make("sigma", 1).rule)
     N = 2000
     assert terms(f, N) == oracle("sigma", (1,), N)
     want = {(p, e): 1 for p in range(2, N + 1) if _ofactor(p) == [(p, 1)]
             for e in range(1, N.bit_length()) if p**e <= N}
     assert calls == want
+
+
+def test_terms_memoize_only_at_exceptional_primes():
+    # a(p^e) at any other prime is the generic polynomial at p, evaluated
+    # afresh, so a long run of terms leaves no per-prime memo on any node
+    h = parse_function("inv(phi) <*> gcdc(60)")
+    assert len(terms(h, 10**5)) == 10**5
+    nodes = [h]
+    for f in nodes:
+        nodes += f.ops
+    assert len(nodes) == 4 and h.exceptions == {2, 3, 5}
+    seen = set()
+    for f in nodes:
+        primes = {q for q, e in f._memo if q is not None}
+        assert primes <= h.exceptions
+        seen |= primes
+    assert seen == h.exceptions
 
 
 def test_terms_above_sieve_limit():
@@ -117,7 +134,7 @@ def test_factor_prime_powers():
 def test_matches_bell_agrees_with_master_values():
     def master_ok(f, seq):
         N = len(seq)
-        return all(seq[p ** e - 1] == f.master.value(p, e)
+        return all(seq[p ** e - 1] == f.value(p, e)
                    for p in trial_primes(N)
                    for e in range(1, N.bit_length()) if p ** e <= N)
 
