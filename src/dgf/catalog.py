@@ -7,13 +7,18 @@ product of zeta factors zeta(us - l)^gamma, the entry's zeta= list of
 (u, l, gamma) is that closed form: its Bell series is the product of
 (1 - p^l x^u)^-gamma.  Only the entries whose series is no such product
 for some parameter values (zeta= gives "infinite" or None there) carry
-an explicit bell= form.  At runtime the closed form, with common factors
-cancelled, is the instance's generic-prime Bell series, so no master
-window is refitted; exceptional primes refit their values.
+an explicit bell= form.  At runtime the closed form is the instance's
+generic-prime Bell series, so no master window is refitted; exceptional
+primes refit their values.  Common factors of a closed form are
+cancelled by a refit (bell._reduce_product) only where they can exist:
+for every bell= form, and for a zeta= list with a numerator and a
+denominator binomial of the same ratio l/u, such as 1 - p x and
+1 - p^2 x^2.  Other zeta= lists give coprime num and den as built.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
@@ -130,30 +135,36 @@ class CatalogEntry(NamedTuple):
             return self.name
         return "%s(%s)" % (self.name, ",".join(str(a) for a in args))
 
-    def _closed(self, vals) -> BellRational:
-        """The generic Bell series in closed form: the bell= form if the
-        entry has one, else the product of its zeta= factors, which is
-        then a finite list for every parameter value."""
+    def _closed(self, vals) -> tuple[BellRational, bool]:
+        """The generic Bell series in closed form, and whether its num and
+        den are known to be coprime: the bell= form if the entry has one
+        (not known), else the product of its zeta= factors, which is then
+        a finite list for every parameter value.  The roots of
+        1 - p^l x^u all have modulus p^(-l/u), so num and den are coprime
+        when none of their binomials share the ratio l/u."""
         if self.bell is not None:
-            return self.bell(*vals)
-        zs = map(ZetaFactor._make, self.zeta(*vals))
-        return BellRational(*_zeta_bell(zs))
+            return self.bell(*vals), False
+        zs = list(map(ZetaFactor._make, self.zeta(*vals)))
+        num = {Fraction(z.l, z.u) for z in zs if z.gamma < 0}
+        den = {Fraction(z.l, z.u) for z in zs if z.gamma > 0}
+        return BellRational(*_zeta_bell(zs)), num.isdisjoint(den)
 
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
 
         def derive(h, q):
-            # the closed form with common factors cancelled, built on
-            # first use; exceptional primes refit their values
+            # the closed form, built on first use, with common factors
+            # cancelled unless they cannot exist; exceptional primes
+            # refit their values
             if q is not None:
                 return None
-            b = self._closed(vals)
-            return _reduce_product(b.num, b.den)
+            b, coprime = self._closed(vals)
+            return b if coprime else _reduce_product(b.num, b.den)
         return MultiplicativeFunction(self.instance_name(vals),
                                       self.build(*vals), derive=derive)
 
     def closed_bell(self, *args) -> BellRational:
-        return self._closed(self.check_args(args))
+        return self._closed(self.check_args(args))[0]
 
     def expected_zeta(self, *args):
         """Finite form as (u, l, gamma) tuples, "infinite", or None."""

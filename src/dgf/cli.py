@@ -24,11 +24,12 @@ from .parser import parse_function
 from .sequences import MAX_SIEVE, compare_bfile, matches_bell, terms
 
 
-# bound of -U: the largest order finite_zeta_form reads exponents to,
-# 2 (deg num + deg den) at the default degree cap.  Peeling to order U
-# takes O(U d) products for a Bell series of degree d and O(U^2) for a
-# raw series; verify's round trip is one check of O(U^2) products of
-# packed integers
+# bound of -U: at least 60, the highest order of a binomial in a finite
+# zeta form of a Bell series of degree up to the default degree cap 16
+# (max m k over phi(m) k <= 16, at Phi_60), so factorize can show each
+# of them.  Peeling to order U takes O(U d) products for a Bell series
+# of degree d and O(U^2) for a raw series; verify's round trip is one
+# check of O(U^2) products of packed integers
 MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
 
 

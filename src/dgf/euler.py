@@ -3,9 +3,16 @@
 A Bell series either factors exactly through binomials 1 - S p^l x^u
 (giving a finite product of Riemann zeta factors via
 prod_p (1 - p^(l-us))^g = zeta^(-g)(us - l)) or is peeled order by
-order into a truncated infinite product of such binomials.  Both work on
-T = x B'/B, read off num and den by series_div: a binomial power adds
-monomials to T, so they take no series products (the inverse Euler
+order into a truncated infinite product of such binomials.  Both start
+from the exact binomial split of num and den; only the rest N/D that no
+binomial divides is peeled.  A zeta form peels that rest to order
+max m k over phi(m) k <= D, D = max(deg N, deg D), and gives up past
+weight (deg N + deg D) max psi(m)/phi(m) over phi(m) <= D: every
+irreducible factor of a binomial is a cyclotomic Phi_m(p^a x^b), whose
+binomials have order at most m b and weight psi(m) b at x-degree
+phi(m) b, so past these caps no finite product exists.  The peel works
+on T = x B'/B, read off num and den by series_div: a binomial power adds
+monomials to T, so it takes no series products (the inverse Euler
 transform, Bernstein and Sloane 1995).  The round trip sums T from the
 factors and proves x S' = T S by one BellRational.matches.  Zeta-form
 coefficients expand by the same series_div.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -164,13 +172,14 @@ def round_trips(efl: EulerFactorList, series: Sequence[PrimePoly]) -> bool:
     return BellRational(num, XPoly(map(PrimePoly, D))).matches(series)
 
 
-def _partial_binomials(xp: XPoly) -> tuple[list[tuple[int, int, int]], XPoly]:
-    """Strip every binomial 1 - S p^l x^u that divides xp exactly.
+def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list[EulerFactor], XPoly]:
+    """Strip every binomial 1 - S p^l x^u that divides xp exactly, as the
+    factor (1 - S p^l x^u)^gamma.
 
     Candidates are read off the lowest-order non-constant term; the
     remainder is returned unfactored.
     """
-    found: list[tuple[int, int, int]] = []
+    found: list[EulerFactor] = []
     while xp.degree() >= 1:
         # the top coefficient is nonzero, so some u <= degree is found
         u = next(i for i in range(1, xp.degree() + 1)
@@ -179,12 +188,23 @@ def _partial_binomials(xp: XPoly) -> tuple[list[tuple[int, int, int]], XPoly]:
             S = -1 if c > 0 else +1
             q = xp.divide_binomial(S, l, u)
             if q is not None:
-                found.append((S, l, u))
+                found.append(EulerFactor(S, l, u, gamma))
                 xp = q
                 break
         else:
             break
     return found, xp
+
+
+def _binomial_split(b: BellRational) -> tuple[list[EulerFactor], BellRational | None]:
+    """The exact binomial split of b: the binomials that divide its
+    numerator (gamma +1) or denominator (gamma -1), and the rest, None
+    when it is 1."""
+    num_facs, num_res = _partial_binomials(b.num, +1)
+    den_facs, den_res = _partial_binomials(b.den, -1)
+    if num_res.is_one() and den_res.is_one():
+        return num_facs + den_facs, None
+    return num_facs + den_facs, BellRational(num_res, den_res)
 
 
 def factor_bell(f, U: int = 8) -> EulerFactorList:
@@ -199,13 +219,10 @@ def factor_bell(f, U: int = 8) -> EulerFactorList:
     if not isinstance(b, BellRational):
         return euler_expand(f.series(U) if b is None else b, U)
 
-    num_facs, num_res = _partial_binomials(b.num)
-    den_facs, den_res = _partial_binomials(b.den)
-    factors = [EulerFactor(S, l, u, +1) for S, l, u in num_facs]
-    factors += [EulerFactor(S, l, u, -1) for S, l, u in den_facs]
-    if num_res.is_one() and den_res.is_one():
+    factors, rest = _binomial_split(b)
+    if rest is None:
         return EulerFactorList(factors, truncated_at=None)
-    peel = euler_expand(BellRational(num_res, den_res), U)
+    peel = euler_expand(rest, U)
     return EulerFactorList(factors + peel.factors, truncated_at=U,
                            residual_ok=peel.residual_ok)
 
@@ -329,28 +346,63 @@ def _zeta_bell(zs: Iterable[ZetaFactor]) -> tuple[XPoly, XPoly]:
     return sides[0], sides[1]
 
 
+@cache
+def _peel_caps(D: int) -> tuple[int, Fraction]:
+    """The order cap max m k and the ratio max psi(m)/phi(m), both over
+    phi(m) k <= D: the bounds on the binomials of every irreducible
+    Phi_m(p^a x^b) of x-degree at most D (see finite_zeta_form).  As
+    phi(m) >= sqrt(m/2), only m <= 2 D^2 can qualify; phi and psi come
+    from one sieve over them."""
+    M = 2 * D * D
+    phi, psi = list(range(M + 1)), list(range(M + 1))
+    for q in range(2, M + 1):
+        if phi[q] == q:  # q is prime
+            for k in range(q, M + 1, q):
+                phi[k] -= phi[k] // q
+                psi[k] += psi[k] // q
+    ms = [m for m in range(1, M + 1) if phi[m] <= D]
+    return (max(m * (D // phi[m]) for m in ms),
+            max(Fraction(psi[m], phi[m]) for m in ms))
+
+
 def finite_zeta_form(f):
     """Finite zeta-product form of a function, or the string "infinite".
 
-    The generic Bell series B must be a finite product prod (1 - p^l x^u)^-g,
-    g read by the peel of T = x B'/B in the zeta basis S = +1, which gives
-    up once the weight sum |g| u, unbounded for an infinite product, passes
-    a cap; the product found is checked exactly.  Per-prime exceptional
-    factors are carried through as local rational corrections in q^-s.
+    The generic Bell series B is split exactly (_binomial_split): every
+    binomial 1 - S p^l x^u dividing num or den is a zeta factor or a
+    ratio of two (zeta_factors_from_euler).  Only a rest N/D that no
+    binomial divides is peeled, in the zeta basis S = +1, and the product
+    found is checked exactly against it.  The peel's caps are sound, so
+    a negative verdict is a proof.  Every irreducible factor of
+    1 - p^l x^u over Q(p) is Phi_m(p^a x^b) with gcd(a, b) = 1 (Capelli),
+    of x-degree phi(m) b, and Phi_m(y) = prod_{d|m} (1 - y^d)^mu(m/d) has
+    binomials of order at most m b and weight sum |gamma| u = psi(m) b.
+    So if N/D is a finite product, with D' = max(deg N, deg D), its
+    binomials have order at most max m k over phi(m) k <= D', and its
+    weight is at most (deg N + deg D) max psi(m)/phi(m) over
+    phi(m) <= D' (_peel_caps); the peel reads to that order and gives
+    up past that weight.  Per-prime exceptional factors are carried
+    through as local rational corrections in q^-s; one equal to 1 is
+    left out.
     """
     func = f if isinstance(f, MultiplicativeFunction) else None
     b = f if func is None else func.bell
     if b is None:
         return INFINITE
-    d = b.num.degree() + b.den.degree()
-    peeled = _peel(_log_series(b, max(16, 2 * d)), signed=False,
-                   weight_cap=max(64, 4 * d))
-    if peeled is None:
-        return INFINITE
-    factors = [ZetaFactor(e.u, e.l, -e.gamma) for e in peeled]
-    num_z, den_z = _zeta_bell(factors)
-    if b.num * den_z != b.den * num_z:  # exact: b == num_z/den_z
-        return INFINITE
+    split, rest = _binomial_split(b)
+    factors = zeta_factors_from_euler(split)
+    if rest is not None:
+        n, d = rest.num.degree(), rest.den.degree()
+        order, ratio = _peel_caps(max(n, d))
+        peeled = _peel(_log_series(rest, order), signed=False,
+                       weight_cap=(n + d) * ratio)
+        if peeled is None:
+            return INFINITE
+        zs = [ZetaFactor(e.u, e.l, -e.gamma) for e in peeled]
+        num_z, den_z = _zeta_bell(zs)
+        if rest.num * den_z != rest.den * num_z:  # exact: rest == num_z/den_z
+            return INFINITE
+        factors += zs
 
     local: list[LocalFactor] = []
     if func is not None:
@@ -362,18 +414,20 @@ def finite_zeta_form(f):
             r = _reduce_product(lb.num * gb.den, lb.den * gb.num)
             num, den = ([c.constant_value() for c in xp.coeffs]
                         for xp in (r.num, r.den))
-            local.append(LocalFactor(q, num, den))
+            if num != [1] or den != [1]:
+                local.append(LocalFactor(q, num, den))
     return ZetaForm(factors, local)
 
 
-def zeta_factors_from_euler(efl: EulerFactorList) -> list[ZetaFactor]:
-    """Convert Euler factors to zeta factors.
+def zeta_factors_from_euler(efl: Iterable[EulerFactor]) -> list[ZetaFactor]:
+    """Convert Euler factors (an EulerFactorList or any iterable) to zeta
+    factors.
 
     (1 - p^(l-us))^g over all p is zeta^(-g)(us-l); with a plus sign it
     is zeta^g(us-l)/zeta^g(2us-2l).
     """
     out: list[ZetaFactor] = []
-    for f in efl.factors:
+    for f in efl:
         if f.S > 0:
             out.append(ZetaFactor(f.u, f.l, -f.gamma))
         else:

@@ -14,7 +14,8 @@ here, independent of the engine's one series division, and so is the
 Berlekamp-Massey fit over Q that the engine's fraction-free kernel is
 checked against.  The Euler product is multiplied out one prime at a
 time over trial-division primes, the reference for the engine's blocked
-kernel.
+kernel.  Zeta forms are read by the peel of the whole Bell series under
+guessed caps, the reference for the engine's exact binomial split.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from dgf.bell import (DEFAULT_DEGREE_CAP, LOCAL_DEGREE_CAP, BellRational,
-                      rationalize)
+                      _reduce_product, rationalize)
 from dgf.errors import CatalogError, DegreeBoundError
-from dgf.euler import EulerFactor, EulerFactorList
+from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
+                       ZetaFactor, ZetaForm, _log_series, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
 from dgf.polys import PrimePoly, XPoly
 
@@ -423,6 +425,39 @@ def expand_factor_list(efl: EulerFactorList, K: int) -> list[PrimePoly]:
     for f in efl.factors:
         out = series_mul(out, binomial_power(f.S, f.l, f.u, f.gamma, K), K)
     return out
+
+
+def capped_zeta_form(f):
+    """The zeta form by the peel of the whole Bell series under guessed
+    caps, order max(16, 2d) and weight max(64, 4d) with d = deg num +
+    deg den: the reference for finite_zeta_form's binomial split and
+    sound caps.  Where it finds a form, that form is the one finite
+    product; its INFINITE proves nothing (Phi_30 needs order 30 and
+    weight 72 at d = 8).  Local factors as the engine reads them."""
+    b = f.bell
+    if b is None:
+        return INFINITE
+    d = b.num.degree() + b.den.degree()
+    peeled = _peel(_log_series(b, max(16, 2 * d)), signed=False,
+                   weight_cap=max(64, 4 * d))
+    if peeled is None:
+        return INFINITE
+    factors = [ZetaFactor(e.u, e.l, -e.gamma) for e in peeled]
+    num_z, den_z = _zeta_bell(factors)
+    if b.num * den_z != b.den * num_z:
+        return INFINITE
+    local = []
+    for q in f.exceptional_primes:
+        lb = f.local_bell(q)
+        if lb is None:
+            return INFINITE
+        gb = b.bind_prime(q)
+        r = _reduce_product(lb.num * gb.den, lb.den * gb.num)
+        num, den = ([c.constant_value() for c in xp.coeffs]
+                    for xp in (r.num, r.den))
+        if num != [1] or den != [1]:
+            local.append(LocalFactor(q, num, den))
+    return ZetaForm(factors, local)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ import itertools
 
 import pytest
 
-from dgf.bell import DEFAULT_DEGREE_CAP, MultiplicativeFunction, rationalize
+import dgf.catalog as catalog_module
+from dgf.bell import (DEFAULT_DEGREE_CAP, MultiplicativeFunction,
+                      _reduce_product, rationalize)
 from dgf.catalog import CATALOG, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
-from oracles import _ofactor, refit_bell, series_eq
+from oracles import _ofactor, capped_zeta_form, refit_bell, series_eq
 
 
 def test_names_sorted_and_complete():
@@ -78,6 +80,46 @@ def test_closed_forms_skip_the_master_refit(monkeypatch):
     # no atom refits its generic master window; each exceptional prime
     # refits its values once
     assert local and refits == local
+
+
+@pytest.mark.parametrize("name,args",
+                         [g for g in GRID if CATALOG[g[0]].bell is None],
+                         ids=lambda v: str(v))
+def test_closed_zeta_product_is_its_cancelled_form(name, args):
+    # a zeta= product is kept as built when no numerator binomial shares
+    # its ratio l/u with a denominator binomial; either way it is the
+    # form with common factors cancelled
+    closed = CATALOG[name].closed_bell(*args)
+    assert make(name, *args).bell == _reduce_product(closed.num, closed.den)
+
+
+def test_closed_forms_refit_only_where_factors_can_cancel(monkeypatch):
+    calls = []
+
+    def counted(num, den):
+        calls.append((num, den))
+        return _reduce_product(num, den)
+
+    monkeypatch.setattr(catalog_module, "_reduce_product", counted)
+    for name, args in [("phi", ()), ("sigma", (3,)), ("tau", (6,)),
+                       ("mu", ())]:
+        assert make(name, *args).bell is not None
+    assert calls == []
+    # shared ratios: 1 - p^2 x^2 over 1 - p x in core(2), 1 - x^2 over
+    # 1 - x in psi_k(3); const(2) has a bell= form
+    for name, args in [("core", (2,)), ("psi_k", (3,)), ("const", (2,))]:
+        assert make(name, *args).bell is not None
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))
+def test_zeta_form_is_the_capped_peels_where_it_finds_one(name, args):
+    f = make(name, *args)
+    want = capped_zeta_form(f)
+    if want is INFINITE:
+        assert CATALOG[name].expected_zeta(*args) in (INFINITE, None)
+    else:
+        assert str(finite_zeta_form(f)) == str(want)
 
 
 def _bound_values(p):

@@ -107,6 +107,32 @@ def test_zetaform_infinite(capsys):
     assert out.strip() == "infinite"
 
 
+# Bell series Phi_30(x) = 1 + x - x^3 - x^4 - x^5 + x^7 + x^8, whose zeta
+# form needs order 30 and weight psi(30) = 72
+PHI30 = ("inv(eps(5)*eps(6)) <*> inv(eps(3)) <*> inv(eps(5)) <*> inv(eps(2))"
+         " <*> (eps(3)*eps(5)) <*> (eps(2)*eps(5)) <*> eps(6) <*> one")
+
+
+def test_zetaform_of_a_cyclotomic_bell_series(capsys):
+    rc, out, _ = run(capsys, ["zetaform", PHI30])
+    assert rc == 0
+    assert out.splitlines()[0] == \
+        "zeta(s)*zeta(6s)*zeta(10s)*zeta(15s)/(zeta(2s)*zeta(3s)*zeta(5s)*zeta(30s))"
+    rc, out, _ = run(capsys, ["eval", PHI30, "--s", "1.5"])
+    assert rc == 0
+    assert out.startswith("2.05276888434 (error <= ")
+    assert out.rstrip().endswith(", zeta_form)")
+
+
+def test_trivial_local_factors_are_left_out(capsys):
+    rc, out, _ = run(capsys, ["catalog", "periodic2", "1"])
+    assert rc == 0
+    assert out.splitlines()[-1] == "  dirichlet series: zeta(s)"
+    rc, out, _ = run(capsys, ["zetaform", "gcdc(12) <*> inv(gcdc(12))"])
+    assert rc == 0
+    assert out.splitlines() == ["1", "abscissa: 0 (empty product)"]
+
+
 def test_terms_transcript(capsys):
     rc, out, _ = run(capsys, ["terms", "liouville <*> one", "-n", "9"])
     assert rc == 0

@@ -28,6 +28,7 @@ from dgf.euler import (
     zeta_form_to_coeffs,
 )
 from dgf.errors import SieveLimitError
+from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
@@ -205,6 +206,28 @@ def test_finite_zeta_form_detects_infinite():
     f = pointwise_product(make("sigma", 0), make("phi"))
     assert finite_zeta_form(f) is INFINITE
     assert finite_zeta_form(make("mu_star")) is INFINITE
+    # a rest of degree 14 after the binomial split, the largest seen
+    f = parse_function("rad(8) <*> rad(7) <*> inv(phi_star)")
+    assert finite_zeta_form(f) is INFINITE
+
+
+def test_finite_zeta_form_of_a_cyclotomic_bell_series():
+    # the Bell series is Phi_30(x) = prod_{d|30} (1 - x^d)^mu(30/d), of
+    # degree 8 but order 30 and weight psi(30) = 72
+    f = parse_function(
+        "inv(eps(5)*eps(6)) <*> inv(eps(3)) <*> inv(eps(5)) <*> inv(eps(2))"
+        " <*> (eps(3)*eps(5)) <*> (eps(2)*eps(5)) <*> eps(6) <*> one")
+    assert f.bell.num == XPoly.from_ints([1, 1, 0, -1, -1, -1, 0, 1, 1])
+    assert str(finite_zeta_form(f)) == \
+        "zeta(s)*zeta(6s)*zeta(10s)*zeta(15s)/(zeta(2s)*zeta(3s)*zeta(5s)*zeta(30s))"
+
+
+def test_finite_zeta_form_leaves_out_trivial_local_factors():
+    zf = finite_zeta_form(make("periodic2", 1))
+    assert zf.local == [] and str(zf) == "zeta(s)"
+    zf = finite_zeta_form(parse_function("gcdc(12) <*> inv(gcdc(12))"))
+    assert zf.local == [] and zf.zeta_factors == [] and str(zf) == "1"
+    assert zf.to_json() == {"zeta": [], "local": []}
 
 
 def test_zeta_form_local_factors():

@@ -19,17 +19,18 @@ from dgf.bell import (
 )
 from dgf.catalog import make
 from dgf.errors import DegreeBoundError
-from dgf.euler import euler_expand
+from dgf.euler import (INFINITE, EulerFactor, ZetaForm, euler_expand,
+                       finite_zeta_form, zeta_factors_from_euler)
 from dgf.parser import (Atom, Conv, Inv, PMul, PPow, Shift, UConv, build,
                         parse, to_text)
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
 from conftest import GRID
-from oracles import (brute_convolve, brute_unitary_convolve,
-                     expand_factor_list, fraction_pade, peel_by_division,
-                     refit_bell, refit_local_bell, series_eq, series_inv,
-                     series_mul)
+from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
+                     capped_zeta_form, expand_factor_list, fraction_pade,
+                     peel_by_division, refit_bell, refit_local_bell,
+                     series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -283,3 +284,91 @@ def test_derived_bell_is_the_refit_on_mixed_trees(node):
     for q in h.exceptional_primes:
         want = refit_local_bell(h, q)
         assert want is None or h.local_bell(q) == want
+
+
+@MODEST
+@given(mixed_trees)
+def test_zeta_form_is_the_capped_peels_on_mixed_trees(node):
+    # wherever the peel of the whole series under guessed caps finds a
+    # form, the binomial split finds the same one
+    h = build(node)
+    want = capped_zeta_form(h)
+    if want is not INFINITE:
+        assert str(finite_zeta_form(h)) == str(want)
+
+
+def _mobius(n: int) -> int:
+    out = 1
+    for _, e in _ofactor(n):
+        if e > 1:
+            return 0
+        out = -out
+    return out
+
+
+def _cyclotomic_binomials(m: int) -> list[tuple[int, int]]:
+    """(d, mu(m/d)) over d | m: Phi_m(t) = prod (1 - t^d)^mu(m/d) for
+    m > 1, and 1 - t for m = 1."""
+    return [(d, _mobius(m // d)) for d in range(1, m + 1)
+            if m % d == 0 and _mobius(m // d)]
+
+
+def _cyclotomic(m: int, sign: int, a: int, b: int) -> XPoly:
+    """Phi_m(y), y = sign p^a x^b (1 - y for m = 1), by exact division of
+    the binomials 1 - y^d of exponent +1 by those of exponent -1."""
+    sides = [XPoly.from_ints([1]), XPoly.from_ints([1])]
+    for d, mu in _cyclotomic_binomials(m):
+        sides[mu < 0] = sides[mu < 0] * XPoly.binomial(sign ** d, a * d, b * d)
+    num, den = sides
+    return XPoly(series_div(num.coeffs, den.coeffs,
+                            num.degree() - den.degree()))
+
+
+# Euler's phi(m) wherever it is at most 16 (phi(m) >= sqrt(m/2))
+_PHI = {m: phi for m in range(1, 513)
+        if (phi := sum(math.gcd(m, k) == 1 for k in range(1, m + 1))) <= 16}
+
+
+@st.composite
+def cyclotomic_factor(draw):
+    """(m, sign, a, b, gamma): Phi_m(sign p^a x^b)^gamma, phi(m) b <= 16."""
+    m = draw(st.sampled_from(sorted(_PHI)))
+    return (m, draw(st.sampled_from([1, -1])), draw(st.integers(0, 2)),
+            draw(st.integers(1, 16 // _PHI[m])), draw(st.sampled_from([1, -1])))
+
+
+def _cyclotomic_product(factors) -> tuple[BellRational, list]:
+    """The product of the factors as a BellRational, and its zeta factors
+    read off prod_{d|m} (1 - y^d)^mu(m/d)."""
+    sides = [XPoly.from_ints([1]), XPoly.from_ints([1])]
+    euler = []
+    for m, sign, a, b, gamma in factors:
+        sides[gamma < 0] = sides[gamma < 0] * _cyclotomic(m, sign, a, b)
+        euler += [EulerFactor(sign ** d, a * d, b * d, gamma * mu)
+                  for d, mu in _cyclotomic_binomials(m)]
+    return BellRational(*sides), zeta_factors_from_euler(euler)
+
+
+@FEW
+@given(st.lists(cyclotomic_factor(), min_size=1, max_size=3))
+def test_zeta_form_of_cyclotomic_products(factors):
+    b, want = _cyclotomic_product(factors)
+    got = finite_zeta_form(b)
+    assert got is not INFINITE
+    assert got.zeta_factors == ZetaForm(want).zeta_factors
+
+
+NON_CYCLOTOMIC = [XPoly.from_ints([1, -2]),
+                  XPoly([PrimePoly.one, PrimePoly({0: -1, 1: -1})]),
+                  XPoly([PrimePoly.one, PrimePoly.const(-2),
+                         PrimePoly.monomial(1)])]
+
+
+@FEW
+@given(st.lists(cyclotomic_factor(), max_size=3),
+       st.sampled_from(NON_CYCLOTOMIC), st.booleans())
+def test_no_zeta_form_with_a_non_cyclotomic_factor(factors, extra, in_den):
+    b, _ = _cyclotomic_product(factors)
+    b = (BellRational(b.num, b.den * extra) if in_den
+         else BellRational(b.num * extra, b.den))
+    assert finite_zeta_form(b) is INFINITE
