@@ -9,10 +9,11 @@ its own coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
 kept as an exact rational function over Z[p] whenever one exists; it is
 found by one fraction-free Berlekamp-Massey pass at p = 2^k, read back
 from balanced base-2^k digits and proved over Z[p] by one product check
-at p = 2^K.  A catalog atom takes its series from its closed form; a
-pointwise product or power refits at the degree bound of the termwise
+at p = 2^K.  A catalog atom takes its series from its closed form, and
+at an exceptional prime from the fit at the degree bound of its values;
+a pointwise product or power refits at the degree bound of the termwise
 product of its operands' series, a proof when those are exact.  Only
-where neither applies are the function's coefficients refitted at the
+where none applies are the function's coefficients refitted at the
 degree cap.
 """
 from __future__ import annotations
@@ -232,13 +233,14 @@ class MultiplicativeFunction:
 
     One cache holds the Bell series at the generic prime (key None) and
     at each exceptional prime q: derive(h, q, *bells) over the operands'
-    series at q, a catalog atom's closed form or a combinator's Bell rule
-    (for a pointwise product or power j > 1, the refit at their degree
-    bound).  Where there is none or it gives None (a function built
-    without one, an exceptional prime of an atom, a non-integral shift, an
-    operand without a series, a pointwise bound at or above the cap) the
-    first 2*cap+4 coefficients are refitted at the degree cap,
-    DEFAULT_DEGREE_CAP at the generic prime and LOCAL_DEGREE_CAP at q.
+    series at q: a catalog atom's closed form, or at an exceptional prime
+    the fit at the degree bound of its local values, or a combinator's
+    Bell rule (for a pointwise product or power j > 1, the refit at their
+    degree bound).  Where there is none or it gives None (a function
+    built without one, a non-integral shift, an operand without a series,
+    a pointwise bound at or above the cap) the first 2*cap+4 coefficients
+    are refitted at the degree cap, DEFAULT_DEGREE_CAP at the generic
+    prime and LOCAL_DEGREE_CAP at q.
     """
 
     def __init__(self, name: str, rule: Callable,

@@ -8,12 +8,14 @@ product of zeta factors zeta(us - l)^gamma, the entry's zeta= list of
 (1 - p^l x^u)^-gamma.  Only the entries whose series is no such product
 for some parameter values (zeta= gives "infinite" or None there) carry
 an explicit bell= form.  At runtime the closed form is the instance's
-generic-prime Bell series, so no master window is refitted; exceptional
-primes refit their values.  Common factors of a closed form are
-cancelled by a refit (bell._reduce_product) only where they can exist:
-for every bell= form, and for a zeta= list with a numerator and a
-denominator binomial of the same ratio l/u, such as 1 - p x and
-1 - p^2 x^2.  Other zeta= lists give coprime num and den as built.
+generic-prime Bell series, so no master window is refitted.  At an
+exceptional prime the values are data (LocalValues): n first values and
+the ratio of every later one, whose fit at degree n on 2n + 2 values is
+a proof.  Common factors of a closed form are cancelled by a refit
+(bell._reduce_product) only where they can exist: for every bell= form,
+and for a zeta= list with a numerator and a denominator binomial of the
+same ratio l/u, such as 1 - p x and 1 - p^2 x^2.  Other zeta= lists give
+coprime num and den as built.
 """
 from __future__ import annotations
 
@@ -98,6 +100,18 @@ class Param(NamedTuple):
     prime: bool = False
 
 
+class LocalValues(NamedTuple):
+    """An atom's values h_e = a(q^e), e < n, at an exceptional prime q; each
+    later one is r (0, 1 or q) times the one before, so its Bell series
+    (H(x) (1 - r x) + h_(n-1) r x^n)/(1 - r x) has degrees at most n."""
+    values: tuple[int, ...]
+    ratio: int
+
+    def __call__(self, e: int) -> int:
+        n = len(self.values) - 1
+        return self.values[min(e, n)] * self.ratio ** max(e - n, 0)
+
+
 class CatalogEntry(NamedTuple):
     name: str
     summary: str
@@ -153,11 +167,11 @@ class CatalogEntry(NamedTuple):
         vals = self.check_args(args)
 
         def derive(h, q):
-            # the closed form, built on first use, with common factors
-            # cancelled unless they cannot exist; exceptional primes
-            # refit their values
+            # at q the fit its n values prove; else the closed form (built
+            # on first use) with any common factors that can exist cancelled
             if q is not None:
-                return None
+                n = len(h.rule.exceptions[q].values)
+                return h._refit(q, n, 2 * n + 1)
             b, coprime = self._closed(vals)
             return b if coprime else _reduce_product(b.num, b.den)
         return MultiplicativeFunction(self.instance_name(vals),
@@ -285,22 +299,20 @@ def _build_xi(t):
            [_QP, Param("k", 1, _MAX_K)],
            zeta=lambda q, k: [(1, 0, 1)])
 def _build_depleted(q, k):
-    return MasterEquation(lambda e: _ONE,
-                          {q: lambda e: 1 if e < k else 0})
+    return MasterEquation(lambda e: _ONE, {q: LocalValues((1,) * k, 0)})
 
 
 @_register("periodic2", "c on even numbers, 1 on odd", [_CP],
            zeta=lambda c: [(1, 0, 1)])
 def _build_periodic2(c):
-    return MasterEquation(lambda e: _ONE, {2: lambda e: c})
+    return MasterEquation(lambda e: _ONE, {2: LocalValues((1, c), 1)})
 
 
 @_register("periodic4", "c1 on multiples of 4, c2 on other evens, 1 on odd",
            [Param("c1", 1, _MAX_C), Param("c2", 1, _MAX_C)],
            zeta=lambda c1, c2: [(1, 0, 1)])
 def _build_periodic4(c1, c2):
-    return MasterEquation(lambda e: _ONE,
-                          {2: lambda e: c2 if e == 1 else c1})
+    return MasterEquation(lambda e: _ONE, {2: LocalValues((1, c2, c1), 1)})
 
 
 # -- fixed-argument gcd and lcm ----------------------------------------------
@@ -308,7 +320,7 @@ def _build_periodic4(c1, c2):
 @_register("gcdc", "gcd(n, c) for fixed c", [_CP],
            zeta=lambda c: [(1, 0, 1)])
 def _build_gcdc(c):
-    exc = {q: (lambda e, q=q, eq=eq: q ** min(e, eq))
+    exc = {q: LocalValues(tuple(q**e for e in range(eq + 1)), 1)
            for q, eq in _factorize(c)}
     return MasterEquation(lambda e: _ONE, exc)
 
@@ -316,8 +328,7 @@ def _build_gcdc(c):
 @_register("lcmc", "lcm(n, c)/c for fixed c", [_CP],
            zeta=lambda c: [(1, 1, 1)])
 def _build_lcmc(c):
-    exc = {q: (lambda e, q=q, eq=eq: q ** max(e - eq, 0))
-           for q, eq in _factorize(c)}
+    exc = {q: LocalValues((1,) * (eq + 1), q) for q, eq in _factorize(c)}
     return MasterEquation(lambda e: _P(e), exc)
 
 
@@ -364,7 +375,7 @@ def _build_sigma(k):
 @_register("sigma_odd", "sum of k-th powers of odd divisors", [_K],
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1)))
 def _build_sigma_odd(k):
-    return MasterEquation(lambda e: _geom(k, e + 1), {2: lambda e: 1})
+    return MasterEquation(lambda e: _geom(k, e + 1), {2: LocalValues((1,), 1)})
 
 
 @_register("tpow_divisor_sum", "sum of divisors that are t-th powers", [_T],
@@ -503,15 +514,9 @@ def _build_psi_k(k):
            "sum of d mu(c/d)-style weights over d | gcd(n, c)", [_CP],
            zeta=lambda c: [(1, 0, -1)])
 def _build_ramanujan(c):
-    def local_rule(q, eq):
-        def rule(e):
-            if e <= eq:
-                return q**e - q ** (e - 1)
-            return -(q**eq) if e == eq + 1 else 0
-        return rule
-    exc = {q: local_rule(q, eq) for q, eq in _factorize(c)}
-    generic = lambda e: _C(-1) if e == 1 else _ZERO
-    return MasterEquation(generic, exc)
+    exc = {q: LocalValues((1, *(q**e - q ** (e - 1) for e in range(1, eq + 1)),
+                           -(q**eq)), 0) for q, eq in _factorize(c)}
+    return MasterEquation(lambda e: _C(-1) if e == 1 else _ZERO, exc)
 
 
 # -- unitary-divisor analogues ------------------------------------------------
@@ -527,7 +532,7 @@ def _build_sigma_star(k):
            [_K],
            zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)))
 def _build_sigma_star_odd(k):
-    return MasterEquation(lambda e: _ONE + _P(k * e), {2: lambda e: 1})
+    return MasterEquation(lambda e: _ONE + _P(k * e), {2: LocalValues((1,), 1)})
 
 
 @_register("phi_star", "unitary totient: product of p^e - 1 over "

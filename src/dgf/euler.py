@@ -352,14 +352,13 @@ def _peel_caps(D: int) -> tuple[int, Fraction]:
     phi(m) k <= D: the bounds on the binomials of every irreducible
     Phi_m(p^a x^b) of x-degree at most D (see finite_zeta_form).  As
     phi(m) >= sqrt(m/2), only m <= 2 D^2 can qualify; phi and psi come
-    from one sieve over them."""
+    from one pass over the primes of the shared sieve."""
     M = 2 * D * D
     phi, psi = list(range(M + 1)), list(range(M + 1))
-    for q in range(2, M + 1):
-        if phi[q] == q:  # q is prime
-            for k in range(q, M + 1, q):
-                phi[k] -= phi[k] // q
-                psi[k] += psi[k] // q
+    for q in sequences._SIEVE.primes(M):
+        for k in range(q, M + 1, q):
+            phi[k] -= phi[k] // q
+            psi[k] += psi[k] // q
     ms = [m for m in range(1, M + 1) if phi[m] <= D]
     return (max(m * (D // phi[m]) for m in ms),
             max(Fraction(psi[m], phi[m]) for m in ms))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import sequences
 from .bell import BellRational, MultiplicativeFunction
-from .errors import DivergenceError, SieveLimitError
+from .errors import DgfError, DivergenceError, SieveLimitError
 from .euler import ZetaForm, abscissa, factor_bell
 from .records import Record
 
@@ -147,17 +147,42 @@ def _abscissa_of(f: MultiplicativeFunction) -> Fraction:
     return abscissa(factor_bell(f, 6)).abscissa
 
 
+def _refuse_real_poles(local, s: float) -> None:
+    """Raise DivergenceError where, for a pair (p, Bell series) of local,
+    the series' den has a real root with |x| <= p^-s, so the Euler factor
+    at p diverges: den(0) = 1, so den(x) <= 0 or den(-x) <= 0 at x = p^-s
+    puts one there.  Complex roots go unseen.  A series of None is skipped.
+    """
+    for p, b in local:
+        x = p ** -s
+        if b is not None and min(b.den.evaluate(p, x),
+                                 b.den.evaluate(p, -x)) <= 0:
+            raise DivergenceError("s = %g: the Euler factor at p = %d has a "
+                                  "real pole with |x| <= %d^-s" % (s, p, p))
+
+
+def _too_wide(s: float) -> DgfError:
+    return DgfError("s = %g: exact values too large for floating point" % s)
+
+
 def eval_zeta_form(zf: ZetaForm, s: float) -> EvalResult:
-    """Evaluate a finite zeta form at real s inside its half-plane."""
+    """Evaluate a finite zeta form at real s inside its half-plane; a
+    local factor with a real pole in reach raises DivergenceError, exact
+    values too wide for a float a DgfError."""
     absc = abscissa(zf).abscissa
     if s <= float(absc) + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
                               % (s, absc))
-    value = 1.0
-    for z in zf.zeta_factors:
-        value *= riemann_zeta(z.u * s - z.l) ** z.gamma
-    for lf in zf.local:
-        value *= lf.bell().evaluate(lf.prime, lf.prime ** -s)
+    local = [(lf.prime, lf.bell()) for lf in zf.local]
+    try:
+        _refuse_real_poles(local, s)
+        value = 1.0
+        for z in zf.zeta_factors:
+            value *= riemann_zeta(z.u * s - z.l) ** z.gamma
+        for p, b in local:
+            value *= b.evaluate(p, p ** -s)
+    except OverflowError:
+        raise _too_wide(s) from None
     return EvalResult(value, 1e-13 * abs(value), "zeta_form")
 
 
@@ -172,7 +197,9 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     before any work.  They are taken _BLOCK at a time, the Bell series
     evaluated over the whole block, and multiplied in left to right as a
     prime-by-prime loop would, so every partial product is the same to
-    the bit.
+    the bit.  A real pole of the Euler factor at 2 or at an exceptional
+    prime in reach raises DivergenceError, exact values too wide for a
+    float a DgfError.
     """
     if not 2 <= P <= sequences.MAX_SIEVE:
         raise SieveLimitError("prime bound %d is not in [2, sieve limit]" % P)
@@ -187,14 +214,19 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     prod = 1.0
     b = f.bell
     primes = sequences._SIEVE.primes(P)
-    while blk := list(islice(primes, _BLOCK)):
-        # the running product, left to right: runs[k] covers blk[:k]
-        runs = list(accumulate(_block_values(f, b, blk, s), mul,
-                               initial=prod))
-        # each checkpoint below the block's last prime is complete in it
-        while cps[len(partials)] < blk[-1]:
-            partials.append(runs[bisect_right(blk, cps[len(partials)])])
-        prod = runs[-1]
+    try:
+        _refuse_real_poles([(q, f.local_bell(q))
+                            for q in sorted({2, *f.exceptions})], s)
+        while blk := list(islice(primes, _BLOCK)):
+            # the running product, left to right: runs[k] covers blk[:k]
+            runs = list(accumulate(_block_values(f, b, blk, s), mul,
+                                   initial=prod))
+            # each checkpoint below the block's last prime is complete in it
+            while cps[len(partials)] < blk[-1]:
+                partials.append(runs[bisect_right(blk, cps[len(partials)])])
+            prod = runs[-1]
+    except OverflowError:
+        raise _too_wide(s) from None
     partials += [prod] * (len(cps) - len(partials))
     # prime-tail of the log-product, scaled back to an absolute estimate
     tail = abs(prod) * (P ** (float(absc) - s)) \
@@ -214,7 +246,9 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
 
     The tail uses |a(n)| <= C n^(sigma0 - 1) with C fitted on the
     computed window, so the bound is heuristic, not rigorous.  N outside
-    [1, sequences.MAX_SIEVE] raises SieveLimitError before any work.
+    [1, sequences.MAX_SIEVE] raises SieveLimitError before any work, a
+    real pole of the Euler factor at 2 or at an exceptional prime in reach
+    DivergenceError, and exact values too wide for a float a DgfError.
     """
     if not 1 <= N <= sequences.MAX_SIEVE:
         raise SieveLimitError("term bound %d is not in [1, sieve limit]" % N)
@@ -223,8 +257,13 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
     if s <= s0 + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
                               % (s, absc))
-    vals = sequences.terms(f, N)
-    value = math.fsum(v * n ** -s for n, v in enumerate(vals, start=1))
-    C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))
+    try:
+        _refuse_real_poles([(q, f.local_bell(q))
+                            for q in sorted({2, *f.exceptions})], s)
+        vals = sequences.terms(f, N)
+        value = math.fsum(v * n ** -s for n, v in enumerate(vals, start=1))
+        C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))
+    except OverflowError:
+        raise _too_wide(s) from None
     tail = C * N ** (s0 - s) / (s - s0)
     return EvalResult(value, tail, "partial_sum")

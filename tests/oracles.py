@@ -15,7 +15,8 @@ Berlekamp-Massey fit over Q that the engine's fraction-free kernel is
 checked against.  The Euler product is multiplied out one prime at a
 time over trial-division primes, the reference for the engine's blocked
 kernel.  Zeta forms are read by the peel of the whole Bell series under
-guessed caps, the reference for the engine's exact binomial split.
+guessed caps, the reference for the engine's exact binomial split, and
+phi and psi by trial division are the reference for the caps of its peel.
 """
 from __future__ import annotations
 
@@ -272,7 +273,10 @@ def _congruence_min(n: int, t: int) -> int:
 
 
 def _per_n(fn):
-    return lambda args, N: [fn(n, *args) for n in range(1, N + 1)]
+    def first(args, N):
+        return [fn(n, *args) for n in range(1, N + 1)]
+    first.at = fn
+    return first
 
 
 _ORACLES = {
@@ -376,6 +380,22 @@ def oracle(name: str, args: Sequence[int], N: int) -> list[int]:
     if fn is None:
         raise CatalogError("no oracle for %r" % name)
     return fn(tuple(args), N)
+
+
+def oracle_at(name: str, args: Sequence[int], n: int) -> int:
+    """a(n) straight from the definition, for an entry defined per n."""
+    return _ORACLES[name].at(n, *args)
+
+
+def totients(M: int) -> tuple[list[int], list[int]]:
+    """Euler's phi(m) and Dedekind's psi(m) for m = 0..M (0 at m = 0), each
+    read off the factorisation of m by trial division."""
+    phi, psi = [0], [0]
+    for m in range(1, M + 1):
+        fac = _ofactor(m)
+        phi.append(math.prod((p - 1) * p ** (e - 1) for p, e in fac))
+        psi.append(math.prod((p + 1) * p ** (e - 1) for p, e in fac))
+    return phi, psi
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ import itertools
 import pytest
 
 import dgf.catalog as catalog_module
-from dgf.bell import (DEFAULT_DEGREE_CAP, MultiplicativeFunction,
-                      _reduce_product, rationalize)
+from dgf.bell import (DEFAULT_DEGREE_CAP, LOCAL_DEGREE_CAP,
+                      MultiplicativeFunction, _reduce_product, rationalize)
 from dgf.catalog import CATALOG, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
-from oracles import _ofactor, capped_zeta_form, refit_bell, series_eq
+from oracles import (_ofactor, capped_zeta_form, oracle_at, refit_bell,
+                     refit_local_bell, series_eq)
 
 
 def test_names_sorted_and_complete():
@@ -62,24 +63,50 @@ def test_bell_equals_master_refit(name, args):
     assert f.bell == refit_bell(f)
 
 
+# the 8 entries with exceptional primes at their parameter bounds and at
+# small values: c = 524288 = 2^19 and 720720 = 2^4 3^2 5 7 11 13 have the
+# largest exceptional exponents, 999999 = 3^3 7 11 13 37 the most primes
+_CS = (1, 2, 12, 360, 524288, 720720, 999999)
+EXCEPTIONAL = (
+    [(name, (c,)) for name in ("gcdc", "lcmc", "ramanujan") for c in _CS]
+    + [("depleted", (q, k)) for q in (2, 3, 999983) for k in (1, 2, 30)]
+    + [("periodic2", (c,)) for c in (1, 10**6)]
+    + [("periodic4", (a, b)) for a in (1, 10**6) for b in (1, 10**6)]
+    + [(name, (k,)) for name in ("sigma_odd", "sigma_star_odd")
+       for k in (0, 1, 30)])
+
+
 def test_closed_forms_skip_the_master_refit(monkeypatch):
     refits = []
     refit = MultiplicativeFunction._refit
 
     def counted(self, q, d, K):
-        refits.append((self.name, q))
+        refits.append((self.name, q, d))
         return refit(self, q, d, K)
 
     monkeypatch.setattr(MultiplicativeFunction, "_refit", counted)
     local = []
-    for name, args, f in grid_instances():
+    for name, args, f in grid_instances(GRID + EXCEPTIONAL):
         assert f.bell is not None
         for q in f.exceptional_primes:
             assert f.local_bell(q) is not None
-            local.append((f.name, q))
+            local.append((f.name, q, len(f.rule.exceptions[q].values)))
     # no atom refits its generic master window; each exceptional prime
-    # refits its values once
-    assert local and refits == local
+    # refits its n values once, at degree at most n, never at the cap
+    assert local and len(refits) == len(local)
+    for (name, q, d), (want, p, n) in zip(refits, local):
+        assert (name, q) == (want, p) and d <= n and d != LOCAL_DEGREE_CAP
+
+
+@pytest.mark.parametrize("name,args", EXCEPTIONAL, ids=lambda v: str(v))
+def test_local_values_are_the_definition(name, args):
+    # the data's values, and the series fitted to them, are the values
+    # from the definition and the series the cap refit finds
+    f = make(name, *args)
+    for q in f.exceptional_primes:
+        assert [f.value(q, e) for e in range(41)] == \
+            [oracle_at(name, args, q**e) for e in range(41)]
+        assert f.local_bell(q) == refit_local_bell(f, q)
 
 
 @pytest.mark.parametrize("name,args",

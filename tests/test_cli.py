@@ -228,6 +228,33 @@ def test_exit_code_math_errors(capsys):
     assert "not beyond the abscissa" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "sigma(30)^3", "--s", "200"],
+    ["eval", "sigma(30)^3", "--s", "200", "--method", "euler"],
+    ["eval", "sigma(30)^3", "--s", "200", "--method", "sum"],
+    ["eval", "sigma(30)*sigma(29)*sigma(28)", "--s", "100"],
+    ["eval", "power(30)^2 * gcdc(524288)", "--s", "200"],    # zeta form
+])
+def test_exit_code_values_too_wide_for_a_float(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (3, "")
+    assert err == "error: s = %s: exact values too large for floating " \
+        "point\n" % argv[3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "const(3)", "--s", "1.2"],
+    ["eval", "const(3)", "--s", "1.2", "--method", "sum"],
+    ["eval", "const(1000000)", "--s", "1.5"],
+    ["eval", "inv(periodic2(1000000))", "--s", "2"],         # zeta form
+])
+def test_exit_code_real_pole_at_two(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (3, "")
+    assert err == "error: s = %s: the Euler factor at p = 2 has a real " \
+        "pole with |x| <= 2^-s\n" % argv[3]
+
+
 def test_exit_code_any_library_error(capsys, monkeypatch):
     def over_limit(*args):
         raise SieveLimitError("sieve limit exceeded")
@@ -329,6 +356,22 @@ def test_verify_transcript(capsys):
     lines = out.splitlines()
     assert len(lines) == 5
     assert all(line.startswith("ok  ") for line in lines)
+
+
+def test_verify_names_the_series_it_checks(capsys):
+    # with no rational Bell series the two lines read the rule's own series
+    rc, out, _ = run(capsys, ["verify", "eps(5)*eps(6)", "-n", "200"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "ok   Euler factors multiply back to the prime-power rule's series",
+        "ok   values match the prime-power rule's series at every prime "
+        "power"]
+    rc, out, _ = run(capsys, ["verify", "mu_star", "-n", "200"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "ok   closed Bell series matches the prime-power rule",
+        "ok   Euler factors multiply back to the Bell series",
+        "ok   values match the Bell series at every prime power"]
 
 
 def test_verify_catches_non_multiplicative_values(capsys, monkeypatch):

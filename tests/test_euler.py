@@ -34,7 +34,7 @@ from dgf.sequences import terms
 
 from conftest import ef_tuples, grid_instances, zf_tuples
 from oracles import (_zeta_base_stream, dirichlet_mul_streams,
-                     expand_factor_list, series_eq)
+                     expand_factor_list, series_eq, totients)
 
 P = PrimePoly
 
@@ -209,6 +209,16 @@ def test_finite_zeta_form_detects_infinite():
     # a rest of degree 14 after the binomial split, the largest seen
     f = parse_function("rad(8) <*> rad(7) <*> inv(phi_star)")
     assert finite_zeta_form(f) is INFINITE
+
+
+def test_peel_caps_match_trial_division():
+    # phi(m) >= sqrt(m/2) bounds the m to look at by 2 D^2
+    phi, psi = totients(2 * 30 * 30)
+    for D in range(1, 31):
+        ms = [m for m in range(1, 2 * D * D + 1) if phi[m] <= D]
+        assert euler_module._peel_caps(D) == (
+            max(m * (D // phi[m]) for m in ms),
+            max(Fraction(psi[m], phi[m]) for m in ms)), D
 
 
 def test_finite_zeta_form_of_a_cyclotomic_bell_series():

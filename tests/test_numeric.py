@@ -9,7 +9,7 @@ from dgf import numeric
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import DivergenceError, SieveLimitError
-from dgf.euler import finite_zeta_form
+from dgf.euler import INFINITE, finite_zeta_form
 from dgf.numeric import (
     EvalResult,
     eval_euler_product,
@@ -101,6 +101,39 @@ def test_eval_euler_product_divergence():
             eval_euler_product(f, s, P=100)
     with pytest.raises(DivergenceError):
         eval_partial_sum(f, 2.0, N=100)
+
+
+@pytest.mark.parametrize("src,s", [("const(3)", 1.2), ("const(1000000)", 1.5),
+                                   ("inv(periodic2(1000000))", 2.0)])
+def test_real_pole_at_a_small_prime_refused(src, s):
+    # the Bell series at p = 2 has a real pole inside |x| <= 2^-s, though
+    # s is beyond the abscissa the factorisation reads
+    f = parse_function(src)
+    zf = finite_zeta_form(f)
+    with pytest.raises(DivergenceError, match="real pole"):
+        eval_euler_product(f, s, P=100)
+    with pytest.raises(DivergenceError, match="real pole"):
+        eval_partial_sum(f, s, N=100)
+    if zf != INFINITE:
+        with pytest.raises(DivergenceError, match="real pole"):
+            eval_zeta_form(zf, s)
+
+
+# the benchmark's numeric grid functions and their abscissae
+NUMERIC_GRID = [("mu", 1), ("phi", 2), ("sigma(1)", 2), ("tau(4)", 1),
+                ("psi_k(2)", 3), ("gcdc(12)", 1), ("mu^2 * phi", 2),
+                ("mu_star", 1)]
+
+
+@pytest.mark.parametrize("src,absc", NUMERIC_GRID)
+def test_pole_check_refuses_no_point_of_the_numeric_grid(src, absc):
+    f = parse_function(src)
+    s = absc + 0.01
+    zf = finite_zeta_form(f)
+    if zf != INFINITE:
+        eval_zeta_form(zf, s)
+    eval_euler_product(f, s, P=1000)
+    eval_partial_sum(f, s, N=1000)
 
 
 def test_bounds_checked_before_any_work(monkeypatch):
