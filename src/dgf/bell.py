@@ -6,22 +6,27 @@ primes.  A combinator is a node over its operands: one coefficient rule
 over their coefficients and at most one Bell rule over their Bell series
 at the same prime, so both serve every prime alike; each node memoizes
 its own coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
-kept as an exact rational function over Z[p] whenever one exists; it is
-found by one fraction-free Berlekamp-Massey pass at p = 2^k, read back
-from balanced base-2^k digits and proved over Z[p] by one product check
-at p = 2^K.  A catalog atom takes its series from its closed form, and
-at an exceptional prime from the fit at the degree bound of its values;
-a pointwise product or power refits at the degree bound of the termwise
-product of its operands' series, a proof when those are exact.  Only
-where none applies are the function's coefficients refitted at the
-degree cap.
+kept as an exact rational function over Z[p] whenever one exists.
+
+Where a denominator is a product of binomials 1 - S p^l x^u, S = +-1, the
+rules are exact: common factors are cancelled by dividing out the
+binomials' cyclotomic pieces, and a pointwise product or power reads its
+denominator off the operands' binomials and its numerator off one
+truncated product.  A catalog atom takes its series from its closed form,
+and at an exceptional prime from the fit at the degree bound of its
+values.  Elsewhere a series is refitted: by one fraction-free
+Berlekamp-Massey pass at p = 2^k, read back from balanced base-2^k digits
+and proved over Z[p] by one product check at p = 2^K; at a proven degree
+bound where there is one, else at the degree cap.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
+from itertools import product
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
@@ -29,6 +34,13 @@ from .polys import PrimePoly, XPoly, series_div
 
 DEFAULT_DEGREE_CAP = 16
 LOCAL_DEGREE_CAP = 40
+# the highest order a pointwise product's series is built to from its
+# denominator (_bounded), and the bound of the CLI's -U: at least 60, the
+# highest order of a binomial in a finite zeta form of a Bell series of
+# degree up to the default cap (max m k over phi(m) k <= 16, at Phi_60),
+# so factorize can show each of them.  Peeling to order U takes O(U d)
+# products for a Bell series of degree d and O(U^2) for a raw series
+MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
 # times rationalize may double the radix bits before giving up
 _RADIX_DOUBLINGS = 4
 
@@ -129,11 +141,106 @@ def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
 
 
 # ---------------------------------------------------------------------------
+# binomials
+#
+# A binomial 1 - S p^l x^u, S = +-1, is the triple (S, l, u).  With
+# g = gcd(l, u) and y = p^(l/g) x^(u/g) it is 1 - S y^g: the product of
+# the cyclotomic pieces Phi_m(y) over m | g if S = 1, over m | 2g with m
+# not dividing g if S = -1, each irreducible over Q(p) (Capelli).  Any
+# common factor of num and a den that is a product of binomials is a
+# product of their pieces.  Every candidate divisor is first tested on
+# the values at p = 2^20, x = 2^45: over Z[p] a divisor's value divides.
+
+def _packed(xp: XPoly) -> int:
+    return xp.pack(20, 45)
+
+
+def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
+    """Strip every binomial 1 - S p^l x^u that divides xp exactly, as
+    (S, l, u, gamma).
+
+    Candidates are read off the lowest-order non-constant term; the
+    remainder is returned unfactored.
+    """
+    found: list[tuple[int, int, int, int]] = []
+    v = _packed(xp)
+    while xp.degree() >= 1:
+        # the top coefficient is nonzero, so some u <= degree is found
+        u = next(i for i in range(1, xp.degree() + 1)
+                 if not xp.coeff(i).is_zero())
+        for l, c in sorted(xp.coeff(u).items(), reverse=True):
+            S = -1 if c > 0 else +1
+            w = 1 - (S << (20 * l + 45 * u))
+            if v % w == 0 and (q := xp.divide_binomial(S, l, u)) is not None:
+                found.append((S, l, u, gamma))
+                xp, v = q, v // w
+                break
+        else:
+            break
+    return found, xp
+
+
+@cache
+def _cyclotomic(m: int) -> XPoly:
+    """Phi_m(x) with constant term 1 (1 - x for m = 1): 1 - x^m over the
+    pieces of its proper divisors."""
+    c = XPoly.binomial(1, 0, m)
+    for d in range(1, m):
+        if m % d == 0:
+            c = c.divide(_cyclotomic(d))
+    return c
+
+
+@cache
+def _piece(m: int, a: int, b: int) -> tuple[XPoly, int]:
+    """Phi_m(p^a x^b) and its packed value."""
+    cs = [PrimePoly.zero] * (b * _cyclotomic(m).degree() + 1)
+    for k, c in enumerate(_cyclotomic(m).coeffs):
+        cs[b * k] = c.shift_p(a * k)
+    xp = XPoly(cs)
+    return xp, _packed(xp)
+
+
+def _pieces(S: int, l: int, u: int) -> list[tuple[int, int, int]]:
+    """The pieces (m, a, b), Phi_m(p^a x^b), of the binomial (S, l, u)."""
+    g = math.gcd(l, u)
+    n = g if S > 0 else 2 * g
+    return [(m, l // g, u // g) for m in range(1, n + 1)
+            if n % m == 0 and (S > 0 or g % m)]
+
+
+def _expand(binomials: Counter) -> XPoly:
+    """The product of the binomials (S, l, u) to their powers, multiplied
+    out on integers packed at p = 2^k: the coefficients of t binomials
+    have size at most 2^t."""
+    k = sum(binomials.values()) + 2
+    acc = [1]
+    for (S, l, u), m in binomials.items():
+        for _ in range(m):
+            acc += [0] * u
+            for n in range(len(acc) - 1, u - 1, -1):
+                acc[n] -= (S * acc[n - u]) << (k * l)
+    return XPoly(_balanced_digits(v, k) for v in acc)
+
+
+def _product_below(a: XPoly, s: Sequence[PrimePoly], N: int) -> XPoly:
+    """a * s below x^N, s of length >= N, on integers packed at p = 2^k:
+    each digit of the product is at most sup |s| l1(a) < 2^(k-1)."""
+    sup = max((abs(v) for c in s[:N] for _, v in c.items()), default=1)
+    l1 = sum(abs(v) for c in a.coeffs for _, v in c.items())
+    k = (sup * l1).bit_length() + 2
+    A, B = [c.pack(k) for c in a.coeffs], [c.pack(k) for c in s[:N]]
+    return XPoly(_balanced_digits(sum(map(operator.mul, A, B[n::-1])), k)
+                 for n in range(N))
+
+
+# ---------------------------------------------------------------------------
 
 class BellRational:
     """Rational Bell series num/den, both with constant term 1."""
 
-    __slots__ = ("num", "den")
+    # _split and _den_bins are filled on first use
+    __slots__ = ("num", "den", "_split", "_den_bins")
 
     def __init__(self, num: XPoly, den: XPoly):
         if not num.coeffs or not num.coeffs[0].is_one():
@@ -142,6 +249,33 @@ class BellRational:
             raise SeriesWindowError("denominator constant term must be 1")
         self.num = num
         self.den = den
+
+    @property
+    def split(self) -> tuple[list[tuple[int, int, int, int]], "BellRational | None"]:
+        """The exact binomial split, found once: the binomials (S, l, u,
+        gamma) dividing num (gamma +1) or den (gamma -1), and the rest, None
+        when it is 1."""
+        try:
+            return self._split
+        except AttributeError:
+            nf, nr = _partial_binomials(self.num, +1)
+            df, dr = _partial_binomials(self.den, -1)
+            self._split = (nf + df, None if nr.is_one() and dr.is_one()
+                           else BellRational(nr, dr))
+            return self._split
+
+    @property
+    def den_binomials(self) -> Counter | None:
+        """Binomials (S, l, u) with their powers whose product is den, found
+        once (or given by the rule that built den), or None when den splits
+        into none such."""
+        try:
+            return self._den_bins
+        except AttributeError:
+            found, rest = _partial_binomials(self.den, -1)
+            self._den_bins = (Counter(f[:3] for f in found) if rest.is_one()
+                              else None)
+            return self._den_bins
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_div(self.num.coeffs, self.den.coeffs, K)
@@ -235,12 +369,13 @@ class MultiplicativeFunction:
     at each exceptional prime q: derive(h, q, *bells) over the operands'
     series at q: a catalog atom's closed form, or at an exceptional prime
     the fit at the degree bound of its local values, or a combinator's
-    Bell rule (for a pointwise product or power j > 1, the refit at their
-    degree bound).  Where there is none or it gives None (a function
-    built without one, a non-integral shift, an operand without a series,
-    a pointwise bound at or above the cap) the first 2*cap+4 coefficients
-    are refitted at the degree cap, DEFAULT_DEGREE_CAP at the generic
-    prime and LOCAL_DEGREE_CAP at q.
+    Bell rule (for a pointwise product or power j > 1, _bounded).  Where
+    there is none or it gives None (a function built without one, a
+    non-integral shift, an operand without a series, a pointwise bound at
+    or above the cap for operands whose dens do not split) the first
+    2*cap+4 coefficients are refitted at the degree cap, DEFAULT_DEGREE_CAP
+    at the generic prime and LOCAL_DEGREE_CAP at q.  A rule that proves
+    there is no series raises DegreeBoundError, and the series is None.
     """
 
     def __init__(self, name: str, rule: Callable,
@@ -282,26 +417,36 @@ class MultiplicativeFunction:
     def _bell_at(self, q: int | None) -> BellRational | None:
         """Fill the cache at q: derive over the operands' series at q, or
         else refit the first 2*cap+4 coefficients at the generic (q None)
-        or the local cap."""
+        or the local cap.  A rule that proves there is no series raises
+        DegreeBoundError, and the cache holds None."""
         if q not in self._bells:
+            bs = [f.local_bell(q) if q else f.bell for f in self.ops]
             try:
-                bs = [f.local_bell(q) if q else f.bell for f in self.ops]
+                b = self.derive and None not in bs and self.derive(self, q, *bs)
+                if not b:
+                    cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
+                    b = self._refit(q, cap, 2 * cap + 3)
             except DegreeBoundError:
-                bs = [None]
-            b = self.derive and None not in bs and self.derive(self, q, *bs)
-            if not b:
-                cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
-                b = self._refit(q, cap, 2 * cap + 3)
+                b = None
             self._bells[q] = b
         return self._bells[q]
+
+    def _window(self, q: int | None, K: int) -> list[PrimePoly]:
+        """a(q^0), ..., a(q^K) (generic for q None) as PrimePolys."""
+        return (self.series(K) if q is None else
+                list(map(PrimePoly.const, self.local_series(q, K))))
 
     def _refit(self, q: int | None, d: int, K: int) -> BellRational | None:
         """The fit of degree <= d to a(q^0), ..., a(q^K) (generic for q
         None), or None when there is none."""
-        series = (self.series(K) if q is None else
-                  list(map(PrimePoly.const, self.local_series(q, K))))
+        window = self._window(q, K)
         try:
-            return rationalize(series, d)
+            # a fit over Z[p] specialises to one at p = 2, so where there is
+            # none there (or a non-integral one) there is none at all; the
+            # values at p = 2 are far narrower than at the radix 2^k
+            if q is None and _scalar_pade([c.pack(1) for c in window], d) is None:
+                return None
+            return rationalize(window, d)
         except DegreeBoundError:
             return None
 
@@ -338,13 +483,39 @@ class MultiplicativeFunction:
 _sum = partial(reduce, operator.add)
 
 
-def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
-    """Cancel common factors of an explicit rational via refitting."""
-    d = max(num.degree(), den.degree())
+def _reduce_product(num: XPoly, den: XPoly,
+                    binomials: Counter | None = None) -> BellRational:
+    """num/den with its common factors cancelled.
+
+    Where den is a product of binomials (binomials: each with its power,
+    by default read off den), every piece of theirs is divided out of
+    both as often as den holds it and it divides num, so the result is
+    the unique reduced form with constant terms 1.  Any other den is
+    reduced by a refit of degree max(deg num, deg den).
+    """
     cand = BellRational(num, den)
-    if d == 0:
-        return cand
-    return rationalize(cand.series(2 * d + 3), d)
+    if binomials is not None:
+        cand._den_bins = binomials
+    if cand.den_binomials is None:
+        d = max(num.degree(), den.degree())
+        return cand if d == 0 else rationalize(cand.series(2 * d + 3), d)
+    pieces: Counter = Counter()
+    for (S, l, u), m in cand.den_binomials.items():
+        for pc in _pieces(S, l, u):
+            pieces[pc] += m
+    v = _packed(num)
+    for pc, m in pieces.items():
+        P, w = _piece(*pc)
+        while m and v % w == 0 and (q := num.divide(P)) is not None:
+            num, den, v, m = q, den.divide(P), v // w, m - 1
+    # a den left whole keeps its binomials
+    return cand if den is cand.den else BellRational(num, den)
+
+
+def _cat(fb: BellRational, gb: BellRational) -> Counter | None:
+    """The binomials of fb.den * gb.den: both operands' concatenated."""
+    a, b = fb.den_binomials, gb.den_binomials
+    return None if a is None or b is None else a + b
 
 
 def _convolve(h, q, e):
@@ -357,7 +528,8 @@ def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
     return MultiplicativeFunction(
         name or "(%s <*> %s)" % (f.name, g.name), _convolve,
-        lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den),
+        lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den,
+                                             _cat(fb, gb)),
         (f, g))
 
 
@@ -392,21 +564,65 @@ def _termwise(h, q, e):
     return reduce(operator.mul, [f.coeff(q, e) for f in h.ops])
 
 
+def _hadamard_den(blocks: Sequence[Counter]) -> Counter:
+    """den_H of a termwise product whose operands' dens are products of
+    binomials (blocks: each operand's, with their powers).
+
+    Each tuple of one block (1 - S_i p^l_i x^u_i)^m_i per operand gives
+    (1 - prod S_i^(L/u_i) p^(sum l_i L/u_i) x^L)^(sum m_i - j + 1),
+    L = lcm u_i: every root of the product's sequence is a product of
+    operand roots, with polynomial weights of degree below that power
+    (Stanley, EC1 4.2).  Equal binomials of different tuples add their
+    powers, as blocks of one operand may share roots: 1/((1 - x)(1 - x^2))
+    has the double root 1, and times 1/(1 - x^2) termwise it is
+    1/(1 - x^2)^2.  Blocks with u = 1 share none, so where L = 1 the
+    larger power suffices.
+    """
+    out: Counter = Counter()
+    for tup in product(*(c.items() for c in blocks)):
+        L = math.lcm(*(u for (_, _, u), _ in tup))
+        S = math.prod(S ** (L // u) for (S, _, u), _ in tup)
+        l = sum(l * (L // u) for (_, l, u), _ in tup)
+        k = sum(m for _, m in tup) - len(tup) + 1
+        out[S, l, L] = max(out[S, l, L], k) if L == 1 else out[S, l, L] + k
+    return out
+
+
 def _bounded(h, q, *bs):
-    """The termwise product's Bell series at q: where the operands' series
-    bound its degree by D below the cap, the fit of degree <= D to its
-    first 2D+2 coefficients.  Two rationals of degree <= D that agree that
-    far are equal, so the fit is a proof when the operands' series are
-    exact.  Otherwise None, and the cap refit runs."""
-    D = hadamard_degree(bs)
+    """The termwise product's Bell series at q.
+
+    Where every operand's den is a product of binomials, the product's
+    coefficients obey the recurrence of den_H (_hadamard_den) from e0 on,
+    so num = den_H * S below x^N, N = deg den_H + e0, and num/den_H is
+    reduced exactly; that is built while N <= MAX_ORDER.  Past it the
+    fit of degree d at the cap is accepted only where it holds on N + d + 1
+    coefficients, which proves it; else there is none (DegreeBoundError).
+    Other dens: where hadamard_degree bounds the degree by D below the
+    cap, the fit of degree <= D to 2D+2 coefficients, a proof; else None,
+    and the cap refit runs.
+    """
     cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
-    return h._refit(q, D, 2 * D + 1) if D < cap else None
+    blocks = [b.den_binomials for b in bs]
+    if None in blocks:
+        D = hadamard_degree(bs)
+        return h._refit(q, D, 2 * D + 1) if D < cap else None
+    den_bins = _hadamard_den(blocks)
+    e0 = max(0, *(b.num.degree() - b.den.degree() + 1 for b in bs))
+    N = sum(u * m for (_, _, u), m in den_bins.items()) + e0
+    if N <= MAX_ORDER:
+        den = _expand(den_bins)
+        return _reduce_product(_product_below(den, h._window(q, N - 1), N),
+                               den, den_bins)
+    fit = h._refit(q, cap, 2 * cap + 3)
+    if fit is None or not fit.matches(
+            h._window(q, N + max(fit.num.degree(), fit.den.degree()))):
+        raise DegreeBoundError("no rational form of degree <= %d" % cap)
+    return fit
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
                       name: str | None = None) -> MultiplicativeFunction:
-    """(f . g)(p^e) = f(p^e) g(p^e); Bell series refitted at the degree
-    bound of the operands' series (hadamard_degree)."""
+    """(f . g)(p^e) = f(p^e) g(p^e); Bell series by _bounded."""
     return MultiplicativeFunction(name or "(%s * %s)" % (f.name, g.name),
                                   _termwise, _bounded, (f, g))
 
@@ -454,7 +670,7 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
 def _union(h, q, fb, gb):
     den = fb.den * gb.den
     num = fb.num * gb.den + gb.num * fb.den - den  # B_f + B_g - 1
-    return _reduce_product(num, den)
+    return _reduce_product(num, den, _cat(fb, gb))
 
 
 def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,

@@ -11,22 +11,21 @@ an explicit bell= form.  At runtime the closed form is the instance's
 generic-prime Bell series, so no master window is refitted.  At an
 exceptional prime the values are data (LocalValues): n first values and
 the ratio of every later one, whose fit at degree n on 2n + 2 values is
-a proof.  Common factors of a closed form are cancelled by a refit
-(bell._reduce_product) only where they can exist: for every bell= form,
-and for a zeta= list with a numerator and a denominator binomial of the
-same ratio l/u, such as 1 - p x and 1 - p^2 x^2.  Other zeta= lists give
-coprime num and den as built.
+a proof.  Common factors of a closed form are cancelled exactly
+(bell._reduce_product) over its denominator binomials: a zeta= list
+passes its own, a bell= form has them read off; only a bell= den that is
+no product of binomials, as const(c)'s 1 - c x, is reduced by a refit.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections import Counter
 from typing import Callable, NamedTuple
 
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
-                   _reduce_product)
+                   _expand, _reduce_product)
 from .errors import CatalogError
-from .euler import INFINITE, ZetaFactor, _merge, _zeta_bell
+from .euler import INFINITE, ZetaFactor, _merge, _zeta_sides
 from .polys import PrimePoly, XPoly
 
 _MAX_K = 30
@@ -149,31 +148,28 @@ class CatalogEntry(NamedTuple):
             return self.name
         return "%s(%s)" % (self.name, ",".join(str(a) for a in args))
 
-    def _closed(self, vals) -> tuple[BellRational, bool]:
-        """The generic Bell series in closed form, and whether its num and
-        den are known to be coprime: the bell= form if the entry has one
-        (not known), else the product of its zeta= factors, which is then
-        a finite list for every parameter value.  The roots of
-        1 - p^l x^u all have modulus p^(-l/u), so num and den are coprime
-        when none of their binomials share the ratio l/u."""
+    def _closed(self, vals) -> tuple[BellRational, Counter | None]:
+        """The generic Bell series in closed form and its den's binomials
+        with their powers: the bell= form if the entry has one (binomials
+        read off its den), else the product of its zeta= factors, which is
+        then a finite list for every parameter value, and its factors of
+        positive gamma."""
         if self.bell is not None:
-            return self.bell(*vals), False
-        zs = list(map(ZetaFactor._make, self.zeta(*vals)))
-        num = {Fraction(z.l, z.u) for z in zs if z.gamma < 0}
-        den = {Fraction(z.l, z.u) for z in zs if z.gamma > 0}
-        return BellRational(*_zeta_bell(zs)), num.isdisjoint(den)
+            return self.bell(*vals), None
+        num, den = _zeta_sides(map(ZetaFactor._make, self.zeta(*vals)))
+        return BellRational(_expand(num), _expand(den)), den
 
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
 
         def derive(h, q):
             # at q the fit its n values prove; else the closed form (built
-            # on first use) with any common factors that can exist cancelled
+            # on first use) with its common factors cancelled
             if q is not None:
                 n = len(h.rule.exceptions[q].values)
                 return h._refit(q, n, 2 * n + 1)
-            b, coprime = self._closed(vals)
-            return b if coprime else _reduce_product(b.num, b.den)
+            b, binomials = self._closed(vals)
+            return _reduce_product(b.num, b.den, binomials)
         return MultiplicativeFunction(self.instance_name(vals),
                                       self.build(*vals), derive=derive)
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .bell import DEFAULT_DEGREE_CAP
+from .bell import DEFAULT_DEGREE_CAP, MAX_ORDER
 from .catalog import CATALOG, make
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError)
@@ -22,15 +22,6 @@ from .euler import (INFINITE, abscissa, factor_bell, finite_zeta_form,
 from .numeric import eval_euler_product, eval_partial_sum, eval_zeta_form
 from .parser import parse_function
 from .sequences import MAX_SIEVE, compare_bfile, matches_bell, terms
-
-
-# bound of -U: at least 60, the highest order of a binomial in a finite
-# zeta form of a Bell series of degree up to the default degree cap 16
-# (max m k over phi(m) k <= 16, at Phi_60), so factorize can show each
-# of them.  Peeling to order U takes O(U d) products for a Bell series
-# of degree d and O(U^2) for a raw series; verify's round trip is one
-# check of O(U^2) products of packed integers
-MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
 
 
 class _ArgParser(argparse.ArgumentParser):

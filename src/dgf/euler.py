@@ -20,13 +20,15 @@ coefficients expand by the same series_div.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from . import sequences
-from .bell import BellRational, MultiplicativeFunction, _reduce_product
+from .bell import (BellRational, MultiplicativeFunction, _expand,
+                   _reduce_product)
 from .errors import SieveLimitError
 from .polys import PrimePoly, XPoly, series_div
 from .records import Record
@@ -172,41 +174,6 @@ def round_trips(efl: EulerFactorList, series: Sequence[PrimePoly]) -> bool:
     return BellRational(num, XPoly(map(PrimePoly, D))).matches(series)
 
 
-def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list[EulerFactor], XPoly]:
-    """Strip every binomial 1 - S p^l x^u that divides xp exactly, as the
-    factor (1 - S p^l x^u)^gamma.
-
-    Candidates are read off the lowest-order non-constant term; the
-    remainder is returned unfactored.
-    """
-    found: list[EulerFactor] = []
-    while xp.degree() >= 1:
-        # the top coefficient is nonzero, so some u <= degree is found
-        u = next(i for i in range(1, xp.degree() + 1)
-                 if not xp.coeff(i).is_zero())
-        for l, c in sorted(xp.coeff(u).items(), reverse=True):
-            S = -1 if c > 0 else +1
-            q = xp.divide_binomial(S, l, u)
-            if q is not None:
-                found.append(EulerFactor(S, l, u, gamma))
-                xp = q
-                break
-        else:
-            break
-    return found, xp
-
-
-def _binomial_split(b: BellRational) -> tuple[list[EulerFactor], BellRational | None]:
-    """The exact binomial split of b: the binomials that divide its
-    numerator (gamma +1) or denominator (gamma -1), and the rest, None
-    when it is 1."""
-    num_facs, num_res = _partial_binomials(b.num, +1)
-    den_facs, den_res = _partial_binomials(b.den, -1)
-    if num_res.is_one() and den_res.is_one():
-        return num_facs + den_facs, None
-    return num_facs + den_facs, BellRational(num_res, den_res)
-
-
 def factor_bell(f, U: int = 8) -> EulerFactorList:
     """Full factorisation of a function's Dirichlet series over primes.
 
@@ -219,7 +186,8 @@ def factor_bell(f, U: int = 8) -> EulerFactorList:
     if not isinstance(b, BellRational):
         return euler_expand(f.series(U) if b is None else b, U)
 
-    factors, rest = _binomial_split(b)
+    split, rest = b.split
+    factors = list(map(EulerFactor._make, split))
     if rest is None:
         return EulerFactorList(factors, truncated_at=None)
     peel = euler_expand(rest, U)
@@ -336,14 +304,21 @@ class ZetaForm(Record):
 INFINITE = "infinite"
 
 
-def _zeta_bell(zs: Iterable[ZetaFactor]) -> tuple[XPoly, XPoly]:
-    """The Bell series prod (1 - p^l x^u)^(-gamma) of the factors
-    zeta(us - l)^gamma, as its numerator and denominator."""
-    sides = [XPoly.from_ints([1]), XPoly.from_ints([1])]
+def _zeta_sides(zs: Iterable[ZetaFactor]) -> tuple[Counter, Counter]:
+    """The binomials (1, l, u) with their powers in the numerator and the
+    denominator of prod (1 - p^l x^u)^(-gamma) over the factors
+    zeta(us - l)^gamma."""
+    sides: tuple[Counter, Counter] = (Counter(), Counter())
     for z in zs:
-        for _ in range(abs(z.gamma)):
-            sides[z.gamma > 0] *= XPoly.binomial(+1, z.l, z.u)
-    return sides[0], sides[1]
+        sides[z.gamma > 0][1, z.l, z.u] += abs(z.gamma)
+    return sides
+
+
+def _zeta_bell(zs: Iterable[ZetaFactor]) -> tuple[XPoly, XPoly]:
+    """The Bell series of the factors zeta(us - l)^gamma, as its numerator
+    and denominator."""
+    num, den = _zeta_sides(zs)
+    return _expand(num), _expand(den)
 
 
 @cache
@@ -367,7 +342,7 @@ def _peel_caps(D: int) -> tuple[int, Fraction]:
 def finite_zeta_form(f):
     """Finite zeta-product form of a function, or the string "infinite".
 
-    The generic Bell series B is split exactly (_binomial_split): every
+    The generic Bell series B is split exactly (BellRational.split): every
     binomial 1 - S p^l x^u dividing num or den is a zeta factor or a
     ratio of two (zeta_factors_from_euler).  Only a rest N/D that no
     binomial divides is peeled, in the zeta basis S = +1, and the product
@@ -388,8 +363,8 @@ def finite_zeta_form(f):
     b = f if func is None else func.bell
     if b is None:
         return INFINITE
-    split, rest = _binomial_split(b)
-    factors = zeta_factors_from_euler(split)
+    split, rest = b.split
+    factors = zeta_factors_from_euler(map(EulerFactor._make, split))
     if rest is not None:
         n, d = rest.num.degree(), rest.den.degree()
         order, ratio = _peel_caps(max(n, d))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import Sequence
@@ -147,16 +148,47 @@ def _abscissa_of(f: MultiplicativeFunction) -> Fraction:
     return abscissa(factor_bell(f, 6)).abscissa
 
 
+def _real_roots_within(cs: Sequence[int], x: Fraction) -> int:
+    """The number of distinct real roots in (-x, x) of the polynomial with
+    coefficients cs (ascending), neither -x nor x a root: V(-x) - V(x), V
+    the sign changes along its Sturm sequence (exact, in Fractions)."""
+    def rem(n, d):  # coefficient lists, highest first, d[0] != 0
+        while len(n) >= len(d):
+            q = n[0] / d[0]
+            n = [a - q * b for a, b in zip(n[1:], d[1:] + [0] * len(n))]
+        while n and not n[0]:
+            n = n[1:]
+        return n
+
+    top = [Fraction(c) for c in reversed(cs)]
+    seq = [top, [c * (len(top) - 1 - i) for i, c in enumerate(top[:-1])]]
+    while r := rem(seq[-2], seq[-1]):
+        seq.append([-c for c in r])
+
+    def changes(t):
+        vs = [v for v in (reduce(lambda a, c: a * t + c, P) for P in seq) if v]
+        return sum((a < 0) != (b < 0) for a, b in zip(vs, vs[1:]))
+    return changes(-x) - changes(x)
+
+
 def _refuse_real_poles(local, s: float) -> None:
     """Raise DivergenceError where, for a pair (p, Bell series) of local,
     the series' den has a real root with |x| <= p^-s, so the Euler factor
     at p diverges: den(0) = 1, so den(x) <= 0 or den(-x) <= 0 at x = p^-s
-    puts one there.  Complex roots go unseen.  A series of None is skipped.
+    puts one there, and past that sign test a den of degree >= 2 counts
+    its roots inside by a Sturm sequence (a double root keeps the sign),
+    unless sum_(i >= 1) |den_i| x^i < 1 rules out every root inside.
+    Complex roots go unseen.  A series of None is skipped.
     """
     for p, b in local:
+        if b is None:
+            continue
         x = p ** -s
-        if b is not None and min(b.den.evaluate(p, x),
-                                 b.den.evaluate(p, -x)) <= 0:
+        cs = [c.evaluate(p) for c in b.den.coeffs]
+        if (min(b.den.evaluate(p, x), b.den.evaluate(p, -x)) <= 0
+                or len(cs) > 2
+                and sum(abs(c) * x ** i for i, c in enumerate(cs[1:], 1)) >= 1
+                and _real_roots_within(cs, Fraction(x))):
             raise DivergenceError("s = %g: the Euler factor at p = %d has a "
                                   "real pole with |x| <= %d^-s" % (s, p, p))
 

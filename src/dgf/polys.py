@@ -240,22 +240,25 @@ class XPoly:
             acc = list(map(add, map(mul, acc, xs), c.evaluate_block(ps)))
         return acc
 
+    def divide(self, other: "XPoly") -> "XPoly | None":
+        """Exact division by other, other[0] = 1; None if it does not
+        divide.  The series self/other to x^n, n = deg self, is a
+        polynomial of degree n - deg other exactly when other divides."""
+        n, d = self.degree(), other.degree()
+        if n < d:
+            return None
+        q = series_div(self.coeffs, other.coeffs, n)
+        if any(not c.is_zero() for c in q[n - d + 1:]):
+            return None
+        return XPoly(q[: n - d + 1])
+
     def divide_binomial(self, S: int, l: int, u: int) -> "XPoly | None":
         """Exact division by (1 - S p^l x^u); None if it does not divide."""
-        n = len(self.coeffs)
-        if n == 0:
-            return None
-        mono = PrimePoly.monomial(l, S)
-        q = [PrimePoly.zero] * n
-        for i in range(n):
-            t = self.coeffs[i]
-            if i >= u and not q[i - u].is_zero():
-                t = t + mono * q[i - u]
-            q[i] = t
-        # exactness: quotient degree must drop by u
-        if any(not q[i].is_zero() for i in range(max(0, n - u), n)):
-            return None
-        return XPoly(q[: n - u])
+        return self.divide(XPoly.binomial(S, l, u))
+
+    def pack(self, k: int, K: int) -> int:
+        """The value at p = 2^k, x = 2^K."""
+        return sum(c.pack(k) << (K * i) for i, c in enumerate(self.coeffs))
 
     def substitute_x_pk(self, k: int) -> "XPoly":
         """x -> p^k x.  Negative k requires divisibility of each coefficient."""
@@ -304,14 +307,17 @@ def series_div(num: Sequence[PrimePoly], den: Sequence[PrimePoly],
     """
     if not den or not den[0].is_one():
         raise SeriesWindowError("series division needs a denominator starting at 1")
-    terms = [(j, c) for j, c in enumerate(den[1:K + 1], 1) if not c.is_zero()]
+    terms = [(j, c._c.items()) for j, c in enumerate(den[1:K + 1], 1) if c._c]
     out: list[PrimePoly] = []
     for n in range(K + 1):
-        acc = PrimePoly.zero
+        # B_n accumulates in one dict of exponents of p
+        acc = dict(num[n]._c) if n < len(num) else {}
         for j, c in terms:
             if j > n:
                 break
-            if not out[n - j].is_zero():
-                acc = acc + c * out[n - j]
-        out.append((num[n] if n < len(num) else PrimePoly.zero) - acc)
+            b = out[n - j]._c.items()
+            for e1, v1 in c:
+                for e2, v2 in b:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) - v1 * v2
+        out.append(PrimePoly(acc))
     return out

@@ -8,7 +8,9 @@ binomial power at a time, independent of the log-derivative pass, and
 zeta factors by whole-stream Dirichlet products, independent of the
 prime-by-prime Euler factors.  Bell series, generic and at exceptional
 primes, are refitted from the prime-power values at the degree cap,
-independent of the closed forms and of the combinators' Bell rules.
+independent of the closed forms and of the combinators' Bell rules, and
+common factors are cancelled by a refit, independent of the engine's
+exact division by binomial pieces.
 Truncated series products, inverses and comparisons are written out
 here, independent of the engine's one series division, and so is the
 Berlekamp-Massey fit over Q that the engine's fraction-free kernel is
@@ -26,7 +28,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from dgf.bell import (DEFAULT_DEGREE_CAP, LOCAL_DEGREE_CAP, BellRational,
-                      _reduce_product, rationalize)
+                      rationalize)
 from dgf.errors import CatalogError, DegreeBoundError
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
                        ZetaFactor, ZetaForm, _log_series, _peel, _zeta_bell)
@@ -119,6 +121,15 @@ def refit_local_bell(f, q: int) -> BellRational | None:
         return rationalize(list(map(PrimePoly.const, window)), LOCAL_DEGREE_CAP)
     except DegreeBoundError:
         return None
+
+
+def reduce_by_refit(num: XPoly, den: XPoly) -> BellRational:
+    """num/den with common factors cancelled by refitting its first 2d+4
+    coefficients at degree d = max(deg num, deg den): the reference for
+    the engine's exact cancellation over binomial pieces."""
+    d = max(num.degree(), den.degree())
+    cand = BellRational(num, den)
+    return cand if d == 0 else rationalize(cand.series(2 * d + 3), d)
 
 
 def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -472,7 +483,7 @@ def capped_zeta_form(f):
         if lb is None:
             return INFINITE
         gb = b.bind_prime(q)
-        r = _reduce_product(lb.num * gb.den, lb.den * gb.num)
+        r = reduce_by_refit(lb.num * gb.den, lb.den * gb.num)
         num, den = ([c.constant_value() for c in xp.coeffs]
                     for xp in (r.num, r.den))
         if num != [1] or den != [1]:

@@ -133,8 +133,13 @@ def test_rationalize_kernel_edges(num, den, d):
 
 def test_rationalize_radix_doubling(monkeypatch):
     # a first radix of 2 bits is too narrow for the digits of sigma(1)*sigma(2)
-    # and fails the re-check over Z[p]; doubling the bits finds the same form
-    want = parse_function("sigma(1)*sigma(2)").bell
+    # and fails the re-check over Z[p]; doubling the bits finds the same form.
+    # Its Bell rule no longer refits, so the fit runs on its window directly,
+    # at its degree bound D as the rule once did
+    f = parse_function("sigma(1)*sigma(2)")
+    want = f.bell
+    D = hadamard_degree([make("sigma", 1).bell, make("sigma", 2).bell])
+    window = f.series(2 * D + 1)
     calls = Counter()
     fit, kernel = bell_module.rationalize, bell_module._scalar_pade
 
@@ -149,7 +154,7 @@ def test_rationalize_radix_doubling(monkeypatch):
     monkeypatch.setattr(bell_module, "_start_bits", lambda series: 2)
     monkeypatch.setattr(bell_module, "rationalize", counting_fit)
     monkeypatch.setattr(bell_module, "_scalar_pade", counting_kernel)
-    assert parse_function("sigma(1)*sigma(2)").bell == want
+    assert bell_module.rationalize(window, D) == want
     assert calls["kernel"] > calls["rationalize"] > 0
     # (1 - 2x)/(1 - px) collapses to 1 at p = 2 and (1 - 4x)/(1 - px) at the
     # 2-bit radix p = 4, whose fit then fails the re-check once
@@ -294,6 +299,70 @@ def test_pointwise_falls_back_to_the_cap_refit():
         h = pointwise_product(h, f)
     assert h.bell is not None and h.bell == refit_bell(h)
     assert max(h.bell.num.degree(), h.bell.den.degree()) <= 16
+
+
+def test_hadamard_den_adds_the_powers_of_equal_binomials():
+    # 1/((1 - x)(1 - x^2)) has the double root 1: its coefficients are
+    # n//2 + 1, so times 1/(1 - x^2) termwise they are k + 1 at x^(2k), the
+    # series 1/(1 - x^2)^2; both tuples give 1 - x^2, and their powers add
+    f, g = parse_function("one <*> eps(2)"), make("eps", 2)
+    blocks = [f.bell.den_binomials, g.bell.den_binomials]
+    assert blocks == [Counter({(1, 0, 1): 1, (1, 0, 2): 1}),
+                      Counter({(1, 0, 2): 1})]
+    assert bell_module._hadamard_den(blocks) == Counter({(1, 0, 2): 2})
+    h = pointwise_product(f, g)
+    square = XPoly.binomial(1, 0, 2) * XPoly.binomial(1, 0, 2)
+    assert h.bell == BellRational(xp(1), square)
+    # with the larger power alone, den * S below x^2 over den is wrong
+    S, den = h.series(12), XPoly.binomial(1, 0, 2)
+    num = bell_module._product_below(den, S, 2)
+    assert not BellRational(num, den).matches(S)
+    # u = 1 blocks share no roots, so there the larger power suffices:
+    # sigma(1)^2 is (1 + p x)/((1 - x)(1 - p x)(1 - p^2 x))
+    b = make("sigma", 1).bell
+    assert bell_module._hadamard_den([b.den_binomials] * 2) == \
+        Counter({(1, 0, 1): 1, (1, 1, 1): 1, (1, 2, 1): 1})
+
+
+def test_termwise_products_read_their_den_off_the_binomials(monkeypatch):
+    # no refit at the generic prime: each series is built from den_H and
+    # reduced by exact division
+    calls = Counter()
+    fit = bell_module.rationalize
+
+    def counting(series, max_degree):
+        calls["rationalize"] += 1
+        return fit(series, max_degree)
+
+    monkeypatch.setattr(bell_module, "rationalize", counting)
+    # the cap refit read 36 coefficients 1, 0, ..., 0 of eps(7)*eps(8) as 1
+    for src, L in [("eps(5)*eps(6)", 30), ("eps(7)*eps(8)", 56)]:
+        b = parse_function(src).bell
+        assert str(b) == "(1)/(1 - x^%d)" % L
+    # hadamard_degree bounds it by 216; it is 25/28
+    f = parse_function("((gcdc(12) <*> sigma_odd(1))^2)^3")
+    assert (f.bell.num.degree(), f.bell.den.degree()) == (25, 28)
+    assert f.bell.series(60) == f.series(60)
+    assert calls["rationalize"] == 0
+    # den 1 - x^280 is past MAX_ORDER: the cap refit's 1 fails the longer
+    # window, so there is no series
+    assert parse_function("eps(5)*eps(7)*eps(8)").bell is None
+
+
+def test_cap_refit_rejects_on_the_values_at_two(monkeypatch):
+    # ((gcdc(12) <*> sigma_odd(1))^4)^3 is past MAX_ORDER and fits no
+    # series of degree <= 16: one kernel pass on its values at p = 2 shows
+    # it, where the pass on values packed at the wide radix took 45 s
+    widths = []
+    kernel = bell_module._scalar_pade
+
+    def counting(vals, d_cap):
+        widths.append(max(abs(v) for v in vals).bit_length())
+        return kernel(vals, d_cap)
+
+    monkeypatch.setattr(bell_module, "_scalar_pade", counting)
+    assert parse_function("((gcdc(12) <*> sigma_odd(1))^4)^3").bell is None
+    assert len(widths) == 1 and widths[0] < 1000
 
 
 def test_combinators_derive_bell_on_first_read(monkeypatch):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -122,6 +123,21 @@ def test_zetaform_of_a_cyclotomic_bell_series(capsys):
     assert rc == 0
     assert out.startswith("2.05276888434 (error <= ")
     assert out.rstrip().endswith(", zeta_form)")
+
+
+def test_termwise_products_of_lacunary_series(capsys):
+    # eps(7)*eps(8) is 1/(1 - x^56); the cap refit's 36 coefficients read 1.
+    # With den 1 - x^280, eps(5)*eps(7)*eps(8) is past the order its series
+    # is built to, and the cap refit's 1 fails the longer window
+    rc, out, _ = run(capsys, ["zetaform", "eps(7)*eps(8)"])
+    assert rc == 0 and out.splitlines()[0] == "zeta(56s)"
+    rc, out, _ = run(capsys, ["zetaform", "eps(5)*eps(7)*eps(8)"])
+    assert rc == 0 and out.strip() == "infinite"
+    rc, out, _ = run(capsys, ["eval", "eps(7)*eps(8)", "--s", "0.02"])
+    assert rc == 0 and out.rstrip().endswith(", zeta_form)")
+    value, err = (float(v) for v in
+                  re.match(r"(\S+) \(error <= (\S+),", out).groups())
+    assert abs(value - 8.919216557499339) <= err    # zeta(1.12), mpmath
 
 
 def test_trivial_local_factors_are_left_out(capsys):
@@ -247,6 +263,9 @@ def test_exit_code_values_too_wide_for_a_float(capsys, argv):
     ["eval", "const(3)", "--s", "1.2", "--method", "sum"],
     ["eval", "const(1000000)", "--s", "1.5"],
     ["eval", "inv(periodic2(1000000))", "--s", "2"],         # zeta form
+    # 1/(1 - 3x)^2 at p = 2: a double pole keeps the den's sign at +-x
+    ["eval", "const(3) <*> const(3)", "--s", "1.2"],
+    ["eval", "const(3) <*> const(3)", "--s", "1.2", "--method", "sum"],
 ])
 def test_exit_code_real_pole_at_two(capsys, argv):
     rc, out, err = run(capsys, argv)
@@ -359,8 +378,10 @@ def test_verify_transcript(capsys):
 
 
 def test_verify_names_the_series_it_checks(capsys):
-    # with no rational Bell series the two lines read the rule's own series
-    rc, out, _ = run(capsys, ["verify", "eps(5)*eps(6)", "-n", "200"])
+    # with no rational Bell series the two lines read the rule's own series:
+    # the termwise product's den 1 - x^280 is past the order its series is
+    # built to, and the cap refit's 1 fails the longer window
+    rc, out, _ = run(capsys, ["verify", "eps(5)*eps(7)*eps(8)", "-n", "200"])
     assert rc == 0
     assert out.splitlines() == [
         "ok   Euler factors multiply back to the prime-power rule's series",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgf.bell import (
     BellRational,
+    _reduce_product,
     _scalar_pade,
     dirichlet_convolve,
     dirichlet_inverse,
@@ -29,8 +30,8 @@ from dgf.sequences import terms
 from conftest import GRID
 from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
                      capped_zeta_form, expand_factor_list, fraction_pade,
-                     peel_by_division, refit_bell, refit_local_bell,
-                     series_eq, series_inv, series_mul)
+                     peel_by_division, reduce_by_refit, refit_bell,
+                     refit_local_bell, series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -284,6 +285,49 @@ def test_derived_bell_is_the_refit_on_mixed_trees(node):
     for q in h.exceptional_primes:
         want = refit_local_bell(h, q)
         assert want is None or h.local_bell(q) == want
+
+
+# atoms whose dens are products of binomials 1 - S p^l x^u with u | 6, so
+# that the Bell rules cancel and build termwise products exactly, and the
+# exceptional atoms; every combinator, pointwise powers up to 3
+split_atoms = st.sampled_from([
+    Atom("phi"), Atom("mu"), Atom("one"), Atom("sigma", (1,)),
+    Atom("core", (2,)), Atom("eps", (2,)), Atom("eps", (3,)),
+    Atom("liouville"), Atom("psi_k", (2,)), Atom("sigma_star", (1,)),
+])
+exact_trees = ast_strategy(st.one_of(split_atoms, exceptional_atoms),
+                           shifts=st.integers(0, 2), powers=st.integers(1, 3),
+                           max_leaves=3)
+
+
+@settings(deadline=None, max_examples=80)
+@given(exact_trees)
+def test_exact_bell_rules_are_the_refit(node):
+    # wherever the cap refit finds a form, the exact rules derive the same
+    # series, generic and at every exceptional prime; and every series
+    # they derive holds past the window a refit would read
+    h = build(node)
+    want = refit_bell(h)
+    assert want is None or h.bell == want
+    if h.bell is not None:
+        K = 2 * max(h.bell.num.degree(), h.bell.den.degree()) + 8
+        assert h.bell.matches(h.series(K))
+    for q in h.exceptional_primes:
+        want = refit_local_bell(h, q)
+        assert want is None or h.local_bell(q) == want
+
+
+@MODEST
+@given(exact_trees, exact_trees)
+def test_exact_cancellation_is_the_refit_reduction(left, right):
+    # the products <*> and <+> form before cancelling, reduced exactly over
+    # binomial pieces, are the refit reduction of the same num/den
+    fb, gb = build(left).bell, build(right).bell
+    if fb is None or gb is None:
+        return
+    den = fb.den * gb.den
+    for num in (fb.num * gb.num, fb.num * gb.den + gb.num * fb.den - den):
+        assert _reduce_product(num, den) == reduce_by_refit(num, den)
 
 
 @MODEST
