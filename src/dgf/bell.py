@@ -11,13 +11,16 @@ kept as an exact rational function over Z[p] whenever one exists.
 Where a denominator is a product of binomials 1 - S p^l x^u, S = +-1, the
 rules are exact: common factors are cancelled by dividing out the
 binomials' cyclotomic pieces, and a pointwise product or power reads its
-denominator off the operands' binomials and its numerator off one
-truncated product.  A catalog atom takes its series from its closed form,
-and at an exceptional prime from the fit at the degree bound of its
-values.  Elsewhere a series is refitted: by one fraction-free
-Berlekamp-Massey pass at p = 2^k, read back from balanced base-2^k digits
-and proved over Z[p] by one product check at p = 2^K; at a proven degree
-bound where there is one, else at the degree cap.
+denominator off the operands' binomials and its numerator off the
+truncated product with them, while that work is within a bound.  A
+catalog atom takes its series from its closed form, and at an
+exceptional prime from the fit at the degree bound of its values.
+Elsewhere a series is refitted: by one fraction-free Berlekamp-Massey
+pass at p = 2^k, read back from balanced base-2^k digits and proved over
+Z[p] by one product check at p = 2^K; at a proven degree bound where
+there is one, else at the degree cap.  Past the work bound, or past an
+operand without a series, no series is known (None), and no refit
+guesses one.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import product
+from itertools import combinations, product, repeat
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
@@ -34,12 +37,15 @@ from .polys import PrimePoly, XPoly, series_div
 
 DEFAULT_DEGREE_CAP = 16
 LOCAL_DEGREE_CAP = 40
-# the highest order a pointwise product's series is built to from its
-# denominator (_bounded), and the bound of the CLI's -U: at least 60, the
-# highest order of a binomial in a finite zeta form of a Bell series of
-# degree up to the default cap (max m k over phi(m) k <= 16, at Phi_60),
-# so factorize can show each of them.  Peeling to order U takes O(U d)
-# products for a Bell series of degree d and O(U^2) for a raw series
+# the bound of the CLI's -U: at least 60, the highest order of a binomial
+# in a finite zeta form of a Bell series of degree up to the default cap
+# (max m k over phi(m) k <= 16, at Phi_60), so factorize can show each of
+# them.  Peeling to order U takes O(U d) products for a Bell series of
+# degree d and O(U^2) for a raw series.  A pointwise product's series is
+# built from its denominator (_bounded) while the work, N coefficients
+# times the binomials of a den of degree N - e0, is at most
+# MAX_ORDER (MAX_ORDER + 1): any den of degree up to MAX_ORDER, sparser
+# ones further
 MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
 # times rationalize may double the radix bits before giving up
 _RADIX_DOUBLINGS = 4
@@ -94,17 +100,6 @@ def _start_bits(series: Sequence[PrimePoly]) -> int:
                default=0).bit_length() + 2
 
 
-def _balanced_digits(v: int, k: int) -> PrimePoly:
-    """The PrimePoly with value v at p = 2^k, k >= 2, and digits (its
-    coefficients) in [-2^(k-1), 2^(k-1))."""
-    digits, e, half = {}, 0, 1 << (k - 1)
-    while v:
-        r = ((v + half) & ((1 << k) - 1)) - half
-        digits[e] = r
-        v, e = (v - r) >> k, e + 1
-    return PrimePoly(digits)
-
-
 def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
     """Reconstruct the minimal rational function in x matching a series.
 
@@ -132,8 +127,8 @@ def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
         if fit is None:
             raise DegreeBoundError("no rational form of degree <= %d" % max_degree)
         num, den, _ = fit
-        cand = BellRational(XPoly([_balanced_digits(v, k) for v in num]),
-                            XPoly([_balanced_digits(v, k) for v in den]))
+        cand = BellRational(XPoly([PrimePoly.unpack(v, k) for v in num]),
+                            XPoly([PrimePoly.unpack(v, k) for v in den]))
         if cand.matches(series):
             return cand
         k *= 2
@@ -181,22 +176,27 @@ def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
 
 
 @cache
-def _cyclotomic(m: int) -> XPoly:
-    """Phi_m(x) with constant term 1 (1 - x for m = 1): 1 - x^m over the
-    pieces of its proper divisors."""
-    c = XPoly.binomial(1, 0, m)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_m(x) with constant term 1 (1 - x
+    for m = 1): 1 - x^m divided, as a series, by the pieces of its proper
+    divisors."""
+    c = [1] + [0] * (m - 1) + [-1]
     for d in range(1, m):
         if m % d == 0:
-            c = c.divide(_cyclotomic(d))
-    return c
+            p = _cyclotomic(d)
+            for n in range(len(c) - len(p) + 1):
+                for i in range(1, len(p)):
+                    c[n + i] -= c[n] * p[i]
+            del c[len(c) - len(p) + 1:]
+    return tuple(c)
 
 
 @cache
 def _piece(m: int, a: int, b: int) -> tuple[XPoly, int]:
     """Phi_m(p^a x^b) and its packed value."""
-    cs = [PrimePoly.zero] * (b * _cyclotomic(m).degree() + 1)
-    for k, c in enumerate(_cyclotomic(m).coeffs):
-        cs[b * k] = c.shift_p(a * k)
+    cs = [PrimePoly.zero] * (b * (len(_cyclotomic(m)) - 1) + 1)
+    for k, c in enumerate(_cyclotomic(m)):
+        cs[b * k] = PrimePoly.monomial(a * k, c)
     xp = XPoly(cs)
     return xp, _packed(xp)
 
@@ -209,29 +209,24 @@ def _pieces(S: int, l: int, u: int) -> list[tuple[int, int, int]]:
             if n % m == 0 and (S > 0 or g % m)]
 
 
-def _expand(binomials: Counter) -> XPoly:
-    """The product of the binomials (S, l, u) to their powers, multiplied
-    out on integers packed at p = 2^k: the coefficients of t binomials
-    have size at most 2^t."""
-    k = sum(binomials.values()) + 2
-    acc = [1]
-    for (S, l, u), m in binomials.items():
-        for _ in range(m):
-            acc += [0] * u
-            for n in range(len(acc) - 1, u - 1, -1):
-                acc[n] -= (S * acc[n - u]) << (k * l)
-    return XPoly(_balanced_digits(v, k) for v in acc)
-
-
-def _product_below(a: XPoly, s: Sequence[PrimePoly], N: int) -> XPoly:
-    """a * s below x^N, s of length >= N, on integers packed at p = 2^k:
-    each digit of the product is at most sup |s| l1(a) < 2^(k-1)."""
+def _expand(binomials: Counter, s: Sequence[PrimePoly] = (),
+            N: int = 0) -> XPoly:
+    """The product of the binomials (S, l, u) to their powers, or with a
+    series s, s times it below x^N, multiplied out on integers packed at
+    p = 2^k: one shift and subtraction per coefficient and binomial, and
+    t binomials leave coefficients of size at most 2^t sup |s|."""
     sup = max((abs(v) for c in s[:N] for _, v in c.items()), default=1)
-    l1 = sum(abs(v) for c in a.coeffs for _, v in c.items())
-    k = (sup * l1).bit_length() + 2
-    A, B = [c.pack(k) for c in a.coeffs], [c.pack(k) for c in s[:N]]
-    return XPoly(_balanced_digits(sum(map(operator.mul, A, B[n::-1])), k)
-                 for n in range(N))
+    k = (sup << sum(binomials.values())).bit_length() + 2
+    acc = [c.pack(k) for c in s[:N]] or [1]
+    for (S, l, u), m in binomials.items():
+        op = operator.sub if S > 0 else operator.add
+        for _ in range(m):
+            if not s:
+                acc += [0] * u
+            # the right side is read whole before acc changes
+            acc[u:] = map(op, acc[u:], map(operator.lshift, acc,
+                                           repeat(k * l)))
+    return XPoly(PrimePoly.unpack(v, k) for v in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +234,10 @@ def _product_below(a: XPoly, s: Sequence[PrimePoly], N: int) -> XPoly:
 class BellRational:
     """Rational Bell series num/den, both with constant term 1."""
 
-    # _split and _den_bins are filled on first use
-    __slots__ = ("num", "den", "_split", "_den_bins")
+    # filled on first use: _den_split, the den's half of split, which
+    # den_binomials reads too, and _split; _den_bins only by a rule that
+    # built den from known binomials
+    __slots__ = ("num", "den", "_den_split", "_split", "_den_bins")
 
     def __init__(self, num: XPoly, den: XPoly):
         if not num.coeffs or not num.coeffs[0].is_one():
@@ -259,23 +256,28 @@ class BellRational:
             return self._split
         except AttributeError:
             nf, nr = _partial_binomials(self.num, +1)
-            df, dr = _partial_binomials(self.den, -1)
+            df, dr = self._den_half()
             self._split = (nf + df, None if nr.is_one() and dr.is_one()
                            else BellRational(nr, dr))
             return self._split
 
+    def _den_half(self) -> tuple[list, XPoly]:
+        try:
+            return self._den_split
+        except AttributeError:
+            self._den_split = _partial_binomials(self.den, -1)
+            return self._den_split
+
     @property
     def den_binomials(self) -> Counter | None:
-        """Binomials (S, l, u) with their powers whose product is den, found
-        once (or given by the rule that built den), or None when den splits
-        into none such."""
+        """Binomials (S, l, u) with their powers whose product is den: as
+        given by the rule that built den, else the split's, or None when
+        den is no product of binomials."""
         try:
             return self._den_bins
         except AttributeError:
-            found, rest = _partial_binomials(self.den, -1)
-            self._den_bins = (Counter(f[:3] for f in found) if rest.is_one()
-                              else None)
-            return self._den_bins
+            found, rest = self._den_half()
+            return Counter(f[:3] for f in found) if rest.is_one() else None
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_div(self.num.coeffs, self.den.coeffs, K)
@@ -371,11 +373,12 @@ class MultiplicativeFunction:
     the fit at the degree bound of its local values, or a combinator's
     Bell rule (for a pointwise product or power j > 1, _bounded).  Where
     there is none or it gives None (a function built without one, a
-    non-integral shift, an operand without a series, a pointwise bound at
-    or above the cap for operands whose dens do not split) the first
-    2*cap+4 coefficients are refitted at the degree cap, DEFAULT_DEGREE_CAP
-    at the generic prime and LOCAL_DEGREE_CAP at q.  A rule that proves
-    there is no series raises DegreeBoundError, and the series is None.
+    non-integral shift, a pointwise bound at or above the cap for operands
+    whose dens do not split) the first 2*cap+4 coefficients are refitted
+    at the degree cap, DEFAULT_DEGREE_CAP at the generic prime and
+    LOCAL_DEGREE_CAP at q.  Where an operand has no series, or a rule
+    gives up (DegreeBoundError), the series is None: none is known, which
+    proves nothing, and no refit guesses one.
     """
 
     def __init__(self, name: str, rule: Callable,
@@ -408,7 +411,7 @@ class MultiplicativeFunction:
 
     @property
     def bell(self) -> BellRational | None:
-        """Generic-prime Bell series; None marks a non-rational one."""
+        """Generic-prime Bell series; None where none is known."""
         try:
             return self._bells[None]
         except KeyError:
@@ -417,17 +420,20 @@ class MultiplicativeFunction:
     def _bell_at(self, q: int | None) -> BellRational | None:
         """Fill the cache at q: derive over the operands' series at q, or
         else refit the first 2*cap+4 coefficients at the generic (q None)
-        or the local cap.  A rule that proves there is no series raises
-        DegreeBoundError, and the cache holds None."""
+        or the local cap.  With an operand's series unknown, or a rule
+        that gives up (DegreeBoundError), the cache holds None."""
         if q not in self._bells:
             bs = [f.local_bell(q) if q else f.bell for f in self.ops]
-            try:
-                b = self.derive and None not in bs and self.derive(self, q, *bs)
-                if not b:
-                    cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
-                    b = self._refit(q, cap, 2 * cap + 3)
-            except DegreeBoundError:
-                b = None
+            b = None
+            if None not in bs:
+                try:
+                    b = self.derive and self.derive(self, q, *bs)
+                    if not b:
+                        cap = (DEFAULT_DEGREE_CAP if q is None
+                               else LOCAL_DEGREE_CAP)
+                        b = self._refit(q, cap, 2 * cap + 3)
+                except DegreeBoundError:
+                    b = None
             self._bells[q] = b
         return self._bells[q]
 
@@ -496,11 +502,12 @@ def _reduce_product(num: XPoly, den: XPoly,
     cand = BellRational(num, den)
     if binomials is not None:
         cand._den_bins = binomials
-    if cand.den_binomials is None:
+    binomials = cand.den_binomials
+    if binomials is None:
         d = max(num.degree(), den.degree())
         return cand if d == 0 else rationalize(cand.series(2 * d + 3), d)
     pieces: Counter = Counter()
-    for (S, l, u), m in cand.den_binomials.items():
+    for (S, l, u), m in binomials.items():
         for pc in _pieces(S, l, u):
             pieces[pc] += m
     v = _packed(num)
@@ -564,7 +571,17 @@ def _termwise(h, q, e):
     return reduce(operator.mul, [f.coeff(q, e) for f in h.ops])
 
 
-def _hadamard_den(blocks: Sequence[Counter]) -> Counter:
+def _multisets(items: list, n: int):
+    """Each multiset of n of items, as the pairs (item, count) of its
+    items, with its number of orderings."""
+    top = n + len(items) - 1
+    for bars in combinations(range(top), len(items) - 1):
+        cs = [b - a - 1 for a, b in zip((-1, *bars), (*bars, top))]
+        yield ([(t, c) for t, c in zip(items, cs) if c],
+               math.factorial(n) // math.prod(map(math.factorial, cs)))
+
+
+def _hadamard_den(blocks: Sequence[Counter]) -> Counter | None:
     """den_H of a termwise product whose operands' dens are products of
     binomials (blocks: each operand's, with their powers).
 
@@ -576,15 +593,27 @@ def _hadamard_den(blocks: Sequence[Counter]) -> Counter:
     powers, as blocks of one operand may share roots: 1/((1 - x)(1 - x^2))
     has the double root 1, and times 1/(1 - x^2) termwise it is
     1/(1 - x^2)^2.  Blocks with u = 1 share none, so where L = 1 the
-    larger power suffices.
+    larger power suffices.  Operands with equal blocks, as a power's, are
+    walked once per multiset of their blocks, which stands for each of
+    its orderings; None where there are more than MAX_ORDER^2 multisets.
     """
+    groups: dict[frozenset, list] = {}
+    for c in blocks:
+        groups.setdefault(frozenset(c.items()), [list(c.items()), 0])[1] += 1
     out: Counter = Counter()
-    for tup in product(*(c.items() for c in blocks)):
-        L = math.lcm(*(u for (_, _, u), _ in tup))
-        S = math.prod(S ** (L // u) for (S, _, u), _ in tup)
-        l = sum(l * (L // u) for (_, l, u), _ in tup)
-        k = sum(m for _, m in tup) - len(tup) + 1
-        out[S, l, L] = max(out[S, l, L], k) if L == 1 else out[S, l, L] + k
+    if math.prod(math.comb(len(items) + n - 1, n)
+                 for items, n in groups.values()) > MAX_ORDER ** 2:
+        return None
+    if not all(items for items, _ in groups.values()):
+        return out
+    for parts in product(*(_multisets(*g) for g in groups.values())):
+        tup = [t for part, _ in parts for t in part]
+        L = math.lcm(*(u for (((_, _, u), _), _) in tup))
+        S = math.prod(S ** (L // u * c) for ((S, _, u), _), c in tup)
+        l = sum(l * (L // u) * c for ((_, l, u), _), c in tup)
+        k = sum(m * c for (_, m), c in tup) - len(blocks) + 1
+        w = math.prod(w for _, w in parts)
+        out[S, l, L] = max(out[S, l, L], k) if L == 1 else out[S, l, L] + k * w
     return out
 
 
@@ -594,12 +623,12 @@ def _bounded(h, q, *bs):
     Where every operand's den is a product of binomials, the product's
     coefficients obey the recurrence of den_H (_hadamard_den) from e0 on,
     so num = den_H * S below x^N, N = deg den_H + e0, and num/den_H is
-    reduced exactly; that is built while N <= MAX_ORDER.  Past it the
-    fit of degree d at the cap is accepted only where it holds on N + d + 1
-    coefficients, which proves it; else there is none (DegreeBoundError).
-    Other dens: where hadamard_degree bounds the degree by D below the
-    cap, the fit of degree <= D to 2D+2 coefficients, a proof; else None,
-    and the cap refit runs.
+    reduced exactly.  That is built while N times the number of
+    binomials of den_H, the number of shifts per coefficient, is at most
+    MAX_ORDER (MAX_ORDER + 1); past it no series is known, and none is
+    guessed (DegreeBoundError).  Other dens: where hadamard_degree bounds
+    the degree by D below the cap, the fit of degree <= D to 2D+2
+    coefficients, a proof; else None, and the cap refit runs.
     """
     cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
     blocks = [b.den_binomials for b in bs]
@@ -608,16 +637,12 @@ def _bounded(h, q, *bs):
         return h._refit(q, D, 2 * D + 1) if D < cap else None
     den_bins = _hadamard_den(blocks)
     e0 = max(0, *(b.num.degree() - b.den.degree() + 1 for b in bs))
-    N = sum(u * m for (_, _, u), m in den_bins.items()) + e0
-    if N <= MAX_ORDER:
-        den = _expand(den_bins)
-        return _reduce_product(_product_below(den, h._window(q, N - 1), N),
-                               den, den_bins)
-    fit = h._refit(q, cap, 2 * cap + 3)
-    if fit is None or not fit.matches(
-            h._window(q, N + max(fit.num.degree(), fit.den.degree()))):
-        raise DegreeBoundError("no rational form of degree <= %d" % cap)
-    return fit
+    N = sum(u * m for (_, _, u), m in (den_bins or {}).items()) + e0
+    if (den_bins is None
+            or N * sum(den_bins.values()) > MAX_ORDER * (MAX_ORDER + 1)):
+        raise DegreeBoundError("termwise product past the work bound")
+    return _reduce_product(_expand(den_bins, h._window(q, N - 1), N),
+                           _expand(den_bins), den_bins)
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
@@ -632,9 +657,10 @@ def pointwise_power(f: MultiplicativeFunction, j: int,
     """j-th pointwise power, j >= 1: for j > 1 the product of j copies."""
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
-    return MultiplicativeFunction(name or "%s^%d" % (f.name, j), _termwise,
-                                  _bounded if j > 1 else lambda h, q, fb: fb,
-                                  (f,) * j)
+    return MultiplicativeFunction(
+        name or "%s^%d" % (f.name, j),
+        lambda h, q, e: h.ops[0].coeff(q, e) ** j,
+        _bounded if j > 1 else lambda h, q, fb: fb, (f,) * j)
 
 
 def shift_by_power(f: MultiplicativeFunction, k: int,

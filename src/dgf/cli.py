@@ -17,8 +17,9 @@ from .bell import DEFAULT_DEGREE_CAP, MAX_ORDER
 from .catalog import CATALOG, make
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError)
-from .euler import (INFINITE, abscissa, factor_bell, finite_zeta_form,
-                    round_trips, zeta_factors_from_euler, zeta_form_to_coeffs)
+from .euler import (INFINITE, ZetaForm, abscissa, factor_bell,
+                    finite_zeta_form, round_trips, zeta_factors_from_euler,
+                    zeta_form_to_coeffs)
 from .numeric import eval_euler_product, eval_partial_sum, eval_zeta_form
 from .parser import parse_function
 from .sequences import MAX_SIEVE, compare_bfile, matches_bell, terms
@@ -122,13 +123,13 @@ def _cmd_zetaform(ns) -> int:
     f = parse_function(ns.expr)
     zf = finite_zeta_form(f)
     if ns.json:
-        if zf == INFINITE:
-            print(json.dumps({"infinite": True}))
+        if not isinstance(zf, ZetaForm):  # "infinite" or "unknown"
+            print(json.dumps({zf: True}))
         else:
             print(json.dumps(zf.to_json(), indent=2))
         return 0
     print(zf)
-    if zf != INFINITE:
+    if isinstance(zf, ZetaForm):
         print("abscissa: %s" % abscissa(zf))
     return 0
 
@@ -156,11 +157,12 @@ def _cmd_eval(ns) -> int:
     method = ns.method
     zf = finite_zeta_form(f) if method in ("auto", "zeta") else None
     if method == "auto":
-        method = "zeta" if zf != INFINITE else "euler"
+        method = "zeta" if isinstance(zf, ZetaForm) else "euler"
     if method == "zeta":
-        if zf == INFINITE:
-            raise DegreeBoundError(
-                "no finite zeta form; use --method euler or sum")
+        if not isinstance(zf, ZetaForm):
+            raise DegreeBoundError("%s; use --method euler or sum" % (
+                "no finite zeta form" if zf == INFINITE
+                else "no zeta form known"))
         res = eval_zeta_form(zf, ns.s)
     elif method == "euler":
         res = eval_euler_product(f, ns.s, P=ns.P, accel=ns.accel)
@@ -192,7 +194,7 @@ def _cmd_verify(ns) -> int:
           round_trips(efl, f.series(ns.U)) and efl.residual_ok)
     zf = finite_zeta_form(f)
     seq = terms(f, ns.count)
-    if zf != INFINITE:
+    if isinstance(zf, ZetaForm):
         check("zeta form reproduces the first %d terms" % ns.count,
               zeta_form_to_coeffs(zf, ns.count) == seq)
         conv = [z for z in zeta_factors_from_euler(efl) if z.u <= ns.U]

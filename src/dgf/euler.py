@@ -302,6 +302,9 @@ class ZetaForm(Record):
 
 
 INFINITE = "infinite"
+# the verdict where no rational Bell series was found, at the generic
+# prime or at an exceptional one: neither a form nor a proof of none
+UNKNOWN = "unknown"
 
 
 def _zeta_sides(zs: Iterable[ZetaFactor]) -> tuple[Counter, Counter]:
@@ -340,7 +343,8 @@ def _peel_caps(D: int) -> tuple[int, Fraction]:
 
 
 def finite_zeta_form(f):
-    """Finite zeta-product form of a function, or the string "infinite".
+    """Finite zeta-product form of a function, or the string "infinite",
+    or "unknown" where it has no known rational Bell series.
 
     The generic Bell series B is split exactly (BellRational.split): every
     binomial 1 - S p^l x^u dividing num or den is a zeta factor or a
@@ -362,7 +366,7 @@ def finite_zeta_form(f):
     func = f if isinstance(f, MultiplicativeFunction) else None
     b = f if func is None else func.bell
     if b is None:
-        return INFINITE
+        return UNKNOWN
     split, rest = b.split
     factors = zeta_factors_from_euler(map(EulerFactor._make, split))
     if rest is not None:
@@ -383,7 +387,7 @@ def finite_zeta_form(f):
         for q in func.exceptional_primes:
             lb = func.local_bell(q)
             if lb is None:
-                return INFINITE
+                return UNKNOWN
             gb = b.bind_prime(q)
             r = _reduce_product(lb.num * gb.den, lb.den * gb.num)
             num, den = ([c.constant_value() for c in xp.coeffs]

@@ -176,8 +176,7 @@ def _refuse_real_poles(local, s: float) -> None:
     the series' den has a real root with |x| <= p^-s, so the Euler factor
     at p diverges: den(0) = 1, so den(x) <= 0 or den(-x) <= 0 at x = p^-s
     puts one there, and past that sign test a den of degree >= 2 counts
-    its roots inside by a Sturm sequence (a double root keeps the sign),
-    unless sum_(i >= 1) |den_i| x^i < 1 rules out every root inside.
+    its roots inside by a Sturm sequence (a double root keeps the sign).
     Complex roots go unseen.  A series of None is skipped.
     """
     for p, b in local:
@@ -186,9 +185,7 @@ def _refuse_real_poles(local, s: float) -> None:
         x = p ** -s
         cs = [c.evaluate(p) for c in b.den.coeffs]
         if (min(b.den.evaluate(p, x), b.den.evaluate(p, -x)) <= 0
-                or len(cs) > 2
-                and sum(abs(c) * x ** i for i, c in enumerate(cs[1:], 1)) >= 1
-                and _real_roots_within(cs, Fraction(x))):
+                or len(cs) > 2 and _real_roots_within(cs, Fraction(x))):
             raise DivergenceError("s = %g: the Euler factor at p = %d has a "
                                   "real pole with |x| <= %d^-s" % (s, p, p))
 

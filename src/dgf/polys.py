@@ -126,6 +126,33 @@ class PrimePoly:
         """The value at p = 2^k, by shifts (Kronecker substitution)."""
         return sum(v << (e * k) for e, v in self._c.items())
 
+    @staticmethod
+    def unpack(v: int, k: int) -> "PrimePoly":
+        """The PrimePoly with value v at p = 2^k, k >= 2, and coefficients
+        in [-2^(k-1), 2^(k-1)): the balanced base-2^k digits of v."""
+        half = 1 << (k - 1)
+        if v.bit_length() <= 64 * k:
+            digits, e = {}, 0
+            while v:
+                r = ((v + half) & ((1 << k) - 1)) - half
+                digits[e] = r
+                v, e = (v - r) >> k, e + 1
+            return PrimePoly(digits)
+        # past 64 digits, one pass over the binary string of v plus half
+        # in every digit, where shifting v per digit is quadratic
+        n = v.bit_length() // k + 3
+        s = format(v + int(("1" + "0" * (k - 1)) * n, 2), "b")
+        return PrimePoly({i: int(s[(n - 1 - i) * k:(n - i) * k], 2) - half
+                          for i in range(n)})
+
+    def __pow__(self, j: int) -> "PrimePoly":
+        """self^j, j >= 1, by one power of its value at p = 2^k: every
+        coefficient is at most l1(self)^j < 2^(k-1)."""
+        if len(self._c) <= 1:
+            return PrimePoly({e * j: v ** j for e, v in self._c.items()})
+        k = j * sum(map(abs, self._c.values())).bit_length() + 2
+        return PrimePoly.unpack(self.pack(k) ** j, k)
+
     def evaluate(self, p: int) -> int:
         acc = 0
         for e, v in self._c.items():
@@ -307,17 +334,14 @@ def series_div(num: Sequence[PrimePoly], den: Sequence[PrimePoly],
     """
     if not den or not den[0].is_one():
         raise SeriesWindowError("series division needs a denominator starting at 1")
-    terms = [(j, c._c.items()) for j, c in enumerate(den[1:K + 1], 1) if c._c]
+    terms = [(j, c) for j, c in enumerate(den[1:K + 1], 1) if not c.is_zero()]
     out: list[PrimePoly] = []
     for n in range(K + 1):
-        # B_n accumulates in one dict of exponents of p
-        acc = dict(num[n]._c) if n < len(num) else {}
+        acc = PrimePoly.zero
         for j, c in terms:
             if j > n:
                 break
-            b = out[n - j]._c.items()
-            for e1, v1 in c:
-                for e2, v2 in b:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) - v1 * v2
-        out.append(PrimePoly(acc))
+            if not out[n - j].is_zero():
+                acc = acc + c * out[n - j]
+        out.append((num[n] if n < len(num) else PrimePoly.zero) - acc)
     return out

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import time
 import weakref
 from collections import Counter
 
@@ -315,7 +316,7 @@ def test_hadamard_den_adds_the_powers_of_equal_binomials():
     assert h.bell == BellRational(xp(1), square)
     # with the larger power alone, den * S below x^2 over den is wrong
     S, den = h.series(12), XPoly.binomial(1, 0, 2)
-    num = bell_module._product_below(den, S, 2)
+    num = bell_module._expand(Counter({(1, 0, 2): 1}), S, 2)
     assert not BellRational(num, den).matches(S)
     # u = 1 blocks share no roots, so there the larger power suffices:
     # sigma(1)^2 is (1 + p x)/((1 - x)(1 - p x)(1 - p^2 x))
@@ -343,16 +344,55 @@ def test_termwise_products_read_their_den_off_the_binomials(monkeypatch):
     f = parse_function("((gcdc(12) <*> sigma_odd(1))^2)^3")
     assert (f.bell.num.degree(), f.bell.den.degree()) == (25, 28)
     assert f.bell.series(60) == f.series(60)
+    # sparse dens are built past degree MAX_ORDER: 2 terms of degree 280
+    for src, L in [("eps(5)*eps(7)*eps(8)", 280),
+                   ("eps(5)*eps(6)*eps(7)*eps(8)", 840)]:
+        assert str(parse_function(src).bell) == "(1)/(1 - x^%d)" % L
     assert calls["rationalize"] == 0
-    # den 1 - x^280 is past MAX_ORDER: the cap refit's 1 fails the longer
-    # window, so there is no series
-    assert parse_function("eps(5)*eps(7)*eps(8)").bell is None
+
+
+def test_termwise_products_past_the_work_bound_have_no_series(monkeypatch):
+    # den_H of degree 616 with 12 terms, (1 - x^56)...(1 - p^560 x^56), is
+    # past the work bound, and the cap refit's 1 is not taken as its series
+    monkeypatch.setattr(bell_module, "rationalize", None)
+    for src in ["(eps(7)*eps(8)) * sigma(1)^10", "sigma(1)^300",
+                "((gcdc(12) <*> sigma_odd(1))^4)^3",
+                # nor is one guessed past an operand without a series,
+                # where the cap refit read phi's
+                "((eps(7)*eps(8)) * sigma(1)^10) <*> phi"]:
+        start = time.perf_counter()
+        assert parse_function(src).bell is None
+        assert time.perf_counter() - start < 5, src
+
+
+def test_powers_walk_multisets_of_binomials():
+    # sigma(1)^30 has 2^30 tuples of den binomials but 31 multisets, each
+    # standing for its orderings; its den is (1 - x)...(1 - p^30 x)
+    b = make("sigma", 1).bell
+    start = time.perf_counter()
+    den = bell_module._hadamard_den([b.den_binomials] * 30)
+    assert time.perf_counter() - start < 1
+    assert den == Counter({(1, l, 1): 1 for l in range(31)})
+    start = time.perf_counter()
+    f = parse_function("sigma(1)^30")
+    assert (f.bell.num.degree(), f.bell.den.degree()) == (29, 31)
+    assert time.perf_counter() - start < 10
+    assert f.bell.matches(f.series(33))
+    # equal binomials from several orderings add their powers: with
+    # 1/((1 - x)(1 - x^2)) squared, (1 - x) (1 - x^2) and its swap both
+    # give 1 - x^2
+    g = parse_function("one <*> eps(2)").bell
+    assert bell_module._hadamard_den([g.den_binomials] * 2) == \
+        Counter({(1, 0, 1): 1, (1, 0, 2): 3})
+    # more multisets than MAX_ORDER^2 are not walked
+    assert bell_module._hadamard_den([g.den_binomials] * 4096) is None
 
 
 def test_cap_refit_rejects_on_the_values_at_two(monkeypatch):
-    # ((gcdc(12) <*> sigma_odd(1))^4)^3 is past MAX_ORDER and fits no
-    # series of degree <= 16: one kernel pass on its values at p = 2 shows
-    # it, where the pass on values packed at the wide radix took 45 s
+    # inv(phi_star)'s den 1 - 2x + p x^2 is no product of binomials, and
+    # times sigma(1)^8 the product has degree 18 > 16: one kernel pass on
+    # its values at p = 2 rejects the cap refit, with no pass on values
+    # packed at the wide radix
     widths = []
     kernel = bell_module._scalar_pade
 
@@ -361,7 +401,7 @@ def test_cap_refit_rejects_on_the_values_at_two(monkeypatch):
         return kernel(vals, d_cap)
 
     monkeypatch.setattr(bell_module, "_scalar_pade", counting)
-    assert parse_function("((gcdc(12) <*> sigma_odd(1))^4)^3").bell is None
+    assert parse_function("inv(phi_star) * sigma(1)^8").bell is None
     assert len(widths) == 1 and widths[0] < 1000
 
 

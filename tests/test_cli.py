@@ -127,12 +127,20 @@ def test_zetaform_of_a_cyclotomic_bell_series(capsys):
 
 def test_termwise_products_of_lacunary_series(capsys):
     # eps(7)*eps(8) is 1/(1 - x^56); the cap refit's 36 coefficients read 1.
-    # With den 1 - x^280, eps(5)*eps(7)*eps(8) is past the order its series
-    # is built to, and the cap refit's 1 fails the longer window
+    # The den 1 - x^280 of eps(5)*eps(7)*eps(8) is sparse enough to build
     rc, out, _ = run(capsys, ["zetaform", "eps(7)*eps(8)"])
     assert rc == 0 and out.splitlines()[0] == "zeta(56s)"
     rc, out, _ = run(capsys, ["zetaform", "eps(5)*eps(7)*eps(8)"])
-    assert rc == 0 and out.strip() == "infinite"
+    assert rc == 0 and out.splitlines()[0] == "zeta(280s)"
+    # past the work bound no series is known, which proves nothing
+    rc, out, _ = run(capsys, ["zetaform", "(eps(7)*eps(8)) * sigma(1)^10"])
+    assert rc == 0 and out.strip() == "unknown"
+    rc, out, _ = run(capsys, ["zetaform", "(eps(7)*eps(8)) * sigma(1)^10",
+                              "--json"])
+    assert rc == 0 and json.loads(out) == {"unknown": True}
+    rc, _, err = run(capsys, ["eval", "(eps(7)*eps(8)) * sigma(1)^10",
+                              "--s", "2", "--method", "zeta"])
+    assert rc == 3 and "no zeta form known" in err
     rc, out, _ = run(capsys, ["eval", "eps(7)*eps(8)", "--s", "0.02"])
     assert rc == 0 and out.rstrip().endswith(", zeta_form)")
     value, err = (float(v) for v in
@@ -379,9 +387,10 @@ def test_verify_transcript(capsys):
 
 def test_verify_names_the_series_it_checks(capsys):
     # with no rational Bell series the two lines read the rule's own series:
-    # the termwise product's den 1 - x^280 is past the order its series is
-    # built to, and the cap refit's 1 fails the longer window
-    rc, out, _ = run(capsys, ["verify", "eps(5)*eps(7)*eps(8)", "-n", "200"])
+    # the termwise product's den (1 - x^56)...(1 - p^560 x^56) is past the
+    # work bound, and the cap refit's 1 is not taken
+    rc, out, _ = run(capsys, ["verify", "(eps(7)*eps(8)) * sigma(1)^10",
+                              "-n", "200"])
     assert rc == 0
     assert out.splitlines() == [
         "ok   Euler factors multiply back to the prime-power rule's series",
