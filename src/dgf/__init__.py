@@ -7,8 +7,7 @@ evaluates the series numerically inside its half-plane of convergence.
 """
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
                    dirichlet_convolve, dirichlet_inverse, pointwise_power,
-                   pointwise_product, rationalize, shift_by_power,
-                   unitary_convolve)
+                   pointwise_product, shift_by_power, unitary_convolve)
 from .catalog import CATALOG, CatalogEntry, make, names
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BellRational", "MasterEquation", "MultiplicativeFunction",
     "dirichlet_convolve", "dirichlet_inverse",
-    "pointwise_power", "pointwise_product", "rationalize", "shift_by_power",
+    "pointwise_power", "pointwise_product", "shift_by_power",
     "unitary_convolve",
     "CATALOG", "CatalogEntry", "make", "names",
     "BFileError", "CatalogError", "DegreeBoundError", "DgfError",

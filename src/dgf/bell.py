@@ -6,21 +6,18 @@ primes.  A combinator is a node over its operands: one coefficient rule
 over their coefficients and at most one Bell rule over their Bell series
 at the same prime, so both serve every prime alike; each node memoizes
 its own coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
-kept as an exact rational function over Z[p] whenever one exists.
+kept as an exact rational function over Z[p] where one is known.
 
-Where a denominator is a product of binomials 1 - S p^l x^u, S = +-1, the
-rules are exact: common factors are cancelled by dividing out the
-binomials' cyclotomic pieces, and a pointwise product or power reads its
-denominator off the operands' binomials and its numerator off the
-truncated product with them, while that work is within a bound.  A
-catalog atom takes its series from its closed form, and at an
-exceptional prime from the fit at the degree bound of its values.
-Elsewhere a series is refitted: by one fraction-free Berlekamp-Massey
-pass at p = 2^k, read back from balanced base-2^k digits and proved over
-Z[p] by one product check at p = 2^K; at a proven degree bound where
-there is one, else at the degree cap.  Past the work bound, or past an
-operand without a series, no series is known (None), and no refit
-guesses one.
+Every series is built, never fitted.  A catalog atom's is its closed
+form, at an exceptional prime that of its local values.  Common factors
+are cancelled exactly: where the denominator is a product of binomials
+1 - S p^l x^u, S = +-1, by dividing out their cyclotomic pieces, else
+by one exact gcd.  A pointwise product or power takes its denominator
+from the operands' (read off their binomials, else their composed
+product) and its numerator from the truncated product with its own
+coefficients, while that work is within a bound.  Past the work bound,
+past an operand without a series, or for a function built without a
+Bell rule, no series is known (None).
 """
 from __future__ import annotations
 
@@ -35,104 +32,85 @@ from typing import Callable, Sequence
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
 from .polys import PrimePoly, XPoly, series_div
 
-DEFAULT_DEGREE_CAP = 16
-LOCAL_DEGREE_CAP = 40
 # the bound of the CLI's -U: at least 60, the highest order of a binomial
-# in a finite zeta form of a Bell series of degree up to the default cap
-# (max m k over phi(m) k <= 16, at Phi_60), so factorize can show each of
-# them.  Peeling to order U takes O(U d) products for a Bell series of
-# degree d and O(U^2) for a raw series.  A pointwise product's series is
-# built from its denominator (_bounded) while the work, N coefficients
-# times the binomials of a den of degree N - e0, is at most
-# MAX_ORDER (MAX_ORDER + 1): any den of degree up to MAX_ORDER, sparser
-# ones further
-MAX_ORDER = 4 * DEFAULT_DEGREE_CAP
-# times rationalize may double the radix bits before giving up
-_RADIX_DOUBLINGS = 4
+# in a finite zeta form of a Bell series of degree up to 16 (max m k over
+# phi(m) k <= 16, at Phi_60), so factorize can show each of them.
+# Peeling to order U takes O(U d) products for a Bell series of degree d
+# and O(U^2) for a raw series.  A pointwise product's series is built
+# (_bounded) while its work, N coefficients times the binomials or the
+# degree of a den of degree N - e0, is at most MAX_ORDER (MAX_ORDER + 1)
+MAX_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
-# rational reconstruction
+# exact gcd
 
-def _scalar_pade(vals: Sequence[int], d_cap: int):
-    """Minimal-degree rational fit N/D, D(0)=1, matching all of vals.
-
-    vals are the integer series coefficients at one point p = 2^k.
-    Berlekamp-Massey (Massey 1969) finds in one pass the shortest linear
-    recurrence D of vals[1:] over the whole window, unique once 2d+1 <= M;
-    N is D * vals below x^(d+1).  Fraction-free: each step, last*D -
-    disc*x^gap*prev, is a multiple of the step over Q with its content
-    divided out, and D(0) is divided out at the end.  Returns (num, den, d),
-    integer lists of length d+1, or None when d > d_cap or 2d+1 > M; raises
-    DegreeBoundError when the fit over Q has non-integer coefficients.
-    """
-    M = len(vals) - 1
-    den, prev = [1], [1]
-    d, n, gap, last = 0, 0, 1, 1
-    while d <= d_cap and 2 * d + 1 <= M:
-        n += 1
-        if n > M:
-            den += [0] * (d + 1 - len(den))
-            num = [sum(map(operator.mul, den, vals[j::-1])) for j in range(d + 1)]
-            c = den[0]
-            if any(v % c for v in num + den):
-                raise DegreeBoundError("rational form has non-integer coefficients")
-            return [v // c for v in num], [v // c for v in den], d
-        disc = sum(map(operator.mul, den, vals[n::-1]))
-        if disc == 0:
-            gap += 1
-            continue
-        step = [last * c for c in den] + [0] * (gap + len(prev) - len(den))
-        for i, c in enumerate(prev):
-            step[gap + i] -= disc * c
-        if 2 * d < n:
-            prev, d, gap, last = den, n - d, 1, disc
-        else:
-            gap += 1
-        g = math.gcd(*step)
-        den = [c // g for c in step]
-    return None
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _start_bits(series: Sequence[PrimePoly]) -> int:
-    """Bits of the first radix: those of the largest |coefficient|, plus 2."""
-    return max((abs(v) for c in series for _, v in c.items()),
-               default=0).bit_length() + 2
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [v // g for v in a]
 
 
-def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
-    """Reconstruct the minimal rational function in x matching a series.
+def _prs(a: list[int], b: list[int], norm: Callable) -> list[int]:
+    """The last nonzero remainder of the pseudo-remainder sequence of
+    the integer polynomials a and b (coefficients from x^0, top nonzero):
+    each step a -> lc(b) a - lc(a) x^s b is passed through norm."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        while len(a) >= len(b):
+            s, c, l = len(a) - len(b), a[-1], b[-1]
+            a = norm(_trim([l * x for x in a[:s]]
+                           + [l * x - c * y for x, y in zip(a[s:], b)]))
+        a, b = b, a
+    return a
 
-    Needs at least 2*max_degree+2 coefficients (SeriesWindowError
-    otherwise).  One integer Berlekamp-Massey fit at the single point
-    p = 2^k, which packs each Z[p] coefficient into one integer (Kronecker
-    substitution), is read back as balanced base-2^k digits and re-checked
-    over Z[p] by BellRational.matches.  Specialising can only shorten the
-    fit, so a degree above max_degree rejects, and so does a non-integer
-    fit: the minimal fit of an integer window is integral (Gauss's lemma)
-    whenever one over Z[p] exists.  A degenerate point or a too-small
-    radix fails the re-check and k doubles, at most _RADIX_DOUBLINGS
-    times.  Raises DegreeBoundError when no rational function with
-    numerator and denominator degree <= max_degree fits.
-    """
-    series = list(series)
-    if len(series) < 2 * max_degree + 2:
-        raise SeriesWindowError("need at least %d coefficients for degree %d"
-                                % (2 * max_degree + 2, max_degree))
-    if not series[0].is_one():
-        raise SeriesWindowError("series must start at 1")
-    k = _start_bits(series)
-    for _ in range(_RADIX_DOUBLINGS + 1):
-        fit = _scalar_pade([c.pack(k) for c in series], max_degree)
-        if fit is None:
-            raise DegreeBoundError("no rational form of degree <= %d" % max_degree)
-        num, den, _ = fit
-        cand = BellRational(XPoly([PrimePoly.unpack(v, k) for v in num]),
-                            XPoly([PrimePoly.unpack(v, k) for v in den]))
-        if cand.matches(series):
-            return cand
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd over Z[x], up to sign, of the integer polynomials
+    a and b: [1] at once where they are coprime mod the prime M = 2^61 - 1
+    and M does not divide a's top coefficient (a common factor would keep
+    its degree mod M and divide both there), else the primitive remainder
+    sequence, each remainder's content divided out."""
+    M = (1 << 61) - 1
+
+    def mod(c: list[int]) -> list[int]:
+        return _trim([v % M for v in c])
+    if a[-1] % M and len(_prs(mod(a), mod(b), mod)) == 1:
+        return [1]
+    return _prs(_primitive(a), _primitive(b), _primitive)
+
+
+def _gcd_reduce(num: XPoly, den: XPoly) -> "BellRational":
+    """num/den with its gcd over Z[p] divided out, both with constant term 1.
+
+    The gcd over Z[x] at p = 2^k (at a concrete prime the integers
+    themselves) is read back as balanced base-2^k digits and proved by
+    dividing both.  With k two bits above the widest coefficient, packing
+    keeps every degree, so the true gcd divides the packed one there, and
+    a common divisor of that degree is the gcd itself.  Where the digits
+    are too narrow the division fails and k doubles, at most four times;
+    past that, DegreeBoundError."""
+    cs = num.coeffs + den.coeffs
+    k = 0 if all(c.is_constant() for c in cs) else max(
+        abs(v) for c in cs for _, v in c.items()).bit_length() + 2
+    for _ in range(5):
+        g = _zgcd([c.pack(k) for c in num.coeffs],
+                  [c.pack(k) for c in den.coeffs])
+        if len(g) == 1:
+            return BellRational(num, den)
+        G = XPoly(PrimePoly.unpack(v * g[0], k) if k else
+                  PrimePoly.const(v * g[0]) for v in g)
+        nq, dq = num.divide(G), den.divide(G)
+        if nq is not None and dq is not None:
+            return BellRational(nq, dq)
         k *= 2
-    raise DegreeBoundError("rational reconstruction did not stabilise")
+    raise DegreeBoundError("no exact gcd over Z[p]")
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +347,12 @@ class MultiplicativeFunction:
 
     One cache holds the Bell series at the generic prime (key None) and
     at each exceptional prime q: derive(h, q, *bells) over the operands'
-    series at q: a catalog atom's closed form, or at an exceptional prime
-    the fit at the degree bound of its local values, or a combinator's
-    Bell rule (for a pointwise product or power j > 1, _bounded).  Where
-    there is none or it gives None (a function built without one, a
-    non-integral shift, a pointwise bound at or above the cap for operands
-    whose dens do not split) the first 2*cap+4 coefficients are refitted
-    at the degree cap, DEFAULT_DEGREE_CAP at the generic prime and
-    LOCAL_DEGREE_CAP at q.  Where an operand has no series, or a rule
-    gives up (DegreeBoundError), the series is None: none is known, which
-    proves nothing, and no refit guesses one.
+    series at q: a catalog atom's closed form, at an exceptional prime
+    that of its local values, or a combinator's Bell rule (for a
+    pointwise product or power j > 1, _bounded).  Where there is no
+    derive, an operand has no series, or the rule gives up
+    (DegreeBoundError: a non-integral shift, a pointwise product past its
+    work bound), the series is None: none is known, which proves nothing.
     """
 
     def __init__(self, name: str, rule: Callable,
@@ -418,22 +392,17 @@ class MultiplicativeFunction:
             return self._bell_at(None)
 
     def _bell_at(self, q: int | None) -> BellRational | None:
-        """Fill the cache at q: derive over the operands' series at q, or
-        else refit the first 2*cap+4 coefficients at the generic (q None)
-        or the local cap.  With an operand's series unknown, or a rule
-        that gives up (DegreeBoundError), the cache holds None."""
+        """Fill the cache at q with derive over the operands' series at q;
+        with no derive, an operand's series unknown, or a rule that gives
+        up (DegreeBoundError), the cache holds None."""
         if q not in self._bells:
             bs = [f.local_bell(q) if q else f.bell for f in self.ops]
             b = None
-            if None not in bs:
+            if self.derive and None not in bs:
                 try:
-                    b = self.derive and self.derive(self, q, *bs)
-                    if not b:
-                        cap = (DEFAULT_DEGREE_CAP if q is None
-                               else LOCAL_DEGREE_CAP)
-                        b = self._refit(q, cap, 2 * cap + 3)
+                    b = self.derive(self, q, *bs)
                 except DegreeBoundError:
-                    b = None
+                    pass
             self._bells[q] = b
         return self._bells[q]
 
@@ -441,20 +410,6 @@ class MultiplicativeFunction:
         """a(q^0), ..., a(q^K) (generic for q None) as PrimePolys."""
         return (self.series(K) if q is None else
                 list(map(PrimePoly.const, self.local_series(q, K))))
-
-    def _refit(self, q: int | None, d: int, K: int) -> BellRational | None:
-        """The fit of degree <= d to a(q^0), ..., a(q^K) (generic for q
-        None), or None when there is none."""
-        window = self._window(q, K)
-        try:
-            # a fit over Z[p] specialises to one at p = 2, so where there is
-            # none there (or a non-integral one) there is none at all; the
-            # values at p = 2 are far narrower than at the radix 2^k
-            if q is None and _scalar_pade([c.pack(1) for c in window], d) is None:
-                return None
-            return rationalize(window, d)
-        except DegreeBoundError:
-            return None
 
     def series(self, K: int) -> list[PrimePoly]:
         """First K+1 Bell series coefficients at the generic prime."""
@@ -497,15 +452,14 @@ def _reduce_product(num: XPoly, den: XPoly,
     by default read off den), every piece of theirs is divided out of
     both as often as den holds it and it divides num, so the result is
     the unique reduced form with constant terms 1.  Any other den is
-    reduced by a refit of degree max(deg num, deg den).
+    reduced by one exact gcd (_gcd_reduce).
     """
     cand = BellRational(num, den)
     if binomials is not None:
         cand._den_bins = binomials
     binomials = cand.den_binomials
     if binomials is None:
-        d = max(num.degree(), den.degree())
-        return cand if d == 0 else rationalize(cand.series(2 * d + 3), d)
+        return _gcd_reduce(num, den)
     pieces: Counter = Counter()
     for (S, l, u), m in binomials.items():
         for pc in _pieces(S, l, u):
@@ -550,21 +504,6 @@ def dirichlet_inverse(f: MultiplicativeFunction,
     """Inverse under Dirichlet convolution; Bell series is flipped."""
     return MultiplicativeFunction(name or "inv(%s)" % f.name, _invert,
                                   lambda h, q, fb: fb.reciprocal(), (f,))
-
-
-def hadamard_degree(bells: Sequence[BellRational]) -> int:
-    """A bound D on the numerator and denominator degrees of the termwise
-    (Hadamard) product of the series bells.
-
-    From e0 = max(0, n_i - d_i + 1) on, the coefficients of num_i/den_i
-    (degrees n_i, d_i) satisfy a linear recurrence of order d_i, so their
-    product satisfies one of order R = prod d_i (Stanley, EC1 4.2): it is
-    rational with denominator degree <= R and numerator degree
-    <= R + e0 - 1.
-    """
-    R = math.prod(b.den.degree() for b in bells)
-    e0 = max(0, *(b.num.degree() - b.den.degree() + 1 for b in bells))
-    return R + max(0, e0 - 1)
 
 
 def _termwise(h, q, e):
@@ -617,29 +556,81 @@ def _hadamard_den(blocks: Sequence[Counter]) -> Counter | None:
     return out
 
 
+def _exp_sums(P: Sequence[PrimePoly], n: int) -> list[PrimePoly]:
+    """c_0, ..., c_n of exp(sum_k P_k x^k / k), P = [P_1, P_2, ...], by
+    Newton's identities m c_m = sum_(i<=m) P_i c_(m-i): for power sums of
+    roots over Z[p], the complete symmetric functions h_m, each division
+    by m exact."""
+    c = [PrimePoly.one]
+    for m in range(1, n + 1):
+        acc = _dot(P[:m], c[::-1])
+        c.append(PrimePoly({e: v // m for e, v in acc.items()}))
+    return c
+
+
+def _composed_den(groups: Counter, D: int) -> XPoly:
+    """The den of degree D whose reciprocal roots are the products of one
+    of each operand's: of n operands sharing a den (groups: each den with
+    its n), one product per multiset of n of its roots.
+
+    x den'/den = -sum P_k x^k gives a den's power sums P_k.  The k-th of
+    its n-th symmetric power is h_n of its roots' k-th powers, the x^n
+    coefficient of 1/den_k, den_k the den with power sums P_k, P_2k, ...
+    (m = min(n, deg den) of them reach x^n).  The composed product's are
+    the groups' multiplied (Bostan, Flajolet, Salvy and Schost, J. Symb.
+    Comp. 41, 2006), and den_H = exp(-sum P_k x^k / k).
+    """
+    P = [PrimePoly.one] * D
+    for den, n in groups.items():
+        m = min(n, den.degree())
+        s = series_div([c.scale(i) for i, c in enumerate(den.coeffs)],
+                       den.coeffs, m * D)
+        P = [a * series_div([PrimePoly.one], _exp_sums(s[k::k][:m], m), n)[n]
+             for k, a in enumerate(P, 1)]
+    return XPoly(_exp_sums([-v for v in P], D))
+
+
+def _dot(a: Sequence[PrimePoly], b: Sequence[PrimePoly]) -> PrimePoly:
+    """sum a_i b_i, multiplied out on integers packed at p = 2^k: no
+    coefficient exceeds sum l1(a_i) l1(b_i) < 2^(k-1) in size, l1 the sum
+    of a PrimePoly's |coefficients|."""
+    def l1(c):
+        return sum(abs(v) for _, v in c.items())
+    k = sum(l1(x) * l1(y) for x, y in zip(a, b)).bit_length() + 2
+    return PrimePoly.unpack(sum(x.pack(k) * y.pack(k) for x, y in zip(a, b)), k)
+
+
 def _bounded(h, q, *bs):
     """The termwise product's Bell series at q.
 
-    Where every operand's den is a product of binomials, the product's
-    coefficients obey the recurrence of den_H (_hadamard_den) from e0 on,
-    so num = den_H * S below x^N, N = deg den_H + e0, and num/den_H is
-    reduced exactly.  That is built while N times the number of
-    binomials of den_H, the number of shifts per coefficient, is at most
-    MAX_ORDER (MAX_ORDER + 1); past it no series is known, and none is
-    guessed (DegreeBoundError).  Other dens: where hadamard_degree bounds
-    the degree by D below the cap, the fit of degree <= D to 2D+2
-    coefficients, a proof; else None, and the cap refit runs.
+    From e0 on, the product's coefficients obey the recurrence of a den
+    den_H, so num = den_H * S below x^N, N = deg den_H + e0, and
+    num/den_H is reduced exactly.  Where every operand's den is a product
+    of binomials, den_H is read off them (_hadamard_den); else it is the
+    composed product of the dens (_composed_den): each root of the
+    product's sequence is a product of operand roots of multiplicities
+    m_i, and its weight's degree sum (m_i - 1) is below its multiplicity
+    there.  That is built while N times the number of binomials of den_H,
+    or times its degree where den_H is the composed product, is at most
+    MAX_ORDER (MAX_ORDER + 1); past it no series is known
+    (DegreeBoundError).
     """
-    cap = DEFAULT_DEGREE_CAP if q is None else LOCAL_DEGREE_CAP
-    blocks = [b.den_binomials for b in bs]
-    if None in blocks:
-        D = hadamard_degree(bs)
-        return h._refit(q, D, 2 * D + 1) if D < cap else None
-    den_bins = _hadamard_den(blocks)
     e0 = max(0, *(b.num.degree() - b.den.degree() + 1 for b in bs))
+    blocks = [b.den_binomials for b in bs]
+    bound = MAX_ORDER * (MAX_ORDER + 1)
+    if None in blocks:
+        groups = Counter(b.den for b in bs)
+        D = math.prod(math.comb(d.degree() + n - 1, n)
+                      for d, n in groups.items())
+        N = D + e0
+        if N * D > bound:
+            raise DegreeBoundError("termwise product past the work bound")
+        den, s = _composed_den(groups, D), h._window(q, N - 1)
+        return _reduce_product(
+            XPoly(_dot(den.coeffs, s[n::-1]) for n in range(N)), den)
+    den_bins = _hadamard_den(blocks)
     N = sum(u * m for (_, _, u), m in (den_bins or {}).items()) + e0
-    if (den_bins is None
-            or N * sum(den_bins.values()) > MAX_ORDER * (MAX_ORDER + 1)):
+    if den_bins is None or N * sum(den_bins.values()) > bound:
         raise DegreeBoundError("termwise product past the work bound")
     return _reduce_product(_expand(den_bins, h._window(q, N - 1), N),
                            _expand(den_bins), den_bins)
@@ -683,11 +674,19 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
                                   % (k, "" if q is None else "p=%d, " % q, e))
 
     def shifted(h, q, fb):
-        try:
-            fb = fb.substitute_x_pk(k)
-        except MasterEquationError:
-            return None  # refit instead; the shift may not be integral
-        return fb if q is None else fb.bind_prime(q)
+        # x -> p^k x over Z[p], or x -> q^k x in exact rationals at q; the
+        # reduced form of an integer series is integral, so a fraction
+        # means the shifted values are not integers
+        if q is None:
+            try:
+                return fb.substitute_x_pk(k)
+            except MasterEquationError:
+                raise DegreeBoundError("shift by %d not integral" % k)
+        cs = [[c.constant_value() * Fraction(q) ** (k * e)
+               for e, c in enumerate(xp.coeffs)] for xp in (fb.num, fb.den)]
+        if any(v.denominator != 1 for v in cs[0] + cs[1]):
+            raise DegreeBoundError("shift by %d not integral at p=%d" % (k, q))
+        return BellRational(*(XPoly.from_ints(map(int, c)) for c in cs))
 
     return MultiplicativeFunction(name or "shift(%s, %d)" % (f.name, k),
                                   rule, shifted, (f,))

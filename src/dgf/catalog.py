@@ -8,13 +8,13 @@ product of zeta factors zeta(us - l)^gamma, the entry's zeta= list of
 (1 - p^l x^u)^-gamma.  Only the entries whose series is no such product
 for some parameter values (zeta= gives "infinite" or None there) carry
 an explicit bell= form.  At runtime the closed form is the instance's
-generic-prime Bell series, so no master window is refitted.  At an
+generic-prime Bell series, built without reading a coefficient.  At an
 exceptional prime the values are data (LocalValues): n first values and
-the ratio of every later one, whose fit at degree n on 2n + 2 values is
-a proof.  Common factors of a closed form are cancelled exactly
+the ratio of every later one, whose series has a closed form too.
+Common factors of a closed form are cancelled exactly
 (bell._reduce_product) over its denominator binomials: a zeta= list
-passes its own, a bell= form has them read off; only a bell= den that is
-no product of binomials, as const(c)'s 1 - c x, is reduced by a refit.
+passes its own, a bell= form has them read off; a den that is no product
+of binomials, as const(c)'s 1 - c x, is reduced by one exact gcd.
 """
 from __future__ import annotations
 
@@ -110,6 +110,12 @@ class LocalValues(NamedTuple):
         n = len(self.values) - 1
         return self.values[min(e, n)] * self.ratio ** max(e - n, 0)
 
+    def bell(self) -> BellRational:
+        """The closed form, with its common factors cancelled."""
+        r, den = self.ratio, XPoly.from_ints([1, -self.ratio])
+        tail = XPoly.from_ints([0] * len(self.values) + [self.values[-1] * r])
+        return _reduce_product(XPoly.from_ints(self.values) * den + tail, den)
+
 
 class CatalogEntry(NamedTuple):
     name: str
@@ -163,11 +169,10 @@ class CatalogEntry(NamedTuple):
         vals = self.check_args(args)
 
         def derive(h, q):
-            # at q the fit its n values prove; else the closed form (built
-            # on first use) with its common factors cancelled
+            # the closed form (built on first use) with its common factors
+            # cancelled: at q its local values', else the entry's
             if q is not None:
-                n = len(h.rule.exceptions[q].values)
-                return h._refit(q, n, 2 * n + 1)
+                return h.rule.exceptions[q].bell()
             b, binomials = self._closed(vals)
             return _reduce_product(b.num, b.den, binomials)
         return MultiplicativeFunction(self.instance_name(vals),

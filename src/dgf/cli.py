@@ -13,11 +13,11 @@ import math
 import os
 import sys
 
-from .bell import DEFAULT_DEGREE_CAP, MAX_ORDER
+from .bell import MAX_ORDER
 from .catalog import CATALOG, make
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError)
-from .euler import (INFINITE, ZetaForm, abscissa, factor_bell,
+from .euler import (INFINITE, UNKNOWN, ZetaForm, abscissa, factor_bell,
                     finite_zeta_form, round_trips, zeta_factors_from_euler,
                     zeta_form_to_coeffs)
 from .numeric import eval_euler_product, eval_partial_sum, eval_zeta_form
@@ -84,8 +84,7 @@ def _cmd_catalog(ns) -> int:
         print("  parameter %s in [%d, %d]%s" % (p.name, p.lo, p.hi, extra))
     if ns.args or not entry.params:
         f = entry.make(*ns.args)
-        b = f.bell
-        print("  bell series: %s" % (b if b is not None else "not rational"))
+        print("  bell series: %s" % (f.bell or UNKNOWN))
         zf = finite_zeta_form(f)
         print("  dirichlet series: %s" % zf)
     return 0
@@ -93,11 +92,7 @@ def _cmd_catalog(ns) -> int:
 
 def _cmd_bell(ns) -> int:
     f = parse_function(ns.expr)
-    b = f.bell
-    if b is None:
-        print("no rational closed form within degree %d" % DEFAULT_DEGREE_CAP)
-    else:
-        print(b)
+    print(f.bell or UNKNOWN)
     ser = f.series(ns.K)
     print("series: " + ", ".join(str(c) for c in ser))
     return 0

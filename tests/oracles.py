@@ -6,14 +6,17 @@ master-equation engine and of its sieve.  The Euler-factor peel is
 redone by series division and factor lists are multiplied back out one
 binomial power at a time, independent of the log-derivative pass, and
 zeta factors by whole-stream Dirichlet products, independent of the
-prime-by-prime Euler factors.  Bell series, generic and at exceptional
-primes, are refitted from the prime-power values at the degree cap,
-independent of the closed forms and of the combinators' Bell rules, and
-common factors are cancelled by a refit, independent of the engine's
-exact division by binomial pieces.
-Truncated series products, inverses and comparisons are written out
-here, independent of the engine's one series division, and so is the
-Berlekamp-Massey fit over Q that the engine's fraction-free kernel is
+prime-by-prime Euler factors.  The engine builds every Bell series and
+fits none; the fit lives here.  rationalize, one fraction-free
+Berlekamp-Massey pass at p = 2^k proved over Z[p], refits Bell series,
+generic and at exceptional primes, from the prime-power values at a
+degree cap, independent of the closed forms and of the combinators'
+Bell rules, and cancels common factors by a refit, independent of the
+engine's exact division by binomial pieces and its exact gcd;
+hadamard_degree bounds the degrees of a termwise product, the degree a
+test fits one at.  Truncated series products, inverses and comparisons are written
+out here, independent of the engine's one series division, and so is
+the Berlekamp-Massey fit over Q that the fraction-free kernel is
 checked against.  The Euler product is multiplied out one prime at a
 time over trial-division primes, the reference for the engine's blocked
 kernel.  Zeta forms are read by the peel of the whole Bell series under
@@ -23,18 +26,127 @@ phi and psi by trial division are the reference for the caps of its peel.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from dgf.bell import (DEFAULT_DEGREE_CAP, LOCAL_DEGREE_CAP, BellRational,
-                      rationalize)
-from dgf.errors import CatalogError, DegreeBoundError
+from dgf.bell import BellRational
+from dgf.errors import CatalogError, DegreeBoundError, SeriesWindowError
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
                        ZetaFactor, ZetaForm, _log_series, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
 from dgf.polys import PrimePoly, XPoly
 
+
+# the refit's degree caps: at the generic prime and at an exceptional one
+DEFAULT_DEGREE_CAP = 16
+LOCAL_DEGREE_CAP = 40
+# times rationalize may double the radix bits before giving up
+_RADIX_DOUBLINGS = 4
+
+
+# ---------------------------------------------------------------------------
+# rational reconstruction
+
+def _scalar_pade(vals: Sequence[int], d_cap: int):
+    """Minimal-degree rational fit N/D, D(0)=1, matching all of vals.
+
+    vals are the integer series coefficients at one point p = 2^k.
+    Berlekamp-Massey (Massey 1969) finds in one pass the shortest linear
+    recurrence D of vals[1:] over the whole window, unique once 2d+1 <= M;
+    N is D * vals below x^(d+1).  Fraction-free: each step, last*D -
+    disc*x^gap*prev, is a multiple of the step over Q with its content
+    divided out, and D(0) is divided out at the end.  Returns (num, den, d),
+    integer lists of length d+1, or None when d > d_cap or 2d+1 > M; raises
+    DegreeBoundError when the fit over Q has non-integer coefficients.
+    """
+    M = len(vals) - 1
+    den, prev = [1], [1]
+    d, n, gap, last = 0, 0, 1, 1
+    while d <= d_cap and 2 * d + 1 <= M:
+        n += 1
+        if n > M:
+            den += [0] * (d + 1 - len(den))
+            num = [sum(map(operator.mul, den, vals[j::-1])) for j in range(d + 1)]
+            c = den[0]
+            if any(v % c for v in num + den):
+                raise DegreeBoundError("rational form has non-integer coefficients")
+            return [v // c for v in num], [v // c for v in den], d
+        disc = sum(map(operator.mul, den, vals[n::-1]))
+        if disc == 0:
+            gap += 1
+            continue
+        step = [last * c for c in den] + [0] * (gap + len(prev) - len(den))
+        for i, c in enumerate(prev):
+            step[gap + i] -= disc * c
+        if 2 * d < n:
+            prev, d, gap, last = den, n - d, 1, disc
+        else:
+            gap += 1
+        g = math.gcd(*step)
+        den = [c // g for c in step]
+    return None
+
+
+def _start_bits(series: Sequence[PrimePoly]) -> int:
+    """Bits of the first radix: those of the largest |coefficient|, plus 2."""
+    return max((abs(v) for c in series for _, v in c.items()),
+               default=0).bit_length() + 2
+
+
+def rationalize(series: Sequence[PrimePoly], max_degree: int) -> "BellRational":
+    """Reconstruct the minimal rational function in x matching a series.
+
+    Needs at least 2*max_degree+2 coefficients (SeriesWindowError
+    otherwise).  One integer Berlekamp-Massey fit at the single point
+    p = 2^k, which packs each Z[p] coefficient into one integer (Kronecker
+    substitution), is read back as balanced base-2^k digits and re-checked
+    over Z[p] by BellRational.matches.  Specialising can only shorten the
+    fit, so a degree above max_degree rejects, and so does a non-integer
+    fit: the minimal fit of an integer window is integral (Gauss's lemma)
+    whenever one over Z[p] exists.  A degenerate point or a too-small
+    radix fails the re-check and k doubles, at most _RADIX_DOUBLINGS
+    times.  Raises DegreeBoundError when no rational function with
+    numerator and denominator degree <= max_degree fits.
+    """
+    series = list(series)
+    if len(series) < 2 * max_degree + 2:
+        raise SeriesWindowError("need at least %d coefficients for degree %d"
+                                % (2 * max_degree + 2, max_degree))
+    if not series[0].is_one():
+        raise SeriesWindowError("series must start at 1")
+    k = _start_bits(series)
+    for _ in range(_RADIX_DOUBLINGS + 1):
+        fit = _scalar_pade([c.pack(k) for c in series], max_degree)
+        if fit is None:
+            raise DegreeBoundError("no rational form of degree <= %d" % max_degree)
+        num, den, _ = fit
+        cand = BellRational(XPoly([PrimePoly.unpack(v, k) for v in num]),
+                            XPoly([PrimePoly.unpack(v, k) for v in den]))
+        if cand.matches(series):
+            return cand
+        k *= 2
+    raise DegreeBoundError("rational reconstruction did not stabilise")
+
+
+def hadamard_degree(bells: Sequence[BellRational]) -> int:
+    """A bound D on the numerator and denominator degrees of the termwise
+    (Hadamard) product of the series bells.
+
+    From e0 = max(0, n_i - d_i + 1) on, the coefficients of num_i/den_i
+    (degrees n_i, d_i) satisfy a linear recurrence of order d_i, so their
+    product satisfies one of order R = prod d_i (Stanley, EC1 4.2): it is
+    rational with denominator degree <= R and numerator degree
+    <= R + e0 - 1.
+    """
+    R = math.prod(b.den.degree() for b in bells)
+    e0 = max(0, *(b.num.degree() - b.den.degree() + 1 for b in bells))
+    return R + max(0, e0 - 1)
+
+
+# ---------------------------------------------------------------------------
+# truncated series
 
 def series_mul(a: list[PrimePoly], b: list[PrimePoly], K: int) -> list[PrimePoly]:
     """Product of two truncated series to order K."""

@@ -14,7 +14,6 @@ from dgf.bell import (
     BellRational,
     dirichlet_convolve,
     dirichlet_inverse,
-    rationalize,
     shift_by_power,
 )
 from dgf.catalog import make
@@ -38,7 +37,7 @@ from dgf.polys import PrimePoly, XPoly
 from dgf.sequences import FactorSieve, terms
 
 from conftest import GRID, GRID_ONE_PER_NAME, ef_tuples, zf_tuples
-from oracles import _ofactor, brute_convolve, oracle
+from oracles import _ofactor, brute_convolve, oracle, rationalize
 
 
 def criterion(num: int):

@@ -15,10 +15,8 @@ from dgf.bell import (
     MultiplicativeFunction,
     dirichlet_convolve,
     dirichlet_inverse,
-    hadamard_degree,
     pointwise_power,
     pointwise_product,
-    rationalize,
     shift_by_power,
     unitary_convolve,
 )
@@ -29,8 +27,9 @@ from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly
 from dgf.sequences import terms
 
-from oracles import (brute_convolve, brute_unitary_convolve, refit_bell,
-                     refit_local_bell, series_eq)
+import oracles
+from oracles import (brute_convolve, brute_unitary_convolve, hadamard_degree,
+                     rationalize, refit_bell, refit_local_bell, series_eq)
 
 P = PrimePoly
 
@@ -135,14 +134,14 @@ def test_rationalize_kernel_edges(num, den, d):
 def test_rationalize_radix_doubling(monkeypatch):
     # a first radix of 2 bits is too narrow for the digits of sigma(1)*sigma(2)
     # and fails the re-check over Z[p]; doubling the bits finds the same form.
-    # Its Bell rule no longer refits, so the fit runs on its window directly,
-    # at its degree bound D as the rule once did
+    # The fit is the test oracle's: it runs on the window at the degree
+    # bound D and finds the series the Bell rule builds
     f = parse_function("sigma(1)*sigma(2)")
     want = f.bell
     D = hadamard_degree([make("sigma", 1).bell, make("sigma", 2).bell])
     window = f.series(2 * D + 1)
     calls = Counter()
-    fit, kernel = bell_module.rationalize, bell_module._scalar_pade
+    fit, kernel = oracles.rationalize, oracles._scalar_pade
 
     def counting_fit(series, max_degree):
         calls["rationalize"] += 1
@@ -152,17 +151,17 @@ def test_rationalize_radix_doubling(monkeypatch):
         calls["kernel"] += 1
         return kernel(vals, d_cap)
 
-    monkeypatch.setattr(bell_module, "_start_bits", lambda series: 2)
-    monkeypatch.setattr(bell_module, "rationalize", counting_fit)
-    monkeypatch.setattr(bell_module, "_scalar_pade", counting_kernel)
-    assert bell_module.rationalize(window, D) == want
+    monkeypatch.setattr(oracles, "_start_bits", lambda series: 2)
+    monkeypatch.setattr(oracles, "rationalize", counting_fit)
+    monkeypatch.setattr(oracles, "_scalar_pade", counting_kernel)
+    assert oracles.rationalize(window, D) == want
     assert calls["kernel"] > calls["rationalize"] > 0
     # (1 - 2x)/(1 - px) collapses to 1 at p = 2 and (1 - 4x)/(1 - px) at the
     # 2-bit radix p = 4, whose fit then fails the re-check once
     for a, fits in [(2, 1), (4, 2)]:
         calls.clear()
         degenerate = BellRational(xp(1, -a), XPoly.binomial(1, 1, 1))
-        assert bell_module.rationalize(degenerate.series(5), 1) == degenerate
+        assert oracles.rationalize(degenerate.series(5), 1) == degenerate
         assert calls["kernel"] == fits
 
 
@@ -325,18 +324,9 @@ def test_hadamard_den_adds_the_powers_of_equal_binomials():
         Counter({(1, 0, 1): 1, (1, 1, 1): 1, (1, 2, 1): 1})
 
 
-def test_termwise_products_read_their_den_off_the_binomials(monkeypatch):
-    # no refit at the generic prime: each series is built from den_H and
-    # reduced by exact division
-    calls = Counter()
-    fit = bell_module.rationalize
-
-    def counting(series, max_degree):
-        calls["rationalize"] += 1
-        return fit(series, max_degree)
-
-    monkeypatch.setattr(bell_module, "rationalize", counting)
-    # the cap refit read 36 coefficients 1, 0, ..., 0 of eps(7)*eps(8) as 1
+def test_termwise_products_read_their_den_off_the_binomials():
+    # each series is built from den_H and reduced by exact division; a cap
+    # refit once read 36 coefficients 1, 0, ..., 0 of eps(7)*eps(8) as 1
     for src, L in [("eps(5)*eps(6)", 30), ("eps(7)*eps(8)", 56)]:
         b = parse_function(src).bell
         assert str(b) == "(1)/(1 - x^%d)" % L
@@ -348,17 +338,15 @@ def test_termwise_products_read_their_den_off_the_binomials(monkeypatch):
     for src, L in [("eps(5)*eps(7)*eps(8)", 280),
                    ("eps(5)*eps(6)*eps(7)*eps(8)", 840)]:
         assert str(parse_function(src).bell) == "(1)/(1 - x^%d)" % L
-    assert calls["rationalize"] == 0
 
 
-def test_termwise_products_past_the_work_bound_have_no_series(monkeypatch):
+def test_termwise_products_past_the_work_bound_have_no_series():
     # den_H of degree 616 with 12 terms, (1 - x^56)...(1 - p^560 x^56), is
-    # past the work bound, and the cap refit's 1 is not taken as its series
-    monkeypatch.setattr(bell_module, "rationalize", None)
+    # past the work bound, and no series is guessed (a cap refit read 1)
     for src in ["(eps(7)*eps(8)) * sigma(1)^10", "sigma(1)^300",
                 "((gcdc(12) <*> sigma_odd(1))^4)^3",
-                # nor is one guessed past an operand without a series,
-                # where the cap refit read phi's
+                # nor past an operand without a series, where a cap
+                # refit read phi's
                 "((eps(7)*eps(8)) * sigma(1)^10) <*> phi"]:
         start = time.perf_counter()
         assert parse_function(src).bell is None
@@ -388,37 +376,39 @@ def test_powers_walk_multisets_of_binomials():
     assert bell_module._hadamard_den([g.den_binomials] * 4096) is None
 
 
-def test_cap_refit_rejects_on_the_values_at_two(monkeypatch):
-    # inv(phi_star)'s den 1 - 2x + p x^2 is no product of binomials, and
-    # times sigma(1)^8 the product has degree 18 > 16: one kernel pass on
-    # its values at p = 2 rejects the cap refit, with no pass on values
-    # packed at the wide radix
-    widths = []
-    kernel = bell_module._scalar_pade
+def test_cap_refit_rejects_on_the_values_at_two():
+    # no fit runs: the runtime has none.  inv(phi_star)'s den 1 - 2x + p x^2
+    # is no product of binomials, and times sigma(1)^8 the product's den is
+    # their composed product, of degree 2 * 9 = 18, past the degree cap of
+    # 16 that once rejected it: its series is built from the 19 coefficients
+    # below N = 18 + e0, not fitted to the 36 of the cap refit
+    import dgf
+    for name in ("rationalize", "_scalar_pade", "_start_bits",
+                 "hadamard_degree", "DEFAULT_DEGREE_CAP", "LOCAL_DEGREE_CAP"):
+        assert not hasattr(bell_module, name)
+    assert not hasattr(MultiplicativeFunction, "_refit")
+    assert "rationalize" not in dgf.__all__
+    h = parse_function("inv(phi_star) * sigma(1)^8")
+    read = set()
+    rule = h.rule
 
-    def counting(vals, d_cap):
-        widths.append(max(abs(v) for v in vals).bit_length())
-        return kernel(vals, d_cap)
+    def counted(node, q, e):
+        read.add(e)
+        return rule(node, q, e)
 
-    monkeypatch.setattr(bell_module, "_scalar_pade", counting)
-    assert parse_function("inv(phi_star) * sigma(1)^8").bell is None
-    assert len(widths) == 1 and widths[0] < 1000
+    h.rule = counted
+    b = h.bell
+    assert read == set(range(1, 19))
+    assert (b.num.degree(), b.den.degree()) == (18, 18)
+    assert b.matches(h.series(2 * 36 + 8))
 
 
-def test_combinators_derive_bell_on_first_read(monkeypatch):
-    calls = Counter()
-    fit = bell_module.rationalize
-
-    def counting(series, max_degree):
-        calls["rationalize"] += 1
-        return fit(series, max_degree)
-
-    monkeypatch.setattr(bell_module, "rationalize", counting)
+def test_combinators_derive_bell_on_first_read():
     f = parse_function("(sigma(1)*sigma(2)*sigma(3)) <*> one")
-    assert calls["rationalize"] == 0
+    assert not f._bells
     assert terms(f, 12) == brute_convolve(
         terms(parse_function("sigma(1)*sigma(2)*sigma(3)"), 12), [1] * 12)
-    assert calls["rationalize"] == 0
+    assert not f._bells
     # B_f B_one with nothing to cancel, as when it was derived at build time
     b = parse_function("sigma(1)*sigma(2)*sigma(3)").bell
     assert f.bell == BellRational(b.num, b.den * XPoly.binomial(1, 0, 1))
@@ -434,6 +424,20 @@ def test_shift_round_trip_on_bell():
     f = make("sigma", 1)
     g = shift_by_power(shift_by_power(f, 2), -2)
     assert series_eq(g.series(8), f.series(8), 8)
+
+
+def test_shift_at_an_exceptional_prime_is_built():
+    # x -> q^k x in exact rationals; a cap refit at degree 40 was once the
+    # only source of these local series
+    f = parse_function("shift(id * gcdc(12), -1)")
+    f.rule = None  # the shift's own coefficients are never read
+    assert str(f.local_bell(2)) == "(1 + x + 2*x^2)/(1 - x)"
+    assert str(f.local_bell(3)) == "(1 + 2*x)/(1 - x)"
+    assert str(f.bell) == "(1)/(1 - x)"
+    # gcd(2^e, 12) / 2^e is 1/2 at e = 3, and 1/p is no polynomial: a
+    # fraction gives no series
+    g = parse_function("shift(gcdc(12), -1)")
+    assert g.local_bell(2) is None and g.bell is None
 
 
 def test_shift_non_integral_raises():
@@ -493,12 +497,15 @@ def test_master_rules_run_once_per_exponent():
         calls[3, e] += 1
         return 3 ** (e - 1)
 
+    # built without a derive, f has no series, and none is fitted to its
+    # values: every combinator over it has none either
     f = MultiplicativeFunction("counted", MasterEquation(phi, {3: at3}))
     g = unitary_convolve(
         pointwise_product(dirichlet_convolve(dirichlet_inverse(f), f),
                           make("tau", 2)),
         shift_by_power(f, 1))
-    assert g.bell is not None
+    assert f.bell is None and g.bell is None and g.local_bell(3) is None
+    assert not calls
     assert terms(g, 500) and g.local_series(3, 12)
     assert calls and max(calls.values()) == 1
 

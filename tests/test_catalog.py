@@ -6,16 +6,16 @@ import itertools
 import pytest
 
 import dgf.bell as bell_module
-from dgf.bell import (DEFAULT_DEGREE_CAP, LOCAL_DEGREE_CAP,
-                      MultiplicativeFunction, _reduce_product, rationalize)
-from dgf.catalog import CATALOG, make, names
+from dgf.bell import MasterEquation, _reduce_product
+from dgf.catalog import CATALOG, LocalValues, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
-from oracles import (_ofactor, capped_zeta_form, oracle_at, refit_bell,
-                     refit_local_bell, series_eq)
+from oracles import (DEFAULT_DEGREE_CAP, _ofactor, capped_zeta_form,
+                     oracle_at, rationalize, refit_bell, refit_local_bell,
+                     series_eq)
 
 
 def test_names_sorted_and_complete():
@@ -77,25 +77,22 @@ EXCEPTIONAL = (
 
 
 def test_closed_forms_skip_the_master_refit(monkeypatch):
-    refits = []
-    refit = MultiplicativeFunction._refit
-
-    def counted(self, q, d, K):
-        refits.append((self.name, q, d))
-        return refit(self, q, d, K)
-
-    monkeypatch.setattr(MultiplicativeFunction, "_refit", counted)
-    local = []
+    # no runtime fit: every series, generic and at each exceptional prime,
+    # is its closed form, built without reading a single coefficient, and
+    # at q of degree at most the n values of its LocalValues
+    reads = []
+    monkeypatch.setattr(MasterEquation, "__call__",
+                        lambda self, h, q, e: reads.append((h.name, q, e)))
+    monkeypatch.setattr(LocalValues, "__call__",
+                        lambda self, e: reads.append(e))
+    local = 0
     for name, args, f in grid_instances(GRID + EXCEPTIONAL):
         assert f.bell is not None
         for q in f.exceptional_primes:
-            assert f.local_bell(q) is not None
-            local.append((f.name, q, len(f.rule.exceptions[q].values)))
-    # no atom refits its generic master window; each exceptional prime
-    # refits its n values once, at degree at most n, never at the cap
-    assert local and len(refits) == len(local)
-    for (name, q, d), (want, p, n) in zip(refits, local):
-        assert (name, q) == (want, p) and d <= n and d != LOCAL_DEGREE_CAP
+            b, n = f.local_bell(q), len(f.rule.exceptions[q].values)
+            assert max(b.num.degree(), b.den.degree()) <= n
+            local += 1
+    assert local and reads == []
 
 
 @pytest.mark.parametrize("name,args", EXCEPTIONAL, ids=lambda v: str(v))
@@ -121,23 +118,25 @@ def test_closed_zeta_product_is_its_cancelled_form(name, args):
 
 
 def test_closed_forms_refit_only_where_factors_can_cancel(monkeypatch):
-    # every zeta= form has a den of binomials, so its common factors are
-    # cancelled exactly, with no refit: 1 - p^2 x^2 over 1 - p x in core(2)
-    # and 1 - x^2 over 1 - x in psi_k(3) too; const(2)'s den 1 - 2x is no
-    # binomial, so its bell= form is still reduced by a refit
+    # no runtime fit: every zeta= form has a den of binomials, so its
+    # common factors are cancelled over their pieces: 1 - p^2 x^2 over
+    # 1 - p x in core(2) and 1 - x^2 over 1 - x in psi_k(3) too; const(2)'s
+    # den 1 - 2x is no binomial, so its bell= form is reduced by one exact
+    # gcd instead, and no coefficient is read for either
     calls = []
-    fit = bell_module.rationalize
+    gcd = bell_module._gcd_reduce
 
-    def counted(series, max_degree):
-        calls.append(max_degree)
-        return fit(series, max_degree)
+    def counted(num, den):
+        calls.append(den)
+        return gcd(num, den)
 
-    monkeypatch.setattr(bell_module, "rationalize", counted)
+    monkeypatch.setattr(bell_module, "_gcd_reduce", counted)
+    monkeypatch.setattr(MasterEquation, "__call__", None)
     for name, args in [("phi", ()), ("sigma", (3,)), ("tau", (6,)),
                        ("mu", ()), ("core", (2,)), ("psi_k", (3,))]:
         assert make(name, *args).bell is not None
     assert calls == []
-    assert make("const", 2).bell is not None
+    assert str(make("const", 2).bell) == "(1)/(1 - 2*x)"
     assert len(calls) == 1
 
 

@@ -148,6 +148,31 @@ def test_termwise_products_of_lacunary_series(capsys):
     assert abs(value - 8.919216557499339) <= err    # zeta(1.12), mpmath
 
 
+def test_termwise_products_over_dens_that_do_not_split(capsys):
+    # inv(phi_star)'s den 1 - 2x + p x^2 is no product of binomials; times
+    # a lacunary series a cap refit read 36 coefficients 1, 0, ..., 0 as 1.
+    # The composed den has degree 2 * 56 or 2 * 40, past the work bound
+    from dgf.parser import parse_function
+    for src in ["inv(phi_star) * (eps(7)*eps(8))",
+                "inv(phi_star) * (eps(5)*eps(8))"]:
+        f = parse_function(src)
+        for cmd in ("bell", "zetaform"):
+            rc, out, _ = run(capsys, [cmd, src])
+            assert rc == 0 and out.splitlines()[0] != "1"
+            if f.bell is None:
+                assert out.splitlines()[0] == "unknown"
+        if f.bell is not None:
+            assert f.bell.matches(f.series(400))
+    # const(3)'s 1 - 3x composed with 1 - x^56 is 1 - 3^56 x^56
+    src = "const(3) * (eps(7)*eps(8))"
+    rc, out, _ = run(capsys, ["bell", src])
+    assert rc == 0 and out.splitlines()[0] == \
+        "(1)/(1 - 523347633027360537213511521*x^56)"
+    assert 523347633027360537213511521 == 3**56
+    rc, out, _ = run(capsys, ["zetaform", src])
+    assert rc == 0 and out.strip() == "infinite"
+
+
 def test_trivial_local_factors_are_left_out(capsys):
     rc, out, _ = run(capsys, ["catalog", "periodic2", "1"])
     assert rc == 0

@@ -10,11 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dgf.bell import (
     BellRational,
     _reduce_product,
-    _scalar_pade,
     dirichlet_convolve,
     dirichlet_inverse,
-    hadamard_degree,
-    rationalize,
     shift_by_power,
     unitary_convolve,
 )
@@ -28,9 +25,10 @@ from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
 from conftest import GRID
-from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
-                     capped_zeta_form, expand_factor_list, fraction_pade,
-                     peel_by_division, reduce_by_refit, refit_bell,
+from oracles import (_ofactor, _scalar_pade, brute_convolve,
+                     brute_unitary_convolve, capped_zeta_form,
+                     expand_factor_list, fraction_pade, peel_by_division,
+                     rationalize, reduce_by_refit, refit_bell,
                      refit_local_bell, series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
@@ -239,32 +237,43 @@ def test_parser_round_trips_any_tree(ast):
     assert parse(to_text(ast)) == ast
 
 
-# integral shifts only, so that every operand has its coefficients, and
-# small trees and powers, so that a cap refit that finds no fit stays rare
-pointwise_operands = ast_strategy(st.one_of(atoms, exceptional_atoms),
-                                  shifts=st.integers(0, 3),
-                                  powers=st.integers(1, 2), max_leaves=2)
+# operands whose dens do not split into binomials: const(c)'s 1 - c x,
+# and the inverses of atoms whose dens split but whose numerators do not
+unsplit_atoms = st.sampled_from([
+    Inv(Atom("phi_star")), Atom("const", (2,)), Atom("const", (3,)),
+    Inv(Atom("sigma_prime")), Inv(Atom("tau_star", (3,))),
+    Inv(Atom("rad", (3,))),
+])
+# mixed with split and exceptional atoms under every combinator; integral
+# shifts, so that every operand has its coefficients
+unsplit_trees = ast_strategy(st.one_of(unsplit_atoms, atoms,
+                                       exceptional_atoms),
+                             shifts=st.integers(0, 2),
+                             powers=st.integers(1, 2), max_leaves=3)
 
 
-@FEW
+@MODEST
 @given(st.one_of(
-    st.tuples(pointwise_operands, pointwise_operands).map(lambda t: PMul(*t)),
-    st.tuples(pointwise_operands, st.integers(2, 3)).map(lambda t: PPow(*t))))
-def test_pointwise_bell_is_the_cap_refit(node):
-    # the refit at the degree bound D is the refit at the cap, generic and
-    # at every exceptional prime, and D bounds the series it finds
+    st.tuples(unsplit_trees, unsplit_trees).map(lambda t: PMul(*t)),
+    st.tuples(unsplit_trees, st.integers(2, 3)).map(lambda t: PPow(*t)),
+    unsplit_trees))
+def test_pointwise_bell_is_built_over_unsplit_dens(node):
+    # every series built, generic and at each exceptional prime, holds
+    # past twice its degrees, and where it is small enough to refit it is
+    # already reduced
     h = build(node)
-    ops = ([build(node.left), build(node.right)] if isinstance(node, PMul)
-           else [build(node.base)] * node.exponent)
     for q in [None, *h.exceptional_primes]:
+        b = h.bell if q is None else h.local_bell(q)
+        if b is None:
+            continue
+        K = 2 * (b.num.degree() + b.den.degree()) + 8
         if q is None:
-            b, bs = h.bell, [f.bell for f in ops]
-            assert b == refit_bell(h)
+            assert b.series(K) == h.series(K)
         else:
-            b, bs = h.local_bell(q), [f.local_bell(q) for f in ops]
-            assert b == refit_local_bell(h, q)
-        if b is not None and all(o is not None for o in bs):
-            assert max(b.num.degree(), b.den.degree()) <= hadamard_degree(bs)
+            assert ([c.constant_value() for c in b.series(K)]
+                    == h.local_series(q, K))
+        if max(b.num.degree(), b.den.degree()) <= 16:
+            assert b == reduce_by_refit(b.num, b.den)
 
 
 # all six combinators over generic and exceptional atoms; integral shifts,
