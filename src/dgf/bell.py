@@ -9,15 +9,14 @@ its own coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
 kept as an exact rational function over Z[p] where one is known.
 
 Every series is built, never fitted.  A catalog atom's is its closed
-form, at an exceptional prime that of its local values.  Common factors
-are cancelled exactly: where the denominator is a product of binomials
-1 - S p^l x^u, S = +-1, by dividing out their cyclotomic pieces, else
-by one exact gcd.  A pointwise product or power takes its denominator
-from the operands' (read off their binomials, else their composed
-product) and its numerator from the truncated product with its own
-coefficients, while that work is within a bound.  Past the work bound,
-past an operand without a series, or for a function built without a
-Bell rule, no series is known (None).
+form, at an exceptional prime that of its local values.  Every rule
+cancels common factors by one exact gcd over Z[p] (_gcd_reduce).  A
+pointwise product or power takes its denominator from the operands'
+(read off their binomials, else their composed product) and its
+numerator from the truncated product with its own coefficients, while
+that work is within a bound.  Past the work bound, past an operand
+without a series, or for a function built without a Bell rule, no
+series is known (None).
 """
 from __future__ import annotations
 
@@ -25,15 +24,15 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import combinations, product, repeat
 from typing import Callable, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
 from .polys import PrimePoly, XPoly, series_div
 
-# the bound of the CLI's -U: at least 60, the highest order of a binomial
-# in a finite zeta form of a Bell series of degree up to 16 (max m k over
+# the bound of the CLI's -U: it reaches order 60, the highest of a
+# binomial of a cyclotomic factor of x-degree up to 16 (max m k over
 # phi(m) k <= 16, at Phi_60), so factorize can show each of them.
 # Peeling to order U takes O(U d) products for a Bell series of degree d
 # and O(U^2) for a raw series.  A pointwise product's series is built
@@ -116,17 +115,11 @@ def _gcd_reduce(num: XPoly, den: XPoly) -> "BellRational":
 # ---------------------------------------------------------------------------
 # binomials
 #
-# A binomial 1 - S p^l x^u, S = +-1, is the triple (S, l, u).  With
-# g = gcd(l, u) and y = p^(l/g) x^(u/g) it is 1 - S y^g: the product of
-# the cyclotomic pieces Phi_m(y) over m | g if S = 1, over m | 2g with m
-# not dividing g if S = -1, each irreducible over Q(p) (Capelli).  Any
-# common factor of num and a den that is a product of binomials is a
-# product of their pieces.  Every candidate divisor is first tested on
-# the values at p = 2^20, x = 2^45: over Z[p] a divisor's value divides.
-
-def _packed(xp: XPoly) -> int:
-    return xp.pack(20, 45)
-
+# A binomial 1 - S p^l x^u, S = +-1, is the triple (S, l, u).  The
+# binomials that divide num and den give a series its split, and a den
+# that is their product gives a termwise product its den_H.  Every
+# candidate divisor is first tested on the values at p = 2^20, x = 2^45:
+# over Z[p] a divisor's value divides.
 
 def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
     """Strip every binomial 1 - S p^l x^u that divides xp exactly, as
@@ -136,7 +129,7 @@ def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
     remainder is returned unfactored.
     """
     found: list[tuple[int, int, int, int]] = []
-    v = _packed(xp)
+    v = xp.pack(20, 45)
     while xp.degree() >= 1:
         # the top coefficient is nonzero, so some u <= degree is found
         u = next(i for i in range(1, xp.degree() + 1)
@@ -151,40 +144,6 @@ def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
         else:
             break
     return found, xp
-
-
-@cache
-def _cyclotomic(m: int) -> tuple[int, ...]:
-    """The integer coefficients of Phi_m(x) with constant term 1 (1 - x
-    for m = 1): 1 - x^m divided, as a series, by the pieces of its proper
-    divisors."""
-    c = [1] + [0] * (m - 1) + [-1]
-    for d in range(1, m):
-        if m % d == 0:
-            p = _cyclotomic(d)
-            for n in range(len(c) - len(p) + 1):
-                for i in range(1, len(p)):
-                    c[n + i] -= c[n] * p[i]
-            del c[len(c) - len(p) + 1:]
-    return tuple(c)
-
-
-@cache
-def _piece(m: int, a: int, b: int) -> tuple[XPoly, int]:
-    """Phi_m(p^a x^b) and its packed value."""
-    cs = [PrimePoly.zero] * (b * (len(_cyclotomic(m)) - 1) + 1)
-    for k, c in enumerate(_cyclotomic(m)):
-        cs[b * k] = PrimePoly.monomial(a * k, c)
-    xp = XPoly(cs)
-    return xp, _packed(xp)
-
-
-def _pieces(S: int, l: int, u: int) -> list[tuple[int, int, int]]:
-    """The pieces (m, a, b), Phi_m(p^a x^b), of the binomial (S, l, u)."""
-    g = math.gcd(l, u)
-    n = g if S > 0 else 2 * g
-    return [(m, l // g, u // g) for m in range(1, n + 1)
-            if n % m == 0 and (S > 0 or g % m)]
 
 
 def _expand(binomials: Counter, s: Sequence[PrimePoly] = (),
@@ -213,9 +172,8 @@ class BellRational:
     """Rational Bell series num/den, both with constant term 1."""
 
     # filled on first use: _den_split, the den's half of split, which
-    # den_binomials reads too, and _split; _den_bins only by a rule that
-    # built den from known binomials
-    __slots__ = ("num", "den", "_den_split", "_split", "_den_bins")
+    # den_binomials reads too, and _split
+    __slots__ = ("num", "den", "_den_split", "_split")
 
     def __init__(self, num: XPoly, den: XPoly):
         if not num.coeffs or not num.coeffs[0].is_one():
@@ -248,14 +206,10 @@ class BellRational:
 
     @property
     def den_binomials(self) -> Counter | None:
-        """Binomials (S, l, u) with their powers whose product is den: as
-        given by the rule that built den, else the split's, or None when
-        den is no product of binomials."""
-        try:
-            return self._den_bins
-        except AttributeError:
-            found, rest = self._den_half()
-            return Counter(f[:3] for f in found) if rest.is_one() else None
+        """Binomials (S, l, u) with their powers whose product is den, read
+        off the split; None when den is no product of binomials."""
+        found, rest = self._den_half()
+        return Counter(f[:3] for f in found) if rest.is_one() else None
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_div(self.num.coeffs, self.den.coeffs, K)
@@ -444,39 +398,12 @@ class MultiplicativeFunction:
 _sum = partial(reduce, operator.add)
 
 
-def _reduce_product(num: XPoly, den: XPoly,
-                    binomials: Counter | None = None) -> BellRational:
-    """num/den with its common factors cancelled.
-
-    Where den is a product of binomials (binomials: each with its power,
-    by default read off den), every piece of theirs is divided out of
-    both as often as den holds it and it divides num, so the result is
-    the unique reduced form with constant terms 1.  Any other den is
-    reduced by one exact gcd (_gcd_reduce).
-    """
-    cand = BellRational(num, den)
-    if binomials is not None:
-        cand._den_bins = binomials
-    binomials = cand.den_binomials
-    if binomials is None:
-        return _gcd_reduce(num, den)
-    pieces: Counter = Counter()
-    for (S, l, u), m in binomials.items():
-        for pc in _pieces(S, l, u):
-            pieces[pc] += m
-    v = _packed(num)
-    for pc, m in pieces.items():
-        P, w = _piece(*pc)
-        while m and v % w == 0 and (q := num.divide(P)) is not None:
-            num, den, v, m = q, den.divide(P), v // w, m - 1
-    # a den left whole keeps its binomials
-    return cand if den is cand.den else BellRational(num, den)
-
-
-def _cat(fb: BellRational, gb: BellRational) -> Counter | None:
-    """The binomials of fb.den * gb.den: both operands' concatenated."""
-    a, b = fb.den_binomials, gb.den_binomials
-    return None if a is None or b is None else a + b
+def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
+    """num/den with its common factors cancelled: as it is where num or
+    den has x-degree 0, else by the one exact gcd (_gcd_reduce)."""
+    if num.degree() < 1 or den.degree() < 1:
+        return BellRational(num, den)
+    return _gcd_reduce(num, den)
 
 
 def _convolve(h, q, e):
@@ -489,8 +416,7 @@ def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
     return MultiplicativeFunction(
         name or "(%s <*> %s)" % (f.name, g.name), _convolve,
-        lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den,
-                                             _cat(fb, gb)),
+        lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den),
         (f, g))
 
 
@@ -633,7 +559,7 @@ def _bounded(h, q, *bs):
     if den_bins is None or N * sum(den_bins.values()) > bound:
         raise DegreeBoundError("termwise product past the work bound")
     return _reduce_product(_expand(den_bins, h._window(q, N - 1), N),
-                           _expand(den_bins), den_bins)
+                           _expand(den_bins))
 
 
 def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
@@ -695,7 +621,7 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
 def _union(h, q, fb, gb):
     den = fb.den * gb.den
     num = fb.num * gb.den + gb.num * fb.den - den  # B_f + B_g - 1
-    return _reduce_product(num, den, _cat(fb, gb))
+    return _reduce_product(num, den)
 
 
 def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,

@@ -11,15 +11,12 @@ an explicit bell= form.  At runtime the closed form is the instance's
 generic-prime Bell series, built without reading a coefficient.  At an
 exceptional prime the values are data (LocalValues): n first values and
 the ratio of every later one, whose series has a closed form too.
-Common factors of a closed form are cancelled exactly
-(bell._reduce_product) over its denominator binomials: a zeta= list
-passes its own, a bell= form has them read off; a den that is no product
-of binomials, as const(c)'s 1 - c x, is reduced by one exact gcd.
+Common factors of a closed form, generic or local, are cancelled by the
+one exact gcd (bell._reduce_product).
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Callable, NamedTuple
 
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
@@ -154,16 +151,14 @@ class CatalogEntry(NamedTuple):
             return self.name
         return "%s(%s)" % (self.name, ",".join(str(a) for a in args))
 
-    def _closed(self, vals) -> tuple[BellRational, Counter | None]:
-        """The generic Bell series in closed form and its den's binomials
-        with their powers: the bell= form if the entry has one (binomials
-        read off its den), else the product of its zeta= factors, which is
-        then a finite list for every parameter value, and its factors of
-        positive gamma."""
+    def _closed(self, vals) -> BellRational:
+        """The generic Bell series in closed form: the bell= form if the
+        entry has one, else the product of its zeta= factors, which is
+        then a finite list for every parameter value."""
         if self.bell is not None:
-            return self.bell(*vals), None
+            return self.bell(*vals)
         num, den = _zeta_sides(map(ZetaFactor._make, self.zeta(*vals)))
-        return BellRational(_expand(num), _expand(den)), den
+        return BellRational(_expand(num), _expand(den))
 
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
@@ -173,13 +168,13 @@ class CatalogEntry(NamedTuple):
             # cancelled: at q its local values', else the entry's
             if q is not None:
                 return h.rule.exceptions[q].bell()
-            b, binomials = self._closed(vals)
-            return _reduce_product(b.num, b.den, binomials)
+            b = self._closed(vals)
+            return _reduce_product(b.num, b.den)
         return MultiplicativeFunction(self.instance_name(vals),
                                       self.build(*vals), derive=derive)
 
     def closed_bell(self, *args) -> BellRational:
-        return self._closed(self.check_args(args))[0]
+        return self._closed(self.check_args(args))
 
     def expected_zeta(self, *args):
         """Finite form as (u, l, gamma) tuples, "infinite", or None."""

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage problems or an output pipe closed by its
 reader (`dgf terms ... | head`), 2 expression errors, 3 math-domain
-errors (non-integral shifts, divergent evaluation points, missing
-rational forms, values too large for a float), 4 verification mismatches.
+errors (non-integral shifts, divergent evaluation points, no known Bell
+series or zeta form to evaluate, values too large for a float), 4
+verification mismatches.
 """
 from __future__ import annotations
 
@@ -155,9 +156,9 @@ def _cmd_eval(ns) -> int:
         method = "zeta" if isinstance(zf, ZetaForm) else "euler"
     if method == "zeta":
         if not isinstance(zf, ZetaForm):
-            raise DegreeBoundError("%s; use --method euler or sum" % (
-                "no finite zeta form" if zf == INFINITE
-                else "no zeta form known"))
+            raise DegreeBoundError(
+                "no finite zeta form; use --method euler or sum"
+                if zf == INFINITE else "no zeta form known")
         res = eval_zeta_form(zf, ns.s)
     elif method == "euler":
         res = eval_euler_product(f, ns.s, P=ns.P, accel=ns.accel)

@@ -15,11 +15,13 @@ class MasterEquationError(DgfError, ValueError):
 
 
 class DegreeBoundError(DgfError):
-    """No rational form within the requested degree bound matches the series."""
+    """No exact form is built: a termwise product past its work bound, a
+    shift that is not integral, no exact gcd over Z[p], or no zeta form
+    to evaluate."""
 
 
 class SeriesWindowError(DgfError, ValueError):
-    """Series too short for the degree bound, or not starting at 1."""
+    """A series or denominator whose constant term is not 1."""
 
 
 class ParseError(DgfError):

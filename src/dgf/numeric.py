@@ -106,42 +106,37 @@ class EvalResult(Record):
                                               self.method)
 
 
-def _local_value(f: MultiplicativeFunction, p: int, s: float) -> float:
-    """Value of the Euler factor at one prime: sum over a(p^e) p^(-es)."""
-    b = f.local_bell(p) if p in f.exceptions else f.bell
-    if b is not None:
-        return b.evaluate(p, p ** -s)
-    acc, e = 1.0, 1
-    while e <= 400:
-        t = f.value(p, e) * p ** (-e * s)
-        acc += t
-        if abs(t) < 1e-18 * abs(acc):
-            break
-        e += 1
-    return acc
-
-
 # primes per pass of the Euler-product kernel: smaller blocks pay more
 # per-block overhead, and on the numeric grid 4096 ran no faster but
 # raised peak RSS by about 0.6 MB
 _BLOCK = 1024
 
 
-def _block_values(f: MultiplicativeFunction, b: BellRational | None,
+def _block_values(f: MultiplicativeFunction, b: BellRational,
                   blk: list[int], s: float) -> list[float]:
     """Euler factor values at the primes of blk: the generic Bell series
-    b over the whole block at once, _local_value at exceptional primes or
-    everywhere when b is None."""
+    b over the whole block at once, the local one at exceptional primes."""
     exc = f.exceptions
-    if b is None:
-        return [_local_value(f, p, s) for p in blk]
     gen = ([p for p in blk if p not in exc]
            if exc and blk[0] <= max(exc) else blk)
     vals = b.evaluate_block(gen, list(map(pow, gen, repeat(-s))))
     if gen is blk:
         return vals
     rest = iter(vals)
-    return [_local_value(f, p, s) if p in exc else next(rest) for p in blk]
+    return [f.local_bell(p).evaluate(p, p ** -s) if p in exc else next(rest)
+            for p in blk]
+
+
+def _known_local_bells(f: MultiplicativeFunction) -> list:
+    """The pairs (q, Bell series at q) at 2 and at each exceptional prime.
+    Where the generic series or one of these is not known, a DgfError: a
+    truncated sum of a(q^e) q^(-es) bounds nothing, as the series may
+    diverge far to the right of what its first terms show."""
+    local = [(q, f.local_bell(q)) for q in sorted({2, *f.exceptions})]
+    if f.bell is None or any(b is None for _, b in local):
+        raise DgfError("no Bell series known, so no Euler factor can be "
+                       "evaluated")
+    return local
 
 
 def _abscissa_of(f: MultiplicativeFunction) -> Fraction:
@@ -177,11 +172,9 @@ def _refuse_real_poles(local, s: float) -> None:
     at p diverges: den(0) = 1, so den(x) <= 0 or den(-x) <= 0 at x = p^-s
     puts one there, and past that sign test a den of degree >= 2 counts
     its roots inside by a Sturm sequence (a double root keeps the sign).
-    Complex roots go unseen.  A series of None is skipped.
+    Complex roots go unseen.
     """
     for p, b in local:
-        if b is None:
-            continue
         x = p ** -s
         cs = [c.evaluate(p) for c in b.den.coeffs]
         if (min(b.den.evaluate(p, x), b.den.evaluate(p, -x)) <= 0
@@ -223,7 +216,8 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     accel="wynn", extrapolated; otherwise the raw product is returned
     with a prime-tail error estimate.  The primes come from the shared
     sieve; P outside [2, sequences.MAX_SIEVE] raises SieveLimitError
-    before any work.  They are taken _BLOCK at a time, the Bell series
+    and a function with no known Bell series a DgfError, both before any
+    work.  They are taken _BLOCK at a time, the Bell series
     evaluated over the whole block, and multiplied in left to right as a
     prime-by-prime loop would, so every partial product is the same to
     the bit.  A real pole of the Euler factor at 2 or at an exceptional
@@ -234,6 +228,7 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
         raise SieveLimitError("prime bound %d is not in [2, sieve limit]" % P)
     if accel not in ("wynn", "none"):
         raise ValueError("accel must be 'wynn' or 'none'")
+    local = _known_local_bells(f)
     absc = _abscissa_of(f)
     if s <= float(absc) + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
@@ -244,8 +239,7 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     b = f.bell
     primes = sequences._SIEVE.primes(P)
     try:
-        _refuse_real_poles([(q, f.local_bell(q))
-                            for q in sorted({2, *f.exceptions})], s)
+        _refuse_real_poles(local, s)
         while blk := list(islice(primes, _BLOCK)):
             # the running product, left to right: runs[k] covers blk[:k]
             runs = list(accumulate(_block_values(f, b, blk, s), mul,
@@ -275,20 +269,21 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
 
     The tail uses |a(n)| <= C n^(sigma0 - 1) with C fitted on the
     computed window, so the bound is heuristic, not rigorous.  N outside
-    [1, sequences.MAX_SIEVE] raises SieveLimitError before any work, a
-    real pole of the Euler factor at 2 or at an exceptional prime in reach
+    [1, sequences.MAX_SIEVE] raises SieveLimitError and a function with
+    no known Bell series a DgfError, both before any work, a real pole of
+    the Euler factor at 2 or at an exceptional prime in reach
     DivergenceError, and exact values too wide for a float a DgfError.
     """
     if not 1 <= N <= sequences.MAX_SIEVE:
         raise SieveLimitError("term bound %d is not in [1, sieve limit]" % N)
+    local = _known_local_bells(f)
     absc = _abscissa_of(f)
     s0 = float(absc)
     if s <= s0 + 1e-6:
         raise DivergenceError("s = %g is not beyond the abscissa %s"
                               % (s, absc))
     try:
-        _refuse_real_poles([(q, f.local_bell(q))
-                            for q in sorted({2, *f.exceptions})], s)
+        _refuse_real_poles(local, s)
         vals = sequences.terms(f, N)
         value = math.fsum(v * n ** -s for n, v in enumerate(vals, start=1))
         C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))

@@ -280,8 +280,17 @@ class XPoly:
         return XPoly(q[: n - d + 1])
 
     def divide_binomial(self, S: int, l: int, u: int) -> "XPoly | None":
-        """Exact division by (1 - S p^l x^u); None if it does not divide."""
-        return self.divide(XPoly.binomial(S, l, u))
+        """Exact division by (1 - S p^l x^u); None if it does not divide:
+        q_i = a_i + S p^l q_(i-u), and the top u of them must vanish."""
+        q = list(self.coeffs)
+        if len(q) <= u:
+            return None
+        for i in range(u, len(q)):
+            t = q[i - u].shift_p(l)
+            q[i] = q[i] + t if S > 0 else q[i] - t
+        if any(not c.is_zero() for c in q[-u:]):
+            return None
+        return XPoly(q[:-u])
 
     def pack(self, k: int, K: int) -> int:
         """The value at p = 2^k, x = 2^K."""

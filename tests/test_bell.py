@@ -249,6 +249,23 @@ def test_unitary_convolve_unit():
     assert terms(f, 30) == [1] + [0] * 29
 
 
+@pytest.mark.parametrize("src, want", [
+    # 1 - x^6 over (1 - x^2)(1 - x^3): Phi_1 Phi_2 Phi_3 Phi_6 over
+    # Phi_1 Phi_2 Phi_1 Phi_3, so Phi_6 over Phi_1
+    ("inv(eps(6)) <*> eps(2) <*> eps(3)", "(1 - x + x^2)/(1 - x)"),
+    ("mu <*> one", "1"),
+    # 1 - p^2 x^2 over (1 - p x)(1 - x^2)
+    ("core(2)", "(1 + p*x)/(1 - x^2)"),
+    # no piece Phi_1, Phi_2 or Phi_3 of the den (1 - x^2)(1 - x^3)
+    # divides the num: the gcd is 1
+    ("(eps(2) <*> eps(3)) <+> inv(eps(6))",
+     "(1 - x^6 + x^8 + x^9 - x^11)/(1 - x^2 - x^3 + x^5)"),
+])
+def test_gcd_cancels_cyclotomic_pieces(src, want):
+    # common cyclotomic factors of binomial dens go through the one gcd
+    assert str(parse_function(src).bell) == want
+
+
 def test_pointwise_product_bell_path():
     f = pointwise_product(make("phi"), make("phi"))
     g = pointwise_power(make("phi"), 2)

@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-import dgf.bell as bell_module
 from dgf.bell import MasterEquation, _reduce_product
 from dgf.catalog import CATALOG, LocalValues, make, names
 from dgf.errors import CatalogError
@@ -118,26 +117,18 @@ def test_closed_zeta_product_is_its_cancelled_form(name, args):
 
 
 def test_closed_forms_refit_only_where_factors_can_cancel(monkeypatch):
-    # no runtime fit: every zeta= form has a den of binomials, so its
-    # common factors are cancelled over their pieces: 1 - p^2 x^2 over
-    # 1 - p x in core(2) and 1 - x^2 over 1 - x in psi_k(3) too; const(2)'s
-    # den 1 - 2x is no binomial, so its bell= form is reduced by one exact
-    # gcd instead, and no coefficient is read for either
-    calls = []
-    gcd = bell_module._gcd_reduce
-
-    def counted(num, den):
-        calls.append(den)
-        return gcd(num, den)
-
-    monkeypatch.setattr(bell_module, "_gcd_reduce", counted)
+    # no runtime fit: every closed form, a zeta= product (1 - p^2 x^2 over
+    # 1 - p x in core(2), 1 - x^2 over 1 - x in psi_k(3)) or const(2)'s
+    # bell= form over 1 - 2x, is cancelled by the one exact gcd, without
+    # reading a coefficient, and comes out reduced
     monkeypatch.setattr(MasterEquation, "__call__", None)
     for name, args in [("phi", ()), ("sigma", (3,)), ("tau", (6,)),
-                       ("mu", ()), ("core", (2,)), ("psi_k", (3,))]:
-        assert make(name, *args).bell is not None
-    assert calls == []
+                       ("mu", ()), ("core", (2,)), ("psi_k", (3,)),
+                       ("const", (2,))]:
+        b = make(name, *args).bell
+        assert b is not None
+        assert _reduce_product(b.num, b.den) == b
     assert str(make("const", 2).bell) == "(1)/(1 - 2*x)"
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))

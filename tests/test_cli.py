@@ -307,6 +307,17 @@ def test_exit_code_real_pole_at_two(capsys, argv):
         "pole with |x| <= 2^-s\n" % argv[3]
 
 
+@pytest.mark.parametrize("method", ["auto", "euler", "sum"])
+def test_eval_refuses_where_no_series_is_known(capsys, method):
+    # a(p^56) = sigma(p^56)^10 makes the series diverge below s ~ 10, yet
+    # its first terms are those of 1: a sum over them proves nothing
+    rc, out, err = run(capsys, ["eval", "(eps(7)*eps(8)) * sigma(1)^10",
+                                "--s", "2", "--method", method])
+    assert (rc, out) == (3, "")
+    assert err == "error: no Bell series known, so no Euler factor can " \
+        "be evaluated\n"
+
+
 def test_exit_code_any_library_error(capsys, monkeypatch):
     def over_limit(*args):
         raise SieveLimitError("sieve limit exceeded")

@@ -8,7 +8,7 @@ import pytest
 from dgf import numeric
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
-from dgf.errors import DivergenceError, SieveLimitError
+from dgf.errors import DgfError, DivergenceError, SieveLimitError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.numeric import (
     EvalResult,
@@ -204,6 +204,13 @@ KERNEL_FUNCTIONS = ["mu", "phi", "sigma(1)", "tau(4)", "psi_k(2)",
 def test_blocked_euler_product_matches_prime_by_prime(src):
     f = _squares() if src == "squares" else parse_function(src)
     assert (f.bell is None) == (src == "squares")
+    if f.bell is None:
+        # with no series known, no Euler factor has a value: both sums
+        # refuse before any work, where a raw sum would stop at a(p) = 0
+        for evaluate in (eval_euler_product, eval_partial_sum):
+            with pytest.raises(DgfError, match="no Bell series known"):
+                evaluate(f, 3.0)
+        return
     absc = float(numeric._abscissa_of(f))
     for off in (0.01, 0.05, 0.5, 2.0):
         for P in _BOUNDS:
