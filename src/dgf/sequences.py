@@ -3,8 +3,9 @@
 One smallest-prime-power table serves the whole runtime: term
 generation and the primes of Euler products and of zeta-form
 coefficients, read off it once into a cached prime array.  Entry n holds
-the exact power p^e of its smallest prime, so a(n) = a(p^e) a(n/p^e) is
-one lookup and one product.
+the exact power p^e of its smallest prime, so for n prime to 6,
+a(n) = a(p^e) a(n/p^e) is one lookup and one product; the 2- and 3-parts
+of every other n are strided products over whole slices.
 """
 from __future__ import annotations
 
@@ -20,8 +21,10 @@ from .bell import MultiplicativeFunction
 from .errors import BFileError, SieveLimitError
 
 MAX_SIEVE = 10**7
-# table entries read per step when primes() extends its array: a bounded
-# copy, 512 KB of the 40 MB table at MAX_SIEVE
+# the bound on every temporary slice: the table entries primes() copies
+# per step when it extends its array (512 KB of the 40 MB table at
+# MAX_SIEVE), and in terms the chunk of n its pass walks and the
+# cofactors of one strided product
 _SLICE = 1 << 17
 
 
@@ -89,29 +92,58 @@ _SIEVE = FactorSieve()
 
 def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
           ) -> list[int]:
-    """a(1), ..., a(N) in one multiplicative pass.
+    """a(1), ..., a(N) in one multiplicative pass over the n prime to 6.
 
-    f.value runs once at each prime power, and only there: first at the
-    proper powers p^e (e >= 2) with p <= sqrt(N), then at each prime as
-    the pass reaches it.  Every other n splits as q (n/q), where q = p^e is
-    its table entry, and a(n) = a(q) a(n/q) is read back from the output.
+    f.value runs only where no product gives a(n): at the proper powers
+    p^e (e >= 2) with p <= sqrt(N), at 2 and 3, and at each exceptional
+    prime.  The pass walks n = 1, 5 (mod 6) in chunks [lo, hi) with
+    hi <= 5 lo.  A composite n splits as q (n/q), where q = p^e is its
+    table entry; both factors are at most n/5 < lo, so a(n) = a(q) a(n/q)
+    reads only earlier chunks.  The chunk's other primes get a(p) at once,
+    by one block Horner of the generic polynomial a(p).  Then, for each
+    power q of 3 and then of 2, a(q m) = a(q) a(m) over every cofactor m
+    prime to 6, then every odd m, by strided products of whole slices.
     """
     if N < 0:
         raise SieveLimitError("term count %d is negative" % N)
     sv = sieve or _SIEVE
     sv.ensure(max(N, 1))
-    t, value = sv._spp, f.value
+    t, value, exc = sv._spp, f.value, f.exceptions
     out = [1] * (N + 1)
     for p in sv.primes(math.isqrt(N)):
         q, e = p * p, 2
         while q <= N:
             out[q] = value(p, e)
             q, e = q * p, e + 1
-    for n, q in zip(range(2, N + 1), islice(t, 2, N + 1)):
-        if not q:
-            out[n] = value(n, 1)
-        elif q != n:
-            out[n] = out[q] * out[n // q]
+    for p in {2, 3, *exc}:
+        if p <= N:
+            out[p] = value(p, 1)
+    lo = 5
+    while lo <= N:
+        hi = min(5 * lo, lo + _SLICE, N + 1)
+        ps = []
+        for n0 in (lo + (1 - lo) % 6, lo + (5 - lo) % 6):
+            for n, q in zip(range(n0, hi, 6), t[n0:hi:6]):
+                if not q:
+                    ps.append(n)
+                elif q != n:
+                    out[n] = out[q] * out[n // q]
+        ps = list(filterfalse(exc.__contains__, ps))
+        if ps:
+            for p, v in zip(ps, f.coeff(None, 1).evaluate_block(ps)):
+                out[p] = v
+        lo = hi
+    # cofactors m = 1, 5 (mod 6) of the powers of 3, then odd m of those of 2
+    for p, step, residues in ((3, 6, (1, 5)), (2, 2, (1,))):
+        q = p
+        while q <= N:
+            a, M = out[q], N // q
+            for r in residues:
+                for m0 in range(r, M + 1, step * _SLICE):
+                    m1 = min(M + 1, m0 + step * _SLICE)
+                    out[q * m0:q * m1:step * q] = map(
+                        operator.mul, repeat(a), out[m0:m1:step])
+            q *= p
     del out[0]
     return out
 

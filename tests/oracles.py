@@ -19,9 +19,12 @@ out here, independent of the engine's one series division, and so is
 the Berlekamp-Massey fit over Q that the fraction-free kernel is
 checked against.  The Euler product is multiplied out one prime at a
 time over trial-division primes, the reference for the engine's blocked
-kernel.  Zeta forms are read by the peel of the whole Bell series under
-guessed caps, the reference for the engine's exact binomial split, and
-phi and psi by trial division are the reference for the caps of its peel.
+kernel, and it refuses, as the engine does, where no Bell series is
+known.  terms_by_table is term generation one interpreted step per n,
+the reference for the engine's pass over n prime to 6.  Zeta forms are
+read by the peel of the whole Bell series under guessed caps, the
+reference for the engine's exact binomial split, and phi and psi by
+trial division are the reference for the caps of its peel.
 """
 from __future__ import annotations
 
@@ -32,11 +35,13 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from dgf.bell import BellRational
-from dgf.errors import CatalogError, DegreeBoundError, SeriesWindowError
+from dgf.errors import (CatalogError, DegreeBoundError, DgfError,
+                        SeriesWindowError)
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
                        ZetaFactor, ZetaForm, _log_series, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
 from dgf.polys import PrimePoly, XPoly
+from dgf.sequences import FactorSieve
 
 
 # the refit's degree caps: at the generic prime and at an exceptional one
@@ -273,6 +278,27 @@ def brute_unitary_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 if math.gcd(d, m) == 1:
                     out[d * m - 1] += ad * b[m - 1]
     return out
+
+
+def terms_by_table(f, N: int, sieve: FactorSieve) -> list[int]:
+    """a(1), ..., a(N) one step per n off the sieve's table: f.value at
+    the proper powers p^e <= N with p <= sqrt(N), then at each prime as
+    the pass reaches it, and a(n) = a(q) a(n/q) at every other n, q its
+    table entry."""
+    sieve.ensure(max(N, 1))
+    out = [1] * (N + 1)
+    for p in sieve.primes(math.isqrt(N)):
+        q, e = p * p, 2
+        while q <= N:
+            out[q] = f.value(p, e)
+            q, e = q * p, e + 1
+    for n in range(2, N + 1):
+        q = sieve._spp[n]
+        if not q:
+            out[n] = f.value(n, 1)
+        elif q != n:
+            out[n] = out[q] * out[n // q]
+    return out[1:]
 
 
 def _zeta_base_stream(u: int, l: int, N: int) -> list[int]:
@@ -622,19 +648,13 @@ def _horner(xp: XPoly, p: int, x: float) -> float:
 
 
 def euler_factor(f, p: int, s: float) -> float:
-    """The Euler factor of f at p, at real s."""
+    """The Euler factor of f at p, at real s; a DgfError where no Bell
+    series is known at p."""
     b = f.local_bell(p) if p in f.exceptions else f.bell
-    if b is not None:
-        x = p ** -s
-        return _horner(b.num, p, x) / _horner(b.den, p, x)
-    acc, e = 1.0, 1
-    while e <= 400:
-        t = f.value(p, e) * p ** (-e * s)
-        acc += t
-        if abs(t) < 1e-18 * abs(acc):
-            break
-        e += 1
-    return acc
+    if b is None:
+        raise DgfError("no Bell series known at %d" % p)
+    x = p ** -s
+    return _horner(b.num, p, x) / _horner(b.den, p, x)
 
 
 def euler_product(f, s: float, P: int, accel: str = "wynn") -> EvalResult:

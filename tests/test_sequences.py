@@ -8,7 +8,8 @@ import pytest
 
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
-from dgf.errors import BFileError, CatalogError, SieveLimitError
+from dgf.errors import (BFileError, CatalogError, MasterEquationError,
+                        SieveLimitError)
 from dgf.euler import finite_zeta_form, zeta_form_to_coeffs
 from dgf import sequences
 from dgf.parser import parse_function
@@ -18,7 +19,7 @@ from dgf.sequences import (MAX_SIEVE, FactorSieve, compare_bfile,
 
 from conftest import GRID
 from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
-                     oracle, trial_primes)
+                     oracle, terms_by_table, trial_primes)
 
 
 def test_terms_fixtures():
@@ -45,19 +46,55 @@ def test_shared_sieve_reuse():
 
 
 def test_terms_value_once_per_prime_power():
-    calls = Counter()
-
-    class Counting(MultiplicativeFunction):
-        def value(self, p, e):
-            calls[p, e] += 1
-            return super().value(p, e)
-
-    f = Counting("sigma(1)", make("sigma", 1).rule)
+    # f.value runs once at each proper power, at 2 and 3 and at each
+    # exceptional prime, and nowhere else: the other primes read a(p) off
+    # one block evaluation of the generic polynomial
     N = 2000
-    assert terms(f, N) == oracle("sigma", (1,), N)
-    want = {(p, e): 1 for p in range(2, N + 1) if _ofactor(p) == [(p, 1)]
-            for e in range(1, N.bit_length()) if p**e <= N}
-    assert calls == want
+    primes = [p for p in range(2, N + 1) if _ofactor(p) == [(p, 1)]]
+    powers = {(p, e) for p in primes for e in range(2, N.bit_length())
+              if p**e <= N}
+    for src in ("sigma(1)", "depleted(5,2) * mu^2", "gcdc(360) <*> sigma(2)"):
+        calls = Counter()
+        f = parse_function(src)
+        value = f.value
+
+        def counting(p, e):
+            calls[p, e] += 1
+            return value(p, e)
+
+        f.value = counting
+        got = terms(f, N)
+        assert got == (oracle("sigma", (1,), N) if src == "sigma(1)" else
+                       terms_by_table(parse_function(src), N, FactorSieve()))
+        fixed = powers | {(p, 1) for p in {2, 3, *f.exceptions}}
+        assert calls == dict.fromkeys(fixed, 1), src
+        assert all(got[p - 1] == value(p, 1) for p in primes
+                   if p not in {2, 3, *f.exceptions}), src
+
+
+@pytest.mark.parametrize("src", ["sigma(1)", "mu", "gcdc(12)", "depleted(5,2)",
+                                 "gcdc(360) <*> sigma(2)",
+                                 "((phi <*> sigma(2)) <*> sigma(1)) * mu^2"])
+def test_terms_match_the_pass_by_table(src):
+    # every N <= 200, N = 5^k +- 1 at the chunk edges of the pass, and N
+    # past the first chunk of _SLICE n (78125 + 2^17 = 209197)
+    sieve = FactorSieve()
+    Ns = list(range(201)) + [5**k + d for k in range(4, 8) for d in (-1, 1)]
+    for N in Ns + [3 * 10**5]:
+        assert terms(parse_function(src), N, sieve) == \
+            terms_by_table(parse_function(src), N, sieve), (src, N)
+
+
+def test_terms_refuse_a_generic_rule_without_a_polynomial():
+    # a hand-built rule whose generic value is an int, not a PrimePoly
+    def bad():
+        return MultiplicativeFunction("bad", MasterEquation(lambda e: 1))
+
+    for run in (terms, lambda f, N: terms_by_table(f, N, FactorSieve())):
+        assert run(bad(), 1) == [1]
+        for N in (2, 3, 10, 1000):
+            with pytest.raises(MasterEquationError):
+                run(bad(), N)
 
 
 def test_terms_memoize_only_at_exceptional_primes():
