@@ -12,10 +12,15 @@ generic-prime Bell series, built without reading a coefficient.  At an
 exceptional prime the values are data (LocalValues): n first values and
 the ratio of every later one, whose series has a closed form too.
 Common factors of a closed form, generic or local, are cancelled by the
-one exact gcd (bell._reduce_product).
+one exact gcd (bell._reduce_product).  Each reduced closed form is built
+once per process, on first use, and shared by every instance with the
+same (entry, params) or the same local values; the memo keeps the
+_MEMO_SIZE most recently used.  Only these immutable series are shared,
+never a MultiplicativeFunction node.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -28,6 +33,7 @@ from .polys import PrimePoly, XPoly
 _MAX_K = 30
 _MAX_T = 8
 _MAX_C = 10**6
+_MEMO_SIZE = 1024  # reduced closed forms kept, generic and local each
 
 _ZERO = PrimePoly.zero
 _ONE = PrimePoly.one
@@ -164,12 +170,12 @@ class CatalogEntry(NamedTuple):
         vals = self.check_args(args)
 
         def derive(h, q):
-            # the closed form (built on first use) with its common factors
-            # cancelled: at q its local values', else the entry's
+            # the closed form with its common factors cancelled, built once
+            # per process and shared: at q its local values', else the
+            # entry's at the validated vals
             if q is not None:
-                return h.rule.exceptions[q].bell()
-            b = self._closed(vals)
-            return _reduce_product(b.num, b.den)
+                return _local_bell(h.rule.exceptions[q])
+            return _generic_bell(self, vals)
         return MultiplicativeFunction(self.instance_name(vals),
                                       self.build(*vals), derive=derive)
 
@@ -181,6 +187,17 @@ class CatalogEntry(NamedTuple):
         if self.zeta is None:
             return None
         return self.zeta(*self.check_args(args))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _generic_bell(entry: CatalogEntry, vals: tuple[int, ...]) -> BellRational:
+    b = entry._closed(vals)
+    return _reduce_product(b.num, b.den)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _local_bell(values: LocalValues) -> BellRational:
+    return values.bell()
 
 
 CATALOG: dict[str, CatalogEntry] = {}

@@ -4,7 +4,7 @@ Grammar (highest precedence last):
 
     expr   := term (('<*>' | '<+>') term)*      convolutions
     term   := factor ('*' factor)*              pointwise product
-    factor := atom ('^' INT)?                   pointwise power
+    factor := atom ('^' INT)?                   pointwise power, 1..MAX_POWER
     atom   := NAME ['(' INT (',' INT)* ')']
             | 'inv' '(' expr ')'
             | 'shift' '(' expr ',' INT ')'
@@ -15,11 +15,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog
-from .bell import (MultiplicativeFunction, dirichlet_convolve,
+from .bell import (MAX_ORDER, MultiplicativeFunction, dirichlet_convolve,
                    dirichlet_inverse, pointwise_power, pointwise_product,
                    shift_by_power, unitary_convolve)
 from .errors import ParseError
 from .records import Record
+
+# the largest exponent of '^': a power node holds j references to its
+# base, so j is bounded before any is made
+MAX_POWER = MAX_ORDER ** 2
 
 
 class Token(NamedTuple):
@@ -184,11 +188,16 @@ class _Parser:
         if self.peek().kind == "CARET":
             self.take()
             tok = self.expect("INT", "an exponent")
-            j = int(tok.text)
-            if j < 1:
+            digits = tok.text.lstrip("0")
+            if tok.text.startswith("-") or not digits:
                 raise ParseError("exponent must be a positive integer",
                                  tok.pos)
-            node = PPow(node, j)
+            # digits are counted first: int() refuses over 4300 of them
+            if (len(digits) > len(str(MAX_POWER))
+                    or int(digits) > MAX_POWER):
+                raise ParseError("exponent must be at most %d" % MAX_POWER,
+                                 tok.pos)
+            node = PPow(node, int(digits))
         return node
 
     def parse_int(self) -> int:

@@ -1,7 +1,19 @@
 """Shared fixtures: a representative instance grid over the whole catalog."""
 from __future__ import annotations
 
+import pytest
+
+from dgf import catalog
 from dgf.catalog import make
+
+
+@pytest.fixture(autouse=True)
+def _cold_closed_forms():
+    # each test builds its atoms' closed forms itself, so a test that
+    # watches how a series is built never sees one cached by another test
+    catalog._generic_bell.cache_clear()
+    catalog._local_bell.cache_clear()
+
 
 # One or more argument tuples per catalog entry.  Kept small enough that a
 # full sweep with N in the low thousands stays in seconds.

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from dgf import catalog
 from dgf.bell import MasterEquation, _reduce_product
-from dgf.catalog import CATALOG, LocalValues, make, names
+from dgf.catalog import CATALOG, CatalogEntry, LocalValues, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
+from dgf.parser import parse_function
 from dgf.sequences import terms
 
 from conftest import GRID, grid_instances, zf_tuples
@@ -103,6 +106,72 @@ def test_local_values_are_the_definition(name, args):
         assert [f.value(q, e) for e in range(41)] == \
             [oracle_at(name, args, q**e) for e in range(41)]
         assert f.local_bell(q) == refit_local_bell(f, q)
+
+
+def test_closed_forms_built_once_per_process(monkeypatch):
+    # every instance of an atom shares its one reduced series, generic and
+    # at each exceptional prime; each is built on the first instance's use
+    built, local = Counter(), Counter()
+    closed, local_bell = CatalogEntry._closed, LocalValues.bell
+
+    def count_closed(self, vals):
+        built[self.name, vals] += 1
+        return closed(self, vals)
+
+    def count_local(self):
+        local[self] += 1
+        return local_bell(self)
+    monkeypatch.setattr(CatalogEntry, "_closed", count_closed)
+    monkeypatch.setattr(LocalValues, "bell", count_local)
+    for src in ["sigma(1)", "sigma(1) <*> phi", "sigma(1) * mu^2"]:
+        assert parse_function(src).bell is not None
+    assert built == {("sigma", (1,)): 1, ("phi", ()): 1, ("mu", ()): 1}
+    for src in ["gcdc(12)", "gcdc(12) <*> phi", "inv(gcdc(12))"]:
+        f = parse_function(src)
+        assert [f.local_bell(q) is not None for q in (2, 3)] == [True] * 2
+    assert sorted(v.values for v in local) == [(1, 2, 4), (1, 3)]
+    assert set(local.values()) == {1}
+    assert make("sigma", 1).bell is make("sigma", 1).bell
+
+
+@pytest.mark.parametrize("a,b", [
+    (("sigma", (1,)), ("sigma", (2,))),
+    (("gcdc", (12,)), ("gcdc", (60,))),
+    (("periodic4", (3, 7)), ("periodic4", (7, 3))),
+])
+def test_distinct_parameters_never_share_a_series(a, b):
+    # built one after the other, each instance gets the series of its own
+    # closed form and of its own local values
+    fs = [make(name, *args) for name, args in (a, b)]
+    for (name, args), f in zip((a, b), fs):
+        closed = CATALOG[name].closed_bell(*args)
+        assert f.bell == _reduce_product(closed.num, closed.den)
+        for q in f.exceptional_primes:
+            assert f.local_bell(q) == f.rule.exceptions[q].bell()
+
+
+def test_memo_hit_still_validates():
+    assert make("sigma", 1).bell is not None
+    for args in [("sigma", True), ("sigma", 31), ("depleted", 4, 1)]:
+        with pytest.raises(CatalogError):
+            make(*args)
+
+
+def test_memo_stays_at_its_bound():
+    size = catalog._MEMO_SIZE
+    for c in range(1, size + 51):
+        assert make("gcdc", c).bell is not None
+    assert catalog._generic_bell.cache_info().currsize == size
+
+
+def test_patched_instance_leaves_later_instances_alone():
+    f = make("sigma", 1)
+    assert f.bell is not None
+    f.rule = None
+    g = make("sigma", 1)
+    assert g.rule is not None and g.bell == f.bell
+    assert terms(g, 12) == [sum(d for d in range(1, n + 1) if n % d == 0)
+                            for n in range(1, 13)]
 
 
 @pytest.mark.parametrize("name,args",

@@ -269,6 +269,10 @@ def test_exit_code_expression_errors(capsys):
     rc, _, err = run(capsys, ["terms", "bogus", "-n", "5"])
     assert rc == 2
     assert err.strip() == "error: unknown function 'bogus'"
+    # refused before a power node of that many operands is made
+    rc, out, err = run(capsys, ["bell", "phi^99999999999999999999"])
+    assert (rc, out) == (2, "")
+    assert err == "parse error: col 5: exponent must be at most 4096\n"
 
 
 def test_exit_code_math_errors(capsys):

@@ -98,11 +98,21 @@ def test_to_text_round_trips(src):
     ("shift(phi)", "col 10: expected ',' and a shift amount"),
     ("phi^(2)", "col 5: expected an exponent"),
     ("bogus&", "col 6: unexpected character '&'"),
+    ("phi^4097", "col 5: exponent must be at most 4096"),
+    ("mu * phi^99999999999999999999", "col 10: exponent must be at most 4096"),
 ])
 def test_parse_errors_carry_columns(src, msg):
     with pytest.raises(ParseError) as ei:
         parse(src)
     assert str(ei.value) == msg
+
+
+def test_exponent_bound_is_inclusive():
+    assert parse("phi^4096") == PPow(Atom("phi"), 4096)
+    assert parse("phi^0003") == PPow(Atom("phi"), 3)
+    # past the 4300 digits int() takes, still a parse error
+    with pytest.raises(ParseError, match="col 5: exponent must be at most"):
+        parse("phi^" + "9" * 5000)
 
 
 def test_unknown_names_fail_at_build_not_parse():
