@@ -272,6 +272,12 @@ def main(argv=None) -> int:
     if not getattr(ns, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    # exact values are printed in full: the interpreter's limit on int-to-str
+    # digits (Python >= 3.10.7) is lifted for the command and restored after
+    # it, so callers in the same process keep theirs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = ns.func(ns) or 0
         sys.stdout.flush()  # a closed pipe fails here, not at exit
@@ -297,6 +303,9 @@ def main(argv=None) -> int:
         # any other library error is a math-domain one, never a traceback
         print("error: %s" % e, file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ Grammar (highest precedence last):
     expr   := term (('<*>' | '<+>') term)*      convolutions
     term   := factor ('*' factor)*              pointwise product
     factor := atom ('^' INT)?                   pointwise power, 1..MAX_POWER
-    atom   := NAME ['(' INT (',' INT)* ')']
+    atom   := NAME ['(' INT (',' INT)* ')']     |INT| <= MAX_PARAM
             | 'inv' '(' expr ')'
-            | 'shift' '(' expr ',' INT ')'
+            | 'shift' '(' expr ',' INT ')'      |INT| <= MAX_POWER
             | '(' expr ')'
 """
 from __future__ import annotations
@@ -22,8 +22,11 @@ from .errors import ParseError
 from .records import Record
 
 # the largest exponent of '^': a power node holds j references to its
-# base, so j is bounded before any is made
+# base, so j is bounded before any is made; the bound of a shift amount too
 MAX_POWER = MAX_ORDER ** 2
+# the bound of an atom parameter's size: every catalog range lies far
+# inside it, so the catalog names the range
+MAX_PARAM = 10 ** 18
 
 
 class Token(NamedTuple):
@@ -187,21 +190,27 @@ class _Parser:
         node = self.parse_atom()
         if self.peek().kind == "CARET":
             self.take()
-            tok = self.expect("INT", "an exponent")
-            digits = tok.text.lstrip("0")
-            if tok.text.startswith("-") or not digits:
+            tok = self.peek()
+            j = -1 if tok.text.startswith("-") else \
+                self.parse_int("an exponent", "exponent", MAX_POWER)
+            if j < 1:
                 raise ParseError("exponent must be a positive integer",
                                  tok.pos)
-            # digits are counted first: int() refuses over 4300 of them
-            if (len(digits) > len(str(MAX_POWER))
-                    or int(digits) > MAX_POWER):
-                raise ParseError("exponent must be at most %d" % MAX_POWER,
-                                 tok.pos)
-            node = PPow(node, int(digits))
+            node = PPow(node, j)
         return node
 
-    def parse_int(self) -> int:
-        return int(self.expect("INT", "an integer").text)
+    def parse_int(self, what: str = "an integer", name: str = "parameter",
+                  bound: int = MAX_PARAM) -> int:
+        """The next token, an integer of absolute value at most bound, or
+        a ParseError at its column; its digits are counted first, as
+        int() refuses over 4300 of them."""
+        tok = self.expect("INT", what)
+        digits = tok.text.lstrip("-").lstrip("0")
+        if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+            raise ParseError("%s must be at least %d" % (name, -bound)
+                             if tok.text.startswith("-") else
+                             "%s must be at most %d" % (name, bound), tok.pos)
+        return int(tok.text)
 
     def parse_atom(self):
         tok = self.peek()
@@ -222,7 +231,7 @@ class _Parser:
             self.expect("LPAREN", "'(' after shift")
             node = self.parse_expr()
             self.expect("COMMA", "',' and a shift amount")
-            k = self.parse_int()
+            k = self.parse_int(name="shift amount", bound=MAX_POWER)
             self.expect("RPAREN", "')'")
             return Shift(node, k)
         args: tuple[int, ...] = ()

@@ -16,6 +16,12 @@ from typing import Iterable, Iterator, Sequence
 from .errors import MasterEquationError, SeriesWindowError
 
 
+# Horner stages chained before one list is built: nested maps recurse in
+# C, and degrees of tens of thousands, in p or in x, are reachable (a(p) =
+# p^122880 of power(30)^4096, dens of convolutions)
+_STAGES = 512
+
+
 class PrimePoly:
     """Integer polynomial in the formal prime p, kept sparse.
 
@@ -162,13 +168,15 @@ class PrimePoly:
     def evaluate_block(self, ps: Sequence[int]) -> Iterator[int]:
         """The exact values at every p in ps, by Horner in p in C-level
         maps: the integers map(self.evaluate, ps) gives, without a Python
-        call per point."""
+        call per point; a list is built every _STAGES stages."""
         d = self.degree()
         acc = repeat(self._c.get(d, 0), len(ps))
         for e in range(d - 1, -1, -1):
             acc = map(mul, acc, ps)
             if e in self._c:
                 acc = map(add, acc, repeat(self._c[e]))
+            if e and not e % _STAGES:
+                acc = list(acc)
         return acc
 
     def __eq__(self, other) -> bool:
@@ -260,12 +268,22 @@ class XPoly:
         return self.evaluate_block([p], [x])[0]
 
     def evaluate_block(self, ps: Sequence[int], xs: Sequence) -> list:
-        """Values at the points (ps[i], xs[i]): Horner in x from int 0,
-        adding each coefficient's exact integer value at ps[i]."""
-        acc = [0] * len(ps)
-        for c in reversed(self.coeffs):
-            acc = list(map(add, map(mul, acc, xs), c.evaluate_block(ps)))
-        return acc
+        """Values at the points (ps[i], xs[i]): Horner in x in C-level
+        maps, from the top coefficient's exact integer values at ps, each
+        stage times xs plus the next coefficient's, a list built only
+        every _STAGES stages and at the end.  An int times a float is
+        float(int) times it, so a float result has the bits of Horner
+        from 0.0; with Fraction xs every value stays exact, and a
+        constant gives its integers."""
+        if not self.coeffs:
+            return [0] * len(ps)
+        cs = reversed(self.coeffs)
+        acc = next(cs).evaluate_block(ps)
+        for i, c in enumerate(cs, 1):
+            acc = map(add, map(mul, acc, xs), c.evaluate_block(ps))
+            if not i % _STAGES:
+                acc = list(acc)
+        return list(acc)
 
     def divide(self, other: "XPoly") -> "XPoly | None":
         """Exact division by other, other[0] = 1; None if it does not

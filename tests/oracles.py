@@ -20,7 +20,10 @@ the Berlekamp-Massey fit over Q that the fraction-free kernel is
 checked against.  The Euler product is multiplied out one prime at a
 time over trial-division primes, the reference for the engine's blocked
 kernel, and it refuses, as the engine does, where no Bell series is
-known.  terms_by_table is term generation one interpreted step per n,
+known.  The numeric kernels as they were before they streamed through
+C-level maps, one list per Horner stage, the whole running product of
+each block and one generator step per term of a partial sum, are the
+bit-for-bit references for the streamed ones.  terms_by_table is term generation one interpreted step per n,
 the reference for the engine's pass over n prime to 6.  Zeta forms are
 read by the peel of the whole Bell series under guessed caps, the
 reference for the engine's exact binomial split, and phi and psi by
@@ -28,6 +31,8 @@ trial division are the reference for the caps of its peel.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -35,8 +40,9 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from dgf.bell import BellRational
+from dgf import numeric, sequences
 from dgf.errors import (CatalogError, DegreeBoundError, DgfError,
-                        SeriesWindowError)
+                        DivergenceError, SeriesWindowError)
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
                        ZetaFactor, ZetaForm, _log_series, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
@@ -668,6 +674,13 @@ def euler_product(f, s: float, P: int, accel: str = "wynn") -> EvalResult:
         while p > cps[len(partials)]:
             partials.append(prod)
         prod *= euler_factor(f, p, s)
+    return _euler_result(cps, partials, prod, absc, s, P, accel)
+
+
+def _euler_result(cps: list[int], partials: list[float], prod: float,
+                  absc: float, s: float, P: int, accel: str) -> EvalResult:
+    # the checkpoints past the last prime, the prime-tail estimate and the
+    # extrapolation, as numeric.eval_euler_product ends
     partials += [prod] * (len(cps) - len(partials))
     tail = abs(prod) * (P ** (absc - s)) / ((s - absc) * math.log(P))
     if accel == "wynn" and len(partials) >= 3:
@@ -677,3 +690,79 @@ def euler_product(f, s: float, P: int, accel: str = "wynn") -> EvalResult:
         return EvalResult(value, max(err, 1e-15 * abs(value)),
                           "euler_product+wynn")
     return EvalResult(prod, tail, "euler_product")
+
+
+# ---------------------------------------------------------------------------
+# the numeric kernels one list per stage, the bit-for-bit references for
+# the engine's streamed ones
+
+def evaluate_block_by_lists(xp: XPoly, ps: Sequence[int], xs: Sequence) -> list:
+    """XPoly.evaluate_block by Horner in x from int 0, one list per
+    stage, each coefficient's exact integer values at ps added in."""
+    acc = [0] * len(ps)
+    for c in reversed(xp.coeffs):
+        acc = list(map(operator.add, map(operator.mul, acc, xs),
+                       c.evaluate_block(ps)))
+    return acc
+
+
+def _block_values_by_lists(f, blk: list[int], s: float) -> list[float]:
+    # the generic Bell series over the block's other primes at once, the
+    # local one at each exceptional prime
+    def values(b, ps):
+        xs = [p ** -s for p in ps]
+        return list(map(operator.truediv,
+                        evaluate_block_by_lists(b.num, ps, xs),
+                        evaluate_block_by_lists(b.den, ps, xs)))
+    exc = f.exceptions
+    rest = iter(values(f.bell, [p for p in blk if p not in exc]))
+    return [values(f.local_bell(p), [p])[0] if p in exc else next(rest)
+            for p in blk]
+
+
+def euler_product_by_accumulate(f, s: float, P: int,
+                                accel: str = "wynn") -> EvalResult:
+    """numeric.eval_euler_product with the running product of each block
+    of primes kept whole (itertools.accumulate), the checkpoints read
+    off it."""
+    local = numeric._known_local_bells(f)
+    absc = _abscissa_of(f)
+    if s <= float(absc) + 1e-6:
+        raise DivergenceError("s = %g is not beyond the abscissa %s"
+                              % (s, absc))
+    cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
+    partials = []
+    prod = 1.0
+    primes = sequences._SIEVE.primes(P)
+    try:
+        numeric._refuse_real_poles(local, s)
+        while blk := list(itertools.islice(primes, numeric._BLOCK)):
+            runs = list(itertools.accumulate(
+                _block_values_by_lists(f, blk, s), operator.mul,
+                initial=prod))
+            while cps[len(partials)] < blk[-1]:
+                partials.append(runs[bisect.bisect_right(
+                    blk, cps[len(partials)])])
+            prod = runs[-1]
+    except OverflowError:
+        raise numeric._too_wide(s) from None
+    return _euler_result(cps, partials, prod, float(absc), s, P, accel)
+
+
+def partial_sum_by_generators(f, s: float, N: int) -> EvalResult:
+    """numeric.eval_partial_sum with one generator step per term."""
+    local = numeric._known_local_bells(f)
+    absc = _abscissa_of(f)
+    s0 = float(absc)
+    if s <= s0 + 1e-6:
+        raise DivergenceError("s = %g is not beyond the abscissa %s"
+                              % (s, absc))
+    try:
+        numeric._refuse_real_poles(local, s)
+        vals = sequences.terms(f, N)
+        value = math.fsum(v * n ** -s for n, v in enumerate(vals, start=1))
+        C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))
+    except OverflowError:
+        raise numeric._too_wide(s) from None
+    tail = C * N ** (s0 - s) / (s - s0)
+    return EvalResult(value, tail, "partial_sum")

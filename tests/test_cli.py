@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -273,6 +274,51 @@ def test_exit_code_expression_errors(capsys):
     rc, out, err = run(capsys, ["bell", "phi^99999999999999999999"])
     assert (rc, out) == (2, "")
     assert err == "parse error: col 5: exponent must be at most 4096\n"
+
+
+@pytest.mark.parametrize("src,msg", [
+    ("sigma(%s)" % ("9" * 5000),
+     "col 7: parameter must be at most 1000000000000000000"),
+    ("shift(phi, %s)" % ("9" * 5000), "col 12: shift amount must be at most 4096"),
+    # refused before a shift by p^(10^12) is built
+    ("shift(phi, 1000000000000)", "col 12: shift amount must be at most 4096"),
+], ids=["param-5000-digits", "shift-5000-digits", "shift-10^12"])
+def test_exit_code_oversized_integer_tokens(capsys, src, msg):
+    rc, out, err = run(capsys, ["terms", src, "-n", "5"])
+    assert (rc, out) == (2, "")
+    assert err == "parse error: %s\n" % msg
+
+
+def _int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_exact_values_past_the_int_str_limit(capsys):
+    # a(2) = 2^30000 has 9,031 digits, past the interpreter's default
+    # limit of 4300; main lifts it for the call and restores it
+    limit = _int_str_limit()
+    rc, out, err = run(capsys, ["terms", "power(30)^1000", "-n", "2"])
+    assert (rc, err) == (0, "")
+    one, a2 = out.rstrip("\n").split(",")
+    assert one == "1" and len(a2) == 9031
+    assert int(a2[-4000:]) == pow(2, 30000, 10**4000)
+    assert _int_str_limit() == limit
+    rc, out, err = run(capsys, ["terms", "power(30)^1000", "-n", "2",
+                                "--json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out, parse_int=str) == ["1", a2]
+    rc, out, err = run(capsys, ["bell", "const(1000000)^1000"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("(1)/(1 - 1%s*x)\n" % ("0" * 6000))
+    assert _int_str_limit() == limit
+
+
+def test_terms_of_a_high_degree_in_p(capsys):
+    # a(p) = p^122880: block Horner in p over that many stages once
+    # recursed in C past the stack (a segmentation fault)
+    rc, out, err = run(capsys, ["terms", "power(30)^4096", "-n", "3"])
+    assert (rc, err) == (0, "")
+    assert [len(v) for v in out.rstrip("\n").split(",")] == [1, 36991, 58629]
 
 
 def test_exit_code_math_errors(capsys):

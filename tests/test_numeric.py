@@ -220,3 +220,35 @@ def test_blocked_euler_product_matches_prime_by_prime(src):
                 assert (got.value.hex(), got.error.hex(), got.method) == \
                     (want.value.hex(), want.error.hex(), want.method), \
                     (src, off, P, accel)
+
+
+def _outcome(evaluate, *args):
+    # the exact value, error and method, or the library error raised
+    try:
+        r = evaluate(*args)
+    except DgfError as e:
+        return type(e), str(e)
+    return repr(r.value), repr(r.error), r.method
+
+
+# the benchmark's numeric grid
+GRID_FUNCTIONS = KERNEL_FUNCTIONS[:8]
+
+
+@pytest.mark.parametrize("src", GRID_FUNCTIONS)
+def test_streamed_kernels_match_the_list_kernels(src):
+    # the Euler product by math.prod per checkpoint segment and the
+    # partial sum in C-level maps give the bits of the kernels that kept
+    # every running product and one generator step per term
+    f = parse_function(src)
+    absc = float(numeric._abscissa_of(f))
+    for off in (0.01, 0.05, 0.5, 2.0):
+        s = absc + off
+        for P in (*_BOUNDS, 10**5):
+            for accel in ("wynn", "none"):
+                assert _outcome(eval_euler_product, f, s, P, accel) == \
+                    _outcome(oracles.euler_product_by_accumulate,
+                             f, s, P, accel), (off, P, accel)
+        for N in (1, 2, 999, 10**4):
+            assert _outcome(eval_partial_sum, f, s, N) == \
+                _outcome(oracles.partial_sum_by_generators, f, s, N), (off, N)

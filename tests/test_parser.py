@@ -100,11 +100,33 @@ def test_to_text_round_trips(src):
     ("bogus&", "col 6: unexpected character '&'"),
     ("phi^4097", "col 5: exponent must be at most 4096"),
     ("mu * phi^99999999999999999999", "col 10: exponent must be at most 4096"),
+    # digits counted before int(), which refuses over 4300 of them
+    pytest.param("sigma(%s)" % ("9" * 5000),
+                 "col 7: parameter must be at most 1000000000000000000",
+                 id="param-5000-digits"),
+    pytest.param("gcdc(-%s)" % ("9" * 5000),
+                 "col 6: parameter must be at least -1000000000000000000",
+                 id="negative-param-5000-digits"),
+    pytest.param("shift(phi, %s)" % ("9" * 5000),
+                 "col 12: shift amount must be at most 4096",
+                 id="shift-5000-digits"),
+    ("shift(phi, 1000000000000)", "col 12: shift amount must be at most 4096"),
+    ("shift(phi, -4097)", "col 12: shift amount must be at least -4096"),
+    ("phi^-99999999999999999999", "col 5: exponent must be a positive integer"),
 ])
 def test_parse_errors_carry_columns(src, msg):
     with pytest.raises(ParseError) as ei:
         parse(src)
     assert str(ei.value) == msg
+
+
+def test_integer_bounds_are_inclusive():
+    assert parse("shift(phi, 4096)") == Shift(Atom("phi"), 4096)
+    assert parse("shift(phi, -04096)") == Shift(Atom("phi"), -4096)
+    assert parse("gcdc(1000000000000000000)") == \
+        Atom("gcdc", (10**18,))
+    assert parse("gcdc(-0001000000000000000000)") == \
+        Atom("gcdc", (-10**18,))
 
 
 def test_exponent_bound_is_inclusive():

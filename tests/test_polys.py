@@ -8,6 +8,7 @@ import pytest
 from dgf.errors import DgfError, MasterEquationError, SeriesWindowError
 from dgf.polys import PrimePoly, XPoly, series_div
 
+import oracles
 from oracles import series_eq, series_inv, series_mul
 
 P = PrimePoly
@@ -166,3 +167,35 @@ def test_series_mul_symbolic():
     prod = series_mul(a, b, 3)
     assert prod[1].is_zero()
     assert prod[2] == P.monomial(2, -1)
+
+
+def test_block_evaluation_matches_the_list_kernel():
+    # Horner from the top coefficient's integer values gives the bits of
+    # Horner from int 0 with one list per stage
+    ps = [2, 3, 5, 7919]
+    vanishing = P.monomial(1) + P.const(-2)         # p - 2, zero at p = 2
+    cs = [P.const(1), P.zero, P.monomial(2, -5) + P.const(3), vanishing]
+    xpolys = [XPoly([P.const(7)]), XPoly([vanishing]), XPoly(cs),
+              XPoly(cs[::-1]), XPoly([vanishing, P.monomial(3)])]
+    for xs in ([p ** -1.5 for p in ps], [-(p ** -0.7) for p in ps],
+               [Fraction(-3, p * p) for p in ps]):
+        for xp in xpolys:
+            got = xp.evaluate_block(ps, xs)
+            want = oracles.evaluate_block_by_lists(xp, ps, xs)
+            assert got == want
+            if isinstance(xs[0], float):
+                assert [float(v).hex() for v in got] == \
+                    [float(v).hex() for v in want]
+
+
+def test_block_evaluation_of_a_high_degree():
+    # degrees a Horner chained lazily through every stage would take past
+    # the C stack: p^122880 is a(p) of power(30)^4096, and convolutions
+    # reach dens of degree tens of thousands
+    assert list(P.monomial(200000).evaluate_block([1, -1, 0])) == [1, 1, 0]
+    assert list((P.monomial(200000) + P.monomial(1)).evaluate_block(
+        [2])) == [2**200000 + 2]
+    xp = XPoly.binomial(1, 0, 50000)
+    ps, xs = [2, 3], [0.5, -1.0]
+    assert xp.evaluate_block(ps, xs) == [1.0, 0.0] == \
+        oracles.evaluate_block_by_lists(xp, ps, xs)
