@@ -72,11 +72,14 @@ def _prs(a: list[int], b: list[int], norm: Callable) -> list[int]:
 
 def _zgcd(a: list[int], b: list[int]) -> list[int]:
     """The primitive gcd over Z[x], up to sign, of the integer polynomials
-    a and b: [1] at once where they are coprime mod the prime M = 2^61 - 1
-    and M does not divide a's top coefficient (a common factor would keep
-    its degree mod M and divide both there), else the primitive remainder
-    sequence, each remainder's content divided out."""
-    M = (1 << 61) - 1
+    a and b: [1] at once where they are coprime mod the prime M and M does
+    not divide a's top coefficient (a common factor would keep its degree
+    mod M and divide both there), else the primitive remainder sequence,
+    each remainder's content divided out.  Any such M is sound; this safe
+    prime 2^61 - 2373 is 3 mod 8, so p = 2^k, 0 < k < (M - 1)/2, has order
+    (M - 1)/2 or M - 1 (mod 2^61 - 1, p^61 = 1 made coprime binomials
+    look alike)."""
+    M = 2305843009213691579
 
     def mod(c: list[int]) -> list[int]:
         return _trim([v % M for v in c])
@@ -172,8 +175,9 @@ class BellRational:
     """Rational Bell series num/den, both with constant term 1."""
 
     # filled on first use: _den_split, the den's half of split, which
-    # den_binomials reads too, and _split
-    __slots__ = ("num", "den", "_den_split", "_split")
+    # den_binomials reads too, _split, and _log, x N'/N and x D'/D as far
+    # as euler._log_series has read them: one T = x B'/B for every peel
+    __slots__ = ("num", "den", "_den_split", "_split", "_log")
 
     def __init__(self, num: XPoly, den: XPoly):
         if not num.coeffs or not num.coeffs[0].is_one():

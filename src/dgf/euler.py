@@ -13,7 +13,8 @@ binomials have order at most m b and weight psi(m) b at x-degree
 phi(m) b, so past these caps no finite product exists.  The peel works
 on T = x B'/B, read off num and den by series_div: a binomial power adds
 monomials to T, so it takes no series products (the inverse Euler
-transform, Bernstein and Sloane 1995).  The round trip sums T from the
+transform, Bernstein and Sloane 1995); both peels read copies of one T
+per Bell series, extended on demand.  The round trip sums T from the
 factors and proves x S' = T S by one BellRational.matches.  Zeta-form
 coefficients expand by the same series_div.
 """
@@ -102,14 +103,22 @@ def _merge(factors: Iterable, cls) -> list:
 
 
 def _log_series(b, K: int) -> list[dict[int, int]]:
-    """T = x B'/B to order K as one {l: c} dict (c p^l) per power of x:
-    x N'/N - x D'/D, a plain series read as a polynomial of degree K.
-    Each x P'/P is series_div(x P', P), O(K deg P) products."""
-    def log(P: Sequence[PrimePoly]) -> list[PrimePoly]:
-        return series_div([c.scale(n) for n, c in enumerate(P)], P, K)
+    """T = x B'/B to order K as one fresh {l: c} dict (c p^l) per power
+    of x: x N'/N - x D'/D, a plain series read as a polynomial of degree
+    K.  Each x P'/P is series_div(x P', P), O(K deg P) products, which a
+    BellRational keeps in its _log slot and extends, once per order."""
+    def log(P: Sequence[PrimePoly], out=None) -> list[PrimePoly]:
+        return series_div([c.scale(n) for n, c in enumerate(P)], P, K, out)
 
     if isinstance(b, BellRational):
-        T = [t - s for t, s in zip(log(b.num.coeffs), log(b.den.coeffs))]
+        try:
+            ln, ld = b._log
+        except AttributeError:
+            ln, ld = b._log = ([], [])
+        if len(ln) <= K:
+            log(b.num.coeffs, ln)
+            log(b.den.coeffs, ld)
+        T = map(PrimePoly.__sub__, ln[:K + 1], ld)
     else:
         T = log(b.coeffs if isinstance(b, XPoly) else b[: K + 1])
     return [dict(t.items()) for t in T]
@@ -190,9 +199,9 @@ def factor_bell(f, U: int = 8) -> EulerFactorList:
     factors = list(map(EulerFactor._make, split))
     if rest is None:
         return EulerFactorList(factors, truncated_at=None)
-    peel = euler_expand(rest, U)
-    return EulerFactorList(factors + peel.factors, truncated_at=U,
-                           residual_ok=peel.residual_ok)
+    T = _log_series(rest, U)
+    factors += _peel(T, signed=True)
+    return EulerFactorList(factors, truncated_at=U, residual_ok=not any(T))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +377,7 @@ def finite_zeta_form(f):
     if b is None:
         return UNKNOWN
     split, rest = b.split
-    factors = zeta_factors_from_euler(map(EulerFactor._make, split))
+    factors = list(_zeta_factors(map(EulerFactor._make, split)))
     if rest is not None:
         n, d = rest.num.degree(), rest.den.degree()
         order, ratio = _peel_caps(max(n, d))
@@ -399,19 +408,22 @@ def finite_zeta_form(f):
 
 def zeta_factors_from_euler(efl: Iterable[EulerFactor]) -> list[ZetaFactor]:
     """Convert Euler factors (an EulerFactorList or any iterable) to zeta
-    factors.
+    factors, merged.
 
     (1 - p^(l-us))^g over all p is zeta^(-g)(us-l); with a plus sign it
     is zeta^g(us-l)/zeta^g(2us-2l).
     """
-    out: list[ZetaFactor] = []
+    return _merge(_zeta_factors(efl), ZetaFactor)
+
+
+def _zeta_factors(efl: Iterable[EulerFactor]):
+    # zeta_factors_from_euler unmerged, for a caller that merges later
     for f in efl:
         if f.S > 0:
-            out.append(ZetaFactor(f.u, f.l, -f.gamma))
+            yield ZetaFactor(f.u, f.l, -f.gamma)
         else:
-            out.append(ZetaFactor(f.u, f.l, f.gamma))
-            out.append(ZetaFactor(2 * f.u, 2 * f.l, -f.gamma))
-    return _merge(out, ZetaFactor)
+            yield ZetaFactor(f.u, f.l, f.gamma)
+            yield ZetaFactor(2 * f.u, 2 * f.l, -f.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -352,8 +352,9 @@ class XPoly:
 # ---------------------------------------------------------------------------
 
 def series_div(num: Sequence[PrimePoly], den: Sequence[PrimePoly],
-               K: int) -> list[PrimePoly]:
-    """num/den to order K, for a den with den[0] = 1.
+               K: int, out: list[PrimePoly] | None = None) -> list[PrimePoly]:
+    """num/den to order K, for a den with den[0] = 1; given out, the
+    series so far, it is extended in place from its length.
 
     The coefficients obey the linear recurrence of den (Stanley, EC1,
     Thm 4.1.1): B_n = num_n - sum_{j=1..deg den} den_j B_(n-j), which is
@@ -362,13 +363,15 @@ def series_div(num: Sequence[PrimePoly], den: Sequence[PrimePoly],
     if not den or not den[0].is_one():
         raise SeriesWindowError("series division needs a denominator starting at 1")
     terms = [(j, c) for j, c in enumerate(den[1:K + 1], 1) if not c.is_zero()]
-    out: list[PrimePoly] = []
-    for n in range(K + 1):
-        acc = PrimePoly.zero
+    out = [] if out is None else out
+    for n in range(len(out), K + 1):
+        acc = dict(num[n]._c) if n < len(num) else {}
         for j, c in terms:
             if j > n:
                 break
-            if not out[n - j].is_zero():
-                acc = acc + c * out[n - j]
-        out.append((num[n] if n < len(num) else PrimePoly.zero) - acc)
+            for e1, v1 in c._c.items():
+                for e2, v2 in out[n - j]._c.items():
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) - v1 * v2
+        out.append(PrimePoly(acc))
     return out

@@ -27,7 +27,9 @@ bit-for-bit references for the streamed ones.  terms_by_table is term generation
 the reference for the engine's pass over n prime to 6.  Zeta forms are
 read by the peel of the whole Bell series under guessed caps, the
 reference for the engine's exact binomial split, and phi and psi by
-trial division are the reference for the caps of its peel.
+trial division are the reference for the caps of its peel.  Its log
+series T = x B'/B is divided afresh on every call, the reference for
+the engine's memo, which each Bell series fills once and extends.
 """
 from __future__ import annotations
 
@@ -44,9 +46,9 @@ from dgf import numeric, sequences
 from dgf.errors import (CatalogError, DegreeBoundError, DgfError,
                         DivergenceError, SeriesWindowError)
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
-                       ZetaFactor, ZetaForm, _log_series, _peel, _zeta_bell)
+                       ZetaFactor, ZetaForm, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
-from dgf.polys import PrimePoly, XPoly
+from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import FactorSieve
 
 
@@ -602,6 +604,20 @@ def expand_factor_list(efl: EulerFactorList, K: int) -> list[PrimePoly]:
     return out
 
 
+def log_series_by_division(b, K: int) -> list[dict[int, int]]:
+    """T = x B'/B to order K, x N'/N - x D'/D divided afresh on every
+    call: the reference for the engine's log series, which each
+    BellRational computes once and extends on demand."""
+    def log(P: Sequence[PrimePoly]) -> list[PrimePoly]:
+        return series_div([c.scale(n) for n, c in enumerate(P)], P, K)
+
+    if isinstance(b, BellRational):
+        T = [t - s for t, s in zip(log(b.num.coeffs), log(b.den.coeffs))]
+    else:
+        T = log(b.coeffs if isinstance(b, XPoly) else b[: K + 1])
+    return [dict(t.items()) for t in T]
+
+
 def capped_zeta_form(f):
     """The zeta form by the peel of the whole Bell series under guessed
     caps, order max(16, 2d) and weight max(64, 4d) with d = deg num +
@@ -613,7 +629,7 @@ def capped_zeta_form(f):
     if b is None:
         return INFINITE
     d = b.num.degree() + b.den.degree()
-    peeled = _peel(_log_series(b, max(16, 2 * d)), signed=False,
+    peeled = _peel(log_series_by_division(b, max(16, 2 * d)), signed=False,
                    weight_cap=max(64, 4 * d))
     if peeled is None:
         return INFINITE

@@ -266,6 +266,25 @@ def test_gcd_cancels_cyclotomic_pieces(src, want):
     assert str(parse_function(src).bell) == want
 
 
+def test_gcd_test_prime_keeps_powers_of_two_apart(monkeypatch):
+    # 1 - 2^(61 k) x and 1 - x are coprime; mod 2^61 - 1 they were equal,
+    # and the exact remainder sequence ran on them
+    def exact(a):
+        raise AssertionError("exact remainder sequence on coprime polynomials")
+
+    prs, calls = bell_module._prs, []
+
+    def counted(*args):
+        calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(bell_module, "_primitive", exact)
+    monkeypatch.setattr(bell_module, "_prs", counted)
+    for k in (1, 2, 3, 64):
+        assert bell_module._zgcd([1, -2**(61 * k)], [1, -1]) == [1]
+    assert len(calls) == 4
+
+
 def test_pointwise_product_bell_path():
     f = pointwise_product(make("phi"), make("phi"))
     g = pointwise_power(make("phi"), 2)

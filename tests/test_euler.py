@@ -34,7 +34,8 @@ from dgf.sequences import terms
 
 from conftest import ef_tuples, grid_instances, zf_tuples
 from oracles import (_zeta_base_stream, dirichlet_mul_streams,
-                     expand_factor_list, series_eq, totients)
+                     expand_factor_list, log_series_by_division, series_eq,
+                     totients)
 
 P = PrimePoly
 
@@ -132,12 +133,15 @@ def test_round_trip_agrees_with_binomial_products():
 def test_log_pass_makes_no_series_products(monkeypatch):
     infinite = pointwise_product(make("sigma", 1), make("phi"))
     b, raw = infinite.bell, infinite.series(12)
-    finite = make("core", 2).bell
+    # a copy, so that no earlier read of the shared catalog series filled
+    # its log series
+    core = make("core", 2).bell
+    finite = BellRational(core.num, core.den)
     dens = []
 
-    def divide(num, den, K):
+    def divide(num, den, K, out=None):
         dens.append(list(den))
-        return series_div(num, den, K)
+        return series_div(num, den, K, out)
 
     def banned(*args):
         raise AssertionError("series product in the log-derivative pass")
@@ -157,11 +161,71 @@ def test_log_pass_makes_no_series_products(monkeypatch):
     divisions = len(dens)
     assert round_trips(efl, raw)
     monkeypatch.undo()
-    assert len(dens) == divisions == 7
+    # b's num and den to order 12, the raw series, b's num and den again
+    # only from order 13 to 16 (its log series is kept and extended), and
+    # finite's num and den
+    assert len(dens) == divisions == 2 + 1 + 2 + 2
     allowed = [b.num.coeffs, b.den.coeffs, raw,
                finite.num.coeffs, finite.den.coeffs]
     assert all(den in allowed for den in dens)
     assert series_eq(expand_factor_list(efl, 12), b.series(12), 12)
+
+
+# rests of degree 2 whose zeta-form peel stops below U = 8, and one of
+# degree 10 whose peel reads to order 30
+MEMO_TEXTS = ["sigma(1)*phi", "jordan(3)*sigma_star(1)",
+              "(phi*id)*sigma_star(2)", "sigma(1)^12"]
+
+
+@pytest.mark.parametrize("src", MEMO_TEXTS)
+def test_log_series_divides_each_order_once(monkeypatch, src):
+    f = parse_function(src)
+    rest = f.bell.split[1]
+    calls = []
+
+    def divide(num, den, K, out=None):
+        calls.append((id(den), len(out) if out is not None else 0, K))
+        return series_div(num, den, K, out)
+
+    monkeypatch.setattr(euler_module, "series_div", divide)
+    first = factor_bell(f, 8).to_json()
+    zf = str(finite_zeta_form(f))
+    assert factor_bell(f, 8).to_json() == first
+    # num and den, each divided from where it stopped, once per new order
+    for den in (rest.num.coeffs, rest.den.coeffs):
+        spans = [(n, K) for d, n, K in calls if d == id(den)]
+        assert spans and spans[0] == (0, 8)
+        assert all(n == K0 + 1 and K > K0 for (_, K0), (n, K)
+                   in zip(spans, spans[1:]))
+    assert len(calls) in (2, 4)
+    monkeypatch.undo()
+    fresh = parse_function(src)
+    assert factor_bell(fresh, 8).to_json() == first
+    assert str(finite_zeta_form(fresh)) == zf
+
+
+def test_log_series_copies_are_not_the_memo():
+    # each peel mutates its T in place; later reads see the series intact
+    f = parse_function("sigma(1)*phi")
+    rest = f.bell.split[1]
+    efl, zf = factor_bell(f, 8), finite_zeta_form(f)
+    for K in (8, 4, 12):
+        T = _log_series(rest, K)
+        assert T == log_series_by_division(rest, K)
+        assert _peel(T, signed=True)
+        T[1][7] = 5
+    assert euler_expand(rest, 12).factors == euler_expand(rest.num, 12).factors
+    assert factor_bell(f, 8) == efl
+    assert str(finite_zeta_form(f)) == str(zf)
+    assert _log_series(rest, 12) == log_series_by_division(rest, 12)
+
+
+@pytest.mark.parametrize("src", MEMO_TEXTS)
+def test_log_series_extends_like_a_fresh_division(src):
+    rest = parse_function(src).bell.split[1]
+    want = log_series_by_division(rest, 64)
+    for K in (6, 8, 12, 64):
+        assert _log_series(rest, K) == want[:K + 1], K
 
 
 def test_factor_bell_exact_totient():
