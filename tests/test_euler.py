@@ -214,7 +214,6 @@ def test_log_series_copies_are_not_the_memo():
         assert T == log_series_by_division(rest, K)
         assert _peel(T, signed=True)
         T[1][7] = 5
-    assert euler_expand(rest, 12).factors == euler_expand(rest.num, 12).factors
     assert factor_bell(f, 8) == efl
     assert str(finite_zeta_form(f)) == str(zf)
     assert _log_series(rest, 12) == log_series_by_division(rest, 12)
