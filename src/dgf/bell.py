@@ -10,7 +10,7 @@ kept as an exact rational function over Z[p] where one is known.
 
 Every series is built, never fitted.  A catalog atom's is its closed
 form, at an exceptional prime that of its local values.  Every rule
-cancels common factors by one exact gcd over Z[p] (_gcd_reduce).  A
+cancels common factors by one exact gcd over Z[p] (_reduce_product).  A
 pointwise product or power takes its denominator from the operands'
 (read off their binomials, else their composed product) and its
 numerator from the truncated product with its own coefficients, while
@@ -44,73 +44,66 @@ MAX_ORDER = 64
 # ---------------------------------------------------------------------------
 # exact gcd
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _primitive(a: list[int]) -> list[int]:
-    g = math.gcd(*a)
-    return [v // g for v in a]
-
-
-def _prs(a: list[int], b: list[int], norm: Callable) -> list[int]:
-    """The last nonzero remainder of the pseudo-remainder sequence of
-    the integer polynomials a and b (coefficients from x^0, top nonzero):
-    each step a -> lc(b) a - lc(a) x^s b is passed through norm."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        while len(a) >= len(b):
-            s, c, l = len(a) - len(b), a[-1], b[-1]
-            a = norm(_trim([l * x for x in a[:s]]
-                           + [l * x - c * y for x, y in zip(a[s:], b)]))
-        a, b = b, a
-    return a
-
-
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd over Z[x], up to sign, of the integer polynomials
-    a and b: [1] at once where they are coprime mod the prime M and M does
-    not divide a's top coefficient (a common factor would keep its degree
-    mod M and divide both there), else the primitive remainder sequence,
-    each remainder's content divided out.  Any such M is sound; this safe
-    prime 2^61 - 2373 is 3 mod 8, so p = 2^k, 0 < k < (M - 1)/2, has order
-    (M - 1)/2 or M - 1 (mod 2^61 - 1, p^61 = 1 made coprime binomials
-    look alike)."""
+def _coprime_mod(a: list[int], b: list[int]) -> bool:
+    """Whether the integer polynomials a and b (from x^0, top nonzero) are
+    coprime mod the prime M, by Euclid's algorithm there; False where M
+    divides a's top coefficient.  True proves them coprime over Z[x]: mod
+    M a common factor keeps its degree.  This safe prime 2^61 - 2373 is 3
+    mod 8, so p = 2^k, 0 < k < (M - 1)/2, has order (M - 1)/2 or M - 1
+    (mod 2^61 - 1, p^61 = 1 made coprime binomials look alike)."""
     M = 2305843009213691579
+    if not a[-1] % M:
+        return False
+    a, b = [v % M for v in a], [v % M for v in b]
+    while b:
+        if b[-1]:
+            inv = pow(b[-1], -1, M)
+            while len(a) >= len(b):
+                s, c = len(a) - len(b), a[-1] * inv % M
+                a = a[:s] + [(x - c * y) % M for x, y in zip(a[s:], b)]
+                a.pop()
+            a, b = b, a
+        else:
+            b.pop()
+    return len(a) == 1
 
-    def mod(c: list[int]) -> list[int]:
-        return _trim([v % M for v in c])
-    if a[-1] % M and len(_prs(mod(a), mod(b), mod)) == 1:
-        return [1]
-    return _prs(_primitive(a), _primitive(b), _primitive)
 
-
-def _gcd_reduce(num: XPoly, den: XPoly) -> "BellRational":
+def _reduce_product(num: XPoly, den: XPoly) -> "BellRational":
     """num/den with its gcd over Z[p] divided out, both with constant term 1.
 
-    The gcd over Z[x] at p = 2^k (at a concrete prime the integers
-    themselves) is read back as balanced base-2^k digits and proved by
-    dividing both.  With k two bits above the widest coefficient, packing
-    keeps every degree, so the true gcd divides the packed one there, and
-    a common divisor of that degree is the gcd itself.  Where the digits
-    are too narrow the division fails and k doubles, at most four times;
-    past that, DegreeBoundError."""
+    Packed at p = 2^k, k two bits above the widest coefficient (integers
+    pack as themselves), the pair A, B keeps every degree.  It is coprime
+    mod a prime (_coprime_mod; so at x-degree 0), and then so is num/den,
+    or g = gcd(A(2^K), B(2^K)), 2^K >= 2 |A|_inf + 2, gives the gcd (GCDHEU:
+    Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): its balanced
+    base-2^K digits over the constant one g0, read in base 2^k, are a G
+    with constant term 1 (as series_div needs), proved by dividing both.
+    Such a G is the gcd: a factor u of A of degree > 0 has roots |r| <
+    1 + |A|_inf, so |u(2^K)| > 2^(K-1) >= |g0|, which it would divide were
+    G u the gcd; and a common divisor of the packed gcd's degree is the gcd
+    over Z[p].  K = j k + 1 is prime to k: at K = j k, x = p^j, and values
+    1 - S 2^(lk + uK) of coprime binomials share factors 2^e - 1 growing
+    with k (prime to k, e divides lu' - l'u).  Where the digits are too
+    narrow, k and K double (K also at a concrete prime, where k changes
+    nothing), at most four times; past that, DegreeBoundError."""
     cs = num.coeffs + den.coeffs
-    k = 0 if all(c.is_constant() for c in cs) else max(
-        abs(v) for c in cs for _, v in c.items()).bit_length() + 2
+    k = max(abs(v) for c in cs for _, v in c.items()).bit_length() + 2
+    if _coprime_mod([c.pack(k) for c in num.coeffs],
+                    [c.pack(k) for c in den.coeffs]):
+        return BellRational(num, den)
+    K = 0
     for _ in range(5):
-        g = _zgcd([c.pack(k) for c in num.coeffs],
-                  [c.pack(k) for c in den.coeffs])
-        if len(g) == 1:
-            return BellRational(num, den)
-        G = XPoly(PrimePoly.unpack(v * g[0], k) if k else
-                  PrimePoly.const(v * g[0]) for v in g)
-        nq, dq = num.divide(G), den.divide(G)
-        if nq is not None and dq is not None:
-            return BellRational(nq, dq)
+        bound = max(abs(c.pack(k)) for c in cs).bit_length() + 2
+        K = (max(2 * K, bound) // k + 1) * k + 1
+        # g is odd, as A(2^K) is, so its constant digit is not 0
+        g = dict(PrimePoly.unpack(
+            math.gcd(num.pack(k, K), den.pack(k, K)), K).items())
+        if not any(v % g[0] for v in g.values()):
+            G = XPoly(PrimePoly.unpack(g.get(i, 0) // g[0], k)
+                      for i in range(max(g) + 1))
+            nq, dq = num.divide(G), den.divide(G)
+            if nq is not None and dq is not None:
+                return BellRational(nq, dq)
         k *= 2
     raise DegreeBoundError("no exact gcd over Z[p]")
 
@@ -400,14 +393,6 @@ class MultiplicativeFunction:
 # serve the generic prime and every exceptional prime alike.
 
 _sum = partial(reduce, operator.add)
-
-
-def _reduce_product(num: XPoly, den: XPoly) -> BellRational:
-    """num/den with its common factors cancelled: as it is where num or
-    den has x-degree 0, else by the one exact gcd (_gcd_reduce)."""
-    if num.degree() < 1 or den.degree() < 1:
-        return BellRational(num, den)
-    return _gcd_reduce(num, den)
 
 
 def _convolve(h, q, e):

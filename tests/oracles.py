@@ -29,7 +29,10 @@ read by the peel of the whole Bell series under guessed caps, the
 reference for the engine's exact binomial split, and phi and psi by
 trial division are the reference for the caps of its peel.  Its log
 series T = x B'/B is divided afresh on every call, the reference for
-the engine's memo, which each Bell series fills once and extends.
+the engine's memo, which each Bell series fills once and extends.  The
+primitive remainder sequence over Z that the engine's gcd ran before,
+after the same test mod a prime (zgcd_by_prs, reduce_by_prs), is the
+reference for its one integer gcd.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from dgf.bell import BellRational
 from dgf import numeric, sequences
@@ -255,6 +258,80 @@ def reduce_by_refit(num: XPoly, den: XPoly) -> BellRational:
     d = max(num.degree(), den.degree())
     cand = BellRational(num, den)
     return cand if d == 0 else rationalize(cand.series(2 * d + 3), d)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [v // g for v in a]
+
+
+def _prs(a: list[int], b: list[int], norm: Callable) -> list[int]:
+    """The last nonzero remainder of the pseudo-remainder sequence of
+    the integer polynomials a and b (coefficients from x^0, top nonzero):
+    each step a -> lc(b) a - lc(a) x^s b is passed through norm."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        while len(a) >= len(b):
+            s, c, l = len(a) - len(b), a[-1], b[-1]
+            a = norm(_trim([l * x for x in a[:s]]
+                           + [l * x - c * y for x, y in zip(a[s:], b)]))
+        a, b = b, a
+    return a
+
+
+def zgcd_by_prs(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd over Z[x], up to sign, of the integer polynomials
+    a and b: [1] at once where they are coprime mod the prime M and M does
+    not divide a's top coefficient (a common factor would keep its degree
+    mod M and divide both there), else the primitive remainder sequence,
+    each remainder's content divided out.  Any such M is sound; this safe
+    prime 2^61 - 2373 is 3 mod 8, so p = 2^k, 0 < k < (M - 1)/2, has order
+    (M - 1)/2 or M - 1 (mod 2^61 - 1, p^61 = 1 made coprime binomials
+    look alike)."""
+    M = 2305843009213691579
+
+    def mod(c: list[int]) -> list[int]:
+        return _trim([v % M for v in c])
+    if a[-1] % M and len(_prs(mod(a), mod(b), mod)) == 1:
+        return [1]
+    return _prs(_primitive(a), _primitive(b), _primitive)
+
+
+def reduce_by_prs(num: XPoly, den: XPoly) -> BellRational:
+    """num/den with its gcd over Z[p] divided out, both with constant term
+    1; as it is where num or den has x-degree 0.
+
+    The gcd over Z[x] at p = 2^k (at a concrete prime the integers
+    themselves) is read back as balanced base-2^k digits and proved by
+    dividing both.  With k two bits above the widest coefficient, packing
+    keeps every degree, so the true gcd divides the packed one there, and
+    a common divisor of that degree is the gcd itself.  Where the digits
+    are too narrow the division fails and k doubles, at most four times;
+    past that, DegreeBoundError."""
+    if num.degree() < 1 or den.degree() < 1:
+        return BellRational(num, den)
+    cs = num.coeffs + den.coeffs
+    k = 0 if all(c.is_constant() for c in cs) else max(
+        abs(v) for c in cs for _, v in c.items()).bit_length() + 2
+    for _ in range(5):
+        g = zgcd_by_prs([c.pack(k) for c in num.coeffs],
+                        [c.pack(k) for c in den.coeffs])
+        if len(g) == 1:
+            return BellRational(num, den)
+        G = XPoly(PrimePoly.unpack(v * g[0], k) if k else
+                  PrimePoly.const(v * g[0]) for v in g)
+        nq, dq = num.divide(G), den.divide(G)
+        if nq is not None and dq is not None:
+            return BellRational(nq, dq)
+        k *= 2
+    raise DegreeBoundError("no exact gcd over Z[p]")
 
 
 def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

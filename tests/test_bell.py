@@ -260,6 +260,16 @@ def test_unitary_convolve_unit():
     # divides the num: the gcd is 1
     ("(eps(2) <*> eps(3)) <+> inv(eps(6))",
      "(1 - x^6 + x^8 + x^9 - x^11)/(1 - x^2 - x^3 + x^5)"),
+    # packed pairs whose integer gcd picks up a spurious factor where K is
+    # a multiple of k, as x = 2^K = p^(K/k) there
+    ("(core(2) <+> (depleted(2,2) * (liouville <+> core(2))))",
+     "(1 + (2p-1)*x + 2*x^2)/(1 - x^2)"),
+    ("(((liouville <+> core(2)))^2)^2",
+     "(1 + (p^4-4p^3+6p^2-4p+1)*x + 15*x^2)/(1 - x^2)"),
+    ("(one <*> ((eps(3) <*> sigma_prime) <+> jordan_star(2)))",
+     "(1 + (p-1)*x + (-p^3-p)*x^2 + p^3*x^3 + (-p^2+1)*x^4)"
+     "/(1 + (-p^2-2)*x + (2p^2+1)*x^2 + (-p^2-1)*x^3 + (p^2+2)*x^4"
+     " + (-2p^2-1)*x^5 + p^2*x^6)"),
 ])
 def test_gcd_cancels_cyclotomic_pieces(src, want):
     # common cyclotomic factors of binomial dens go through the one gcd
@@ -268,21 +278,49 @@ def test_gcd_cancels_cyclotomic_pieces(src, want):
 
 def test_gcd_test_prime_keeps_powers_of_two_apart(monkeypatch):
     # 1 - 2^(61 k) x and 1 - x are coprime; mod 2^61 - 1 they were equal,
-    # and the exact remainder sequence ran on them
-    def exact(a):
-        raise AssertionError("exact remainder sequence on coprime polynomials")
+    # and the exact gcd ran on them
+    def no_gcd(*args):
+        raise AssertionError("integer gcd on coprime polynomials")
 
-    prs, calls = bell_module._prs, []
-
-    def counted(*args):
-        calls.append(args)
-        return prs(*args)
-
-    monkeypatch.setattr(bell_module, "_primitive", exact)
-    monkeypatch.setattr(bell_module, "_prs", counted)
     for k in (1, 2, 3, 64):
-        assert bell_module._zgcd([1, -2**(61 * k)], [1, -1]) == [1]
-    assert len(calls) == 4
+        assert bell_module._coprime_mod([1, -2**(61 * k)], [1, -1])
+    monkeypatch.setattr(bell_module.math, "gcd", no_gcd)
+    num, den = xp(1, P.monomial(61, -1)), xp(1, -1)
+    assert bell_module._reduce_product(num, den) == BellRational(num, den)
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    # every candidate gcd the division proof is asked to check, as text
+    calls, divide = [], XPoly.divide
+
+    def counted(self, other):
+        calls.append(str(other))
+        return divide(self, other)
+
+    monkeypatch.setattr(XPoly, "divide", counted)
+    return calls
+
+
+def test_gcd_where_the_test_prime_divides_the_top(divisions):
+    # M divides the top coefficient of 1 + M x, so the modular test proves
+    # nothing, and the integer gcd finds the pair coprime
+    M = 2**61 - 2373
+    assert not bell_module._coprime_mod([1, M], [1, -1])
+    num, den = xp(1, M), xp(1, -1)
+    assert bell_module._reduce_product(num, den) == BellRational(num, den)
+    assert divisions == ["1", "1"]
+
+
+def test_gcd_retries_with_a_wider_x_radix(divisions):
+    # at a concrete prime k changes nothing, yet K grows: at x = 2^13 the
+    # values 1 - 2^80 of 1 - 4 x^6 and 1 - 2^16 of 1 - 8 x share 2^16 - 1,
+    # too wide for the digits of (2^16 - 1)(1 - x); at x = 2^37 they share
+    # 2^8 - 1, and the digits hold 255 (1 - x)
+    b = bell_module._reduce_product(xp(1, -1, 0, 0, 0, 0, -4, 4),
+                                    xp(1, -9, 8))
+    assert str(b) == "(1 - 4*x^6)/(1 - 8*x)"
+    assert divisions[2:] == ["1 - x", "1 - x"]
 
 
 def test_pointwise_product_bell_path():

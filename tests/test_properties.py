@@ -28,7 +28,7 @@ from conftest import GRID
 from oracles import (_ofactor, _scalar_pade, brute_convolve,
                      brute_unitary_convolve, capped_zeta_form,
                      expand_factor_list, fraction_pade, peel_by_division,
-                     rationalize, reduce_by_refit, refit_bell,
+                     rationalize, reduce_by_prs, reduce_by_refit, refit_bell,
                      refit_local_bell, series_eq, series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
@@ -337,6 +337,48 @@ def test_exact_cancellation_is_the_refit_reduction(left, right):
     den = fb.den * gb.den
     for num in (fb.num * gb.num, fb.num * gb.den + gb.num * fb.den - den):
         assert _reduce_product(num, den) == reduce_by_refit(num, den)
+
+
+# x-polynomials with constant term 1, x-degree at most 6 and coefficients
+# up to 2^40: over Z[p] (the generic prime) or integers (a concrete one)
+_wide = st.integers(-2**40, 2**40)
+_coeffs = st.sampled_from([
+    st.dictionaries(st.integers(0, 3), _wide, max_size=3).map(PrimePoly),
+    _wide.map(PrimePoly.const)])
+
+
+def _xpoly(coeff):
+    return st.lists(coeff, max_size=6).map(
+        lambda cs: XPoly([PrimePoly.one, *cs]))
+
+
+@MODEST
+@given(_coeffs.flatmap(lambda c: st.tuples(*[_xpoly(c)] * 3)))
+def test_integer_gcd_is_the_remainder_sequence(fgh):
+    # the one integer gcd cancels what the primitive remainder sequence
+    # over Z cancels, common factor h or not
+    f, g, h = fgh
+    num, den = f * h, g * h
+    assert _reduce_product(num, den) == reduce_by_prs(num, den)
+
+
+# products of up to four binomials 1 - S p^l x^u: their values at
+# p = 2^k, x = 2^K are 1 - S 2^(lk + uK), and where K is a multiple of k
+# those of coprime binomials share wide factors 2^e - 1
+_binomials = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(0, 4),
+                                st.integers(1, 6)), max_size=4).map(
+    lambda bs: math.prod((XPoly.binomial(*b) for b in bs),
+                         start=XPoly([PrimePoly.one])))
+
+
+@MODEST
+@given(st.tuples(*[_binomials] * 3), st.sampled_from([None, 2, 3]))
+def test_integer_gcd_on_binomial_products(fgh, q):
+    f, g, h = fgh
+    b = BellRational(f * h, g * h)
+    if q:
+        b = b.bind_prime(q)
+    assert _reduce_product(b.num, b.den) == reduce_by_prs(b.num, b.den)
 
 
 @MODEST
