@@ -88,16 +88,17 @@ def _reduce_product(num: XPoly, den: XPoly) -> "BellRational":
     nothing), at most four times; past that, DegreeBoundError."""
     cs = num.coeffs + den.coeffs
     k = max(abs(v) for c in cs for _, v in c.items()).bit_length() + 2
-    if _coprime_mod([c.pack(k) for c in num.coeffs],
-                    [c.pack(k) for c in den.coeffs]):
+    # A and B, packed once per radix
+    A, B = ([c.pack(k) for c in xp.coeffs] for xp in (num, den))
+    if _coprime_mod(A, B):
         return BellRational(num, den)
     K = 0
     for _ in range(5):
-        bound = max(abs(c.pack(k)) for c in cs).bit_length() + 2
+        bound = max(map(abs, A + B)).bit_length() + 2
         K = (max(2 * K, bound) // k + 1) * k + 1
+        a, b = (sum(v << (K * i) for i, v in enumerate(P)) for P in (A, B))
         # g is odd, as A(2^K) is, so its constant digit is not 0
-        g = dict(PrimePoly.unpack(
-            math.gcd(num.pack(k, K), den.pack(k, K)), K).items())
+        g = dict(PrimePoly.unpack(math.gcd(a, b), K).items())
         if not any(v % g[0] for v in g.values()):
             G = XPoly(PrimePoly.unpack(g.get(i, 0) // g[0], k)
                       for i in range(max(g) + 1))
@@ -105,6 +106,7 @@ def _reduce_product(num: XPoly, den: XPoly) -> "BellRational":
             if nq is not None and dq is not None:
                 return BellRational(nq, dq)
         k *= 2
+        A, B = ([c.pack(k) for c in xp.coeffs] for xp in (num, den))
     raise DegreeBoundError("no exact gcd over Z[p]")
 
 
@@ -115,7 +117,7 @@ def _reduce_product(num: XPoly, den: XPoly) -> "BellRational":
 # binomials that divide num and den give a series its split, and a den
 # that is their product gives a termwise product its den_H.  Every
 # candidate divisor is first tested on the values at p = 2^20, x = 2^45:
-# over Z[p] a divisor's value divides.
+# over Z[p] a divisor's value divides; XPoly.divide then proves it.
 
 def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
     """Strip every binomial 1 - S p^l x^u that divides xp exactly, as
@@ -133,7 +135,8 @@ def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
         for l, c in sorted(xp.coeff(u).items(), reverse=True):
             S = -1 if c > 0 else +1
             w = 1 - (S << (20 * l + 45 * u))
-            if v % w == 0 and (q := xp.divide_binomial(S, l, u)) is not None:
+            q = xp.divide(XPoly.binomial(S, l, u)) if v % w == 0 else None
+            if q is not None:
                 found.append((S, l, u, gamma))
                 xp, v = q, v // w
                 break

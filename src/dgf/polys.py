@@ -4,7 +4,8 @@ Two layers: PrimePoly is an integer polynomial in a formal prime p,
 used for values of multiplicative functions at prime powers.  XPoly is
 a polynomial in x (standing for p^-s) whose coefficients are PrimePolys.
 Truncated power series in x are plain lists of PrimePoly; series_div is
-the one expansion of a rational function num/den into such a series.
+the one expansion of a rational function num/den into such a series,
+and XPoly.divide, through it, the one exact division of XPolys.
 """
 from __future__ import annotations
 
@@ -296,19 +297,6 @@ class XPoly:
         if any(not c.is_zero() for c in q[n - d + 1:]):
             return None
         return XPoly(q[: n - d + 1])
-
-    def divide_binomial(self, S: int, l: int, u: int) -> "XPoly | None":
-        """Exact division by (1 - S p^l x^u); None if it does not divide:
-        q_i = a_i + S p^l q_(i-u), and the top u of them must vanish."""
-        q = list(self.coeffs)
-        if len(q) <= u:
-            return None
-        for i in range(u, len(q)):
-            t = q[i - u].shift_p(l)
-            q[i] = q[i] + t if S > 0 else q[i] - t
-        if any(not c.is_zero() for c in q[-u:]):
-            return None
-        return XPoly(q[:-u])
 
     def pack(self, k: int, K: int) -> int:
         """The value at p = 2^k, x = 2^K."""

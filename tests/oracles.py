@@ -32,7 +32,9 @@ series T = x B'/B is divided afresh on every call, the reference for
 the engine's memo, which each Bell series fills once and extends.  The
 primitive remainder sequence over Z that the engine's gcd ran before,
 after the same test mod a prime (zgcd_by_prs, reduce_by_prs), is the
-reference for its one integer gcd.
+reference for its one integer gcd, and the recurrence that divided out
+one binomial at a time (divide_binomial) is the reference for the
+engine's one exact division, XPoly.divide.
 """
 from __future__ import annotations
 
@@ -332,6 +334,20 @@ def reduce_by_prs(num: XPoly, den: XPoly) -> BellRational:
             return BellRational(nq, dq)
         k *= 2
     raise DegreeBoundError("no exact gcd over Z[p]")
+
+
+def divide_binomial(xp: XPoly, S: int, l: int, u: int) -> XPoly | None:
+    """Exact division by (1 - S p^l x^u); None if it does not divide:
+    q_i = a_i + S p^l q_(i-u), and the top u of them must vanish."""
+    q = list(xp.coeffs)
+    if len(q) <= u:
+        return None
+    for i in range(u, len(q)):
+        t = q[i - u].shift_p(l)
+        q[i] = q[i] + t if S > 0 else q[i] - t
+    if any(not c.is_zero() for c in q[-u:]):
+        return None
+    return XPoly(q[:-u])
 
 
 def brute_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -321,6 +321,33 @@ def test_terms_of_a_high_degree_in_p(capsys):
     assert [len(v) for v in out.rstrip("\n").split(",")] == [1, 36991, 58629]
 
 
+# a left-nested chain of 2,000 operators and 1,000 nested parentheses:
+# parsing and evaluation recurse once per level
+DEEP_CHAIN = "mu" + " <*> one" * 2000
+DEEP_PARENS = "(" * 1000 + "phi" + ")" * 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["terms", DEEP_CHAIN, "-n", "20"],
+    ["bell", DEEP_CHAIN],
+    ["zetaform", DEEP_CHAIN],
+    ["terms", DEEP_PARENS, "-n", "3"],
+], ids=["terms-chain", "bell-chain", "zetaform-chain", "terms-parens"])
+def test_exit_code_expression_too_deep(capsys, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err == "error: expression nests too deeply to evaluate\n"
+    assert "Traceback" not in err
+
+
+def test_exit_code_shift_not_integral_at_an_exceptional_prime(capsys):
+    # lcmc(2) shifted by p^-1 has no a(4) at p = 2 (its zeta form is
+    # unknown: test_euler)
+    rc, out, err = run(capsys, ["terms", "shift(lcmc(2), -1)", "-n", "10"])
+    assert (rc, out) == (3, "")
+    assert err == "error: shift by -1 not integral at p=2, e=2\n"
+
+
 def test_exit_code_math_errors(capsys):
     rc, _, err = run(capsys, ["eval", "sigma(1)", "--s", "2"])
     assert rc == 3

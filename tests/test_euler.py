@@ -12,6 +12,7 @@ from dgf.bell import BellRational, dirichlet_convolve, pointwise_power, pointwis
 from dgf.catalog import make
 from dgf.euler import (
     INFINITE,
+    UNKNOWN,
     ConvergenceInfo,
     EulerFactor,
     EulerFactorList,
@@ -272,6 +273,14 @@ def test_finite_zeta_form_detects_infinite():
     # a rest of degree 14 after the binomial split, the largest seen
     f = parse_function("rad(8) <*> rad(7) <*> inv(phi_star)")
     assert finite_zeta_form(f) is INFINITE
+
+
+def test_finite_zeta_form_unknown_without_a_local_series():
+    # a generic series, but none at the exceptional prime 2, where the
+    # shift by p^-1 is not integral
+    f = parse_function("shift(lcmc(2), -1)")
+    assert f.bell is not None and f.local_bell(2) is None
+    assert finite_zeta_form(f) == UNKNOWN
 
 
 def test_peel_caps_match_trial_division():

@@ -109,12 +109,14 @@ def test_xpoly_mul():
     assert (a + b).coeffs == XPoly.from_ints([2]).coeffs
 
 
-def test_xpoly_divide_binomial():
+def test_xpoly_divide():
     prod = XPoly.binomial(1, 1, 1) * XPoly.binomial(-1, 0, 2)
-    q = prod.divide_binomial(1, 1, 1)
+    q = prod.divide(XPoly.binomial(1, 1, 1))
     assert q is not None and q.coeffs == XPoly.binomial(-1, 0, 2).coeffs
-    assert prod.divide_binomial(1, 0, 1) is None
-    assert prod.divide_binomial(1, 1, 2) is None
+    assert prod.divide(XPoly.binomial(1, 0, 1)) is None
+    assert prod.divide(XPoly.binomial(1, 1, 2)) is None
+    # a divisor of higher degree than the dividend
+    assert prod.divide(XPoly.binomial(1, 0, 4)) is None
 
 
 def test_xpoly_substitute():

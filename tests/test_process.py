@@ -1,5 +1,6 @@
-"""Fresh-interpreter behaviour: what `import dgf.cli` loads and how the
-CLI ends when its reader closes the output pipe early."""
+"""Fresh-interpreter behaviour: what `import dgf.cli` loads, how the CLI
+ends when its reader closes the output pipe early, and how it ends on an
+expression nested too deeply to evaluate."""
 from __future__ import annotations
 
 import os
@@ -42,3 +43,14 @@ def test_closed_pipe_exits_quietly():
     assert code == 1
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+def test_deep_expression_exits_with_one_line():
+    # a left-nested chain of 2,000 operators recurses past the limit
+    proc = _python("-m", "dgf.cli", "terms", "mu" + " <*> one" * 2000,
+                   "-n", "20", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                   text=True)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == ""
+    assert err == "error: expression nests too deeply to evaluate\n"

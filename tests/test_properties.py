@@ -26,7 +26,7 @@ from dgf.sequences import terms
 
 from conftest import GRID
 from oracles import (_ofactor, _scalar_pade, brute_convolve,
-                     brute_unitary_convolve, capped_zeta_form,
+                     brute_unitary_convolve, capped_zeta_form, divide_binomial,
                      expand_factor_list, fraction_pade, peel_by_division,
                      rationalize, reduce_by_prs, reduce_by_refit, refit_bell,
                      refit_local_bell, series_eq, series_inv, series_mul)
@@ -379,6 +379,24 @@ def test_integer_gcd_on_binomial_products(fgh, q):
     if q:
         b = b.bind_prime(q)
     assert _reduce_product(b.num, b.den) == reduce_by_prs(b.num, b.den)
+
+
+@MODEST
+@given(_coeffs.flatmap(_xpoly), st.sampled_from((1, -1)), st.integers(0, 4),
+       st.integers(1, 6), st.sampled_from([None, 2, 3]))
+def test_divide_by_a_binomial_is_the_recurrence(f, S, l, u, q):
+    # XPoly.divide, a series division, against the binomial recurrence it
+    # replaced, on a multiple of the binomial and on f alone; at q = 2, 3
+    # every coefficient is an integer, as at an exceptional prime
+    binomial = XPoly.binomial(S, l, u)
+    prod = f * binomial
+    if q:
+        f, prod = (BellRational(xp, XPoly([PrimePoly.one])).bind_prime(q).num
+                   for xp in (f, prod))
+    assert prod.divide(binomial) == divide_binomial(prod, S, l, u)
+    assert f.divide(binomial) == divide_binomial(f, S, l, u)
+    if not q:
+        assert prod.divide(binomial) == f
 
 
 @MODEST
