@@ -93,9 +93,11 @@ def _cmd_catalog(ns) -> int:
 
 def _cmd_bell(ns) -> int:
     f = parse_function(ns.expr)
-    print(f.bell or UNKNOWN)
+    # both lines are built before either is written: the series can fail
+    # where the Bell series did not
     ser = f.series(ns.K)
-    print("series: " + ", ".join(str(c) for c in ser))
+    print("%s\nseries: %s" % (f.bell or UNKNOWN,
+                              ", ".join(str(c) for c in ser)))
     return 0
 
 

@@ -268,12 +268,31 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
     return EvalResult(prod, tail, "euler_product")
 
 
+def _tail_constant(vals: Sequence[int], j: float) -> float:
+    """max |a(n)| / n^j over n = 1..len(vals), a(n) = vals[n - 1]: the
+    double that dividing each |a(n)| by pow(n, j) gives.  For j = 0 or 1
+    that pow is n^j exactly, so C comes from exact integers:
+    float(max |a(n)|) for j = 0, as float() keeps the order, and for
+    j = 1, where every |a(n)| < 2^53, the int quotients |a(n)| / n, each
+    one rounding of the same two exact doubles.  Otherwise the pass with
+    pow (for j = 2 the int quotients by n * n ran no faster)."""
+    ns = range(1, len(vals) + 1)
+    if j in (0.0, 1.0):
+        m = max(map(abs, vals))
+        if j == 0.0:
+            return float(m)
+        if m < 1 << 53:
+            return max(map(truediv, map(abs, vals), ns))
+    return max(map(truediv, map(abs, vals), map(pow, ns, repeat(j))))
+
+
 def eval_partial_sum(f: MultiplicativeFunction, s: float,
                      N: int = 10**5) -> EvalResult:
     """Direct sum of a(n) n^(-s) for n <= N with a crude tail bound.
 
     The tail uses |a(n)| <= C n^(sigma0 - 1) with C fitted on the
-    computed window, so the bound is heuristic, not rigorous.  N outside
+    computed window, so the bound is heuristic, not rigorous; C is the
+    largest |a(n)| / n^(sigma0 - 1), by _tail_constant.  N outside
     [1, sequences.MAX_SIEVE] raises SieveLimitError and a function with
     no known Bell series a DgfError, both before any work, a real pole of
     the Euler factor at 2 or at an exceptional prime in reach
@@ -292,7 +311,7 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
         vals = sequences.terms(f, N)
         ns = range(1, N + 1)
         value = math.fsum(map(mul, vals, map(pow, ns, repeat(-s))))
-        C = max(map(truediv, map(abs, vals), map(pow, ns, repeat(s0 - 1.0))))
+        C = _tail_constant(vals, s0 - 1.0)
     except OverflowError:
         raise _too_wide(s) from None
     tail = C * N ** (s0 - s) / (s - s0)

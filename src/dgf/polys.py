@@ -169,13 +169,19 @@ class PrimePoly:
     def evaluate_block(self, ps: Sequence[int]) -> Iterator[int]:
         """The exact values at every p in ps, by Horner in p in C-level
         maps: the integers map(self.evaluate, ps) gives, without a Python
-        call per point; a list is built every _STAGES stages."""
-        d = self.degree()
-        acc = repeat(self._c.get(d, 0), len(ps))
+        call per point; a list is built every _STAGES stages.  With a
+        leading coefficient 1, Horner starts from the points themselves,
+        as 1 * p is p."""
+        c, d = self._c, self.degree()
+        if d > 0 and c[d] == 1:
+            d -= 1
+            acc = map(add, ps, repeat(c[d])) if d in c else iter(ps)
+        else:
+            acc = repeat(c.get(d, 0), len(ps))
         for e in range(d - 1, -1, -1):
             acc = map(mul, acc, ps)
-            if e in self._c:
-                acc = map(add, acc, repeat(self._c[e]))
+            if e in c:
+                acc = map(add, acc, repeat(c[e]))
             if e and not e % _STAGES:
                 acc = list(acc)
         return acc
@@ -269,19 +275,28 @@ class XPoly:
         return self.evaluate_block([p], [x])[0]
 
     def evaluate_block(self, ps: Sequence[int], xs: Sequence) -> list:
-        """Values at the points (ps[i], xs[i]): Horner in x in C-level
-        maps, from the top coefficient's exact integer values at ps, each
-        stage times xs plus the next coefficient's, a list built only
-        every _STAGES stages and at the end.  An int times a float is
-        float(int) times it, so a float result has the bits of Horner
-        from 0.0; with Fraction xs every value stays exact, and a
-        constant gives its integers."""
+        """Values at the points (ps[i], xs[i]), the xs all floats or none:
+        Horner in x in C-level maps, from the top coefficient's values at
+        ps, each stage times xs plus the next coefficient's, a list built
+        only every _STAGES stages and at the end.  A float operation
+        converts an int operand as float() does, so at float xs a constant
+        coefficient enters as one float(c) for the whole block, and the
+        result has the bits of Horner from 0.0 over the exact integer
+        values; an empty block converts nothing.  With Fraction xs every
+        value stays exact, and a constant XPoly gives its integers."""
         if not self.coeffs:
             return [0] * len(ps)
+        at_floats = len(self.coeffs) > 1 and bool(xs) and \
+            isinstance(xs[0], float)
+
+        def values(c: PrimePoly):
+            if at_floats and c.is_constant():
+                return repeat(float(c.constant_value()), len(ps))
+            return c.evaluate_block(ps)
         cs = reversed(self.coeffs)
-        acc = next(cs).evaluate_block(ps)
+        acc = values(next(cs))
         for i, c in enumerate(cs, 1):
-            acc = map(add, map(mul, acc, xs), c.evaluate_block(ps))
+            acc = map(add, map(mul, acc, xs), values(c))
             if not i % _STAGES:
                 acc = list(acc)
         return list(acc)

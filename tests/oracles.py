@@ -807,11 +807,12 @@ def _euler_result(cps: list[int], partials: list[float], prod: float,
 
 def evaluate_block_by_lists(xp: XPoly, ps: Sequence[int], xs: Sequence) -> list:
     """XPoly.evaluate_block by Horner in x from int 0, one list per
-    stage, each coefficient's exact integer values at ps added in."""
+    stage, each coefficient's exact integer values at ps, point by point,
+    added in."""
     acc = [0] * len(ps)
     for c in reversed(xp.coeffs):
         acc = list(map(operator.add, map(operator.mul, acc, xs),
-                       c.evaluate_block(ps)))
+                       map(c.evaluate, ps)))
     return acc
 
 

@@ -332,10 +332,14 @@ DEEP_PARENS = "(" * 1000 + "phi" + ")" * 1000
     ["bell", DEEP_CHAIN],
     ["zetaform", DEEP_CHAIN],
     ["terms", DEEP_PARENS, "-n", "3"],
-], ids=["terms-chain", "bell-chain", "zetaform-chain", "terms-parens"])
+    # its Bell series is found and only the series recurses too deeply:
+    # nothing of the output is written
+    ["bell", "mu" + " <*> one" * 200],
+], ids=["terms-chain", "bell-chain", "zetaform-chain", "terms-parens",
+        "bell-chain-201"])
 def test_exit_code_expression_too_deep(capsys, argv):
-    rc, _, err = run(capsys, argv)
-    assert rc == 2
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
     assert err == "error: expression nests too deeply to evaluate\n"
     assert "Traceback" not in err
 

@@ -235,7 +235,29 @@ def _outcome(evaluate, *args):
 GRID_FUNCTIONS = KERNEL_FUNCTIONS[:8]
 
 
-@pytest.mark.parametrize("src", GRID_FUNCTIONS)
+def test_tail_constant_matches_the_pass_with_pow():
+    # C from exact integers is the double of |a(n)| / pow(n, j); past 2^53
+    # an int quotient would round once where that pass rounds |a(n)| first:
+    # (2^54 + 1) / 3 and 2^54 / 3 are different doubles
+    for vals in ([0, 0, 2**54 + 1], [0, 0, -(2**54 + 1)], [3] * 10,
+                 [1, -5, 7, 0, 2**53 - 1], list(range(-50, 50)), [0]):
+        for j in (0.0, 1.0, 2.0, 0.5, 2.5):
+            want = max(abs(v) / n ** j for n, v in enumerate(vals, 1))
+            assert repr(numeric._tail_constant(vals, j)) == repr(want), \
+                (vals, j)
+    for j in (0.0, 1.0, 2.0, 0.5):
+        with pytest.raises(OverflowError):
+            numeric._tail_constant([1, 2**1100], j)
+        with pytest.raises(OverflowError):
+            max(abs(v) / n ** j for n, v in enumerate([1, 2**1100], 1))
+
+
+# the grid's abscissas 1 and 2 give the partial sum's tail constant from
+# exact integers; max_tpow(2) (abscissa 3/2) and power(2) * tau(30)
+# (abscissa 3, |a(n)| >= 2^53 below n = 10^4) take the pass with pow
+# (their partial sums only: the Euler product of the second takes seconds)
+@pytest.mark.parametrize("src", GRID_FUNCTIONS + ["max_tpow(2)",
+                                                  "power(2) * tau(30)"])
 def test_streamed_kernels_match_the_list_kernels(src):
     # the Euler product by math.prod per checkpoint segment and the
     # partial sum in C-level maps give the bits of the kernels that kept
@@ -244,7 +266,7 @@ def test_streamed_kernels_match_the_list_kernels(src):
     absc = float(numeric._abscissa_of(f))
     for off in (0.01, 0.05, 0.5, 2.0):
         s = absc + off
-        for P in (*_BOUNDS, 10**5):
+        for P in (*_BOUNDS, 10**5) if src in GRID_FUNCTIONS else ():
             for accel in ("wynn", "none"):
                 assert _outcome(eval_euler_product, f, s, P, accel) == \
                     _outcome(oracles.euler_product_by_accumulate,

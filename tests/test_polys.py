@@ -172,22 +172,47 @@ def test_series_mul_symbolic():
 
 
 def test_block_evaluation_matches_the_list_kernel():
-    # Horner from the top coefficient's integer values gives the bits of
-    # Horner from int 0 with one list per stage
+    # Horner from the top coefficient's integer values, constant
+    # coefficients as one float at float points and Horner in p from the
+    # points under a leading coefficient 1 give the bits of Horner from int
+    # 0 with one list per stage and every value in p taken point by point
     ps = [2, 3, 5, 7919]
     vanishing = P.monomial(1) + P.const(-2)         # p - 2, zero at p = 2
     cs = [P.const(1), P.zero, P.monomial(2, -5) + P.const(3), vanishing]
     xpolys = [XPoly([P.const(7)]), XPoly([vanishing]), XPoly(cs),
               XPoly(cs[::-1]), XPoly([vanishing, P.monomial(3)])]
+    # p, p + 1 and p^2 - 1 under constants 0, +-1 and 2^53 + 1, the last
+    # rounded to 2^53 as a float
+    units = [P.monomial(1), P.monomial(1) + P.const(1),
+             P.monomial(2) + P.const(-1)]
+    for k in (0, 1, -1, 2**53 + 1):
+        for u in units:
+            xpolys += [XPoly([P.const(k), u, P.const(k), u]),
+                       XPoly([u, P.const(k)])]
+        xpolys.append(XPoly([P.const(k), vanishing, P.const(k)]))
+    # too wide for a float: at float points both raise OverflowError
+    wide = [XPoly([P.const(2**1100), u]) for u in units] + \
+        [XPoly([P.const(1), P.const(2**1100)])]
     for xs in ([p ** -1.5 for p in ps], [-(p ** -0.7) for p in ps],
                [Fraction(-3, p * p) for p in ps]):
         for xp in xpolys:
             got = xp.evaluate_block(ps, xs)
             want = oracles.evaluate_block_by_lists(xp, ps, xs)
-            assert got == want
+            assert got == want, xp
             if isinstance(xs[0], float):
                 assert [float(v).hex() for v in got] == \
-                    [float(v).hex() for v in want]
+                    [float(v).hex() for v in want], xp
+        # a constant XPoly keeps its integers
+        assert repr(xpolys[0].evaluate_block(ps, xs)) == "[7, 7, 7, 7]"
+        for xp in wide:
+            if isinstance(xs[0], Fraction):
+                assert xp.evaluate_block(ps, xs) == \
+                    oracles.evaluate_block_by_lists(xp, ps, xs)
+                continue
+            with pytest.raises(OverflowError):
+                xp.evaluate_block(ps, xs)
+            with pytest.raises(OverflowError):
+                oracles.evaluate_block_by_lists(xp, ps, xs)
 
 
 def test_block_evaluation_of_a_high_degree():
