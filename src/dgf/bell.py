@@ -17,6 +17,10 @@ numerator from the truncated product with its own coefficients, while
 that work is within a bound.  Past the work bound, past an operand
 without a series, or for a function built without a Bell rule, no
 series is known (None).
+
+Every binomial power (1 - S p^l x^u)^gamma, from a series' split to its
+zeta form in dgf.euler, is an EulerFactor: _merge adds the powers of
+equal ones, _expand multiplies a list of them out.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, product, repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegreeBoundError, MasterEquationError, SeriesWindowError
 from .polys import PrimePoly, XPoly, series_div
@@ -113,20 +117,60 @@ def _reduce_product(num: XPoly, den: XPoly) -> "BellRational":
 # ---------------------------------------------------------------------------
 # binomials
 #
-# A binomial 1 - S p^l x^u, S = +-1, is the triple (S, l, u).  The
-# binomials that divide num and den give a series its split, and a den
-# that is their product gives a termwise product its den_H.  Every
+# A binomial power (1 - S p^l x^u)^gamma, S = +-1, is an EulerFactor.
+# The binomials that divide num and den give a series its split, and a
+# den that is their product gives a termwise product its den_H.  Every
 # candidate divisor is first tested on the values at p = 2^20, x = 2^45:
 # over Z[p] a divisor's value divides; XPoly.divide then proves it.
 
-def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
+class EulerFactor(NamedTuple):
+    """One factor (1 - S p^l x^u)^gamma of an Euler product over primes."""
+    S: int
+    l: int
+    u: int
+    gamma: int
+
+    def sort_key(self):
+        # smallest u first, then largest l; sign breaks remaining ties
+        return (self.u, -self.l, self.S)
+
+    def base_str(self) -> str:
+        sign = "-" if self.S > 0 else "+"
+        if self.l == 0:
+            mono = ""
+        elif self.l == 1:
+            mono = "p "
+        else:
+            mono = "p^%d " % self.l
+        xs = "x" if self.u == 1 else "x^%d" % self.u
+        return "(1 %s %s%s)" % (sign, mono, xs)
+
+    def __str__(self) -> str:
+        b = self.base_str()
+        return b if self.gamma == 1 else "%s^%d" % (b, self.gamma)
+
+    def to_json(self) -> dict:
+        return {"S": self.S, "l": self.l, "u": self.u, "gamma": self.gamma}
+
+
+def _merge(factors: Iterable, cls) -> list:
+    """Add up the exponents gamma (the last field) of factors of one base,
+    drop the zero ones and sort into the canonical order of cls."""
+    acc: dict[tuple, int] = {}
+    for f in factors:
+        key = f[:-1]
+        acc[key] = acc.get(key, 0) + f.gamma
+    return sorted((cls(*k, g) for k, g in acc.items() if g), key=cls.sort_key)
+
+
+def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list[EulerFactor], XPoly]:
     """Strip every binomial 1 - S p^l x^u that divides xp exactly, as
-    (S, l, u, gamma).
+    EulerFactor(S, l, u, gamma).
 
     Candidates are read off the lowest-order non-constant term; the
     remainder is returned unfactored.
     """
-    found: list[tuple[int, int, int, int]] = []
+    found: list[EulerFactor] = []
     v = xp.pack(20, 45)
     while xp.degree() >= 1:
         # the top coefficient is nonzero, so some u <= degree is found
@@ -137,7 +181,7 @@ def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
             w = 1 - (S << (20 * l + 45 * u))
             q = xp.divide(XPoly.binomial(S, l, u)) if v % w == 0 else None
             if q is not None:
-                found.append((S, l, u, gamma))
+                found.append(EulerFactor(S, l, u, gamma))
                 xp, v = q, v // w
                 break
         else:
@@ -145,18 +189,18 @@ def _partial_binomials(xp: XPoly, gamma: int) -> tuple[list, XPoly]:
     return found, xp
 
 
-def _expand(binomials: Counter, s: Sequence[PrimePoly] = (),
+def _expand(factors: Sequence[EulerFactor], s: Sequence[PrimePoly] = (),
             N: int = 0) -> XPoly:
-    """The product of the binomials (S, l, u) to their powers, or with a
+    """The product of |gamma| copies of each factor's binomial, or with a
     series s, s times it below x^N, multiplied out on integers packed at
     p = 2^k: one shift and subtraction per coefficient and binomial, and
     t binomials leave coefficients of size at most 2^t sup |s|."""
     sup = max((abs(v) for c in s[:N] for _, v in c.items()), default=1)
-    k = (sup << sum(binomials.values())).bit_length() + 2
+    k = (sup << sum(abs(f.gamma) for f in factors)).bit_length() + 2
     acc = [c.pack(k) for c in s[:N]] or [1]
-    for (S, l, u), m in binomials.items():
+    for S, l, u, gamma in factors:
         op = operator.sub if S > 0 else operator.add
-        for _ in range(m):
+        for _ in range(abs(gamma)):
             if not s:
                 acc += [0] * u
             # the right side is read whole before acc changes
@@ -184,10 +228,9 @@ class BellRational:
         self.den = den
 
     @property
-    def split(self) -> tuple[list[tuple[int, int, int, int]], "BellRational | None"]:
-        """The exact binomial split, found once: the binomials (S, l, u,
-        gamma) dividing num (gamma +1) or den (gamma -1), and the rest, None
-        when it is 1."""
+    def split(self) -> tuple[list[EulerFactor], "BellRational | None"]:
+        """The exact binomial split, found once: the binomials dividing num
+        (gamma +1) or den (gamma -1), and the rest, None when it is 1."""
         try:
             return self._split
         except AttributeError:
@@ -197,7 +240,7 @@ class BellRational:
                            else BellRational(nr, dr))
             return self._split
 
-    def _den_half(self) -> tuple[list, XPoly]:
+    def _den_half(self) -> tuple[list[EulerFactor], XPoly]:
         try:
             return self._den_split
         except AttributeError:
@@ -205,11 +248,11 @@ class BellRational:
             return self._den_split
 
     @property
-    def den_binomials(self) -> Counter | None:
-        """Binomials (S, l, u) with their powers whose product is den, read
-        off the split; None when den is no product of binomials."""
+    def den_binomials(self) -> tuple[EulerFactor, ...] | None:
+        """The den's factors off the split, merged (gamma < 0): den is
+        their _expand; None when den is no product of binomials."""
         found, rest = self._den_half()
-        return Counter(f[:3] for f in found) if rest.is_one() else None
+        return tuple(_merge(found, EulerFactor)) if rest.is_one() else None
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_div(self.num.coeffs, self.den.coeffs, K)
@@ -428,7 +471,7 @@ def _termwise(h, q, e):
     return reduce(operator.mul, [f.coeff(q, e) for f in h.ops])
 
 
-def _multisets(items: list, n: int):
+def _multisets(items: Sequence, n: int):
     """Each multiset of n of items, as the pairs (item, count) of its
     items, with its number of orderings."""
     top = n + len(items) - 1
@@ -438,9 +481,10 @@ def _multisets(items: list, n: int):
                math.factorial(n) // math.prod(map(math.factorial, cs)))
 
 
-def _hadamard_den(blocks: Sequence[Counter]) -> Counter | None:
+def _hadamard_den(blocks: Sequence[tuple[EulerFactor, ...]]
+                  ) -> list[EulerFactor] | None:
     """den_H of a termwise product whose operands' dens are products of
-    binomials (blocks: each operand's, with their powers).
+    binomials (blocks: each operand's den_binomials), as den factors.
 
     Each tuple of one block (1 - S_i p^l_i x^u_i)^m_i per operand gives
     (1 - prod S_i^(L/u_i) p^(sum l_i L/u_i) x^L)^(sum m_i - j + 1),
@@ -453,25 +497,26 @@ def _hadamard_den(blocks: Sequence[Counter]) -> Counter | None:
     larger power suffices.  Operands with equal blocks, as a power's, are
     walked once per multiset of their blocks, which stands for each of
     its orderings; None where there are more than MAX_ORDER^2 multisets.
+    A den factor's power m is its -gamma.
     """
-    groups: dict[frozenset, list] = {}
-    for c in blocks:
-        groups.setdefault(frozenset(c.items()), [list(c.items()), 0])[1] += 1
-    out: Counter = Counter()
-    if math.prod(math.comb(len(items) + n - 1, n)
-                 for items, n in groups.values()) > MAX_ORDER ** 2:
+    groups = Counter(blocks)
+    if math.prod(math.comb(len(b) + n - 1, n)
+                 for b, n in groups.items()) > MAX_ORDER ** 2:
         return None
-    if not all(items for items, _ in groups.values()):
-        return out
-    for parts in product(*(_multisets(*g) for g in groups.values())):
+    if not all(groups):
+        return []
+    out: dict[tuple[int, int, int], int] = {}
+    for parts in product(*(_multisets(b, n) for b, n in groups.items())):
         tup = [t for part, _ in parts for t in part]
-        L = math.lcm(*(u for (((_, _, u), _), _) in tup))
-        S = math.prod(S ** (L // u * c) for ((S, _, u), _), c in tup)
-        l = sum(l * (L // u) * c for ((_, l, u), _), c in tup)
-        k = sum(m * c for (_, m), c in tup) - len(blocks) + 1
+        L = math.lcm(*(f.u for f, _ in tup))
+        key = (math.prod(f.S ** (L // f.u * c) for f, c in tup),
+               sum(f.l * (L // f.u) * c for f, c in tup), L)
+        k = 1 - len(blocks) - sum(f.gamma * c for f, c in tup)
         w = math.prod(w for _, w in parts)
-        out[S, l, L] = max(out[S, l, L], k) if L == 1 else out[S, l, L] + k * w
-    return out
+        m = out.get(key, 0)
+        out[key] = max(m, k) if L == 1 else m + k * w
+    return sorted((EulerFactor(*key, -k) for key, k in out.items()),
+                  key=EulerFactor.sort_key)
 
 
 def _exp_sums(P: Sequence[PrimePoly], n: int) -> list[PrimePoly]:
@@ -547,8 +592,8 @@ def _bounded(h, q, *bs):
         return _reduce_product(
             XPoly(_dot(den.coeffs, s[n::-1]) for n in range(N)), den)
     den_bins = _hadamard_den(blocks)
-    N = sum(u * m for (_, _, u), m in (den_bins or {}).items()) + e0
-    if den_bins is None or N * sum(den_bins.values()) > bound:
+    N = e0 - sum(f.u * f.gamma for f in den_bins or ())
+    if den_bins is None or N * sum(-f.gamma for f in den_bins) > bound:
         raise DegreeBoundError("termwise product past the work bound")
     return _reduce_product(_expand(den_bins, h._window(q, N - 1), N),
                            _expand(den_bins))

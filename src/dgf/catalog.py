@@ -25,9 +25,9 @@ import math
 from typing import Callable, NamedTuple
 
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
-                   _expand, _reduce_product)
+                   _merge, _reduce_product)
 from .errors import CatalogError
-from .euler import INFINITE, ZetaFactor, _merge, _zeta_sides
+from .euler import INFINITE, ZetaFactor, _zeta_bell
 from .polys import PrimePoly, XPoly
 
 _MAX_K = 30
@@ -66,10 +66,6 @@ def _xp(*rows) -> XPoly:
         else:
             out.append(PrimePoly.const(r))
     return XPoly(out)
-
-
-def _bin(S: int, l: int, u: int) -> XPoly:
-    return XPoly.binomial(S, l, u)
 
 
 def _zf(*tuples):
@@ -163,8 +159,7 @@ class CatalogEntry(NamedTuple):
         then a finite list for every parameter value."""
         if self.bell is not None:
             return self.bell(*vals)
-        num, den = _zeta_sides(map(ZetaFactor._make, self.zeta(*vals)))
-        return BellRational(_expand(num), _expand(den))
+        return BellRational(*_zeta_bell(self.zeta(*vals)))
 
     def make(self, *args) -> MultiplicativeFunction:
         vals = self.check_args(args)
@@ -358,7 +353,7 @@ def _build_core(t):
            [_T],
            bell=lambda t: BellRational(
                _xp(1, *({j: 1, j - 1: -1} for j in range(1, t))),
-               _bin(1, 0, 1)),
+               XPoly.binomial(1, 0, 1)),
            zeta=lambda t: INFINITE)
 def _build_rad(t):
     return MasterEquation(lambda e: _P(min(e, t - 1)))
@@ -408,7 +403,7 @@ def _build_sigma_tfree(k, t):
            "sum of k-th powers of divisors of n^t", [_K, _T],
            bell=lambda k, t: BellRational(
                _xp(1, _geom(k, t - 1, start=k)),
-               _bin(1, 0, 1) * _bin(1, t * k, 1)),
+               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, t * k, 1)),
            zeta=lambda k, t: (_zf((1, 0, 1), (1, k, 1), (1, 2 * k, 1),
                                   (2, 2 * k, -1))
                               if t == 2 else INFINITE))
@@ -418,7 +413,8 @@ def _build_sigma_pow(k, t):
 
 @_register("sigma_prime", "sum over coprime unitary splittings d * m = n "
            "of d restricted to squarefree d",
-           bell=lambda: BellRational(_xp(1, {1: 1}, {1: -1}), _bin(1, 0, 1)),
+           bell=lambda: BellRational(_xp(1, {1: 1}, {1: -1}),
+                                     XPoly.binomial(1, 0, 1)),
            zeta=lambda: INFINITE)
 def _build_sigma_prime():
     return MasterEquation(lambda e: _ONE + _P(1) if e == 1 else _ONE)
@@ -436,7 +432,7 @@ def _build_tau(k):
            "in the divisor is at least t)", [_T],
            bell=lambda t: BellRational(
                _xp(1, -1, *([0] * (t - 2)), 1),
-               _bin(1, 0, 1) * _bin(1, 0, 1)),
+               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 0, 1)),
            zeta=lambda t: (_zf((1, 0, 1), (2, 0, 1), (3, 0, 1), (6, 0, -1))
                            if t == 2 else None))
 def _build_tfull_count(t):
@@ -502,7 +498,7 @@ def _build_jordan(k):
 @_register("jordan_ratio", "ratio of the k-th to the first Jordan totient",
            [_K1],
            bell=lambda k: BellRational(_xp(1, _geom(1, k - 1)),
-                                       _bin(1, k - 1, 1)),
+                                       XPoly.binomial(1, k - 1, 1)),
            zeta=lambda k: ([(1, 0, 1)] if k == 1 else
                            _zf((1, 0, 1), (1, 1, 1), (2, 0, -1)) if k == 2
                            else INFINITE))
@@ -550,8 +546,9 @@ def _build_sigma_star_odd(k):
 
 @_register("phi_star", "unitary totient: product of p^e - 1 over "
            "maximal prime powers in n",
-           bell=lambda: BellRational(_xp(1, -2, {1: 1}),
-                                     _bin(1, 0, 1) * _bin(1, 1, 1)),
+           bell=lambda: BellRational(
+               _xp(1, -2, {1: 1}),
+               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 1, 1)),
            zeta=lambda: INFINITE)
 def _build_phi_star():
     return MasterEquation(lambda e: _P(e) - _ONE)
@@ -559,8 +556,9 @@ def _build_phi_star():
 
 @_register("jordan_star", "unitary Jordan totient: product of p^(ek) - 1",
            [_K1],
-           bell=lambda k: BellRational(_xp(1, -2, {k: 1}),
-                                       _bin(1, 0, 1) * _bin(1, k, 1)),
+           bell=lambda k: BellRational(
+               _xp(1, -2, {k: 1}),
+               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, k, 1)),
            zeta=lambda k: INFINITE)
 def _build_jordan_star(k):
     return MasterEquation(lambda e: _P(e * k) - _ONE)
@@ -568,7 +566,8 @@ def _build_jordan_star(k):
 
 @_register("tau_star", "k to the number of distinct primes dividing n",
            [_K1],
-           bell=lambda k: BellRational(_xp(1, k - 1), _bin(1, 0, 1)),
+           bell=lambda k: BellRational(_xp(1, k - 1),
+                                       XPoly.binomial(1, 0, 1)),
            zeta=lambda k: ([(1, 0, 1)] if k == 1 else
                            _zf((1, 0, 2), (2, 0, -1)) if k == 2
                            else INFINITE))
@@ -582,7 +581,7 @@ def _build_tau_star(k):
            "x^t = 0 (mod n)", [_T],
            bell=lambda t: BellRational(
                _xp(1, *({r - 1: 1} for r in range(1, t))),
-               _bin(1, t - 1, t)),
+               XPoly.binomial(1, t - 1, t)),
            zeta=lambda t: (_zf((1, 0, 1), (2, 1, 1), (2, 0, -1))
                            if t == 2 else INFINITE))
 def _build_congruence_count(t):
@@ -592,7 +591,7 @@ def _build_congruence_count(t):
 @_register("congruence_min", "least m whose t-th power n divides", [_T],
            bell=lambda t: BellRational(
                _xp(1, *({1: 1} for _ in range(1, t))),
-               _bin(1, 1, t)),
+               XPoly.binomial(1, 1, t)),
            zeta=lambda t: (_zf((1, 1, 1), (2, 1, 1), (2, 2, -1))
                            if t == 2 else INFINITE))
 def _build_congruence_min(t):

@@ -13,11 +13,12 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 from .bell import MAX_ORDER
 from .catalog import CATALOG, make
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
-                     DivergenceError, MasterEquationError, ParseError)
+                     ParseError)
 from .euler import (INFINITE, UNKNOWN, ZetaForm, abscissa, factor_bell,
                     finite_zeta_form, round_trips, zeta_factors_from_euler,
                     zeta_form_to_coeffs)
@@ -144,7 +145,7 @@ def _cmd_terms(ns) -> int:
             sys.stdout.write(("," if i else "")
                              + ",".join(map(str, vals[i:i + step])))
         sys.stdout.write("\n")
-    if ns.bfile:
+    if ns.bfile is not None:
         compare_bfile(ns.bfile, vals)
         print("b-file check passed", file=sys.stderr)
     return 0
@@ -202,7 +203,7 @@ def _cmd_verify(ns) -> int:
               sorted((z.u, z.l, z.gamma) for z in want))
     check("values match %s at every prime power" % series,
           matches_bell(f, seq))
-    if ns.bfile:
+    if ns.bfile is not None:
         compare_bfile(ns.bfile, seq)
         print("ok   b-file values match")
     return 4 if failed else 0
@@ -274,6 +275,15 @@ def main(argv=None) -> int:
     if not getattr(ns, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    # read before any work, so an unreadable b-file stops the command first
+    if getattr(ns, "bfile", None) is not None:
+        try:
+            ns.bfile = Path(ns.bfile).read_text("utf-8").splitlines()
+        except (OSError, UnicodeError) as e:
+            print("error: cannot read b-file %s: %s"
+                  % (ns.bfile, getattr(e, "strerror", None) or e),
+                  file=sys.stderr)
+            return 1
     # exact values are printed in full: the interpreter's limit on int-to-str
     # digits (Python >= 3.10.7) is lifted for the command and restored after
     # it, so callers in the same process keep theirs
@@ -295,9 +305,6 @@ def main(argv=None) -> int:
     except CatalogError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (MasterEquationError, DegreeBoundError, DivergenceError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
     except BFileError as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return 4

@@ -16,53 +16,23 @@ monomials to T, so it takes no series products (the inverse Euler
 transform, Bernstein and Sloane 1995); both peels read copies of one T
 per Bell series, extended on demand.  The round trip sums T from the
 factors and proves x S' = T S by one BellRational.matches.  Zeta-form
-coefficients expand by the same series_div.
+coefficients expand by the same series_div.  Split and peeled binomial
+powers alike are EulerFactors; only a zeta form's result is ZetaFactors.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from . import sequences
-from .bell import (BellRational, MultiplicativeFunction, _expand,
-                   _reduce_product)
+from .bell import (BellRational, EulerFactor, MultiplicativeFunction, _expand,
+                   _merge, _reduce_product)
 from .errors import SieveLimitError
 from .polys import PrimePoly, XPoly, series_div
 from .records import Record
-
-
-class EulerFactor(NamedTuple):
-    """One factor (1 - S p^l x^u)^gamma of an Euler product over primes."""
-    S: int
-    l: int
-    u: int
-    gamma: int
-
-    def sort_key(self):
-        # smallest u first, then largest l; sign breaks remaining ties
-        return (self.u, -self.l, self.S)
-
-    def base_str(self) -> str:
-        sign = "-" if self.S > 0 else "+"
-        if self.l == 0:
-            mono = ""
-        elif self.l == 1:
-            mono = "p "
-        else:
-            mono = "p^%d " % self.l
-        xs = "x" if self.u == 1 else "x^%d" % self.u
-        return "(1 %s %s%s)" % (sign, mono, xs)
-
-    def __str__(self) -> str:
-        b = self.base_str()
-        return b if self.gamma == 1 else "%s^%d" % (b, self.gamma)
-
-    def to_json(self) -> dict:
-        return {"S": self.S, "l": self.l, "u": self.u, "gamma": self.gamma}
 
 
 class EulerFactorList(Record):
@@ -90,16 +60,6 @@ class EulerFactorList(Record):
     def to_json(self) -> dict:
         return {"factors": [f.to_json() for f in self.factors],
                 "truncated_at": self.truncated_at}
-
-
-def _merge(factors: Iterable, cls) -> list:
-    """Add up the exponents gamma (the last field) of factors of one base,
-    drop the zero ones and sort into the canonical order of cls."""
-    acc: dict[tuple, int] = {}
-    for f in factors:
-        key = f[:-1]
-        acc[key] = acc.get(key, 0) + f.gamma
-    return sorted((cls(*k, g) for k, g in acc.items() if g), key=cls.sort_key)
 
 
 def _log_series(b, K: int) -> list[dict[int, int]]:
@@ -196,12 +156,11 @@ def factor_bell(f, U: int = 8) -> EulerFactorList:
         return euler_expand(f.series(U) if b is None else b, U)
 
     split, rest = b.split
-    factors = list(map(EulerFactor._make, split))
     if rest is None:
-        return EulerFactorList(factors, truncated_at=None)
+        return EulerFactorList(split, truncated_at=None)
     T = _log_series(rest, U)
-    factors += _peel(T, signed=True)
-    return EulerFactorList(factors, truncated_at=U, residual_ok=not any(T))
+    return EulerFactorList(split + _peel(T, signed=True), truncated_at=U,
+                           residual_ok=not any(T))
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +275,12 @@ INFINITE = "infinite"
 UNKNOWN = "unknown"
 
 
-def _zeta_sides(zs: Iterable[ZetaFactor]) -> tuple[Counter, Counter]:
-    """The binomials (1, l, u) with their powers in the numerator and the
-    denominator of prod (1 - p^l x^u)^(-gamma) over the factors
-    zeta(us - l)^gamma."""
-    sides: tuple[Counter, Counter] = (Counter(), Counter())
-    for z in zs:
-        sides[z.gamma > 0][1, z.l, z.u] += abs(z.gamma)
-    return sides
-
-
-def _zeta_bell(zs: Iterable[ZetaFactor]) -> tuple[XPoly, XPoly]:
-    """The Bell series of the factors zeta(us - l)^gamma, as its numerator
-    and denominator."""
-    num, den = _zeta_sides(zs)
-    return _expand(num), _expand(den)
+def _zeta_bell(zs: Iterable[tuple[int, int, int]]) -> tuple[XPoly, XPoly]:
+    """The Bell series of the factors zeta(us - l)^gamma, (u, l, gamma),
+    as its numerator and denominator: prod (1 - p^l x^u)^(-gamma)."""
+    fs = [EulerFactor(1, l, u, -g) for u, l, g in zs]
+    return (_expand([f for f in fs if f.gamma > 0]),
+            _expand([f for f in fs if f.gamma < 0]))
 
 
 @cache
@@ -377,7 +327,6 @@ def finite_zeta_form(f):
     if b is None:
         return UNKNOWN
     split, rest = b.split
-    factors = list(_zeta_factors(map(EulerFactor._make, split)))
     if rest is not None:
         n, d = rest.num.degree(), rest.den.degree()
         order, ratio = _peel_caps(max(n, d))
@@ -385,11 +334,11 @@ def finite_zeta_form(f):
                        weight_cap=(n + d) * ratio)
         if peeled is None:
             return INFINITE
-        zs = [ZetaFactor(e.u, e.l, -e.gamma) for e in peeled]
-        num_z, den_z = _zeta_bell(zs)
-        if rest.num * den_z != rest.den * num_z:  # exact: rest == num_z/den_z
+        # exact: rest == num/den, the peeled factors' product
+        if (rest.num * _expand([f for f in peeled if f.gamma < 0])
+                != rest.den * _expand([f for f in peeled if f.gamma > 0])):
             return INFINITE
-        factors += zs
+        split = split + peeled
 
     local: list[LocalFactor] = []
     if func is not None:
@@ -403,7 +352,7 @@ def finite_zeta_form(f):
                         for xp in (r.num, r.den))
             if num != [1] or den != [1]:
                 local.append(LocalFactor(q, num, den))
-    return ZetaForm(factors, local)
+    return ZetaForm(zeta_factors_from_euler(split), local)
 
 
 def zeta_factors_from_euler(efl: Iterable[EulerFactor]) -> list[ZetaFactor]:
@@ -413,17 +362,12 @@ def zeta_factors_from_euler(efl: Iterable[EulerFactor]) -> list[ZetaFactor]:
     (1 - p^(l-us))^g over all p is zeta^(-g)(us-l); with a plus sign it
     is zeta^g(us-l)/zeta^g(2us-2l).
     """
-    return _merge(_zeta_factors(efl), ZetaFactor)
-
-
-def _zeta_factors(efl: Iterable[EulerFactor]):
-    # zeta_factors_from_euler unmerged, for a caller that merges later
+    zs = []
     for f in efl:
-        if f.S > 0:
-            yield ZetaFactor(f.u, f.l, -f.gamma)
-        else:
-            yield ZetaFactor(f.u, f.l, f.gamma)
-            yield ZetaFactor(2 * f.u, 2 * f.l, -f.gamma)
+        zs.append(ZetaFactor(f.u, f.l, -f.S * f.gamma))
+        if f.S < 0:
+            zs.append(ZetaFactor(2 * f.u, 2 * f.l, -f.gamma))
+    return _merge(zs, ZetaFactor)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,11 @@ def tokenize(text: str) -> list[Token]:
                 i += len(lit)
                 break
         else:
-            if ch.isdigit() or (ch == "-" and i + 1 < n
-                                and text[i + 1].isdigit()):
+            # isdecimal: exactly the digits int() reads; isdigit takes '²' too
+            if ch.isdecimal() or (ch == "-" and i + 1 < n
+                                  and text[i + 1].isdecimal()):
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 out.append(Token("INT", text[i:j], pos))
                 i = j

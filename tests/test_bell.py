@@ -11,6 +11,7 @@ import pytest
 import dgf.bell as bell_module
 from dgf.bell import (
     BellRational,
+    EulerFactor as EF,
     MasterEquation,
     MultiplicativeFunction,
     dirichlet_convolve,
@@ -381,21 +382,20 @@ def test_hadamard_den_adds_the_powers_of_equal_binomials():
     # series 1/(1 - x^2)^2; both tuples give 1 - x^2, and their powers add
     f, g = parse_function("one <*> eps(2)"), make("eps", 2)
     blocks = [f.bell.den_binomials, g.bell.den_binomials]
-    assert blocks == [Counter({(1, 0, 1): 1, (1, 0, 2): 1}),
-                      Counter({(1, 0, 2): 1})]
-    assert bell_module._hadamard_den(blocks) == Counter({(1, 0, 2): 2})
+    assert blocks == [(EF(1, 0, 1, -1), EF(1, 0, 2, -1)), (EF(1, 0, 2, -1),)]
+    assert bell_module._hadamard_den(blocks) == [EF(1, 0, 2, -2)]
     h = pointwise_product(f, g)
     square = XPoly.binomial(1, 0, 2) * XPoly.binomial(1, 0, 2)
     assert h.bell == BellRational(xp(1), square)
     # with the larger power alone, den * S below x^2 over den is wrong
     S, den = h.series(12), XPoly.binomial(1, 0, 2)
-    num = bell_module._expand(Counter({(1, 0, 2): 1}), S, 2)
+    num = bell_module._expand([EF(1, 0, 2, -1)], S, 2)
     assert not BellRational(num, den).matches(S)
     # u = 1 blocks share no roots, so there the larger power suffices:
     # sigma(1)^2 is (1 + p x)/((1 - x)(1 - p x)(1 - p^2 x))
     b = make("sigma", 1).bell
     assert bell_module._hadamard_den([b.den_binomials] * 2) == \
-        Counter({(1, 0, 1): 1, (1, 1, 1): 1, (1, 2, 1): 1})
+        [EF(1, 2, 1, -1), EF(1, 1, 1, -1), EF(1, 0, 1, -1)]
 
 
 def test_termwise_products_read_their_den_off_the_binomials():
@@ -434,7 +434,7 @@ def test_powers_walk_multisets_of_binomials():
     start = time.perf_counter()
     den = bell_module._hadamard_den([b.den_binomials] * 30)
     assert time.perf_counter() - start < 1
-    assert den == Counter({(1, l, 1): 1 for l in range(31)})
+    assert den == [EF(1, l, 1, -1) for l in range(30, -1, -1)]
     start = time.perf_counter()
     f = parse_function("sigma(1)^30")
     assert (f.bell.num.degree(), f.bell.den.degree()) == (29, 31)
@@ -445,9 +445,30 @@ def test_powers_walk_multisets_of_binomials():
     # give 1 - x^2
     g = parse_function("one <*> eps(2)").bell
     assert bell_module._hadamard_den([g.den_binomials] * 2) == \
-        Counter({(1, 0, 1): 1, (1, 0, 2): 3})
+        [EF(1, 0, 1, -1), EF(1, 0, 2, -3)]
     # more multisets than MAX_ORDER^2 are not walked
     assert bell_module._hadamard_den([g.den_binomials] * 4096) is None
+
+
+def test_expand_multiplies_out_the_merged_factors():
+    # against XPoly.__mul__ over |gamma| copies of each binomial: num and
+    # den factors (gamma > 0, < 0) count alike, and merging drops the
+    # powers that cancel
+    fs = bell_module._merge([EF(1, 0, 1, -1), EF(-1, 2, 1, 1), EF(1, 0, 1, -2),
+                             EF(1, 3, 2, 2), EF(-1, 1, 3, -1), EF(1, 5, 1, -4),
+                             EF(1, 3, 2, -2)], EF)
+    assert len(fs) == 4
+    want = xp(1)
+    for S, l, u, gamma in fs:
+        for _ in range(abs(gamma)):
+            want = want * XPoly.binomial(S, l, u)
+    assert bell_module._expand(fs) == want
+    assert bell_module._expand([]) == xp(1)
+    # times a series, below x^N
+    S = make("sigma", 2).series(12)
+    for N in (1, 5, 13):
+        assert bell_module._expand(fs, S, N) == \
+            XPoly((XPoly(S) * want).coeffs[:N])
 
 
 def test_cap_refit_rejects_on_the_values_at_two():

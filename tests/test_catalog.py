@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from dgf import catalog
-from dgf.bell import MasterEquation, _reduce_product
+from dgf.bell import MasterEquation, _expand, _reduce_product
 from dgf.catalog import CATALOG, CatalogEntry, LocalValues, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
@@ -76,6 +76,18 @@ EXCEPTIONAL = (
     + [("periodic4", (a, b)) for a in (1, 10**6) for b in (1, 10**6)]
     + [(name, (k,)) for name in ("sigma_odd", "sigma_star_odd")
        for k in (0, 1, 30)])
+
+
+def test_den_binomials_expand_to_the_den():
+    # the den's merged binomial factors multiply back to it, generic and
+    # at each exceptional prime, wherever it is a product of binomials
+    split = 0
+    for name, args, f in grid_instances(GRID + EXCEPTIONAL):
+        for b in [f.bell] + list(map(f.local_bell, f.exceptional_primes)):
+            if b.den_binomials is not None:
+                assert _expand(b.den_binomials) == b.den, (name, args)
+                split += 1
+    assert split
 
 
 def test_closed_forms_skip_the_master_refit(monkeypatch):

@@ -289,6 +289,16 @@ def test_exit_code_oversized_integer_tokens(capsys, src, msg):
     assert err == "parse error: %s\n" % msg
 
 
+@pytest.mark.parametrize("src,col", [("sigma(²)", 7), ("phi^²", 5),
+                                     ("shift(phi, ¹)", 12)])
+def test_exit_code_unicode_digits(capsys, src, col):
+    # str.isdigit takes superscripts, which int() refuses: no traceback
+    rc, out, err = run(capsys, ["terms", src, "-n", "5"])
+    assert (rc, out) == (2, "")
+    assert err == "parse error: col %d: unexpected character %r\n" % (
+        col, src[col - 1])
+
+
 def _int_str_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
@@ -429,6 +439,24 @@ def test_exit_code_bfile_starts_beyond_terms(capsys, tmp_path):
     assert rc == 4
     assert err.startswith("verification failed: line 2: "
                           "index 5 exceeds the 3 computed terms")
+
+
+@pytest.mark.parametrize("argv", [["terms", "phi", "-n", "3"],
+                                  ["verify", "phi", "-n", "3"]],
+                         ids=["terms", "verify"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_exit_code_unreadable_bfile(capsys, tmp_path, argv, kind):
+    # the b-file is read before any work: nothing is printed, and the one
+    # stderr line names the file
+    p = tmp_path / "b.txt"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "not-utf-8":
+        p.write_bytes(b"1 1\n\xff2 1\n")
+    rc, out, err = run(capsys, argv + ["--bfile", str(p)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: cannot read b-file %s: " % p)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_terms_bfile_ok(capsys, tmp_path):

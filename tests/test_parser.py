@@ -113,6 +113,10 @@ def test_to_text_round_trips(src):
     ("shift(phi, 1000000000000)", "col 12: shift amount must be at most 4096"),
     ("shift(phi, -4097)", "col 12: shift amount must be at least -4096"),
     ("phi^-99999999999999999999", "col 5: exponent must be a positive integer"),
+    # isdigit takes these, int() does not: each is no integer token
+    ("sigma(²)", "col 7: unexpected character '²'"),
+    ("phi^²", "col 5: unexpected character '²'"),
+    ("shift(phi, ¹)", "col 12: unexpected character '¹'"),
 ])
 def test_parse_errors_carry_columns(src, msg):
     with pytest.raises(ParseError) as ei:
