@@ -1,11 +1,13 @@
 """Multiplicative functions as nodes, and their Bell series.
 
-An atom is pinned down by a master equation giving a(p^e) as an integer
+An atom's coefficient rule is a master equation: a(p^e) as an integer
 polynomial in p, optionally overridden at finitely many exceptional
-primes.  A combinator is a node over its operands: one coefficient rule
-over their coefficients and at most one Bell rule over their Bell series
-at the same prime, so both serve every prime alike; each node memoizes
-its own coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
+primes.  A catalog atom states only its closed-form Bell series and its
+exceptional values, and its rule reads a(p^e) off that series.  A
+combinator is a node over its operands: one coefficient rule over their
+coefficients and at most one Bell rule over their Bell series at the
+same prime, so both serve every prime alike; each node memoizes its own
+coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
 kept as an exact rational function over Z[p] where one is known.
 
 Every series is built, never fitted.  A catalog atom's is its closed
@@ -215,9 +217,10 @@ class BellRational:
     """Rational Bell series num/den, both with constant term 1."""
 
     # filled on first use: _den_split, the den's half of split, which
-    # den_binomials reads too, _split, and _log, x N'/N and x D'/D as far
-    # as euler._log_series has read them: one T = x B'/B for every peel
-    __slots__ = ("num", "den", "_den_split", "_split", "_log")
+    # den_binomials reads too, _split, _log, x N'/N and x D'/D as far as
+    # euler._log_series has read them: one T = x B'/B for every peel, and
+    # _coeffs, the series as far as coeff has read it
+    __slots__ = ("num", "den", "_den_split", "_split", "_log", "_coeffs")
 
     def __init__(self, num: XPoly, den: XPoly):
         if not num.coeffs or not num.coeffs[0].is_one():
@@ -256,6 +259,18 @@ class BellRational:
 
     def series(self, K: int) -> list[PrimePoly]:
         return series_div(self.num.coeffs, self.den.coeffs, K)
+
+    def coeff(self, e: int) -> PrimePoly:
+        """The x^e coefficient, off the series kept in _coeffs: a read past
+        its end extends it in place to order max(e, twice its length), so
+        reads up to x^K cost one series_div to order below 2K."""
+        try:
+            s = self._coeffs
+        except AttributeError:
+            s = self._coeffs = []
+        if e >= len(s):
+            series_div(self.num.coeffs, self.den.coeffs, max(e, 2 * len(s)), s)
+        return s[e]
 
     def matches(self, series: Sequence[PrimePoly]) -> bool:
         """Whether den * series == num below x^len(series), over Z[p].
@@ -312,7 +327,8 @@ class BellRational:
 class MasterEquation:
     """An atom's coefficient rule: a(p^e) = generic(e), a PrimePoly, at a
     generic prime, overridden by the integer exceptions[q](e) at finitely
-    many primes q."""
+    many primes q.  A catalog atom's generic is the x^e coefficient of its
+    closed form (BellRational.coeff)."""
 
     __slots__ = ("generic", "exceptions")
 
@@ -337,8 +353,10 @@ class MultiplicativeFunction:
     rule(h, q, e) is h's a(q^e), a PrimePoly at the generic prime (q None)
     and an int at an exceptional prime q, read off the operands'
     f.coeff(q, l) and h's own earlier h.coeff(q, l); an atom's rule is its
-    MasterEquation.  The exceptional primes are an atom's overrides or the
-    union of the operands'.  coeff memoizes every coefficient a rule reads;
+    MasterEquation, which for a catalog atom reads its closed form, so an
+    atom's coefficients and series agree by construction.  The
+    exceptional primes are an atom's overrides or the union of the
+    operands'.  coeff memoizes every coefficient a rule reads;
     value(p, e) at any other prime evaluates the generic polynomial
     unmemoized, so a long run of terms builds no per-prime memo.
 

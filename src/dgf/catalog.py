@@ -1,27 +1,30 @@
 """Built-in library of multiplicative functions.
 
-Each entry couples a prime-power rule (the function's defining master
-equation) with a short description and the closed form of its Bell
-series at a generic prime.  Where the Dirichlet series is a finite
-product of zeta factors zeta(us - l)^gamma, the entry's zeta= list of
-(u, l, gamma) is that closed form: its Bell series is the product of
-(1 - p^l x^u)^-gamma.  Only the entries whose series is no such product
-for some parameter values (zeta= gives "infinite" or None there) carry
-an explicit bell= form.  At runtime the closed form is the instance's
-generic-prime Bell series, built without reading a coefficient.  At an
-exceptional prime the values are data (LocalValues): n first values and
+Each entry states its function once, by the closed form of its Bell
+series at a generic prime, with a short description.  Where the
+Dirichlet series is a finite product of zeta factors zeta(us - l)^gamma,
+the entry's zeta= list of (u, l, gamma) is that closed form: its Bell
+series is the product of (1 - p^l x^u)^-gamma.  Only the entries whose
+series is no such product for some parameter values (zeta= gives
+"infinite" or None there) carry an explicit bell= form.  At runtime the
+closed form is the instance's generic-prime Bell series, built without
+reading a coefficient, and its coefficients are the instance's a(p^e)
+there: the atom's MasterEquation reads them off that series
+(BellRational.coeff).  An entry with exceptional primes gives them by
+local=: at each, the values are data (LocalValues): n first values and
 the ratio of every later one, whose series has a closed form too.
 Common factors of a closed form, generic or local, are cancelled by the
 one exact gcd (bell._reduce_product).  Each reduced closed form is built
-once per process, on first use, and shared by every instance with the
-same (entry, params) or the same local values; the memo keeps the
-_MEMO_SIZE most recently used.  Only these immutable series are shared,
-never a MultiplicativeFunction node.
+once per process, on first use, and shared, with the coefficients read
+off it so far, by every instance with the same (entry, params) or the
+same local values; the memo keeps the _MEMO_SIZE most recently used.
+Only these immutable series are shared, never a MultiplicativeFunction
+node.
 """
 from __future__ import annotations
 
 import functools
-import math
+from collections import Counter
 from typing import Callable, NamedTuple
 
 from .bell import (BellRational, MasterEquation, MultiplicativeFunction,
@@ -35,25 +38,10 @@ _MAX_T = 8
 _MAX_C = 10**6
 _MEMO_SIZE = 1024  # reduced closed forms kept, generic and local each
 
-_ZERO = PrimePoly.zero
-_ONE = PrimePoly.one
-
-
-def _P(l: int, c: int = 1) -> PrimePoly:
-    return PrimePoly.monomial(l, c)
-
-
-def _C(v: int) -> PrimePoly:
-    return PrimePoly.const(v)
-
 
 def _geom(step: int, terms: int, start: int = 0) -> PrimePoly:
     """p^start + p^(start+step) + ... (terms summands)."""
-    if terms <= 0:
-        return _ZERO
-    if step == 0:
-        return _P(start, terms)
-    return PrimePoly({start + step * j: 1 for j in range(terms)})
+    return PrimePoly(Counter(start + step * j for j in range(terms)))
 
 
 def _xp(*rows) -> XPoly:
@@ -120,10 +108,10 @@ class CatalogEntry(NamedTuple):
     name: str
     summary: str
     params: tuple[Param, ...]
-    build: Callable
     bell: Callable | None = None
     zeta: Callable | None = None
     validate: Callable | None = None
+    local: Callable | None = None  # vals -> {q: LocalValues}
 
     def check_args(self, args) -> tuple[int, ...]:
         if len(args) != len(self.params):
@@ -171,8 +159,10 @@ class CatalogEntry(NamedTuple):
             if q is not None:
                 return _local_bell(h.rule.exceptions[q])
             return _generic_bell(self, vals)
-        return MultiplicativeFunction(self.instance_name(vals),
-                                      self.build(*vals), derive=derive)
+        rule = MasterEquation(lambda e: _generic_bell(self, vals).coeff(e),
+                              self.local(*vals) if self.local else None)
+        return MultiplicativeFunction(self.instance_name(vals), rule,
+                                      derive=derive)
 
     def closed_bell(self, *args) -> BellRational:
         return self._closed(self.check_args(args))
@@ -198,12 +188,8 @@ def _local_bell(values: LocalValues) -> BellRational:
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _register(name, summary, params=(), bell=None, zeta=None, validate=None):
-    def deco(build):
-        CATALOG[name] = CatalogEntry(name, summary, tuple(params), build,
-                                     bell, zeta, validate)
-        return build
-    return deco
+def _register(name, summary, params=(), **forms):
+    CATALOG[name] = CatalogEntry(name, summary, tuple(params), **forms)
 
 
 def make(name: str, *args) -> MultiplicativeFunction:
@@ -227,372 +213,240 @@ _QP = Param("q", 2, _MAX_C, prime=True)
 
 # -- all-ones, identity and power scales ------------------------------------
 
-@_register("one", "constantly 1; unit of Dirichlet convolution products",
-           zeta=lambda: [(1, 0, 1)])
-def _build_one():
-    return MasterEquation(lambda e: _ONE)
+_register("one", "constantly 1; unit of Dirichlet convolution products",
+          zeta=lambda: [(1, 0, 1)])
 
+_register("id", "identity map n",
+          zeta=lambda: [(1, 1, 1)])
 
-@_register("id", "identity map n",
-           zeta=lambda: [(1, 1, 1)])
-def _build_id():
-    return MasterEquation(lambda e: _P(e))
+_register("power", "k-th power n^k", [_K],
+          zeta=lambda k: [(1, k, 1)])
 
-
-@_register("power", "k-th power n^k", [_K],
-           zeta=lambda k: [(1, k, 1)])
-def _build_power(k):
-    return MasterEquation(lambda e: _P(k * e))
-
-
-@_register("const", "c raised to the number of prime factors with "
-           "multiplicity", [_CP],
-           bell=lambda c: BellRational(_xp(1), _xp(1, -c)),
-           zeta=lambda c: [(1, 0, 1)] if c == 1 else INFINITE)
-def _build_const(c):
-    return MasterEquation(lambda e: _C(c**e))
+_register("const", "c raised to the number of prime factors with "
+          "multiplicity", [_CP],
+          bell=lambda c: BellRational(_xp(1), _xp(1, -c)),
+          zeta=lambda c: [(1, 0, 1)] if c == 1 else INFINITE)
 
 
 # -- sign functions ----------------------------------------------------------
 
-@_register("mu", "Moebius function: parity of squarefree factorisations",
-           zeta=lambda: [(1, 0, -1)])
-def _build_mu():
-    return MasterEquation(lambda e: _C(-1) if e == 1 else _ZERO)
+_register("mu", "Moebius function: parity of squarefree factorisations",
+          zeta=lambda: [(1, 0, -1)])
 
+_register("liouville", "parity of the total number of prime factors",
+          zeta=lambda: [(2, 0, 1), (1, 0, -1)])
 
-@_register("liouville", "parity of the total number of prime factors",
-           zeta=lambda: [(2, 0, 1), (1, 0, -1)])
-def _build_liouville():
-    return MasterEquation(lambda e: _C((-1) ** e))
+_register("mu_star", "sign from the number of distinct prime factors",
+          bell=lambda: BellRational(_xp(1, -2), _xp(1, -1)),
+          zeta=lambda: INFINITE)
 
-
-@_register("mu_star", "sign from the number of distinct prime factors",
-           bell=lambda: BellRational(_xp(1, -2), _xp(1, -1)),
-           zeta=lambda: INFINITE)
-def _build_mu_star():
-    return MasterEquation(lambda e: _C(-1))
-
-
-@_register("mu_apostol", "1 on k-th-power-free n, -1 when some prime "
-           "exponent hits k exactly, else 0", [_K1],
-           bell=lambda k: BellRational(
-               _xp(1, *([0] * (k - 1)), -2, 1) if k > 1 else _xp(1, -1),
-               _xp(1, -1) if k > 1 else _xp(1)),
-           zeta=lambda k: [(1, 0, -1)] if k == 1 else INFINITE)
-def _build_mu_apostol(k):
-    def rule(e):
-        if e < k:
-            return _ONE
-        return _C(-1) if e == k else _ZERO
-    return MasterEquation(rule)
+_register("mu_apostol", "1 on k-th-power-free n, -1 when some prime "
+          "exponent hits k exactly, else 0", [_K1],
+          bell=lambda k: BellRational(
+              _xp(1, *([0] * (k - 1)), -2, 1) if k > 1 else _xp(1, -1),
+              _xp(1, -1) if k > 1 else _xp(1)),
+          zeta=lambda k: [(1, 0, -1)] if k == 1 else INFINITE)
 
 
 # -- indicator-style selectors -----------------------------------------------
 
-@_register("eps", "indicator of perfect t-th powers", [_T],
-           zeta=lambda t: [(t, 0, 1)])
-def _build_eps(t):
-    return MasterEquation(lambda e: _ONE if e % t == 0 else _ZERO)
+_register("eps", "indicator of perfect t-th powers", [_T],
+          zeta=lambda t: [(t, 0, 1)])
 
+_register("xi", "indicator of t-free numbers (no prime power p^t divides)",
+          [_T],
+          zeta=lambda t: [(1, 0, 1), (t, 0, -1)])
 
-@_register("xi", "indicator of t-free numbers (no prime power p^t divides)",
-           [_T],
-           zeta=lambda t: [(1, 0, 1), (t, 0, -1)])
-def _build_xi(t):
-    return MasterEquation(lambda e: _ONE if e < t else _ZERO)
+_register("depleted", "drops multiples of q^k, 1 elsewhere",
+          [_QP, Param("k", 1, _MAX_K)],
+          zeta=lambda q, k: [(1, 0, 1)],
+          local=lambda q, k: {q: LocalValues((1,) * k, 0)})
 
+_register("periodic2", "c on even numbers, 1 on odd", [_CP],
+          zeta=lambda c: [(1, 0, 1)],
+          local=lambda c: {2: LocalValues((1, c), 1)})
 
-@_register("depleted", "drops multiples of q^k, 1 elsewhere",
-           [_QP, Param("k", 1, _MAX_K)],
-           zeta=lambda q, k: [(1, 0, 1)])
-def _build_depleted(q, k):
-    return MasterEquation(lambda e: _ONE, {q: LocalValues((1,) * k, 0)})
-
-
-@_register("periodic2", "c on even numbers, 1 on odd", [_CP],
-           zeta=lambda c: [(1, 0, 1)])
-def _build_periodic2(c):
-    return MasterEquation(lambda e: _ONE, {2: LocalValues((1, c), 1)})
-
-
-@_register("periodic4", "c1 on multiples of 4, c2 on other evens, 1 on odd",
-           [Param("c1", 1, _MAX_C), Param("c2", 1, _MAX_C)],
-           zeta=lambda c1, c2: [(1, 0, 1)])
-def _build_periodic4(c1, c2):
-    return MasterEquation(lambda e: _ONE, {2: LocalValues((1, c2, c1), 1)})
+_register("periodic4", "c1 on multiples of 4, c2 on other evens, 1 on odd",
+          [Param("c1", 1, _MAX_C), Param("c2", 1, _MAX_C)],
+          zeta=lambda c1, c2: [(1, 0, 1)],
+          local=lambda c1, c2: {2: LocalValues((1, c2, c1), 1)})
 
 
 # -- fixed-argument gcd and lcm ----------------------------------------------
 
-@_register("gcdc", "gcd(n, c) for fixed c", [_CP],
-           zeta=lambda c: [(1, 0, 1)])
-def _build_gcdc(c):
-    exc = {q: LocalValues(tuple(q**e for e in range(eq + 1)), 1)
-           for q, eq in _factorize(c)}
-    return MasterEquation(lambda e: _ONE, exc)
+_register("gcdc", "gcd(n, c) for fixed c", [_CP],
+          zeta=lambda c: [(1, 0, 1)],
+          local=lambda c: {q: LocalValues(tuple(q**e for e in range(eq + 1)),
+                                          1) for q, eq in _factorize(c)})
 
-
-@_register("lcmc", "lcm(n, c)/c for fixed c", [_CP],
-           zeta=lambda c: [(1, 1, 1)])
-def _build_lcmc(c):
-    exc = {q: LocalValues((1,) * (eq + 1), q) for q, eq in _factorize(c)}
-    return MasterEquation(lambda e: _P(e), exc)
+_register("lcmc", "lcm(n, c)/c for fixed c", [_CP],
+          zeta=lambda c: [(1, 1, 1)],
+          local=lambda c: {q: LocalValues((1,) * (eq + 1), q)
+                           for q, eq in _factorize(c)})
 
 
 # -- power-part extractors ---------------------------------------------------
 
-@_register("core", "t-free part: n divided by its largest t-th-power divisor",
-           [_T],
-           zeta=lambda t: [(t, 0, 1), (1, 1, 1), (t, t, -1)])
-def _build_core(t):
-    return MasterEquation(lambda e: _P(e % t))
+_register("core", "t-free part: n divided by its largest t-th-power divisor",
+          [_T],
+          zeta=lambda t: [(t, 0, 1), (1, 1, 1), (t, t, -1)])
 
+_register("rad", "prime exponents clipped at t-1 (t=2 gives the radical)",
+          [_T],
+          bell=lambda t: BellRational(
+              _xp(1, *({j: 1, j - 1: -1} for j in range(1, t))),
+              XPoly.binomial(1, 0, 1)),
+          zeta=lambda t: INFINITE)
 
-@_register("rad", "prime exponents clipped at t-1 (t=2 gives the radical)",
-           [_T],
-           bell=lambda t: BellRational(
-               _xp(1, *({j: 1, j - 1: -1} for j in range(1, t))),
-               XPoly.binomial(1, 0, 1)),
-           zeta=lambda t: INFINITE)
-def _build_rad(t):
-    return MasterEquation(lambda e: _P(min(e, t - 1)))
+_register("max_tpow", "largest t-th power dividing n", [_T],
+          zeta=lambda t: [(1, 0, 1), (t, t, 1), (t, 0, -1)])
 
-
-@_register("max_tpow", "largest t-th power dividing n", [_T],
-           zeta=lambda t: [(1, 0, 1), (t, t, 1), (t, 0, -1)])
-def _build_max_tpow(t):
-    return MasterEquation(lambda e: _P(t * (e // t)))
-
-
-@_register("root_tpow", "t-th root of the largest t-th power dividing n",
-           [_T],
-           zeta=lambda t: [(1, 0, 1), (t, 1, 1), (t, 0, -1)])
-def _build_root_tpow(t):
-    return MasterEquation(lambda e: _P(e // t))
+_register("root_tpow", "t-th root of the largest t-th power dividing n",
+          [_T],
+          zeta=lambda t: [(1, 0, 1), (t, 1, 1), (t, 0, -1)])
 
 
 # -- divisor sums ------------------------------------------------------------
 
-@_register("sigma", "sum of k-th powers of divisors", [_K],
-           zeta=lambda k: _zf((1, 0, 1), (1, k, 1)))
-def _build_sigma(k):
-    return MasterEquation(lambda e: _geom(k, e + 1))
+_register("sigma", "sum of k-th powers of divisors", [_K],
+          zeta=lambda k: _zf((1, 0, 1), (1, k, 1)))
 
+_register("sigma_odd", "sum of k-th powers of odd divisors", [_K],
+          zeta=lambda k: _zf((1, 0, 1), (1, k, 1)),
+          local=lambda k: {2: LocalValues((1,), 1)})
 
-@_register("sigma_odd", "sum of k-th powers of odd divisors", [_K],
-           zeta=lambda k: _zf((1, 0, 1), (1, k, 1)))
-def _build_sigma_odd(k):
-    return MasterEquation(lambda e: _geom(k, e + 1), {2: LocalValues((1,), 1)})
+_register("tpow_divisor_sum", "sum of divisors that are t-th powers", [_T],
+          zeta=lambda t: [(1, 0, 1), (t, t, 1)])
 
+_register("sigma_tfree", "sum of k-th powers of t-free divisors",
+          [_K, _T],
+          zeta=lambda k, t: _zf((1, 0, 1), (1, k, 1), (t, t * k, -1)))
 
-@_register("tpow_divisor_sum", "sum of divisors that are t-th powers", [_T],
-           zeta=lambda t: [(1, 0, 1), (t, t, 1)])
-def _build_tpow_divisor_sum(t):
-    return MasterEquation(lambda e: _geom(t, e // t + 1))
+_register("sigma_pow", "divisor power sum of a perfect power: "
+          "sum of k-th powers of divisors of n^t", [_K, _T],
+          bell=lambda k, t: BellRational(
+              _xp(1, _geom(k, t - 1, start=k)),
+              XPoly.binomial(1, 0, 1) * XPoly.binomial(1, t * k, 1)),
+          zeta=lambda k, t: (_zf((1, 0, 1), (1, k, 1), (1, 2 * k, 1),
+                                 (2, 2 * k, -1))
+                             if t == 2 else INFINITE))
 
-
-@_register("sigma_tfree", "sum of k-th powers of t-free divisors",
-           [_K, _T],
-           zeta=lambda k, t: _zf((1, 0, 1), (1, k, 1), (t, t * k, -1)))
-def _build_sigma_tfree(k, t):
-    return MasterEquation(lambda e: _geom(k, min(e, t - 1) + 1))
-
-
-@_register("sigma_pow", "divisor power sum of a perfect power: "
-           "sum of k-th powers of divisors of n^t", [_K, _T],
-           bell=lambda k, t: BellRational(
-               _xp(1, _geom(k, t - 1, start=k)),
-               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, t * k, 1)),
-           zeta=lambda k, t: (_zf((1, 0, 1), (1, k, 1), (1, 2 * k, 1),
-                                  (2, 2 * k, -1))
-                              if t == 2 else INFINITE))
-def _build_sigma_pow(k, t):
-    return MasterEquation(lambda e: _geom(k, e * t + 1))
-
-
-@_register("sigma_prime", "sum over coprime unitary splittings d * m = n "
-           "of d restricted to squarefree d",
-           bell=lambda: BellRational(_xp(1, {1: 1}, {1: -1}),
-                                     XPoly.binomial(1, 0, 1)),
-           zeta=lambda: INFINITE)
-def _build_sigma_prime():
-    return MasterEquation(lambda e: _ONE + _P(1) if e == 1 else _ONE)
+_register("sigma_prime", "sum over coprime unitary splittings d * m = n "
+          "of d restricted to squarefree d",
+          bell=lambda: BellRational(_xp(1, {1: 1}, {1: -1}),
+                                    XPoly.binomial(1, 0, 1)),
+          zeta=lambda: INFINITE)
 
 
 # -- divisor counts ----------------------------------------------------------
 
-@_register("tau", "ordered factorisations of n into k parts", [_K1],
-           zeta=lambda k: [(1, 0, k)])
-def _build_tau(k):
-    return MasterEquation(lambda e: _C(math.comb(e + k - 1, k - 1)))
+_register("tau", "ordered factorisations of n into k parts", [_K1],
+          zeta=lambda k: [(1, 0, k)])
 
-
-@_register("tfull_count", "number of t-full divisors (every prime exponent "
-           "in the divisor is at least t)", [_T],
-           bell=lambda t: BellRational(
-               _xp(1, -1, *([0] * (t - 2)), 1),
-               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 0, 1)),
-           zeta=lambda t: (_zf((1, 0, 1), (2, 0, 1), (3, 0, 1), (6, 0, -1))
-                           if t == 2 else None))
-def _build_tfull_count(t):
-    return MasterEquation(lambda e: _C(max(1, e - t + 2)))
+_register("tfull_count", "number of t-full divisors (every prime exponent "
+          "in the divisor is at least t)", [_T],
+          bell=lambda t: BellRational(
+              _xp(1, -1, *([0] * (t - 2)), 1),
+              XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 0, 1)),
+          zeta=lambda t: (_zf((1, 0, 1), (2, 0, 1), (3, 0, 1), (6, 0, -1))
+                          if t == 2 else None))
 
 
 # -- pair statistics over divisor splittings ---------------------------------
 
-@_register("gcd_pairs", "sum of gcd(d, n/d)^t over divisors d", [_T1],
-           zeta=lambda t: _zf((1, 0, 2), (2, t, 1), (2, 0, -1)))
-def _build_gcd_pairs(t):
-    def rule(e):
-        acc: dict[int, int] = {}
-        for m in range(e + 1):
-            l = t * min(m, e - m)
-            acc[l] = acc.get(l, 0) + 1
-        return PrimePoly(acc)
-    return MasterEquation(rule)
+_register("gcd_pairs", "sum of gcd(d, n/d)^t over divisors d", [_T1],
+          zeta=lambda t: _zf((1, 0, 2), (2, t, 1), (2, 0, -1)))
 
-
-@_register("lcm_pairs", "sum of lcm(d, n/d)^t over divisors d", [_T1],
-           zeta=lambda t: _zf((1, t, 2), (2, t, 1), (2, 2 * t, -1)))
-def _build_lcm_pairs(t):
-    def rule(e):
-        acc: dict[int, int] = {}
-        for m in range(e + 1):
-            l = t * max(m, e - m)
-            acc[l] = acc.get(l, 0) + 1
-        return PrimePoly(acc)
-    return MasterEquation(rule)
+_register("lcm_pairs", "sum of lcm(d, n/d)^t over divisors d", [_T1],
+          zeta=lambda t: _zf((1, t, 2), (2, t, 1), (2, 2 * t, -1)))
 
 
 # -- totients and their relatives --------------------------------------------
 
-@_register("phi", "count of residues mod n coprime to n",
-           zeta=lambda: [(1, 1, 1), (1, 0, -1)])
-def _build_phi():
-    return MasterEquation(lambda e: _P(e) - _P(e - 1))
+_register("phi", "count of residues mod n coprime to n",
+          zeta=lambda: [(1, 1, 1), (1, 0, -1)])
 
+_register("phi_kl", "weighted totient: divisor sum of mu(d) d^k (n/d)^l",
+          [Param("k", 0, _MAX_K), Param("l", 1, _MAX_K)],
+          zeta=lambda k, l: [(1, l, 1), (1, k, -1)],
+          validate=lambda k, l: None if k < l else "needs k < l")
 
-@_register("phi_kl", "weighted totient: divisor sum of mu(d) d^k (n/d)^l",
-           [Param("k", 0, _MAX_K), Param("l", 1, _MAX_K)],
-           zeta=lambda k, l: [(1, l, 1), (1, k, -1)],
-           validate=lambda k, l: None if k < l else "needs k < l")
-def _build_phi_kl(k, l):
-    return MasterEquation(lambda e: _P(l * e) - _P(k + l * (e - 1)))
+_register("phi_prime", "totient restricted to squarefree arguments",
+          bell=lambda: BellRational(_xp(1, {1: 1, 0: -1}), _xp(1)),
+          zeta=lambda: INFINITE)
 
+_register("jordan", "count of coprime k-tuples mod n", [_K1],
+          zeta=lambda k: [(1, k, 1), (1, 0, -1)])
 
-@_register("phi_prime", "totient restricted to squarefree arguments",
-           bell=lambda: BellRational(_xp(1, {1: 1, 0: -1}), _xp(1)),
-           zeta=lambda: INFINITE)
-def _build_phi_prime():
-    return MasterEquation(
-        lambda e: _P(1) - _ONE if e == 1 else _ZERO)
+_register("jordan_ratio", "ratio of the k-th to the first Jordan totient",
+          [_K1],
+          bell=lambda k: BellRational(_xp(1, _geom(1, k - 1)),
+                                      XPoly.binomial(1, k - 1, 1)),
+          zeta=lambda k: ([(1, 0, 1)] if k == 1 else
+                          _zf((1, 0, 1), (1, 1, 1), (2, 0, -1)) if k == 2
+                          else INFINITE))
 
+_register("dedekind", "totient-like product over p | n of n (1 + 1/p)",
+          zeta=lambda: [(1, 0, 1), (1, 1, 1), (2, 0, -1)])
 
-@_register("jordan", "count of coprime k-tuples mod n", [_K1],
-           zeta=lambda k: [(1, k, 1), (1, 0, -1)])
-def _build_jordan(k):
-    return MasterEquation(lambda e: _P(k * e) - _P(k * (e - 1)))
+_register("psi_k", "k-th power analogue of the Dedekind product", [_K1],
+          zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, 0, -1)))
 
-
-@_register("jordan_ratio", "ratio of the k-th to the first Jordan totient",
-           [_K1],
-           bell=lambda k: BellRational(_xp(1, _geom(1, k - 1)),
-                                       XPoly.binomial(1, k - 1, 1)),
-           zeta=lambda k: ([(1, 0, 1)] if k == 1 else
-                           _zf((1, 0, 1), (1, 1, 1), (2, 0, -1)) if k == 2
-                           else INFINITE))
-def _build_jordan_ratio(k):
-    return MasterEquation(
-        lambda e: _geom(1, k, start=(k - 1) * (e - 1)))
-
-
-@_register("dedekind", "totient-like product over p | n of n (1 + 1/p)",
-           zeta=lambda: [(1, 0, 1), (1, 1, 1), (2, 0, -1)])
-def _build_dedekind():
-    return MasterEquation(lambda e: _P(e) + _P(e - 1))
-
-
-@_register("psi_k", "k-th power analogue of the Dedekind product", [_K1],
-           zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, 0, -1)))
-def _build_psi_k(k):
-    return MasterEquation(lambda e: _P(k * e) + _P(k * (e - 1)))
-
-
-@_register("ramanujan", "trigonometric divisor sum at fixed modulus c: "
-           "sum of d mu(c/d)-style weights over d | gcd(n, c)", [_CP],
-           zeta=lambda c: [(1, 0, -1)])
-def _build_ramanujan(c):
-    exc = {q: LocalValues((1, *(q**e - q ** (e - 1) for e in range(1, eq + 1)),
-                           -(q**eq)), 0) for q, eq in _factorize(c)}
-    return MasterEquation(lambda e: _C(-1) if e == 1 else _ZERO, exc)
+_register("ramanujan", "trigonometric divisor sum at fixed modulus c: "
+          "sum of d mu(c/d)-style weights over d | gcd(n, c)", [_CP],
+          zeta=lambda c: [(1, 0, -1)],
+          local=lambda c: {q: LocalValues(
+              (1, *(q**e - q ** (e - 1) for e in range(1, eq + 1)), -(q**eq)),
+              0) for q, eq in _factorize(c)})
 
 
 # -- unitary-divisor analogues ------------------------------------------------
 
-@_register("sigma_star", "sum of k-th powers of unitary divisors "
-           "(divisors coprime to their cofactor)", [_K],
-           zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)))
-def _build_sigma_star(k):
-    return MasterEquation(lambda e: _ONE + _P(k * e))
+_register("sigma_star", "sum of k-th powers of unitary divisors "
+          "(divisors coprime to their cofactor)", [_K],
+          zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)))
 
+_register("sigma_star_odd", "sum of k-th powers of odd unitary divisors",
+          [_K],
+          zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)),
+          local=lambda k: {2: LocalValues((1,), 1)})
 
-@_register("sigma_star_odd", "sum of k-th powers of odd unitary divisors",
-           [_K],
-           zeta=lambda k: _zf((1, 0, 1), (1, k, 1), (2, k, -1)))
-def _build_sigma_star_odd(k):
-    return MasterEquation(lambda e: _ONE + _P(k * e), {2: LocalValues((1,), 1)})
+_register("phi_star", "unitary totient: product of p^e - 1 over "
+          "maximal prime powers in n",
+          bell=lambda: BellRational(
+              _xp(1, -2, {1: 1}),
+              XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 1, 1)),
+          zeta=lambda: INFINITE)
 
+_register("jordan_star", "unitary Jordan totient: product of p^(ek) - 1",
+          [_K1],
+          bell=lambda k: BellRational(
+              _xp(1, -2, {k: 1}),
+              XPoly.binomial(1, 0, 1) * XPoly.binomial(1, k, 1)),
+          zeta=lambda k: INFINITE)
 
-@_register("phi_star", "unitary totient: product of p^e - 1 over "
-           "maximal prime powers in n",
-           bell=lambda: BellRational(
-               _xp(1, -2, {1: 1}),
-               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, 1, 1)),
-           zeta=lambda: INFINITE)
-def _build_phi_star():
-    return MasterEquation(lambda e: _P(e) - _ONE)
-
-
-@_register("jordan_star", "unitary Jordan totient: product of p^(ek) - 1",
-           [_K1],
-           bell=lambda k: BellRational(
-               _xp(1, -2, {k: 1}),
-               XPoly.binomial(1, 0, 1) * XPoly.binomial(1, k, 1)),
-           zeta=lambda k: INFINITE)
-def _build_jordan_star(k):
-    return MasterEquation(lambda e: _P(e * k) - _ONE)
-
-
-@_register("tau_star", "k to the number of distinct primes dividing n",
-           [_K1],
-           bell=lambda k: BellRational(_xp(1, k - 1),
-                                       XPoly.binomial(1, 0, 1)),
-           zeta=lambda k: ([(1, 0, 1)] if k == 1 else
-                           _zf((1, 0, 2), (2, 0, -1)) if k == 2
-                           else INFINITE))
-def _build_tau_star(k):
-    return MasterEquation(lambda e: _C(k))
+_register("tau_star", "k to the number of distinct primes dividing n",
+          [_K1],
+          bell=lambda k: BellRational(_xp(1, k - 1),
+                                      XPoly.binomial(1, 0, 1)),
+          zeta=lambda k: ([(1, 0, 1)] if k == 1 else
+                          _zf((1, 0, 2), (2, 0, -1)) if k == 2
+                          else INFINITE))
 
 
 # -- power congruence counts ---------------------------------------------------
 
-@_register("congruence_count", "number of residues x mod n with "
-           "x^t = 0 (mod n)", [_T],
-           bell=lambda t: BellRational(
-               _xp(1, *({r - 1: 1} for r in range(1, t))),
-               XPoly.binomial(1, t - 1, t)),
-           zeta=lambda t: (_zf((1, 0, 1), (2, 1, 1), (2, 0, -1))
-                           if t == 2 else INFINITE))
-def _build_congruence_count(t):
-    return MasterEquation(lambda e: _P(e - (e + t - 1) // t))
+_register("congruence_count", "number of residues x mod n with "
+          "x^t = 0 (mod n)", [_T],
+          bell=lambda t: BellRational(
+              _xp(1, *({r - 1: 1} for r in range(1, t))),
+              XPoly.binomial(1, t - 1, t)),
+          zeta=lambda t: (_zf((1, 0, 1), (2, 1, 1), (2, 0, -1))
+                          if t == 2 else INFINITE))
 
-
-@_register("congruence_min", "least m whose t-th power n divides", [_T],
-           bell=lambda t: BellRational(
-               _xp(1, *({1: 1} for _ in range(1, t))),
-               XPoly.binomial(1, 1, t)),
-           zeta=lambda t: (_zf((1, 1, 1), (2, 1, 1), (2, 2, -1))
-                           if t == 2 else INFINITE))
-def _build_congruence_min(t):
-    return MasterEquation(lambda e: _P((e + t - 1) // t))
+_register("congruence_min", "least m whose t-th power n divides", [_T],
+          bell=lambda t: BellRational(
+              _xp(1, *({1: 1} for _ in range(1, t))),
+              XPoly.binomial(1, 1, t)),
+          zeta=lambda t: (_zf((1, 1, 1), (2, 1, 1), (2, 2, -1))
+                          if t == 2 else INFINITE))

@@ -184,6 +184,17 @@ def _refuse_real_poles(local, s: float) -> None:
                                   "real pole with |x| <= %d^-s" % (s, p, p))
 
 
+# how far past the abscissa every method asks s to be
+_MARGIN = 1e-6
+
+
+def _beyond_abscissa(s: float, absc: Fraction) -> None:
+    """Refuse an s within _MARGIN of the abscissa, naming s as given."""
+    if s <= float(absc) + _MARGIN:
+        raise DivergenceError("s = %r is not beyond the abscissa %s by more "
+                              "than %g" % (s, absc, _MARGIN))
+
+
 def _too_wide(s: float) -> DgfError:
     return DgfError("s = %g: exact values too large for floating point" % s)
 
@@ -192,10 +203,7 @@ def eval_zeta_form(zf: ZetaForm, s: float) -> EvalResult:
     """Evaluate a finite zeta form at real s inside its half-plane; a
     local factor with a real pole in reach raises DivergenceError, exact
     values too wide for a float a DgfError."""
-    absc = abscissa(zf).abscissa
-    if s <= float(absc) + 1e-6:
-        raise DivergenceError("s = %g is not beyond the abscissa %s"
-                              % (s, absc))
+    _beyond_abscissa(s, abscissa(zf).abscissa)
     local = [(lf.prime, lf.bell()) for lf in zf.local]
     try:
         _refuse_real_poles(local, s)
@@ -232,9 +240,7 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
         raise ValueError("accel must be 'wynn' or 'none'")
     local = _known_local_bells(f)
     absc = _abscissa_of(f)
-    if s <= float(absc) + 1e-6:
-        raise DivergenceError("s = %g is not beyond the abscissa %s"
-                              % (s, absc))
+    _beyond_abscissa(s, absc)
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
@@ -303,9 +309,7 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
     local = _known_local_bells(f)
     absc = _abscissa_of(f)
     s0 = float(absc)
-    if s <= s0 + 1e-6:
-        raise DivergenceError("s = %g is not beyond the abscissa %s"
-                              % (s, absc))
+    _beyond_abscissa(s, absc)
     try:
         _refuse_real_poles(local, s)
         vals = sequences.terms(f, N)

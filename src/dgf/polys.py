@@ -169,20 +169,22 @@ class PrimePoly:
     def evaluate_block(self, ps: Sequence[int]) -> Iterator[int]:
         """The exact values at every p in ps, by Horner in p in C-level
         maps: the integers map(self.evaluate, ps) gives, without a Python
-        call per point; a list is built every _STAGES stages.  With a
-        leading coefficient 1, Horner starts from the points themselves,
-        as 1 * p is p."""
-        c, d = self._c, self.degree()
-        if d > 0 and c[d] == 1:
-            d -= 1
-            acc = map(add, ps, repeat(c[d])) if d in c else iter(ps)
-        else:
-            acc = repeat(c.get(d, 0), len(ps))
-        for e in range(d - 1, -1, -1):
-            acc = map(mul, acc, ps)
+        call per point.  Each stage steps from one stored power of p to
+        the next, times p or, across a gap of g powers, times p^g by one
+        pow per point; a list is built every _STAGES stages.  With a
+        leading coefficient 1, Horner starts from the powers themselves,
+        as 1 * p^g is p^g."""
+        c = self._c
+        es = sorted(c, reverse=True)
+        if not es or es[-1]:
+            es.append(0)
+        acc = repeat(c.get(es[0], 0), len(ps))
+        for n, (hi, e) in enumerate(zip(es, es[1:]), 1):
+            step = iter(ps) if hi - e == 1 else map(pow, ps, repeat(hi - e))
+            acc = step if n == 1 and c[hi] == 1 else map(mul, acc, step)
             if e in c:
                 acc = map(add, acc, repeat(c[e]))
-            if e and not e % _STAGES:
+            if not n % _STAGES:
                 acc = list(acc)
         return acc
 

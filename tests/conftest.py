@@ -64,6 +64,18 @@ GRID: list[tuple[str, tuple[int, ...]]] = [
     ("xi", (2,)), ("xi", (4,)),
 ]
 
+# the 8 entries with exceptional primes at their parameter bounds and at
+# small values: c = 524288 = 2^19 and 720720 = 2^4 3^2 5 7 11 13 have the
+# largest exceptional exponents, 999999 = 3^3 7 11 13 37 the most primes
+_CS = (1, 2, 12, 360, 524288, 720720, 999999)
+EXCEPTIONAL = (
+    [(name, (c,)) for name in ("gcdc", "lcmc", "ramanujan") for c in _CS]
+    + [("depleted", (q, k)) for q in (2, 3, 999983) for k in (1, 2, 30)]
+    + [("periodic2", (c,)) for c in (1, 10**6)]
+    + [("periodic4", (a, b)) for a in (1, 10**6) for b in (1, 10**6)]
+    + [(name, (k,)) for name in ("sigma_odd", "sigma_star_odd")
+       for k in (0, 1, 30)])
+
 # one representative instance per entry name, in GRID order
 GRID_ONE_PER_NAME = []
 _seen: set[str] = set()

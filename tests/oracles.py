@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 from dgf.bell import BellRational
 from dgf import numeric, sequences
 from dgf.errors import (CatalogError, DegreeBoundError, DgfError,
-                        DivergenceError, SeriesWindowError)
+                        SeriesWindowError)
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
                        ZetaFactor, ZetaForm, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
@@ -837,9 +837,7 @@ def euler_product_by_accumulate(f, s: float, P: int,
     off it."""
     local = numeric._known_local_bells(f)
     absc = _abscissa_of(f)
-    if s <= float(absc) + 1e-6:
-        raise DivergenceError("s = %g is not beyond the abscissa %s"
-                              % (s, absc))
+    numeric._beyond_abscissa(s, absc)
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
@@ -864,9 +862,7 @@ def partial_sum_by_generators(f, s: float, N: int) -> EvalResult:
     local = numeric._known_local_bells(f)
     absc = _abscissa_of(f)
     s0 = float(absc)
-    if s <= s0 + 1e-6:
-        raise DivergenceError("s = %g is not beyond the abscissa %s"
-                              % (s, absc))
+    numeric._beyond_abscissa(s, absc)
     try:
         numeric._refuse_real_poles(local, s)
         vals = sequences.terms(f, N)

@@ -1,23 +1,24 @@
-"""Registry integrity: bells match masters, claimed zeta forms hold."""
+"""Registry integrity: series are the definitions, claimed zeta forms hold."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
 
-from dgf import catalog
+from dgf import bell, catalog
 from dgf.bell import MasterEquation, _expand, _reduce_product
 from dgf.catalog import CATALOG, CatalogEntry, LocalValues, make, names
 from dgf.errors import CatalogError
 from dgf.euler import INFINITE, finite_zeta_form
 from dgf.parser import parse_function
+from dgf.polys import PrimePoly
 from dgf.sequences import terms
 
-from conftest import GRID, grid_instances, zf_tuples
-from oracles import (DEFAULT_DEGREE_CAP, _ofactor, capped_zeta_form,
-                     oracle_at, rationalize, refit_bell, refit_local_bell,
-                     series_eq)
+from conftest import EXCEPTIONAL, GRID, grid_instances, zf_tuples
+from oracles import (DEFAULT_DEGREE_CAP, _ofactor, capped_zeta_form, oracle,
+                     oracle_at, rationalize, refit_bell, refit_local_bell)
 
 
 def test_names_sorted_and_complete():
@@ -48,13 +49,30 @@ def test_instance_names():
     assert make("jordan", 2).name == "jordan(2)"
 
 
+def _definition(name, args, N):
+    """n -> a(n) for n <= N, from the definition: per n, or off the first
+    N values where the oracle has no per-n form (tau, jordan_ratio)."""
+    try:
+        oracle_at(name, args, 1)
+    except AttributeError:
+        vals = oracle(name, args, N)
+        return lambda n: vals[n - 1]
+    return lambda n: oracle_at(name, args, n)
+
+
 @pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))
 def test_closed_bell_matches_master(name, args):
-    f = make(name, *args)
-    closed = CATALOG[name].closed_bell(*args)
-    # the whole window the master refit used to prove at the degree cap
-    K = 2 * DEFAULT_DEGREE_CAP + 3
-    assert series_eq(closed.series(K), f.series(K), K)
+    # an atom's a(p^e) is read off its closed form, so the reference is
+    # the definition: at each small prime with no exceptional value, the
+    # series at p is a(p^e) for every p^e <= 10^4
+    N, f = 10**4, make(name, *args)
+    series, at = f.series(N.bit_length() - 1), _definition(name, args, N)
+    primes = [p for p in (2, 3, 5, 7) if p not in f.exceptions]
+    for p in primes:
+        es = [e for e in range(len(series)) if p**e <= N]
+        assert [series[e].evaluate(p) for e in es] == \
+            [at(p**e) for e in es], p
+    assert primes
 
 
 @pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))
@@ -63,19 +81,6 @@ def test_bell_equals_master_refit(name, args):
     # the master window at the degree cap fits
     f = make(name, *args)
     assert f.bell == refit_bell(f)
-
-
-# the 8 entries with exceptional primes at their parameter bounds and at
-# small values: c = 524288 = 2^19 and 720720 = 2^4 3^2 5 7 11 13 have the
-# largest exceptional exponents, 999999 = 3^3 7 11 13 37 the most primes
-_CS = (1, 2, 12, 360, 524288, 720720, 999999)
-EXCEPTIONAL = (
-    [(name, (c,)) for name in ("gcdc", "lcmc", "ramanujan") for c in _CS]
-    + [("depleted", (q, k)) for q in (2, 3, 999983) for k in (1, 2, 30)]
-    + [("periodic2", (c,)) for c in (1, 10**6)]
-    + [("periodic4", (a, b)) for a in (1, 10**6) for b in (1, 10**6)]
-    + [(name, (k,)) for name in ("sigma_odd", "sigma_star_odd")
-       for k in (0, 1, 30)])
 
 
 def test_den_binomials_expand_to_the_den():
@@ -144,6 +149,22 @@ def test_closed_forms_built_once_per_process(monkeypatch):
     assert sorted(v.values for v in local) == [(1, 2, 4), (1, 3)]
     assert set(local.values()) == {1}
     assert make("sigma", 1).bell is make("sigma", 1).bell
+
+
+def test_coefficients_come_off_the_one_shared_series(monkeypatch):
+    # every instance reads a(p^e) off its shared closed form's series,
+    # which grows by doubling: one series_div per doubling, none per e
+    orders, div = [], bell.series_div
+
+    def count(num, den, K, out=None):
+        orders.append(K)
+        return div(num, den, K, out)
+    monkeypatch.setattr(bell, "series_div", count)
+    f, g = make("tau", 3), make("tau", 3)
+    assert [f.coeff(None, e) for e in range(41)] == \
+        [PrimePoly.const(math.comb(e + 2, 2)) for e in range(41)]
+    assert g.coeff(None, 40) is f.coeff(None, 40)
+    assert orders == [1, 4, 10, 22, 46]
 
 
 @pytest.mark.parametrize("a,b", [

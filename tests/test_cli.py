@@ -366,6 +366,13 @@ def test_exit_code_math_errors(capsys):
     rc, _, err = run(capsys, ["eval", "sigma(1)", "--s", "2"])
     assert rc == 3
     assert "not beyond the abscissa" in err
+    # the refusal names the s given, not its %g rounding, and the margin
+    for method in ("auto", "euler", "sum"):
+        rc, out, err = run(capsys, ["eval", "mu", "--s", "1.0000001",
+                                    "--method", method])
+        assert (rc, out) == (3, "")
+        assert err == "error: s = 1.0000001 is not beyond the abscissa 1 " \
+            "by more than 1e-06\n"
 
 
 @pytest.mark.parametrize("argv", [

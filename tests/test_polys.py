@@ -45,8 +45,13 @@ def test_block_evaluation_matches_points():
     # gaps in the exponents of p, a zero and a constant coefficient
     cs = [P.const(1), P.zero, P.monomial(3, 4) + P.const(-7),
           P.monomial(5, -2) + P.monomial(1), P.const(6)]
-    for c in cs:
-        assert list(c.evaluate_block(ps)) == [c.evaluate(p) for p in ps]
+    # sparse: one stage per stored power, across each gap a pow, from a
+    # leading 1 or not, ending above p^0 or not, past _STAGES stages
+    sparse = [P.monomial(30, -155117520), P.monomial(12), P.monomial(1),
+              P({40: 1, 3: 5}), P({9: 2, 8: -1, 2: 3}), P({7: 1, 1: -1}),
+              P({3 * e: (-1) ** e for e in range(1500)})]
+    for c in cs + sparse:
+        assert list(c.evaluate_block(ps)) == list(map(c.evaluate, ps))
     xp = XPoly(cs)
     xs = [Fraction(1, p) for p in ps]
     assert xp.evaluate_block(ps, xs) == \

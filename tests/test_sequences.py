@@ -17,7 +17,7 @@ from dgf.polys import PrimePoly
 from dgf.sequences import (MAX_SIEVE, FactorSieve, compare_bfile,
                            matches_bell, terms)
 
-from conftest import GRID
+from conftest import EXCEPTIONAL, GRID
 from oracles import (_ofactor, brute_convolve, brute_unitary_convolve,
                      oracle, terms_by_table, trial_primes)
 
@@ -31,7 +31,10 @@ def test_terms_fixtures():
     assert terms(make("mu"), 2) == [1, -1]
 
 
-@pytest.mark.parametrize("name,args", GRID, ids=lambda v: str(v))
+# the exceptional instances GRID already has keep their ids
+@pytest.mark.parametrize("name,args",
+                         GRID + [g for g in EXCEPTIONAL if g not in GRID],
+                         ids=lambda v: str(v))
 def test_terms_match_definition_oracle(name, args):
     N = 300
     assert terms(make(name, *args), N) == oracle(name, args, N)
