@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, repeat
@@ -13,7 +14,7 @@ from operator import mul, truediv
 from typing import Sequence
 
 from . import sequences
-from .bell import BellRational, MultiplicativeFunction
+from .bell import MultiplicativeFunction
 from .errors import DgfError, DivergenceError, SieveLimitError
 from .euler import ZetaForm, abscissa, factor_bell
 from .records import Record
@@ -38,13 +39,18 @@ _EM_CUTOFF = 40
 _EM_TERMS = 15
 
 
-def riemann_zeta(s: float) -> float:
-    """zeta(s) for real s > 1, by Euler-Maclaurin summation."""
-    if s <= 1.0:
-        raise DivergenceError("zeta has no value at s = %g (needs s > 1)" % s)
+def riemann_zeta(x: float | Fraction) -> float:
+    """zeta(x) for real x > 1, by Euler-Maclaurin summation.  The pole
+    term N^(1-x)/(x-1) takes x - 1 rounded once from x as given, so an
+    exact x keeps its relative error near the pole, where rounding x
+    itself would cost about 1e-16/(x - 1)."""
+    if x <= 1:
+        raise DivergenceError("zeta has no value at s = %r (needs s > 1)"
+                              % float(x))
+    s, d = float(x), float(x - 1)
     N = _EM_CUTOFF
     acc = math.fsum(n ** -s for n in range(1, N))
-    acc += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** -s
+    acc += N ** -d / d + 0.5 * N ** -s
     rising = s
     power = N ** (-s - 1.0)
     prev = math.inf
@@ -113,28 +119,37 @@ class EvalResult(Record):
 _BLOCK = 1024
 
 
-def _block_values(f: MultiplicativeFunction, b: BellRational,
-                  blk: list[int], s: float) -> list[float]:
+def _block_values(f: MultiplicativeFunction, local: dict, blk: list[int],
+                  s: float) -> list[float]:
     """Euler factor values at the primes of blk: the generic Bell series
-    b over the whole block at once, the local one at exceptional primes."""
+    over the whole block at once, local's at exceptional primes."""
     exc = f.exceptions
     gen = ([p for p in blk if p not in exc]
            if exc and blk[0] <= max(exc) else blk)
-    vals = b.evaluate_block(gen, list(map(pow, gen, repeat(-s))))
+    vals = f.bell.evaluate_block(gen, list(map(pow, gen, repeat(-s))))
     if gen is blk:
         return vals
     rest = iter(vals)
-    return [f.local_bell(p).evaluate(p, p ** -s) if p in exc else next(rest)
-            for p in blk]
+    return [float(_wide(local[p].evaluate, p, p ** -s)) if p in exc
+            else next(rest) for p in blk]
 
 
-def _known_local_bells(f: MultiplicativeFunction) -> list:
-    """The pairs (q, Bell series at q) at 2 and at each exceptional prime.
-    Where the generic series or one of these is not known, a DgfError: a
+def _wide(evaluate, p: int, x: float):
+    """evaluate(p, x), a local factor's value at a float x; where the
+    float Horner overflows, the exact value at the Fraction of x."""
+    try:
+        return evaluate(p, x)
+    except OverflowError:
+        return evaluate(p, Fraction(x))
+
+
+def _local_bells(f: MultiplicativeFunction) -> dict:
+    """{q: Bell series at q} at 2 and at each exceptional prime.  Where
+    the generic series or one of these is not known, a DgfError: a
     truncated sum of a(q^e) q^(-es) bounds nothing, as the series may
     diverge far to the right of what its first terms show."""
-    local = [(q, f.local_bell(q)) for q in sorted({2, *f.exceptions})]
-    if f.bell is None or any(b is None for _, b in local):
+    local = {q: f.local_bell(q) for q in sorted({2, *f.exceptions})}
+    if f.bell is None or None in local.values():
         raise DgfError("no Bell series known, so no Euler factor can be "
                        "evaluated")
     return local
@@ -167,53 +182,49 @@ def _real_roots_within(cs: Sequence[int], x: Fraction) -> int:
     return changes(-x) - changes(x)
 
 
-def _refuse_real_poles(local, s: float) -> None:
-    """Raise DivergenceError where, for a pair (p, Bell series) of local,
-    the series' den has a real root with |x| <= p^-s, so the Euler factor
-    at p diverges: den(0) = 1, so den(x) <= 0 or den(-x) <= 0 at x = p^-s
-    puts one there, and past that sign test a den of degree >= 2 counts
-    its roots inside by a Sturm sequence (a double root keeps the sign).
-    Complex roots go unseen.
-    """
-    for p, b in local:
-        x = p ** -s
-        cs = [c.evaluate(p) for c in b.den.coeffs]
-        if (min(b.den.evaluate(p, x), b.den.evaluate(p, -x)) <= 0
-                or len(cs) > 2 and _real_roots_within(cs, Fraction(x))):
-            raise DivergenceError("s = %g: the Euler factor at p = %d has a "
-                                  "real pole with |x| <= %d^-s" % (s, p, p))
-
-
 # how far past the abscissa every method asks s to be
 _MARGIN = 1e-6
 
 
-def _beyond_abscissa(s: float, absc: Fraction) -> None:
-    """Refuse an s within _MARGIN of the abscissa, naming s as given."""
+@contextmanager
+def _guard(s: float, absc: Fraction, local: dict):
+    """The refusals of every evaluation at s, each naming s by repr: on
+    entry, s within _MARGIN of the abscissa absc; inside, a real pole
+    of a factor {p: Bell series} of local with |x| <= p^-s, and any
+    OverflowError, as exact values too wide for a float.  den(0) = 1, so
+    den(x) <= 0 or den(-x) <= 0 at x = p^-s puts a pole there; past that
+    a den of degree >= 2 counts its roots inside by a Sturm sequence (a
+    double root keeps the sign).  Complex roots go unseen."""
     if s <= float(absc) + _MARGIN:
         raise DivergenceError("s = %r is not beyond the abscissa %s by more "
                               "than %g" % (s, absc, _MARGIN))
-
-
-def _too_wide(s: float) -> DgfError:
-    return DgfError("s = %g: exact values too large for floating point" % s)
+    try:
+        for p, b in local.items():
+            x = p ** -s
+            cs = [c.evaluate(p) for c in b.den.coeffs]
+            if (min(_wide(b.den.evaluate, p, x),
+                    _wide(b.den.evaluate, p, -x)) <= 0
+                    or len(cs) > 2 and _real_roots_within(cs, Fraction(x))):
+                raise DivergenceError("s = %r: the Euler factor at p = %d has "
+                                      "a real pole with |x| <= %d^-s"
+                                      % (s, p, p))
+        yield
+    except OverflowError:
+        raise DgfError("s = %r: exact values too large for floating point"
+                       % s) from None
 
 
 def eval_zeta_form(zf: ZetaForm, s: float) -> EvalResult:
     """Evaluate a finite zeta form at real s inside its half-plane; a
     local factor with a real pole in reach raises DivergenceError, exact
     values too wide for a float a DgfError."""
-    _beyond_abscissa(s, abscissa(zf).abscissa)
-    local = [(lf.prime, lf.bell()) for lf in zf.local]
-    try:
-        _refuse_real_poles(local, s)
+    local = {lf.prime: lf.bell() for lf in zf.local}
+    with _guard(s, abscissa(zf).abscissa, local):
         value = 1.0
         for z in zf.zeta_factors:
-            value *= riemann_zeta(z.u * s - z.l) ** z.gamma
-        for p, b in local:
-            value *= b.evaluate(p, p ** -s)
-    except OverflowError:
-        raise _too_wide(s) from None
+            value *= riemann_zeta(z.u * Fraction(s) - z.l) ** z.gamma
+        for p, b in local.items():
+            value *= float(_wide(b.evaluate, p, p ** -s))
     return EvalResult(value, 1e-13 * abs(value), "zeta_form")
 
 
@@ -238,18 +249,15 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
         raise SieveLimitError("prime bound %d is not in [2, sieve limit]" % P)
     if accel not in ("wynn", "none"):
         raise ValueError("accel must be 'wynn' or 'none'")
-    local = _known_local_bells(f)
+    local = _local_bells(f)
     absc = _abscissa_of(f)
-    _beyond_abscissa(s, absc)
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
-    b = f.bell
     primes = sequences._SIEVE.primes(P)
-    try:
-        _refuse_real_poles(local, s)
+    with _guard(s, absc, local):
         while blk := list(islice(primes, _BLOCK)):
-            vals = _block_values(f, b, blk, s)
+            vals = _block_values(f, local, blk, s)
             # each checkpoint below the block's last prime is complete in
             # it: the product up to there, then on from it
             i = 0
@@ -259,8 +267,6 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
                 partials.append(prod)
                 i = j
             prod = math.prod(vals[i:], start=prod)
-    except OverflowError:
-        raise _too_wide(s) from None
     partials += [prod] * (len(cps) - len(partials))
     # prime-tail of the log-product, scaled back to an absolute estimate
     tail = abs(prod) * (P ** (float(absc) - s)) \
@@ -306,17 +312,13 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
     """
     if not 1 <= N <= sequences.MAX_SIEVE:
         raise SieveLimitError("term bound %d is not in [1, sieve limit]" % N)
-    local = _known_local_bells(f)
+    local = _local_bells(f)
     absc = _abscissa_of(f)
     s0 = float(absc)
-    _beyond_abscissa(s, absc)
-    try:
-        _refuse_real_poles(local, s)
+    with _guard(s, absc, local):
         vals = sequences.terms(f, N)
         ns = range(1, N + 1)
         value = math.fsum(map(mul, vals, map(pow, ns, repeat(-s))))
         C = _tail_constant(vals, s0 - 1.0)
-    except OverflowError:
-        raise _too_wide(s) from None
     tail = C * N ** (s0 - s) / (s - s0)
     return EvalResult(value, tail, "partial_sum")

@@ -835,15 +835,13 @@ def euler_product_by_accumulate(f, s: float, P: int,
     """numeric.eval_euler_product with the running product of each block
     of primes kept whole (itertools.accumulate), the checkpoints read
     off it."""
-    local = numeric._known_local_bells(f)
+    local = numeric._local_bells(f)
     absc = _abscissa_of(f)
-    numeric._beyond_abscissa(s, absc)
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
     primes = sequences._SIEVE.primes(P)
-    try:
-        numeric._refuse_real_poles(local, s)
+    with numeric._guard(s, absc, local):
         while blk := list(itertools.islice(primes, numeric._BLOCK)):
             runs = list(itertools.accumulate(
                 _block_values_by_lists(f, blk, s), operator.mul,
@@ -852,23 +850,17 @@ def euler_product_by_accumulate(f, s: float, P: int,
                 partials.append(runs[bisect.bisect_right(
                     blk, cps[len(partials)])])
             prod = runs[-1]
-    except OverflowError:
-        raise numeric._too_wide(s) from None
     return _euler_result(cps, partials, prod, float(absc), s, P, accel)
 
 
 def partial_sum_by_generators(f, s: float, N: int) -> EvalResult:
     """numeric.eval_partial_sum with one generator step per term."""
-    local = numeric._known_local_bells(f)
+    local = numeric._local_bells(f)
     absc = _abscissa_of(f)
     s0 = float(absc)
-    numeric._beyond_abscissa(s, absc)
-    try:
-        numeric._refuse_real_poles(local, s)
+    with numeric._guard(s, absc, local):
         vals = sequences.terms(f, N)
         value = math.fsum(v * n ** -s for n, v in enumerate(vals, start=1))
         C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))
-    except OverflowError:
-        raise numeric._too_wide(s) from None
     tail = C * N ** (s0 - s) / (s - s0)
     return EvalResult(value, tail, "partial_sum")

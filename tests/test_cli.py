@@ -380,13 +380,30 @@ def test_exit_code_math_errors(capsys):
     ["eval", "sigma(30)^3", "--s", "200", "--method", "euler"],
     ["eval", "sigma(30)^3", "--s", "200", "--method", "sum"],
     ["eval", "sigma(30)*sigma(29)*sigma(28)", "--s", "100"],
-    ["eval", "power(30)^2 * gcdc(524288)", "--s", "200"],    # zeta form
+    ["eval", "sigma(30)^3", "--s", "200.0000001"],
 ])
 def test_exit_code_values_too_wide_for_a_float(capsys, argv):
+    # the refusal names s by repr, as given: 200.0, not 200
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (3, "")
-    assert err == "error: s = %s: exact values too large for floating " \
-        "point\n" % argv[3]
+    assert err == "error: s = %r: exact values too large for floating " \
+        "point\n" % float(argv[3])
+
+
+@pytest.mark.parametrize("method", ["auto", "euler", "sum"])
+@pytest.mark.parametrize("src", ["power(30)^2 * gcdc(524288)",
+                                 "inv(power(30)^2 * gcdc(524288))"])
+def test_local_factor_too_wide_for_a_float_is_evaluated_exactly(capsys, src,
+                                                                 method):
+    # the factor at 2 has coefficients up to 2^1159 in its num (in its den
+    # under inv, which the pole test reads), past a double, yet at x =
+    # 2^-200 its value is 1 +- 1.4e-42 (mpmath); the generic primes of the
+    # Euler product and the sum's terms stay within a double here
+    rc, out, _ = run(capsys, ["eval", src, "--s", "200", "--method", method])
+    assert rc == 0
+    value, err = (float(v) for v in
+                  re.match(r"(\S+) \(error <= (\S+),", out).groups())
+    assert abs(value - 1.0) <= err
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,12 +414,13 @@ def test_exit_code_values_too_wide_for_a_float(capsys, argv):
     # 1/(1 - 3x)^2 at p = 2: a double pole keeps the den's sign at +-x
     ["eval", "const(3) <*> const(3)", "--s", "1.2"],
     ["eval", "const(3) <*> const(3)", "--s", "1.2", "--method", "sum"],
+    ["eval", "const(3)", "--s", "1.20000001"],     # not s = 1.2, as %g says
 ])
 def test_exit_code_real_pole_at_two(capsys, argv):
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (3, "")
-    assert err == "error: s = %s: the Euler factor at p = 2 has a real " \
-        "pole with |x| <= 2^-s\n" % argv[3]
+    assert err == "error: s = %r: the Euler factor at p = 2 has a real " \
+        "pole with |x| <= 2^-s\n" % float(argv[3])
 
 
 @pytest.mark.parametrize("method", ["auto", "euler", "sum"])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from dgf import numeric
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import DgfError, DivergenceError, SieveLimitError
-from dgf.euler import INFINITE, finite_zeta_form
+from dgf.euler import INFINITE, ZetaForm, abscissa, finite_zeta_form
 from dgf.numeric import (
     EvalResult,
     eval_euler_product,
@@ -22,6 +23,7 @@ from dgf.parser import parse_function
 from dgf.polys import PrimePoly
 
 import oracles
+from conftest import EXCEPTIONAL, GRID
 
 ZETA2 = 1.6449340668482264
 ZETA3 = 1.2020569031595943
@@ -32,6 +34,7 @@ def test_riemann_zeta_reference_values():
     assert riemann_zeta(2.0) == pytest.approx(ZETA2, abs=1e-12)
     assert riemann_zeta(3.0) == pytest.approx(ZETA3, abs=1e-12)
     assert riemann_zeta(4.0) == pytest.approx(ZETA4, abs=1e-12)
+    assert riemann_zeta(Fraction(3)) == riemann_zeta(3.0)
     # non-integer points against an independent high-precision source
     mp = pytest.importorskip("mpmath")
     for s in [1.1, 1.5, 2.5, 3.7, 7.25, 20.0]:
@@ -42,6 +45,13 @@ def test_riemann_zeta_divergence():
     for s in [1.0, 0.5, 0.0, -2.0]:
         with pytest.raises(DivergenceError):
             riemann_zeta(s)
+    with pytest.raises(DivergenceError, match=r"^zeta has no value at s = "
+                       r"1\.0 \(needs s > 1\)$"):
+        riemann_zeta(1.0)
+    with pytest.raises(DivergenceError, match=r"at s = 0\.99999999 "):
+        riemann_zeta(0.99999999)
+    with pytest.raises(DivergenceError):
+        riemann_zeta(Fraction(1))
 
 
 def test_wynn_epsilon_on_alternating_series():
@@ -117,6 +127,45 @@ def test_real_pole_at_a_small_prime_refused(src, s):
     if zf != INFINITE:
         with pytest.raises(DivergenceError, match="real pole"):
             eval_zeta_form(zf, s)
+
+
+def _zeta_form_reference(zf: ZetaForm, s: float, mp):
+    # the zeta form's value at the double s in 50 digits: mpmath's zeta
+    # at each exact u s - l, each local factor's polynomials in mpmath
+    with mp.workdps(50):
+        S = mp.mpf(s)
+        ref = mp.fprod(mp.zeta(z.u * S - z.l) ** z.gamma
+                       for z in zf.zeta_factors)
+        for lf in zf.local:
+            x = mp.power(lf.prime, -S)
+            ref *= mp.polyval(lf.num[::-1], x) / mp.polyval(lf.den[::-1], x)
+        return ref
+
+
+def test_zeta_form_error_holds_near_the_abscissa():
+    # calibration of the claimed 1e-13 relative error where it is hardest:
+    # just past the margin, for every finite zeta form of the catalog grids
+    # with a factor zeta(us - l) of u >= 2 or l != 0, whose u s - l a
+    # double would round, and the eps and shift forms that broke it
+    mp = pytest.importorskip("mpmath")
+    fs = [make(name, *args) for name, args in GRID + EXCEPTIONAL]
+    fs += [parse_function(src) for src in ("eps(5)", "eps(7)",
+                                           "shift(eps(3), 1)",
+                                           "shift(eps(6), 1)")]
+    points = 0
+    for f in fs:
+        zf = finite_zeta_form(f)
+        if not isinstance(zf, ZetaForm) or all(
+                z.u < 2 and not z.l for z in zf.zeta_factors):
+            continue
+        absc = float(abscissa(zf).abscissa)
+        for off in (1.01e-6, 1e-5, 1e-3):
+            s = absc + off
+            r = eval_zeta_form(zf, s)
+            actual = abs(r.value - _zeta_form_reference(zf, s, mp))
+            assert actual <= r.error, (str(f), s, r, float(actual))
+            points += 1
+    assert points >= 150
 
 
 # the benchmark's numeric grid functions and their abscissae
