@@ -18,7 +18,7 @@ from .euler import (INFINITE, UNKNOWN, ConvergenceInfo, EulerFactor,
                     zeta_factors_from_euler, zeta_form_to_coeffs)
 from .numeric import (EvalResult, eval_euler_product, eval_partial_sum,
                       eval_zeta_form, riemann_zeta, wynn_epsilon)
-from .parser import build, parse, parse_function, to_text
+from .parser import build, parse, parse_function
 from .polys import PrimePoly, XPoly
 from .sequences import FactorSieve, compare_bfile, terms
 
@@ -40,7 +40,7 @@ __all__ = [
     "zeta_form_to_coeffs",
     "EvalResult", "eval_euler_product", "eval_partial_sum", "eval_zeta_form",
     "riemann_zeta", "wynn_epsilon",
-    "build", "parse", "parse_function", "to_text",
+    "build", "parse", "parse_function",
     "PrimePoly", "XPoly",
     "FactorSieve", "compare_bfile", "terms",
     "__version__",

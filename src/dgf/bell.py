@@ -464,11 +464,11 @@ def _convolve(h, q, e):
     return _sum(f.coeff(q, l) * g.coeff(q, e - l) for l in range(e + 1))
 
 
-def dirichlet_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                       name: str | None = None) -> MultiplicativeFunction:
+def dirichlet_convolve(f: MultiplicativeFunction,
+                       g: MultiplicativeFunction) -> MultiplicativeFunction:
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
     return MultiplicativeFunction(
-        name or "(%s <*> %s)" % (f.name, g.name), _convolve,
+        "(%s <*> %s)" % (f.name, g.name), _convolve,
         lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den),
         (f, g))
 
@@ -478,10 +478,9 @@ def _invert(h, q, e):
     return -_sum(f.coeff(q, l) * h.coeff(q, e - l) for l in range(1, e + 1))
 
 
-def dirichlet_inverse(f: MultiplicativeFunction,
-                      name: str | None = None) -> MultiplicativeFunction:
+def dirichlet_inverse(f: MultiplicativeFunction) -> MultiplicativeFunction:
     """Inverse under Dirichlet convolution; Bell series is flipped."""
-    return MultiplicativeFunction(name or "inv(%s)" % f.name, _invert,
+    return MultiplicativeFunction("inv(%s)" % f.name, _invert,
                                   lambda h, q, fb: fb.reciprocal(), (f,))
 
 
@@ -617,26 +616,32 @@ def _bounded(h, q, *bs):
                            _expand(den_bins))
 
 
-def pointwise_product(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                      name: str | None = None) -> MultiplicativeFunction:
+def pointwise_product(f: MultiplicativeFunction,
+                      g: MultiplicativeFunction) -> MultiplicativeFunction:
     """(f . g)(p^e) = f(p^e) g(p^e); Bell series by _bounded."""
-    return MultiplicativeFunction(name or "(%s * %s)" % (f.name, g.name),
+    return MultiplicativeFunction("(%s * %s)" % (f.name, g.name),
                                   _termwise, _bounded, (f, g))
 
 
-def pointwise_power(f: MultiplicativeFunction, j: int,
-                    name: str | None = None) -> MultiplicativeFunction:
-    """j-th pointwise power, j >= 1: for j > 1 the product of j copies."""
+def _power(h, q, e):
+    # the operands are j copies of the base
+    return h.ops[0].coeff(q, e) ** len(h.ops)
+
+
+def pointwise_power(f: MultiplicativeFunction,
+                    j: int) -> MultiplicativeFunction:
+    """j-th pointwise power, j >= 1: for j > 1 the product of j copies.
+    '^' does not chain, so a base that is a power is named in parens."""
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
+    base = "(%s)" % f.name if f.rule is _power else f.name
     return MultiplicativeFunction(
-        name or "%s^%d" % (f.name, j),
-        lambda h, q, e: h.ops[0].coeff(q, e) ** j,
+        "%s^%d" % (base, j), _power,
         _bounded if j > 1 else lambda h, q, fb: fb, (f,) * j)
 
 
-def shift_by_power(f: MultiplicativeFunction, k: int,
-                   name: str | None = None) -> MultiplicativeFunction:
+def shift_by_power(f: MultiplicativeFunction,
+                   k: int) -> MultiplicativeFunction:
     """Multiply by n^k: a(p^e) -> p^(ke) a(p^e)."""
 
     def rule(h, q, e):
@@ -669,7 +674,7 @@ def shift_by_power(f: MultiplicativeFunction, k: int,
             raise DegreeBoundError("shift by %d not integral at p=%d" % (k, q))
         return BellRational(*(XPoly.from_ints(map(int, c)) for c in cs))
 
-    return MultiplicativeFunction(name or "shift(%s, %d)" % (f.name, k),
+    return MultiplicativeFunction("shift(%s, %d)" % (f.name, k),
                                   rule, shifted, (f,))
 
 
@@ -679,10 +684,10 @@ def _union(h, q, fb, gb):
     return _reduce_product(num, den)
 
 
-def unitary_convolve(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                     name: str | None = None) -> MultiplicativeFunction:
+def unitary_convolve(f: MultiplicativeFunction,
+                     g: MultiplicativeFunction) -> MultiplicativeFunction:
     """Unitary convolution: a(p^e) = f(p^e) + g(p^e) for e > 0."""
     return MultiplicativeFunction(
-        name or "(%s <+> %s)" % (f.name, g.name),
+        "(%s <+> %s)" % (f.name, g.name),
         lambda h, q, e: h.ops[0].coeff(q, e) + h.ops[1].coeff(q, e),
         _union, (f, g))

@@ -80,12 +80,13 @@ def _cmd_catalog(ns) -> int:
     entry = CATALOG.get(ns.name)
     if entry is None:
         raise CatalogError("unknown function %r" % ns.name)
+    # the arguments are checked before anything is written
+    f = entry.make(*ns.args) if ns.args or not entry.params else None
     print("%s: %s" % (ns.name, entry.summary))
     for p in entry.params:
         extra = ", prime" if p.prime else ""
         print("  parameter %s in [%d, %d]%s" % (p.name, p.lo, p.hi, extra))
-    if ns.args or not entry.params:
-        f = entry.make(*ns.args)
+    if f is not None:
         print("  bell series: %s" % (f.bell or UNKNOWN))
         zf = finite_zeta_form(f)
         print("  dirichlet series: %s" % zf)

@@ -234,7 +234,8 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
 
     Partial products are recorded at doubling positions P/2^j and, with
     accel="wynn", extrapolated; otherwise the raw product is returned
-    with a prime-tail error estimate.  The primes come from the shared
+    with a prime-tail error estimate; either error is at least 1e-15
+    |value|, the value's own rounding.  The primes come from the shared
     sieve; P outside [2, sequences.MAX_SIEVE] raises SieveLimitError
     and a function with no known Bell series a DgfError, both before any
     work.  They are taken _BLOCK at a time, the Bell series evaluated
@@ -277,7 +278,7 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
             value, err = prod, tail
         return EvalResult(value, max(err, 1e-15 * abs(value)),
                           "euler_product+wynn")
-    return EvalResult(prod, tail, "euler_product")
+    return EvalResult(prod, max(tail, 1e-15 * abs(prod)), "euler_product")
 
 
 def _tail_constant(vals: Sequence[int], j: float) -> float:
@@ -304,7 +305,8 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
 
     The tail uses |a(n)| <= C n^(sigma0 - 1) with C fitted on the
     computed window, so the bound is heuristic, not rigorous; C is the
-    largest |a(n)| / n^(sigma0 - 1), by _tail_constant.  N outside
+    largest |a(n)| / n^(sigma0 - 1), by _tail_constant; the error is
+    at least 1e-15 |value|, the value's own rounding.  N outside
     [1, sequences.MAX_SIEVE] raises SieveLimitError and a function with
     no known Bell series a DgfError, both before any work, a real pole of
     the Euler factor at 2 or at an exceptional prime in reach
@@ -321,4 +323,4 @@ def eval_partial_sum(f: MultiplicativeFunction, s: float,
         value = math.fsum(map(mul, vals, map(pow, ns, repeat(-s))))
         C = _tail_constant(vals, s0 - 1.0)
     tail = C * N ** (s0 - s) / (s - s0)
-    return EvalResult(value, tail, "partial_sum")
+    return EvalResult(value, max(tail, 1e-15 * abs(value)), "partial_sum")

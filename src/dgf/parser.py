@@ -9,6 +9,10 @@ Grammar (highest precedence last):
             | 'inv' '(' expr ')'
             | 'shift' '(' expr ',' INT ')'      |INT| <= MAX_POWER
             | '(' expr ')'
+
+parse gives the nodes in post-order as plain tuples, each after its
+operands; build runs them on a stack through catalog.make and dgf.bell's
+combinators, which name each function by its fully parenthesised text.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from .bell import (MAX_ORDER, MultiplicativeFunction, dirichlet_convolve,
                    dirichlet_inverse, pointwise_power, pointwise_product,
                    shift_by_power, unitary_convolve)
 from .errors import ParseError
-from .records import Record
 
 # the largest exponent of '^': a power node holds j references to its
 # base, so j is bounded before any is made; the bound of a shift amount too
@@ -74,89 +77,14 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-# -- syntax tree --------------------------------------------------------------
-
-class _Node(Record):
-    """Immutable syntax node: nodes of different kinds are never equal."""
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError("%s takes %d fields, got %d" % (
-                type(self).__name__, len(self.__slots__), len(values)))
-        for k, v in zip(self.__slots__, values):
-            object.__setattr__(self, k, v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("syntax nodes are immutable")
-
-    def __hash__(self):
-        return hash((self.__class__, self._values()))
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-
-class Atom(_Node):
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[int, ...] = ()):
-        super().__init__(name, args)
-
-
-class Conv(_Node):
-    __slots__ = ("left", "right")
-
-
-class UConv(_Node):
-    __slots__ = ("left", "right")
-
-
-class PMul(_Node):
-    __slots__ = ("left", "right")
-
-
-class PPow(_Node):
-    __slots__ = ("base", "exponent")
-
-
-class Inv(_Node):
-    __slots__ = ("inner",)
-
-
-class Shift(_Node):
-    __slots__ = ("inner", "k")
-
-
-def to_text(node) -> str:
-    if isinstance(node, Atom):
-        if not node.args:
-            return node.name
-        return "%s(%s)" % (node.name, ",".join(str(a) for a in node.args))
-    if isinstance(node, Conv):
-        return "(%s <*> %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, UConv):
-        return "(%s <+> %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, PMul):
-        return "(%s * %s)" % (to_text(node.left), to_text(node.right))
-    if isinstance(node, PPow):
-        # composite nodes carry their own parentheses; a power base must
-        # gain a pair, since the grammar does not chain '^'
-        base = to_text(node.base)
-        if isinstance(node.base, PPow):
-            base = "(%s)" % base
-        return "%s^%d" % (base, node.exponent)
-    if isinstance(node, Inv):
-        return "inv(%s)" % to_text(node.inner)
-    if isinstance(node, Shift):
-        return "shift(%s, %d)" % (to_text(node.inner), node.k)
-    raise TypeError("not a syntax node: %r" % (node,))
-
-
 class _Parser:
+    """Recursive descent over the tokens; each rule appends its operands'
+    nodes, then its own, to ops."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.ops: list[tuple] = []
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -173,22 +101,21 @@ class _Parser:
         return self.take()
 
     def parse_expr(self):
-        node = self.parse_term()
+        self.parse_term()
         while self.peek().kind in ("CONV", "UCONV"):
             op = self.take()
-            rhs = self.parse_term()
-            node = Conv(node, rhs) if op.kind == "CONV" else UConv(node, rhs)
-        return node
+            self.parse_term()
+            self.ops.append(("conv",) if op.kind == "CONV" else ("uconv",))
 
     def parse_term(self):
-        node = self.parse_factor()
+        self.parse_factor()
         while self.peek().kind == "STAR":
             self.take()
-            node = PMul(node, self.parse_factor())
-        return node
+            self.parse_factor()
+            self.ops.append(("mul",))
 
     def parse_factor(self):
-        node = self.parse_atom()
+        self.parse_atom()
         if self.peek().kind == "CARET":
             self.take()
             tok = self.peek()
@@ -197,8 +124,7 @@ class _Parser:
             if j < 1:
                 raise ParseError("exponent must be a positive integer",
                                  tok.pos)
-            node = PPow(node, j)
-        return node
+            self.ops.append(("pow", j))
 
     def parse_int(self, what: str = "an integer", name: str = "parameter",
                   bound: int = MAX_PARAM) -> int:
@@ -214,66 +140,72 @@ class _Parser:
         return int(tok.text)
 
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.take()
         if tok.kind == "LPAREN":
-            self.take()
-            node = self.parse_expr()
+            self.parse_expr()
             self.expect("RPAREN", "')'")
-            return node
+            return
         if tok.kind != "NAME":
             raise ParseError("expected a function name or '('", tok.pos)
-        self.take()
-        if tok.text == "inv":
-            self.expect("LPAREN", "'(' after inv")
-            node = self.parse_expr()
+        if tok.text in ("inv", "shift"):
+            self.expect("LPAREN", "'(' after " + tok.text)
+            self.parse_expr()
+            if tok.text == "inv":
+                node = ("inv",)
+            else:
+                self.expect("COMMA", "',' and a shift amount")
+                node = ("shift", self.parse_int(name="shift amount",
+                                                bound=MAX_POWER))
             self.expect("RPAREN", "')'")
-            return Inv(node)
-        if tok.text == "shift":
-            self.expect("LPAREN", "'(' after shift")
-            node = self.parse_expr()
-            self.expect("COMMA", "',' and a shift amount")
-            k = self.parse_int(name="shift amount", bound=MAX_POWER)
-            self.expect("RPAREN", "')'")
-            return Shift(node, k)
-        args: tuple[int, ...] = ()
-        if self.peek().kind == "LPAREN":
-            self.take()
-            vals = [self.parse_int()]
-            while self.peek().kind == "COMMA":
+        else:
+            args = []
+            if self.peek().kind == "LPAREN":
                 self.take()
-                vals.append(self.parse_int())
-            self.expect("RPAREN", "')'")
-            args = tuple(vals)
-        return Atom(tok.text, args)
+                args.append(self.parse_int())
+                while self.peek().kind == "COMMA":
+                    self.take()
+                    args.append(self.parse_int())
+                self.expect("RPAREN", "')'")
+            node = ("atom", tok.text, tuple(args))
+        self.ops.append(node)
 
 
-def parse(text: str):
-    """Parse an expression into a syntax tree."""
+def parse(text: str) -> list[tuple]:
+    """The expression as a post-order list of plain tuples: ("atom", name,
+    args), ("pow", j), ("inv",), ("shift", k), ("mul",), ("conv",) and
+    ("uconv",), each node after its operands.  Every syntax error is
+    raised here, before any catalog lookup."""
     p = _Parser(tokenize(text))
-    node = p.parse_expr()
+    p.parse_expr()
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError("unexpected trailing input", tok.pos)
-    return node
+    return p.ops
 
 
-def build(node) -> MultiplicativeFunction:
-    """Construct the multiplicative function an expression denotes."""
-    if isinstance(node, Atom):
-        return catalog.make(node.name, *node.args)
-    if isinstance(node, Conv):
-        return dirichlet_convolve(build(node.left), build(node.right))
-    if isinstance(node, UConv):
-        return unitary_convolve(build(node.left), build(node.right))
-    if isinstance(node, PMul):
-        return pointwise_product(build(node.left), build(node.right))
-    if isinstance(node, PPow):
-        return pointwise_power(build(node.base), node.exponent)
-    if isinstance(node, Inv):
-        return dirichlet_inverse(build(node.inner))
-    if isinstance(node, Shift):
-        return shift_by_power(build(node.inner), node.k)
-    raise TypeError("not a syntax node: %r" % (node,))
+# node kind -> (number of operands, combinator); a node's own fields
+# follow its operands as the combinator's arguments
+_COMBINATORS = {
+    "conv": (2, dirichlet_convolve), "uconv": (2, unitary_convolve),
+    "mul": (2, pointwise_product), "pow": (1, pointwise_power),
+    "inv": (1, dirichlet_inverse), "shift": (1, shift_by_power),
+}
+
+
+def build(ops: list[tuple]) -> MultiplicativeFunction:
+    """The multiplicative function a post-order node list denotes, built
+    on an explicit stack: atoms are made left to right, so the first bad
+    one raises its CatalogError."""
+    stack: list[MultiplicativeFunction] = []
+    for kind, *fields in ops:
+        if kind == "atom":
+            name, args = fields
+            stack.append(catalog.make(name, *args))
+        else:
+            n, combine = _COMBINATORS[kind]
+            stack[-n:] = [combine(*stack[-n:], *fields)]
+    f, = stack
+    return f
 
 
 def parse_function(text: str) -> MultiplicativeFunction:

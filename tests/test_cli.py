@@ -537,6 +537,19 @@ def test_catalog_detail(capsys):
     assert "parameter k in [0, 30]" in out
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (["sigma", "99"], "sigma: parameter k=99 out of range [0, 30]"),
+    (["gcdc", "0"], "gcdc: parameter c=0 out of range [1, 1000000]"),
+    (["depleted", "4", "1"], "depleted: parameter q=4 must be prime"),
+    (["sigma", "1", "2"], "sigma takes parameters (k), got 2 value(s)"),
+])
+def test_catalog_bad_args_write_nothing(capsys, argv, msg):
+    rc, out, err = run(capsys, ["catalog", *argv])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s\n" % msg
+
+
 def test_catalog_json(capsys):
     rc, out, _ = run(capsys, ["catalog", "--json"])
     assert rc == 0

@@ -207,6 +207,23 @@ def test_eval_partial_sum_within_error():
     assert abs(r.value - truth) <= r.error
 
 
+@pytest.mark.parametrize("src,s,method,bound", [
+    ("power(30)^2 * gcdc(524288)", 200.0, "sum", 10**4),
+    ("mu", 60.0, "sum", 10),
+    ("one", 80.0, "euler", 3),
+])
+def test_claimed_error_covers_the_rounding_of_the_value(src, s, method,
+                                                        bound):
+    # far right of the abscissa the tail estimate falls below the rounding
+    # of a value near 1, which the claimed error still covers
+    mp = pytest.importorskip("mpmath")
+    f = parse_function(src)
+    r = (eval_partial_sum(f, s, N=bound) if method == "sum"
+         else eval_euler_product(f, s, P=bound))
+    actual = abs(r.value - _zeta_form_reference(finite_zeta_form(f), s, mp))
+    assert 0 < actual <= r.error, (r, float(actual))
+
+
 def test_methods_agree_on_alternating_sign_function():
     f = make("liouville")  # 1/zeta(s) * zeta(2s)
     truth = riemann_zeta(6.0) / riemann_zeta(3.0)

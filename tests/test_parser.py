@@ -1,27 +1,11 @@
 """Expression language: tokens, precedence, round trips, and errors."""
 from __future__ import annotations
 
-import copy
-import pickle
-
 import pytest
 
 from dgf.catalog import make
 from dgf.errors import CatalogError, ParseError
-from dgf.parser import (
-    Atom,
-    Conv,
-    Inv,
-    PMul,
-    PPow,
-    Shift,
-    UConv,
-    build,
-    parse,
-    parse_function,
-    to_text,
-    tokenize,
-)
+from dgf.parser import build, parse, parse_function, tokenize
 from dgf.sequences import terms
 
 from oracles import brute_convolve
@@ -37,56 +21,63 @@ def test_tokenize_kinds_and_columns():
         ["NAME", "CONV", "NAME", "UCONV", "NAME", "EOF"]
 
 
+MU, PHI, ONE = ("atom", "mu", ()), ("atom", "phi", ()), ("atom", "one", ())
+
+
 def test_precedence_power_then_product_then_convolution():
-    ast = parse("mu^2 * phi <*> one")
-    assert ast == Conv(PMul(PPow(Atom("mu"), 2), Atom("phi")), Atom("one"))
+    assert parse("mu^2 * phi <*> one") == [
+        MU, ("pow", 2), PHI, ("mul",), ONE, ("conv",)]
+    assert parse("one <*> mu * phi^2") == [
+        ONE, MU, PHI, ("pow", 2), ("mul",), ("conv",)]
 
 
 def test_convolutions_left_associative():
-    ast = parse("one <*> phi <+> mu")
-    assert ast == UConv(Conv(Atom("one"), Atom("phi")), Atom("mu"))
-    ast = parse("one <*> (phi <+> mu)")
-    assert ast == Conv(Atom("one"), UConv(Atom("phi"), Atom("mu")))
+    assert parse("one <*> phi <+> mu") == [
+        ONE, PHI, ("conv",), MU, ("uconv",)]
+    assert parse("one <*> (phi <+> mu)") == [
+        ONE, PHI, MU, ("uconv",), ("conv",)]
+    assert parse("mu * phi * one") == [MU, PHI, ("mul",), ONE, ("mul",)]
 
 
 def test_atom_arguments_inv_shift():
-    assert parse("sigma(1)") == Atom("sigma", (1,))
-    assert parse("sigma_pow(1, 2)") == Atom("sigma_pow", (1, 2))
-    assert parse("inv(one)") == Inv(Atom("one"))
-    assert parse("shift(phi, 2)") == Shift(Atom("phi"), 2)
-    assert parse("shift(phi, -1)") == Shift(Atom("phi"), -1)
+    assert parse("sigma(1)") == [("atom", "sigma", (1,))]
+    assert parse("sigma_pow(1, 2)") == [("atom", "sigma_pow", (1, 2))]
+    assert parse("inv(one)") == [ONE, ("inv",)]
+    assert parse("shift(phi, 2)") == [PHI, ("shift", 2)]
+    assert parse("shift(phi, -1)") == [PHI, ("shift", -1)]
 
 
-def test_node_kinds_equality_and_hash():
-    a, b = Atom("mu"), Atom("phi")
-    nodes = [Conv(a, b), UConv(a, b), PMul(a, b), PPow(a, 2), Inv(a),
-             Shift(a, 2)]
-    for i, x in enumerate(nodes):
-        for j, y in enumerate(nodes):
-            assert (x == y) == (i == j), (x, y)
-    # equal trees of separate parses hash alike, so a set keeps one each
-    again = [parse(to_text(n)) for n in nodes]
-    assert again == nodes
-    assert [hash(n) for n in again] == [hash(n) for n in nodes]
-    assert len(set(nodes + again)) == len(nodes)
-    assert Conv(a, b) != (a, b) and Atom("mu") != ("mu", ())
-    assert repr(Shift(a, 2)) == "Shift(inner=Atom(name='mu', args=()), k=2)"
-    assert copy.deepcopy(nodes) == nodes
-    assert pickle.loads(pickle.dumps(nodes)) == nodes
-    with pytest.raises(AttributeError):
-        a.name = "phi"
-    with pytest.raises(TypeError):
-        Conv(a)
+def test_post_order_nodes_are_plain_tuples():
+    # each node follows its operands; parentheses leave no node, and a
+    # power of a power is two nodes
+    ops = parse("((phi^2)^3 <+> inv(shift(mu, 1)))")
+    assert ops == [PHI, ("pow", 2), ("pow", 3), MU, ("shift", 1), ("inv",),
+                   ("uconv",)]
+    assert all(type(op) is tuple for op in ops)
+    assert parse(" ( ( mu ) ) ") == [MU]
 
 
-@pytest.mark.parametrize("src", [
-    "mu^2 * phi", "(one <*> phi)^2", "inv(one)", "shift(phi, 1)",
-    "sigma(1) <*> jordan(2)", "one <*> phi <+> mu",
-    "inv(shift(mu, 3)) * tau(2)^3",
-])
-def test_to_text_round_trips(src):
-    ast = parse(src)
-    assert parse(to_text(ast)) == ast
+NAMES = [
+    ("mu^2 * phi", "(mu^2 * phi)"),
+    ("(one <*> phi)^2", "(one <*> phi)^2"),
+    ("inv(one)", "inv(one)"),
+    ("shift(phi, 1)", "shift(phi, 1)"),
+    ("sigma(1) <*> jordan(2)", "(sigma(1) <*> jordan(2))"),
+    ("one <*> phi <+> mu", "((one <*> phi) <+> mu)"),
+    ("inv(shift(mu, 3)) * tau(2)^3", "(inv(shift(mu, 3)) * tau(2)^3)"),
+    ("(phi^2)^3", "(phi^2)^3"),
+    ("((sigma_pow(1,  2))^2)^3 * mu", "((sigma_pow(1,2)^2)^3 * mu)"),
+]
+
+
+@pytest.mark.parametrize("src,name", NAMES, ids=[src for src, _ in NAMES])
+def test_name_round_trips(src, name):
+    # a function's name is its fully parenthesised text, which parses to
+    # the same nodes as the text it was built from
+    f = parse_function(src)
+    assert f.name == name
+    assert parse(f.name) == parse(src)
+    assert parse_function(f.name).name == name
 
 
 @pytest.mark.parametrize("src,msg", [
@@ -125,17 +116,17 @@ def test_parse_errors_carry_columns(src, msg):
 
 
 def test_integer_bounds_are_inclusive():
-    assert parse("shift(phi, 4096)") == Shift(Atom("phi"), 4096)
-    assert parse("shift(phi, -04096)") == Shift(Atom("phi"), -4096)
+    assert parse("shift(phi, 4096)") == [PHI, ("shift", 4096)]
+    assert parse("shift(phi, -04096)") == [PHI, ("shift", -4096)]
     assert parse("gcdc(1000000000000000000)") == \
-        Atom("gcdc", (10**18,))
+        [("atom", "gcdc", (10**18,))]
     assert parse("gcdc(-0001000000000000000000)") == \
-        Atom("gcdc", (-10**18,))
+        [("atom", "gcdc", (-10**18,))]
 
 
 def test_exponent_bound_is_inclusive():
-    assert parse("phi^4096") == PPow(Atom("phi"), 4096)
-    assert parse("phi^0003") == PPow(Atom("phi"), 3)
+    assert parse("phi^4096") == [PHI, ("pow", 4096)]
+    assert parse("phi^0003") == [PHI, ("pow", 3)]
     # past the 4300 digits int() takes, still a parse error
     with pytest.raises(ParseError, match="col 5: exponent must be at most"):
         parse("phi^" + "9" * 5000)
@@ -147,6 +138,17 @@ def test_unknown_names_fail_at_build_not_parse():
         build(ast)
     with pytest.raises(CatalogError, match="takes parameters"):
         build(parse("sigma(1, 2)"))
+
+
+def test_syntax_checked_before_atoms_made_left_to_right():
+    # every syntax error comes before any catalog lookup, and of two bad
+    # atoms the leftmost raises
+    with pytest.raises(ParseError, match="col 15: unexpected trailing"):
+        parse_function("bogus <*> phi )")
+    with pytest.raises(CatalogError, match="unknown function 'bogus'"):
+        parse_function("inv(bogus) <*> sigma(1, 2)")
+    with pytest.raises(CatalogError, match="takes parameters"):
+        parse_function("(sigma(1, 2))^2 <*> bogus")
 
 
 def test_build_semantics():

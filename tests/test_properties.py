@@ -19,8 +19,7 @@ from dgf.catalog import make
 from dgf.errors import DegreeBoundError
 from dgf.euler import (INFINITE, EulerFactor, ZetaForm, euler_expand,
                        finite_zeta_form, zeta_factors_from_euler)
-from dgf.parser import (Atom, Conv, Inv, PMul, PPow, Shift, UConv, build,
-                        parse, to_text)
+from dgf.parser import parse, parse_function
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
@@ -204,64 +203,70 @@ def test_shift_round_trip(entry, k):
 
 
 atoms = st.sampled_from([
-    Atom("phi"), Atom("mu"), Atom("one"), Atom("sigma", (1,)),
-    Atom("jordan", (2,)), Atom("sigma_pow", (1, 2)),
+    "phi", "mu", "one", "sigma(1)", "jordan(2)", "sigma_pow(1, 2)",
 ])
 
 
 exceptional_atoms = st.sampled_from([
-    Atom("gcdc", (12,)), Atom("ramanujan", (6,)), Atom("sigma_odd", (1,)),
-    Atom("periodic4", (3, 7)),
+    "gcdc(12)", "ramanujan(6)", "sigma_odd(1)", "periodic4(3, 7)",
 ])
 
 
-def ast_strategy(leaves=atoms, shifts=st.integers(-3, 3),
-                 powers=st.integers(1, 5), max_leaves=6):
+def expr_strategy(leaves=atoms, shifts=st.integers(-3, 3),
+                  powers=st.integers(1, 5), max_leaves=6):
+    """Expression texts with every composite in parentheses; a power's
+    base has a pair of its own, so powers of powers are drawn too."""
     return st.recursive(
         leaves,
         lambda kids: st.one_of(
-            st.tuples(kids, kids).map(lambda t: Conv(*t)),
-            st.tuples(kids, kids).map(lambda t: UConv(*t)),
-            st.tuples(kids, kids).map(lambda t: PMul(*t)),
-            st.tuples(kids, powers).map(lambda t: PPow(*t)),
-            kids.map(Inv),
-            st.tuples(kids, shifts).map(lambda t: Shift(*t)),
+            st.tuples(kids, kids).map("(%s <*> %s)".__mod__),
+            st.tuples(kids, kids).map("(%s <+> %s)".__mod__),
+            st.tuples(kids, kids).map("(%s * %s)".__mod__),
+            st.tuples(kids, powers).map("(%s)^%d".__mod__),
+            kids.map("inv(%s)".__mod__),
+            st.tuples(kids, shifts).map("shift(%s, %d)".__mod__),
         ),
         max_leaves=max_leaves,
     )
 
 
 @MODEST
-@given(ast_strategy())
-def test_parser_round_trips_any_tree(ast):
-    assert parse(to_text(ast)) == ast
+@given(expr_strategy(st.one_of(atoms, exceptional_atoms),
+                     shifts=st.integers(0, 2)))
+def test_name_parses_back_to_the_same_function(text):
+    # a function's name is its text: it parses to the nodes it was built
+    # from, and builds the same function under the same name
+    f = parse_function(text)
+    g = parse_function(f.name)
+    assert g.name == f.name
+    assert parse(f.name) == parse(text)
+    assert terms(g, 200) == terms(f, 200)
 
 
 # operands whose dens do not split into binomials: const(c)'s 1 - c x,
 # and the inverses of atoms whose dens split but whose numerators do not
 unsplit_atoms = st.sampled_from([
-    Inv(Atom("phi_star")), Atom("const", (2,)), Atom("const", (3,)),
-    Inv(Atom("sigma_prime")), Inv(Atom("tau_star", (3,))),
-    Inv(Atom("rad", (3,))),
+    "inv(phi_star)", "const(2)", "const(3)", "inv(sigma_prime)",
+    "inv(tau_star(3))", "inv(rad(3))",
 ])
 # mixed with split and exceptional atoms under every combinator; integral
 # shifts, so that every operand has its coefficients
-unsplit_trees = ast_strategy(st.one_of(unsplit_atoms, atoms,
-                                       exceptional_atoms),
-                             shifts=st.integers(0, 2),
-                             powers=st.integers(1, 2), max_leaves=3)
+unsplit_trees = expr_strategy(st.one_of(unsplit_atoms, atoms,
+                                        exceptional_atoms),
+                              shifts=st.integers(0, 2),
+                              powers=st.integers(1, 2), max_leaves=3)
 
 
 @MODEST
 @given(st.one_of(
-    st.tuples(unsplit_trees, unsplit_trees).map(lambda t: PMul(*t)),
-    st.tuples(unsplit_trees, st.integers(2, 3)).map(lambda t: PPow(*t)),
+    st.tuples(unsplit_trees, unsplit_trees).map("(%s * %s)".__mod__),
+    st.tuples(unsplit_trees, st.integers(2, 3)).map("(%s)^%d".__mod__),
     unsplit_trees))
-def test_pointwise_bell_is_built_over_unsplit_dens(node):
+def test_pointwise_bell_is_built_over_unsplit_dens(text):
     # every series built, generic and at each exceptional prime, holds
     # past twice its degrees, and where it is small enough to refit it is
     # already reduced
-    h = build(node)
+    h = parse_function(text)
     for q in [None, *h.exceptional_primes]:
         b = h.bell if q is None else h.local_bell(q)
         if b is None:
@@ -278,17 +283,17 @@ def test_pointwise_bell_is_built_over_unsplit_dens(node):
 
 # all six combinators over generic and exceptional atoms; integral shifts,
 # so that every node has its coefficients
-mixed_trees = ast_strategy(st.one_of(atoms, exceptional_atoms),
-                           shifts=st.integers(0, 2), powers=st.integers(1, 2),
-                           max_leaves=4)
+mixed_trees = expr_strategy(st.one_of(atoms, exceptional_atoms),
+                            shifts=st.integers(0, 2), powers=st.integers(1, 2),
+                            max_leaves=4)
 
 
 @settings(deadline=None, max_examples=150)
 @given(mixed_trees)
-def test_derived_bell_is_the_refit_on_mixed_trees(node):
+def test_derived_bell_is_the_refit_on_mixed_trees(text):
     # wherever the cap refit finds a form, the Bell rules derive the same
     # series from the operands', generic and at every exceptional prime
-    h = build(node)
+    h = parse_function(text)
     want = refit_bell(h)
     assert want is None or h.bell == want
     for q in h.exceptional_primes:
@@ -300,22 +305,21 @@ def test_derived_bell_is_the_refit_on_mixed_trees(node):
 # that the Bell rules cancel and build termwise products exactly, and the
 # exceptional atoms; every combinator, pointwise powers up to 3
 split_atoms = st.sampled_from([
-    Atom("phi"), Atom("mu"), Atom("one"), Atom("sigma", (1,)),
-    Atom("core", (2,)), Atom("eps", (2,)), Atom("eps", (3,)),
-    Atom("liouville"), Atom("psi_k", (2,)), Atom("sigma_star", (1,)),
+    "phi", "mu", "one", "sigma(1)", "core(2)", "eps(2)", "eps(3)",
+    "liouville", "psi_k(2)", "sigma_star(1)",
 ])
-exact_trees = ast_strategy(st.one_of(split_atoms, exceptional_atoms),
-                           shifts=st.integers(0, 2), powers=st.integers(1, 3),
-                           max_leaves=3)
+exact_trees = expr_strategy(st.one_of(split_atoms, exceptional_atoms),
+                            shifts=st.integers(0, 2), powers=st.integers(1, 3),
+                            max_leaves=3)
 
 
 @settings(deadline=None, max_examples=80)
 @given(exact_trees)
-def test_exact_bell_rules_are_the_refit(node):
+def test_exact_bell_rules_are_the_refit(text):
     # wherever the cap refit finds a form, the exact rules derive the same
     # series, generic and at every exceptional prime; and every series
     # they derive holds past the window a refit would read
-    h = build(node)
+    h = parse_function(text)
     want = refit_bell(h)
     assert want is None or h.bell == want
     if h.bell is not None:
@@ -331,7 +335,7 @@ def test_exact_bell_rules_are_the_refit(node):
 def test_exact_cancellation_is_the_refit_reduction(left, right):
     # the products <*> and <+> form before cancelling, reduced exactly over
     # binomial pieces, are the refit reduction of the same num/den
-    fb, gb = build(left).bell, build(right).bell
+    fb, gb = parse_function(left).bell, parse_function(right).bell
     if fb is None or gb is None:
         return
     den = fb.den * gb.den
@@ -401,10 +405,10 @@ def test_divide_by_a_binomial_is_the_recurrence(f, S, l, u, q):
 
 @MODEST
 @given(mixed_trees)
-def test_zeta_form_is_the_capped_peels_on_mixed_trees(node):
+def test_zeta_form_is_the_capped_peels_on_mixed_trees(text):
     # wherever the peel of the whole series under guessed caps finds a
     # form, the binomial split finds the same one
-    h = build(node)
+    h = parse_function(text)
     want = capped_zeta_form(h)
     if want is not INFINITE:
         assert str(finite_zeta_form(h)) == str(want)
