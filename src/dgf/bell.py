@@ -6,9 +6,11 @@ primes.  A catalog atom states only its closed-form Bell series and its
 exceptional values, and its rule reads a(p^e) off that series.  A
 combinator is a node over its operands: one coefficient rule over their
 coefficients and at most one Bell rule over their Bell series at the
-same prime, so both serve every prime alike; each node memoizes its own
-coefficients.  The Bell series sum_e a(p^e) x^e (x = p^-s) is
-kept as an exact rational function over Z[p] where one is known.
+same prime, so both serve every prime alike.  Each node memoizes its own
+coefficients and Bell series, filled operands first by one walk on an
+explicit stack, so no call nests per level of an expression.  The Bell
+series sum_e a(p^e) x^e (x = p^-s) is kept as an exact rational function
+over Z[p] where one is known.
 
 Every series is built, never fitted.  A catalog atom's is its closed
 form, at an exceptional prime that of its local values.  Every rule
@@ -356,14 +358,10 @@ class MultiplicativeFunction:
     MasterEquation, which for a catalog atom reads its closed form, so an
     atom's coefficients and series agree by construction.  The
     exceptional primes are an atom's overrides or the union of the
-    operands'.  coeff memoizes every coefficient a rule reads;
-    value(p, e) at any other prime evaluates the generic polynomial
-    unmemoized, so a long run of terms builds no per-prime memo.
-
-    One cache holds the Bell series at the generic prime (key None) and
-    at each exceptional prime q: derive(h, q, *bells) over the operands'
-    series at q: a catalog atom's closed form, at an exceptional prime
-    that of its local values, or a combinator's Bell rule (for a
+    operands'.  One cache holds the Bell series at the generic prime (key
+    None) and at each exceptional prime q: derive(h, q, *bells) over the
+    operands' series at q: a catalog atom's closed form, at an exceptional
+    prime that of its local values, or a combinator's Bell rule (for a
     pointwise product or power j > 1, _bounded).  Where there is no
     derive, an operand has no series, or the rule gives up
     (DegreeBoundError: a non-integral shift, a pointwise product past its
@@ -379,46 +377,72 @@ class MultiplicativeFunction:
         self._memo: dict[tuple[int | None, int], PrimePoly | int] = {}
         self._bells: dict[int | None, BellRational | None] = {}
 
+    def _walk(self, q: int | None, done: Callable) -> list:
+        """The nodes under self, each once, after its operands (a power
+        holds j references to its base); none at or under a node done, nor
+        under one not exceptional at a prime q."""
+        if not self.ops:  # a walk starts only at a node that misses
+            return [self]
+        order, seen, stack = [], set(), [self]
+        while stack:
+            f = stack.pop()
+            if f is None:  # the operands of the node below are done
+                order.append(stack.pop())
+            elif f not in seen and not done(f):
+                seen.add(f)
+                stack += (f, None)
+                if q is None or q in f.exceptions:
+                    stack += f.ops[::-1]
+        return order
+
     def coeff(self, q: int | None, e: int) -> PrimePoly | int:
-        """a(q^e), memoized: the rule's at the generic prime (q None) and
-        at an exceptional q, the generic polynomial at any other q."""
+        """a(q^e): a PrimePoly at the generic prime (q None), an int at a
+        prime q.  A miss at the generic prime or an exceptional one fills
+        a(q^1..q^e) at each node under self lacking it, operands first, so
+        rules read memo hits; a node not exceptional at q takes its generic
+        values there.  At other primes the generic polynomial is evaluated
+        unmemoized, so a long run of terms builds no per-prime memo."""
         if e == 0:
             return PrimePoly.one if q is None else 1
         v = self._memo.get((q, e))
-        if v is None:
-            v = self._memo[q, e] = (
-                self.rule(self, q, e) if q is None or q in self.exceptions
-                else self.coeff(None, e).evaluate(q))
-        return v
-
-    def value(self, p: int, e: int) -> int:
-        if p in self.exceptions:
-            return self.coeff(p, e)
-        return self.coeff(None, e).evaluate(p)
+        if v is not None:
+            return v
+        if q is not None and q not in self.exceptions:
+            return self.coeff(None, e).evaluate(q)
+        for f in self._walk(q, lambda f: (q, e) in f._memo):
+            memo, rule = f._memo, q is None or q in f.exceptions
+            cs = None if rule else f.series(e)
+            for k in range(1, e + 1):
+                if (q, k) not in memo:
+                    memo[q, k] = f.rule(f, q, k) if rule else cs[k].evaluate(q)
+        return self._memo[q, e]
 
     # -- Bell series ---------------------------------------------------
 
     @property
     def bell(self) -> BellRational | None:
         """Generic-prime Bell series; None where none is known."""
-        try:
-            return self._bells[None]
-        except KeyError:
-            return self._bell_at(None)
+        return self._bells.get(None) or self.local_bell(None)
 
-    def _bell_at(self, q: int | None) -> BellRational | None:
-        """Fill the cache at q with derive over the operands' series at q;
-        with no derive, an operand's series unknown, or a rule that gives
-        up (DegreeBoundError), the cache holds None."""
+    def local_bell(self, q: int | None) -> BellRational | None:
+        """The Bell series at the prime q, over Z (generic for q None, over
+        Z[p]).  At the generic prime and an exceptional one it is cached,
+        filled operands first by derive over the operands' series at q:
+        None with no derive, an operand's series unknown, or a rule that
+        gives up (DegreeBoundError).  Elsewhere the generic one at q."""
+        if q is not None and q not in self.exceptions:
+            b = self.bell
+            return b.bind_prime(q) if b is not None else None
         if q not in self._bells:
-            bs = [f.local_bell(q) if q else f.bell for f in self.ops]
-            b = None
-            if self.derive and None not in bs:
-                try:
-                    b = self.derive(self, q, *bs)
-                except DegreeBoundError:
-                    pass
-            self._bells[q] = b
+            for f in self._walk(q, lambda f: q in f._bells or (
+                    q is not None and q not in f.exceptions)):
+                bs, b = [g.local_bell(q) for g in f.ops], None
+                if f.derive and None not in bs:
+                    try:
+                        b = f.derive(f, q, *bs)
+                    except DegreeBoundError:
+                        pass
+                f._bells[q] = b
         return self._bells[q]
 
     def _window(self, q: int | None, K: int) -> list[PrimePoly]:
@@ -428,18 +452,11 @@ class MultiplicativeFunction:
 
     def series(self, K: int) -> list[PrimePoly]:
         """First K+1 Bell series coefficients at the generic prime."""
-        return [self.coeff(None, e) for e in range(K + 1)]
+        return self.local_series(None, K)
 
-    def local_bell(self, q: int) -> BellRational | None:
-        """Bell series at the prime q, as a rational over Z."""
-        if q in self.exceptions:
-            return self._bell_at(q)
-        b = self.bell
-        return b.bind_prime(q) if b is not None else None
-
-    def local_series(self, q: int, K: int) -> list[int]:
-        """a(q^e) for e = 0..K at a concrete prime."""
-        return [self.value(q, e) for e in range(K + 1)]
+    def local_series(self, q: int | None, K: int) -> list[PrimePoly | int]:
+        """a(q^e) for e = 0..K, a(q^K) asked first: one fill, then reads."""
+        return [self.coeff(q, e) for e in range(K, -1, -1)][::-1]
 
     @property
     def exceptional_primes(self) -> list[int]:

@@ -313,10 +313,6 @@ def main(argv=None) -> int:
         # any other library error is a math-domain one, never a traceback
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except RecursionError:
-        # parsing, building and evaluation recurse once per nesting level
-        print("error: expression nests too deeply to evaluate", file=sys.stderr)
-        return 2
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

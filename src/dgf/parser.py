@@ -11,8 +11,10 @@ Grammar (highest precedence last):
             | '(' expr ')'
 
 parse gives the nodes in post-order as plain tuples, each after its
-operands; build runs them on a stack through catalog.make and dgf.bell's
-combinators, which name each function by its fully parenthesised text.
+operands, by one loop over the tokens (Dijkstra's shunting-yard) with an
+explicit stack of open groups; build runs them on a stack through
+catalog.make and dgf.bell's combinators, which name each function by its
+fully parenthesised text.  Neither recurses per nesting level.
 """
 from __future__ import annotations
 
@@ -77,97 +79,28 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-class _Parser:
-    """Recursive descent over the tokens; each rule appends its operands'
-    nodes, then its own, to ops."""
+def _expect(tok: Token, kind: str, message: str) -> None:
+    if tok.kind != kind:
+        raise ParseError(message, tok.pos)
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.ops: list[tuple] = []
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+def _int(tok: Token, what: str = "an integer", name: str = "parameter",
+         bound: int = MAX_PARAM) -> int:
+    """tok, an integer of absolute value at most bound, or a ParseError at
+    its column; its digits are counted first, as int() refuses over 4300
+    of them."""
+    _expect(tok, "INT", "expected " + what)
+    digits = tok.text.lstrip("-").lstrip("0")
+    if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+        raise ParseError("%s must be at least %d" % (name, -bound)
+                         if tok.text.startswith("-") else
+                         "%s must be at most %d" % (name, bound), tok.pos)
+    return int(tok.text)
 
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError("expected %s" % what, tok.pos)
-        return self.take()
-
-    def parse_expr(self):
-        self.parse_term()
-        while self.peek().kind in ("CONV", "UCONV"):
-            op = self.take()
-            self.parse_term()
-            self.ops.append(("conv",) if op.kind == "CONV" else ("uconv",))
-
-    def parse_term(self):
-        self.parse_factor()
-        while self.peek().kind == "STAR":
-            self.take()
-            self.parse_factor()
-            self.ops.append(("mul",))
-
-    def parse_factor(self):
-        self.parse_atom()
-        if self.peek().kind == "CARET":
-            self.take()
-            tok = self.peek()
-            j = -1 if tok.text.startswith("-") else \
-                self.parse_int("an exponent", "exponent", MAX_POWER)
-            if j < 1:
-                raise ParseError("exponent must be a positive integer",
-                                 tok.pos)
-            self.ops.append(("pow", j))
-
-    def parse_int(self, what: str = "an integer", name: str = "parameter",
-                  bound: int = MAX_PARAM) -> int:
-        """The next token, an integer of absolute value at most bound, or
-        a ParseError at its column; its digits are counted first, as
-        int() refuses over 4300 of them."""
-        tok = self.expect("INT", what)
-        digits = tok.text.lstrip("-").lstrip("0")
-        if len(digits) > len(str(bound)) or int(digits or "0") > bound:
-            raise ParseError("%s must be at least %d" % (name, -bound)
-                             if tok.text.startswith("-") else
-                             "%s must be at most %d" % (name, bound), tok.pos)
-        return int(tok.text)
-
-    def parse_atom(self):
-        tok = self.take()
-        if tok.kind == "LPAREN":
-            self.parse_expr()
-            self.expect("RPAREN", "')'")
-            return
-        if tok.kind != "NAME":
-            raise ParseError("expected a function name or '('", tok.pos)
-        if tok.text in ("inv", "shift"):
-            self.expect("LPAREN", "'(' after " + tok.text)
-            self.parse_expr()
-            if tok.text == "inv":
-                node = ("inv",)
-            else:
-                self.expect("COMMA", "',' and a shift amount")
-                node = ("shift", self.parse_int(name="shift amount",
-                                                bound=MAX_POWER))
-            self.expect("RPAREN", "')'")
-        else:
-            args = []
-            if self.peek().kind == "LPAREN":
-                self.take()
-                args.append(self.parse_int())
-                while self.peek().kind == "COMMA":
-                    self.take()
-                    args.append(self.parse_int())
-                self.expect("RPAREN", "')'")
-            node = ("atom", tok.text, tuple(args))
-        self.ops.append(node)
+# binary operator token -> (precedence, node); all are left-associative
+_BINARY = {"CONV": (1, ("conv",)), "UCONV": (1, ("uconv",)),
+           "STAR": (2, ("mul",))}
 
 
 def parse(text: str) -> list[tuple]:
@@ -175,12 +108,65 @@ def parse(text: str) -> list[tuple]:
     args), ("pow", j), ("inv",), ("shift", k), ("mul",), ("conv",) and
     ("uconv",), each node after its operands.  Every syntax error is
     raised here, before any catalog lookup."""
-    p = _Parser(tokenize(text))
-    p.parse_expr()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError("unexpected trailing input", tok.pos)
-    return p.ops
+    toks, i, ops = tokenize(text), 0, []
+    # the open groups, innermost last: how each opened ("" for the whole
+    # text, "(", "inv" or "shift") and its pending binary operators, of
+    # rising precedence
+    groups: list[tuple[str, list]] = [("", [])]
+    while True:
+        # an operand: open its groups, up to its atom
+        tok, i = toks[i], i + 1
+        if tok.text in ("(", "inv", "shift"):
+            if tok.kind == "NAME":
+                _expect(toks[i], "LPAREN", "expected '(' after " + tok.text)
+                i += 1
+            groups.append((tok.text, []))
+            continue
+        _expect(tok, "NAME", "expected a function name or '('")
+        args = []
+        if toks[i].kind == "LPAREN":
+            while not args or toks[i].kind == "COMMA":
+                args.append(_int(toks[i + 1]))
+                i += 2
+            _expect(toks[i], "RPAREN", "expected ')'")
+            i += 1
+        ops.append(("atom", tok.text, tuple(args)))
+        # the operand is complete: its '^' (which does not chain), then
+        # close groups until a binary operator opens the next operand
+        while True:
+            tok = toks[i]
+            if tok.kind == "CARET":
+                tok = toks[i + 1]
+                j = -1 if tok.text.startswith("-") else \
+                    _int(tok, "an exponent", "exponent", MAX_POWER)
+                if j < 1:
+                    raise ParseError("exponent must be a positive integer",
+                                     tok.pos)
+                ops.append(("pow", j))
+                i += 2
+                tok = toks[i]
+            opening, pending = groups[-1]
+            if tok.kind in _BINARY:
+                op = _BINARY[tok.kind]
+                while pending and pending[-1][0] >= op[0]:
+                    ops.append(pending.pop()[1])
+                pending.append(op)
+                i += 1
+                break
+            ops += [node for _, node in reversed(pending)]
+            groups.pop()
+            if not opening:
+                _expect(tok, "EOF", "unexpected trailing input")
+                return ops
+            if opening == "shift":
+                _expect(tok, "COMMA", "expected ',' and a shift amount")
+                ops.append(("shift", _int(toks[i + 1], name="shift amount",
+                                          bound=MAX_POWER)))
+                i += 2
+            elif opening == "inv":
+                ops.append(("inv",))
+            _expect(toks[i], "RPAREN", "expected ')'")
+            i += 1
 
 
 # node kind -> (number of operands, combinator); a node's own fields

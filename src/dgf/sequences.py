@@ -94,7 +94,7 @@ def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
           ) -> list[int]:
     """a(1), ..., a(N) in one multiplicative pass over the n prime to 6.
 
-    f.value runs only where no product gives a(n): at the proper powers
+    f.coeff runs only where no product gives a(n): at the proper powers
     p^e (e >= 2) with p <= sqrt(N), at 2 and 3, and at each exceptional
     prime.  The pass walks n = 1, 5 (mod 6) in chunks [lo, hi) with
     hi <= 5 lo.  A composite n splits as q (n/q), where q = p^e is its
@@ -108,7 +108,7 @@ def terms(f: MultiplicativeFunction, N: int, sieve: FactorSieve | None = None
         raise SieveLimitError("term count %d is negative" % N)
     sv = sieve or _SIEVE
     sv.ensure(max(N, 1))
-    t, value, exc = sv._spp, f.value, f.exceptions
+    t, value, exc = sv._spp, f.coeff, f.exceptions
     out = [1] * (N + 1)
     for p in sv.primes(math.isqrt(N)):
         q, e = p * p, 2

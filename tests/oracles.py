@@ -34,7 +34,9 @@ primitive remainder sequence over Z that the engine's gcd ran before,
 after the same test mod a prime (zgcd_by_prs, reduce_by_prs), is the
 reference for its one integer gcd, and the recurrence that divided out
 one binomial at a time (divide_binomial) is the reference for the
-engine's one exact division, XPoly.divide.
+engine's one exact division, XPoly.divide.  The recursive-descent
+parser, one method per grammar rule, is the reference for the engine's
+one loop over the tokens.
 """
 from __future__ import annotations
 
@@ -49,10 +51,11 @@ from typing import Callable, Iterable, Sequence
 from dgf.bell import BellRational
 from dgf import numeric, sequences
 from dgf.errors import (CatalogError, DegreeBoundError, DgfError,
-                        SeriesWindowError)
+                        ParseError, SeriesWindowError)
 from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
                        ZetaFactor, ZetaForm, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
+from dgf.parser import MAX_PARAM, MAX_POWER, Token, tokenize
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import FactorSieve
 
@@ -391,12 +394,12 @@ def terms_by_table(f, N: int, sieve: FactorSieve) -> list[int]:
     for p in sieve.primes(math.isqrt(N)):
         q, e = p * p, 2
         while q <= N:
-            out[q] = f.value(p, e)
+            out[q] = f.coeff(p, e)
             q, e = q * p, e + 1
     for n in range(2, N + 1):
         q = sieve._spp[n]
         if not q:
-            out[n] = f.value(n, 1)
+            out[n] = f.coeff(n, 1)
         elif q != n:
             out[n] = out[q] * out[n // q]
     return out[1:]
@@ -864,3 +867,110 @@ def partial_sum_by_generators(f, s: float, N: int) -> EvalResult:
         C = max(abs(v) / n ** (s0 - 1.0) for n, v in enumerate(vals, start=1))
     tail = C * N ** (s0 - s) / (s - s0)
     return EvalResult(value, tail, "partial_sum")
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent parser
+
+class _Parser:
+    """Recursive descent over the tokens; each rule appends its operands'
+    nodes, then its own, to ops."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.ops: list[tuple] = []
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError("expected %s" % what, tok.pos)
+        return self.take()
+
+    def parse_expr(self):
+        self.parse_term()
+        while self.peek().kind in ("CONV", "UCONV"):
+            op = self.take()
+            self.parse_term()
+            self.ops.append(("conv",) if op.kind == "CONV" else ("uconv",))
+
+    def parse_term(self):
+        self.parse_factor()
+        while self.peek().kind == "STAR":
+            self.take()
+            self.parse_factor()
+            self.ops.append(("mul",))
+
+    def parse_factor(self):
+        self.parse_atom()
+        if self.peek().kind == "CARET":
+            self.take()
+            tok = self.peek()
+            j = -1 if tok.text.startswith("-") else \
+                self.parse_int("an exponent", "exponent", MAX_POWER)
+            if j < 1:
+                raise ParseError("exponent must be a positive integer",
+                                 tok.pos)
+            self.ops.append(("pow", j))
+
+    def parse_int(self, what: str = "an integer", name: str = "parameter",
+                  bound: int = MAX_PARAM) -> int:
+        """The next token, an integer of absolute value at most bound, or
+        a ParseError at its column; its digits are counted first, as
+        int() refuses over 4300 of them."""
+        tok = self.expect("INT", what)
+        digits = tok.text.lstrip("-").lstrip("0")
+        if len(digits) > len(str(bound)) or int(digits or "0") > bound:
+            raise ParseError("%s must be at least %d" % (name, -bound)
+                             if tok.text.startswith("-") else
+                             "%s must be at most %d" % (name, bound), tok.pos)
+        return int(tok.text)
+
+    def parse_atom(self):
+        tok = self.take()
+        if tok.kind == "LPAREN":
+            self.parse_expr()
+            self.expect("RPAREN", "')'")
+            return
+        if tok.kind != "NAME":
+            raise ParseError("expected a function name or '('", tok.pos)
+        if tok.text in ("inv", "shift"):
+            self.expect("LPAREN", "'(' after " + tok.text)
+            self.parse_expr()
+            if tok.text == "inv":
+                node = ("inv",)
+            else:
+                self.expect("COMMA", "',' and a shift amount")
+                node = ("shift", self.parse_int(name="shift amount",
+                                                bound=MAX_POWER))
+            self.expect("RPAREN", "')'")
+        else:
+            args = []
+            if self.peek().kind == "LPAREN":
+                self.take()
+                args.append(self.parse_int())
+                while self.peek().kind == "COMMA":
+                    self.take()
+                    args.append(self.parse_int())
+                self.expect("RPAREN", "')'")
+            node = ("atom", tok.text, tuple(args))
+        self.ops.append(node)
+
+
+
+def parse_by_descent(text: str) -> list[tuple]:
+    """parser.parse by one recursive call per grammar rule and level."""
+    p = _Parser(tokenize(text))
+    p.parse_expr()
+    tok = p.peek()
+    if tok.kind != "EOF":
+        raise ParseError("unexpected trailing input", tok.pos)
+    return p.ops

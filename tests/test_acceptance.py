@@ -283,7 +283,7 @@ def test_criterion_04_identity_suite():
 
     def argpow(name, args, k):
         f = make(name, *args)
-        return [math.prod(f.value(p, k * e) for p, e in _ofactor(n))
+        return [math.prod(f.coeff(p, k * e) for p, e in _ofactor(n))
                 for n in range(1, N + 1)]
 
     ones, k, t = T("one"), 2, 2

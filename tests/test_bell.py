@@ -228,8 +228,8 @@ def test_exceptional_primes_local_bell():
 
 def test_master_value_uses_exceptions():
     f = make("sigma_odd", 1)
-    assert f.value(2, 5) == 1
-    assert f.value(3, 2) == 13
+    assert f.coeff(2, 5) == 1
+    assert f.coeff(3, 2) == 13
     assert terms(f, 12) == [1, 1, 4, 1, 6, 4, 8, 1, 13, 6, 12, 4]
 
 
@@ -538,14 +538,14 @@ def test_shift_at_an_exceptional_prime_is_built():
 def test_shift_non_integral_raises():
     f = shift_by_power(make("phi"), -1)     # phi(p)/p is not integral
     with pytest.raises(MasterEquationError):
-        f.value(2, 1)
+        f.coeff(2, 1)
 
 
 def test_shift_non_integral_raises_at_exceptional_prime():
     f = shift_by_power(make("sigma_odd", 1), -1)    # sigma_odd(2)/2 = 1/2
     assert f.exceptional_primes == [2]
     with pytest.raises(MasterEquationError, match="p=2"):
-        f.value(2, 1)
+        f.coeff(2, 1)
 
 
 N_SEQ = 2000
@@ -617,7 +617,7 @@ def test_operands_read_once_at_exceptional_prime(monkeypatch):
 
     monkeypatch.setattr(P, "evaluate", counted)
     h = dirichlet_convolve(f, g)
-    assert [h.value(3, e) for e in range(84)]
+    assert [h.coeff(3, e) for e in range(84)]
     assert reads and max(reads.values()) == 1
 
 

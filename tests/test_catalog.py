@@ -120,7 +120,7 @@ def test_local_values_are_the_definition(name, args):
     # from the definition and the series the cap refit finds
     f = make(name, *args)
     for q in f.exceptional_primes:
-        assert [f.value(q, e) for e in range(41)] == \
+        assert [f.coeff(q, e) for e in range(41)] == \
             [oracle_at(name, args, q**e) for e in range(41)]
         assert f.local_bell(q) == refit_local_bell(f, q)
 
@@ -307,7 +307,7 @@ def test_depleted_drops_high_powers():
 
 def test_every_grid_instance_builds_and_evaluates():
     for _, _, f in grid_instances():
-        assert f.value(2, 0) == 1
+        assert f.coeff(2, 0) == 1
         assert terms(f, 8)[0] == 1
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -331,35 +332,63 @@ def test_terms_of_a_high_degree_in_p(capsys):
     assert [len(v) for v in out.rstrip("\n").split(",")] == [1, 36991, 58629]
 
 
-# a left-nested chain of 2,000 operators and 1,000 nested parentheses:
-# parsing and evaluation recurse once per level
-DEEP_CHAIN = "mu" + " <*> one" * 2000
-DEEP_PARENS = "(" * 1000 + "phi" + ")" * 1000
+# expressions once refused as nested too deeply: 10,000 levels of a
+# left-nested chain, of parentheses and of nested inverses, each phi
+# again, and a chain of 200 convolutions.  From the text to the value
+# nothing recurses per level, so each answers as its shallow equivalent
+DEEP_CHAIN = "phi" + " * one" * 10000
+DEEP_PARENS = "(" * 10000 + "phi" + ")" * 10000
+DEEP_INV = "inv(" * 10000 + "phi" + ")" * 10000
 
 
-@pytest.mark.parametrize("argv", [
-    ["terms", DEEP_CHAIN, "-n", "20"],
-    ["bell", DEEP_CHAIN],
-    ["zetaform", DEEP_CHAIN],
-    ["terms", DEEP_PARENS, "-n", "3"],
-    # its Bell series is found and only the series recurses too deeply:
-    # nothing of the output is written
-    ["bell", "mu" + " <*> one" * 200],
+def _balanced(names: list[str]) -> str:
+    """The convolution of names, parenthesised to depth log2 len(names)."""
+    if len(names) == 1:
+        return names[0]
+    h = len(names) // 2
+    return "(%s <*> %s)" % (_balanced(names[:h]), _balanced(names[h:]))
+
+
+TERMS = ["terms", "-n", "100"]
+
+
+@pytest.mark.parametrize("cmd,text,shallow", [
+    (TERMS, DEEP_CHAIN, "phi"), (["bell"], DEEP_CHAIN, "phi"),
+    (["zetaform"], DEEP_CHAIN, "phi"), (TERMS, DEEP_PARENS, "phi"),
+    (["bell"], "mu" + " <*> one" * 200, _balanced(["mu"] + ["one"] * 200)),
+    (["bell"], DEEP_PARENS, "phi"), (["zetaform"], DEEP_PARENS, "phi"),
+    (TERMS, DEEP_INV, "phi"), (["bell"], DEEP_INV, "phi"),
+    (["zetaform"], DEEP_INV, "phi"),
 ], ids=["terms-chain", "bell-chain", "zetaform-chain", "terms-parens",
-        "bell-chain-201"])
-def test_exit_code_expression_too_deep(capsys, argv):
-    rc, out, err = run(capsys, argv)
-    assert (rc, out) == (2, "")
-    assert err == "error: expression nests too deeply to evaluate\n"
-    assert "Traceback" not in err
+        "bell-chain-201", "bell-parens", "zetaform-parens", "terms-inv",
+        "bell-inv", "zetaform-inv"])
+def test_exit_code_expression_too_deep(capsys, cmd, text, shallow):
+    rc, out, err = run(capsys, [*cmd, text])
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == run(capsys, [*cmd, shallow])
+
+
+def test_terms_of_a_deep_convolution_chain(capsys):
+    # mu <*> one^2000 has the Bell series 1/(1 - x)^1999: a(p) = 1999 and
+    # a(p^2) = C(2000, 2)
+    rc, out, err = run(capsys, ["terms", "mu" + " <*> one" * 2000, "-n", "20"])
+    assert (rc, err) == (0, "")
+    a = [int(v) for v in out.split(",")]
+    assert (a[1], a[3]) == (1999, math.comb(2000, 2))
 
 
 def test_exit_code_shift_not_integral_at_an_exceptional_prime(capsys):
-    # lcmc(2) shifted by p^-1 has no a(4) at p = 2 (its zeta form is
-    # unknown: test_euler)
-    rc, out, err = run(capsys, ["terms", "shift(lcmc(2), -1)", "-n", "10"])
-    assert (rc, out) == (3, "")
-    assert err == "error: shift by -1 not integral at p=2, e=2\n"
+    # lcmc(2) shifted by p^-1 has no a(2) at p = 2 (its zeta form is
+    # unknown: test_euler); the message names the first exponent that
+    # fails, whichever coefficient a command asks for first
+    for n in ("10", "3"):
+        rc, out, err = run(capsys, ["terms", "shift(lcmc(2), -1)", "-n", n])
+        assert (rc, out) == (3, "")
+        assert err == "error: shift by -1 not integral at p=2, e=1\n"
+    for cmd in (["terms", "-n", "5"], ["bell"]):
+        rc, out, err = run(capsys, [*cmd, "shift(phi, -2)"])
+        assert (rc, out) == (3, "")
+        assert err == "error: shift by -2 not integral at e=1\n"
 
 
 def test_exit_code_math_errors(capsys):

@@ -22,7 +22,7 @@ def argpow_terms(name, args, k: int, count: int = N):
     for n in range(1, count + 1):
         v = 1
         for p, e in _ofactor(n):
-            v *= f.value(p, k * e)
+            v *= f.coeff(p, k * e)
         out.append(v)
     return out
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgf.catalog import make
 from dgf.errors import CatalogError, ParseError
 from dgf.parser import build, parse, parse_function, tokenize
 from dgf.sequences import terms
 
-from oracles import brute_convolve
+from oracles import brute_convolve, parse_by_descent
 
 
 def test_tokenize_kinds_and_columns():
@@ -163,3 +164,26 @@ def test_build_semantics():
     conv = terms(parse_function("sigma(1) <*> jordan(2)"), 40)
     assert conv == brute_convolve(terms(make("sigma", 1), 40),
                                   terms(make("jordan", 2), 40))
+
+
+# names, inv and shift, punctuation, the three operators and '^', signed
+# integers in and past their bounds, and characters no token starts with
+TOKENS = ["phi", "mu", "sigma", "x_1", "inv", "shift", "(", ")", ",",
+          "<*>", "<+>", "*", "^", "0", "2", "-3", "4096", "4097", "-4097",
+          "9" * 20, "-" + "9" * 20, "-", "$", "\u00b2"]
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as e:
+        return "ParseError: %s" % e
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=24),
+       st.sampled_from([" ", ""]))
+def test_parse_is_the_recursive_descent(toks, sep):
+    # the same node list, or the same error text at the same column
+    text = sep.join(toks)
+    assert _outcome(parse, text) == _outcome(parse_by_descent, text)

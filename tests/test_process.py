@@ -1,6 +1,6 @@
 """Fresh-interpreter behaviour: what `import dgf.cli` loads, how the CLI
-ends when its reader closes the output pipe early, and how it ends on an
-expression nested too deeply to evaluate."""
+ends when its reader closes the output pipe early, and how it answers an
+expression nested 10,000 levels deep."""
 from __future__ import annotations
 
 import os
@@ -45,12 +45,59 @@ def test_closed_pipe_exits_quietly():
     assert "Exception ignored" not in err
 
 
-def test_deep_expression_exits_with_one_line():
-    # a left-nested chain of 2,000 operators recurses past the limit
-    proc = _python("-m", "dgf.cli", "terms", "mu" + " <*> one" * 2000,
-                   "-n", "20", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                   text=True)
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    assert out == ""
-    assert err == "error: expression nests too deeply to evaluate\n"
+def test_deep_expression_answers_as_phi():
+    # phi followed by 10,000 pointwise products with one: at the default
+    # recursion limit, in a fresh interpreter
+    def terms(text):
+        proc = _python("-m", "dgf.cli", "terms", text, "-n", "100",
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                       text=True)
+        out, err = proc.communicate(timeout=60)
+        return proc.returncode, out, err
+
+    rc, out, err = terms("phi" + " * one" * 10000)
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == terms("phi")
+
+
+_CHAIN = """
+import time
+
+from dgf.bell import (dirichlet_convolve, dirichlet_inverse, pointwise_power,
+                      pointwise_product, shift_by_power)
+from dgf.catalog import make
+from dgf.euler import finite_zeta_form
+from dgf.sequences import terms
+
+phi, one, mu = make("phi"), make("one"), make("mu")
+
+
+def chain():
+    # 10,000 nodes, each kind of combinator, one and mu shared by all
+    h = phi
+    for _ in range(1000):
+        h = dirichlet_inverse(pointwise_product(h, one))
+        h = dirichlet_inverse(pointwise_product(h, one))
+        h = dirichlet_convolve(dirichlet_convolve(h, mu), one)
+        h = shift_by_power(pointwise_product(h, one), 1)
+        h = pointwise_power(shift_by_power(h, -1), 1)
+    return h
+
+
+for same in (lambda f: f.bell == phi.bell,
+             lambda f: terms(f, 100) == terms(phi, 100),
+             lambda f: str(finite_zeta_form(f)) == str(finite_zeta_form(phi))):
+    f = chain()
+    t = time.process_time()
+    assert same(f)
+    assert time.process_time() - t < 10
+"""
+
+
+def test_deep_combinator_chain_is_phi():
+    # each of the three on a fresh chain takes about half a second of CPU:
+    # the walks prune at the nodes that already hold what is asked, where
+    # re-walking the subtree at each pointwise product takes about 30 s
+    proc = _python("-c", _CHAIN, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
