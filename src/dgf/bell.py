@@ -398,10 +398,10 @@ class MultiplicativeFunction:
     def coeff(self, q: int | None, e: int) -> PrimePoly | int:
         """a(q^e): a PrimePoly at the generic prime (q None), an int at a
         prime q.  A miss at the generic prime or an exceptional one fills
-        a(q^1..q^e) at each node under self lacking it, operands first, so
-        rules read memo hits; a node not exceptional at q takes its generic
-        values there.  At other primes the generic polynomial is evaluated
-        unmemoized, so a long run of terms builds no per-prime memo."""
+        a(q^k) for k = 1..e in turn at each node under self lacking it,
+        operands first: rules read memo hits, and an error names the least
+        k.  There a node not exceptional at q takes its generic values; at
+        other primes they are evaluated unmemoized, so terms keeps no memo."""
         if e == 0:
             return PrimePoly.one if q is None else 1
         v = self._memo.get((q, e))
@@ -409,12 +409,13 @@ class MultiplicativeFunction:
             return v
         if q is not None and q not in self.exceptions:
             return self.coeff(None, e).evaluate(q)
-        for f in self._walk(q, lambda f: (q, e) in f._memo):
-            memo, rule = f._memo, q is None or q in f.exceptions
-            cs = None if rule else f.series(e)
-            for k in range(1, e + 1):
-                if (q, k) not in memo:
-                    memo[q, k] = f.rule(f, q, k) if rule else cs[k].evaluate(q)
+        nodes = self._walk(q, lambda f: (q, e) in f._memo)
+        for k in range(1, e + 1):
+            for f in nodes:
+                if (q, k) not in f._memo:
+                    f._memo[q, k] = (
+                        f.rule(f, q, k) if q is None or q in f.exceptions
+                        else f.coeff(None, k).evaluate(q))
         return self._memo[q, e]
 
     # -- Bell series ---------------------------------------------------

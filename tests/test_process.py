@@ -64,40 +64,47 @@ _CHAIN = """
 import time
 
 from dgf.bell import (dirichlet_convolve, dirichlet_inverse, pointwise_power,
-                      pointwise_product, shift_by_power)
+                      pointwise_product, shift_by_power, unitary_convolve)
 from dgf.catalog import make
 from dgf.euler import finite_zeta_form
 from dgf.sequences import terms
 
 phi, one, mu = make("phi"), make("one"), make("mu")
+unit = dirichlet_convolve(mu, one)
 
 
-def chain():
-    # 10,000 nodes, each kind of combinator, one and mu shared by all
+def chain(cycles):
+    # 11 nodes a cycle, each kind of combinator, one, mu and the unit
+    # shared by all
     h = phi
-    for _ in range(1000):
+    for _ in range(cycles):
         h = dirichlet_inverse(pointwise_product(h, one))
         h = dirichlet_inverse(pointwise_product(h, one))
         h = dirichlet_convolve(dirichlet_convolve(h, mu), one)
         h = shift_by_power(pointwise_product(h, one), 1)
-        h = pointwise_power(shift_by_power(h, -1), 1)
+        h = pointwise_power(unitary_convolve(shift_by_power(h, -1), unit), 1)
     return h
+
+
+def cpu(same, cycles):
+    f = chain(cycles)
+    t = time.process_time()
+    assert same(f)
+    return time.process_time() - t
 
 
 for same in (lambda f: f.bell == phi.bell,
              lambda f: terms(f, 100) == terms(phi, 100),
              lambda f: str(finite_zeta_form(f)) == str(finite_zeta_form(phi))):
-    f = chain()
-    t = time.process_time()
-    assert same(f)
-    assert time.process_time() - t < 10
+    # 2,530 and 10,010 nodes: linear work takes about 3 times as long on
+    # the longer chain, re-walking every subtree about 16 times
+    assert cpu(same, 910) < 8 * cpu(same, 230) + 0.25
 """
 
 
 def test_deep_combinator_chain_is_phi():
-    # each of the three on a fresh chain takes about half a second of CPU:
-    # the walks prune at the nodes that already hold what is asked, where
-    # re-walking the subtree at each pointwise product takes about 30 s
+    # the walks prune at the nodes that already hold what is asked, so the
+    # three grow linearly with the chain
     proc = _python("-c", _CHAIN, stderr=subprocess.PIPE, text=True)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, "")
