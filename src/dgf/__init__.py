@@ -12,10 +12,10 @@ from .catalog import CATALOG, CatalogEntry, make, names
 from .errors import (BFileError, CatalogError, DegreeBoundError, DgfError,
                      DivergenceError, MasterEquationError, ParseError,
                      SeriesWindowError, SieveLimitError)
-from .euler import (INFINITE, UNKNOWN, ConvergenceInfo, EulerFactor,
-                    EulerFactorList, LocalFactor, ZetaFactor, ZetaForm,
-                    abscissa, euler_expand, factor_bell, finite_zeta_form,
-                    zeta_factors_from_euler, zeta_form_to_coeffs)
+from .euler import (INFINITE, UNKNOWN, EulerFactor, EulerFactorList,
+                    ZetaFactor, ZetaForm, abscissa, euler_expand, factor_bell,
+                    finite_zeta_form, zeta_factors_from_euler,
+                    zeta_form_to_coeffs)
 from .numeric import (EvalResult, eval_euler_product, eval_partial_sum,
                       eval_zeta_form, riemann_zeta, wynn_epsilon)
 from .parser import build, parse, parse_function
@@ -33,11 +33,9 @@ __all__ = [
     "BFileError", "CatalogError", "DegreeBoundError", "DgfError",
     "DivergenceError", "MasterEquationError", "ParseError",
     "SeriesWindowError", "SieveLimitError",
-    "INFINITE", "UNKNOWN", "ConvergenceInfo", "EulerFactor",
-    "EulerFactorList", "LocalFactor", "ZetaFactor", "ZetaForm", "abscissa",
-    "euler_expand",
-    "factor_bell", "finite_zeta_form", "zeta_factors_from_euler",
-    "zeta_form_to_coeffs",
+    "INFINITE", "UNKNOWN", "EulerFactor", "EulerFactorList", "ZetaFactor",
+    "ZetaForm", "abscissa", "euler_expand", "factor_bell", "finite_zeta_form",
+    "zeta_factors_from_euler", "zeta_form_to_coeffs",
     "EvalResult", "eval_euler_product", "eval_partial_sum", "eval_zeta_form",
     "riemann_zeta", "wynn_epsilon",
     "build", "parse", "parse_function",

@@ -366,16 +366,34 @@ class MultiplicativeFunction:
     derive, an operand has no series, or the rule gives up
     (DegreeBoundError: a non-integral shift, a pointwise product past its
     work bound), the series is None: none is known, which proves nothing.
+    A node keeps only its own text: name is a str, or a combinator's tuple
+    of strs and the positions in ops whose names go there.
     """
 
-    def __init__(self, name: str, rule: Callable,
+    def __init__(self, name: str | tuple, rule: Callable,
                  derive: Callable | None = None,
                  ops: tuple["MultiplicativeFunction", ...] = ()):
-        self.name, self.rule, self.derive, self.ops = name, rule, derive, ops
+        self._name, self.rule, self.derive, self.ops = name, rule, derive, ops
         self.exceptions = (frozenset().union(*(f.exceptions for f in ops))
                            if ops else frozenset(rule.exceptions))
         self._memo: dict[tuple[int | None, int], PrimePoly | int] = {}
         self._bells: dict[int | None, BellRational | None] = {}
+
+    @property
+    def name(self) -> str:
+        """The full text, the nodes' pieces joined by one walk on an
+        explicit stack: a chain of depth d keeps O(d) characters."""
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+            elif isinstance(x._name, str):
+                out.append(x._name)
+            else:
+                stack += [x.ops[i] if isinstance(i, int) else i
+                          for i in reversed(x._name)]
+        return "".join(out)
 
     def _walk(self, q: int | None, done: Callable) -> list:
         """The nodes under self, each once, after its operands (a power
@@ -486,7 +504,7 @@ def dirichlet_convolve(f: MultiplicativeFunction,
                        g: MultiplicativeFunction) -> MultiplicativeFunction:
     """(f * g)(p^e) = sum_l f(p^l) g(p^(e-l)); Bell series multiply."""
     return MultiplicativeFunction(
-        "(%s <*> %s)" % (f.name, g.name), _convolve,
+        ("(", 0, " <*> ", 1, ")"), _convolve,
         lambda h, q, fb, gb: _reduce_product(fb.num * gb.num, fb.den * gb.den),
         (f, g))
 
@@ -498,7 +516,7 @@ def _invert(h, q, e):
 
 def dirichlet_inverse(f: MultiplicativeFunction) -> MultiplicativeFunction:
     """Inverse under Dirichlet convolution; Bell series is flipped."""
-    return MultiplicativeFunction("inv(%s)" % f.name, _invert,
+    return MultiplicativeFunction(("inv(", 0, ")"), _invert,
                                   lambda h, q, fb: fb.reciprocal(), (f,))
 
 
@@ -637,7 +655,7 @@ def _bounded(h, q, *bs):
 def pointwise_product(f: MultiplicativeFunction,
                       g: MultiplicativeFunction) -> MultiplicativeFunction:
     """(f . g)(p^e) = f(p^e) g(p^e); Bell series by _bounded."""
-    return MultiplicativeFunction("(%s * %s)" % (f.name, g.name),
+    return MultiplicativeFunction(("(", 0, " * ", 1, ")"),
                                   _termwise, _bounded, (f, g))
 
 
@@ -652,9 +670,9 @@ def pointwise_power(f: MultiplicativeFunction,
     '^' does not chain, so a base that is a power is named in parens."""
     if j < 1:
         raise ValueError("pointwise power needs j >= 1 (inverses are not integer-valued)")
-    base = "(%s)" % f.name if f.rule is _power else f.name
+    pieces = ("(", 0, ")^%d" % j) if f.rule is _power else (0, "^%d" % j)
     return MultiplicativeFunction(
-        "%s^%d" % (base, j), _power,
+        pieces, _power,
         _bounded if j > 1 else lambda h, q, fb: fb, (f,) * j)
 
 
@@ -692,7 +710,7 @@ def shift_by_power(f: MultiplicativeFunction,
             raise DegreeBoundError("shift by %d not integral at p=%d" % (k, q))
         return BellRational(*(XPoly.from_ints(map(int, c)) for c in cs))
 
-    return MultiplicativeFunction("shift(%s, %d)" % (f.name, k),
+    return MultiplicativeFunction(("shift(", 0, ", %d)" % k),
                                   rule, shifted, (f,))
 
 
@@ -706,6 +724,6 @@ def unitary_convolve(f: MultiplicativeFunction,
                      g: MultiplicativeFunction) -> MultiplicativeFunction:
     """Unitary convolution: a(p^e) = f(p^e) + g(p^e) for e > 0."""
     return MultiplicativeFunction(
-        "(%s <+> %s)" % (f.name, g.name),
+        ("(", 0, " <+> ", 1, ")"),
         lambda h, q, e: h.ops[0].coeff(q, e) + h.ops[1].coeff(q, e),
         _union, (f, g))

@@ -103,19 +103,23 @@ def _cmd_bell(ns) -> int:
     return 0
 
 
+def _print_abscissa(factors: list) -> None:
+    print("abscissa: %s" % (abscissa(factors) if factors
+                            else "0 (empty product)"))
+
+
 def _cmd_factorize(ns) -> int:
     f = parse_function(ns.expr)
     efl = factor_bell(f, ns.U)
-    conv = abscissa(efl)
     if ns.json:
         doc = efl.to_json()
-        doc["abscissa"] = str(conv.abscissa)
+        doc["abscissa"] = str(abscissa(efl))
         print(json.dumps(doc, indent=2))
         return 0
     print(efl)
     if efl.truncated_at is not None:
         print("truncated at order %d" % efl.truncated_at)
-    print("abscissa: %s" % conv)
+    _print_abscissa(efl.factors)
     return 0
 
 
@@ -130,7 +134,7 @@ def _cmd_zetaform(ns) -> int:
         return 0
     print(zf)
     if isinstance(zf, ZetaForm):
-        print("abscissa: %s" % abscissa(zf))
+        _print_abscissa(zf.zeta_factors)
     return 0
 
 

@@ -17,7 +17,9 @@ transform, Bernstein and Sloane 1995); both peels read copies of one T
 per Bell series, extended on demand.  The round trip sums T from the
 factors and proves x S' = T S by one BellRational.matches.  Zeta-form
 coefficients expand by the same series_div.  Split and peeled binomial
-powers alike are EulerFactors; only a zeta form's result is ZetaFactors.
+powers alike are EulerFactors; only a zeta form's result is ZetaFactors,
+and its local corrections are the reduced BellRationals found at their
+primes.
 """
 from __future__ import annotations
 
@@ -185,61 +187,34 @@ class ZetaFactor(NamedTuple):
         return {"u": self.u, "l": self.l, "gamma": self.gamma}
 
 
-class LocalFactor(Record):
-    """Rational correction in x = q^-s at one exceptional prime."""
-    __slots__ = ("prime", "num", "den")
+def _q_terms(xp: XPoly) -> list[list[int]]:
+    """The terms [c, j], c q^(-js), of a polynomial over Z in x = q^-s."""
+    return [[c.constant_value(), j] for j, c in enumerate(xp.coeffs)
+            if not c.is_zero()]
 
-    def __init__(self, prime: int, num: list[int],
-                 den: list[int] | None = None):
-        self.prime = prime
-        self.num = num
-        self.den = [1] if den is None else den
 
-    def is_polynomial(self) -> bool:
-        return self.den == [1]
-
-    def bell(self) -> BellRational:
-        """num/den as a Bell series with integer coefficients."""
-        return BellRational(XPoly.from_ints(self.num), XPoly.from_ints(self.den))
-
-    def series(self, K: int) -> list[int]:
-        return [c.constant_value() for c in self.bell().series(K)]
-
-    def _poly_str(self, coeffs: list[int]) -> str:
-        parts = []
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                t = str(abs(c))
-            else:
-                base = "%d^(-s)" % self.prime**j
-                t = base if abs(c) == 1 else "%d*%s" % (abs(c), base)
-            parts.append(("- " if c < 0 else ("+ " if parts else "")) + t)
-        return " ".join(parts) if parts else "0"
-
-    def __str__(self) -> str:
-        s = "(%s)" % self._poly_str(self.num)
-        if not self.is_polynomial():
-            s += "/(%s)" % self._poly_str(self.den)
-        return "%s [p=%d]" % (s, self.prime)
-
-    def to_json(self) -> dict:
-        d = {"prime": self.prime,
-             "poly": [[c, j] for j, c in enumerate(self.num) if c]}
-        if not self.is_polynomial():
-            d["den_poly"] = [[c, j] for j, c in enumerate(self.den) if c]
-        return d
+def _q_str(q: int, xp: XPoly) -> str:
+    """The polynomial over Z in x = q^-s as text, in parentheses."""
+    parts = []
+    for c, j in _q_terms(xp):
+        if j == 0:
+            t = str(abs(c))
+        else:
+            base = "%d^(-s)" % q**j
+            t = base if abs(c) == 1 else "%d*%s" % (abs(c), base)
+        parts.append(("- " if c < 0 else ("+ " if parts else "")) + t)
+    return "(%s)" % " ".join(parts)
 
 
 class ZetaForm(Record):
-    """Finite product of zeta factors times per-prime local corrections."""
+    """Finite product of zeta factors times local corrections {q: num/den},
+    each a reduced Bell series over Z in x = q^-s, in increasing q."""
     __slots__ = ("zeta_factors", "local")
 
     def __init__(self, zeta_factors: Iterable[ZetaFactor],
-                 local: Iterable[LocalFactor] = ()):
+                 local: dict[int, BellRational] | None = None):
         self.zeta_factors = _merge(zeta_factors, ZetaFactor)
-        self.local = sorted(local, key=lambda lf: lf.prime)
+        self.local = dict(sorted((local or {}).items()))
 
     def __str__(self) -> str:
         num = [z for z in self.zeta_factors if z.gamma > 0]
@@ -260,13 +235,22 @@ class ZetaForm(Record):
             s += "/(%s)" % side(den, True)
         elif den:
             s += "/" + side(den, True)
-        for lf in self.local:
-            s += " * %s" % lf
+        for q, b in self.local.items():
+            s += " * " + _q_str(q, b.num)
+            if not b.den.is_one():
+                s += "/" + _q_str(q, b.den)
+            s += " [p=%d]" % q
         return s
 
     def to_json(self) -> dict:
+        local = []
+        for q, b in self.local.items():
+            d = {"prime": q, "poly": _q_terms(b.num)}
+            if not b.den.is_one():
+                d["den_poly"] = _q_terms(b.den)
+            local.append(d)
         return {"zeta": [z.to_json() for z in self.zeta_factors],
-                "local": [lf.to_json() for lf in self.local]}
+                "local": local}
 
 
 INFINITE = "infinite"
@@ -340,7 +324,7 @@ def finite_zeta_form(f):
             return INFINITE
         split = split + peeled
 
-    local: list[LocalFactor] = []
+    local = {}
     if func is not None:
         for q in func.exceptional_primes:
             lb = func.local_bell(q)
@@ -348,10 +332,8 @@ def finite_zeta_form(f):
                 return UNKNOWN
             gb = b.bind_prime(q)
             r = _reduce_product(lb.num * gb.den, lb.den * gb.num)
-            num, den = ([c.constant_value() for c in xp.coeffs]
-                        for xp in (r.num, r.den))
-            if num != [1] or den != [1]:
-                local.append(LocalFactor(q, num, den))
+            if not (r.num.is_one() and r.den.is_one()):
+                local[q] = r
     return ZetaForm(zeta_factors_from_euler(split), local)
 
 
@@ -373,31 +355,10 @@ def zeta_factors_from_euler(efl: Iterable[EulerFactor]) -> list[ZetaFactor]:
 # ---------------------------------------------------------------------------
 # convergence and Dirichlet coefficients
 
-class ConvergenceInfo(Record):
-    """Abscissa bound max (l+1)/u; empty products converge everywhere."""
-    __slots__ = ("abscissa", "from_empty_product")
-
-    def __init__(self, abscissa: Fraction, from_empty_product: bool = False):
-        self.abscissa = abscissa
-        self.from_empty_product = from_empty_product
-
-    def __str__(self) -> str:
-        if self.from_empty_product:
-            return "0 (empty product)"
-        return str(self.abscissa)
-
-
-def abscissa(obj) -> ConvergenceInfo:
-    """Region of convergence s > max (l+1)/u of a factored form."""
-    if isinstance(obj, EulerFactorList):
-        pairs = [(f.l, f.u) for f in obj.factors]
-    elif isinstance(obj, ZetaForm):
-        pairs = [(z.l, z.u) for z in obj.zeta_factors]
-    else:
-        pairs = [(z.l, z.u) for z in obj]
-    if not pairs:
-        return ConvergenceInfo(Fraction(0), from_empty_product=True)
-    return ConvergenceInfo(max(Fraction(l + 1, u) for l, u in pairs))
+def abscissa(factors: Iterable) -> Fraction:
+    """Region of convergence s > max (l+1)/u of a product of Euler or zeta
+    factors; 0 for the empty product, which converges everywhere."""
+    return max((Fraction(f.l + 1, f.u) for f in factors), default=Fraction(0))
 
 
 def _mul_local(acc: list[int], p: int, cs: Iterable[int]) -> None:
@@ -442,6 +403,6 @@ def zeta_form_to_coeffs(zf: ZetaForm, N: int) -> list[int]:
         if p ** j0 > N:
             break
         _mul_local(acc, p, map(PrimePoly.evaluate, B, repeat(p)))
-    for lf in zf.local:
-        _mul_local(acc, lf.prime, lf.series(J)[1:])
+    for q, b in zf.local.items():
+        _mul_local(acc, q, map(PrimePoly.constant_value, b.series(J)[1:]))
     return acc[1:]

@@ -156,7 +156,7 @@ def _local_bells(f: MultiplicativeFunction) -> dict:
 
 
 def _abscissa_of(f: MultiplicativeFunction) -> Fraction:
-    return abscissa(factor_bell(f, 6)).abscissa
+    return abscissa(factor_bell(f, 6))
 
 
 def _real_roots_within(cs: Sequence[int], x: Fraction) -> int:
@@ -218,12 +218,11 @@ def eval_zeta_form(zf: ZetaForm, s: float) -> EvalResult:
     """Evaluate a finite zeta form at real s inside its half-plane; a
     local factor with a real pole in reach raises DivergenceError, exact
     values too wide for a float a DgfError."""
-    local = {lf.prime: lf.bell() for lf in zf.local}
-    with _guard(s, abscissa(zf).abscissa, local):
+    with _guard(s, abscissa(zf.zeta_factors), zf.local):
         value = 1.0
         for z in zf.zeta_factors:
             value *= riemann_zeta(z.u * Fraction(s) - z.l) ** z.gamma
-        for p, b in local.items():
+        for p, b in zf.local.items():
             value *= float(_wide(b.evaluate, p, p ** -s))
     return EvalResult(value, 1e-13 * abs(value), "zeta_form")
 

@@ -1,5 +1,5 @@
-"""Base of the slotted record types: factor lists, local factors, zeta
-forms, convergence data and numeric results.
+"""Base of the slotted record types: factor lists, zeta forms and
+numeric results.
 
 A record's fields are the __slots__ of its class, in order.  Records
 are equal when they are of one class with equal fields, and their repr

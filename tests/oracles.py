@@ -36,7 +36,9 @@ reference for its one integer gcd, and the recurrence that divided out
 one binomial at a time (divide_binomial) is the reference for the
 engine's one exact division, XPoly.divide.  The recursive-descent
 parser, one method per grammar rule, is the reference for the engine's
-one loop over the tokens.
+one loop over the tokens, and names formatted from their operands' full
+names, as each combinator once did, are the reference for the names the
+engine joins from each node's own pieces.
 """
 from __future__ import annotations
 
@@ -49,11 +51,11 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from dgf.bell import BellRational
-from dgf import numeric, sequences
+from dgf import catalog, numeric, sequences
 from dgf.errors import (CatalogError, DegreeBoundError, DgfError,
                         ParseError, SeriesWindowError)
-from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, LocalFactor,
-                       ZetaFactor, ZetaForm, _peel, _zeta_bell)
+from dgf.euler import (INFINITE, EulerFactor, EulerFactorList, ZetaFactor,
+                       ZetaForm, _peel, _zeta_bell)
 from dgf.numeric import EvalResult, _abscissa_of, wynn_epsilon
 from dgf.parser import MAX_PARAM, MAX_POWER, Token, tokenize
 from dgf.polys import PrimePoly, XPoly, series_div
@@ -733,17 +735,15 @@ def capped_zeta_form(f):
     num_z, den_z = _zeta_bell(factors)
     if b.num * den_z != b.den * num_z:
         return INFINITE
-    local = []
+    local = {}
     for q in f.exceptional_primes:
         lb = f.local_bell(q)
         if lb is None:
             return INFINITE
         gb = b.bind_prime(q)
         r = reduce_by_refit(lb.num * gb.den, lb.den * gb.num)
-        num, den = ([c.constant_value() for c in xp.coeffs]
-                    for xp in (r.num, r.den))
-        if num != [1] or den != [1]:
-            local.append(LocalFactor(q, num, den))
+        if not (r.num.is_one() and r.den.is_one()):
+            local[q] = r
     return ZetaForm(factors, local)
 
 
@@ -974,3 +974,29 @@ def parse_by_descent(text: str) -> list[tuple]:
     if tok.kind != "EOF":
         raise ParseError("unexpected trailing input", tok.pos)
     return p.ops
+
+
+# combinator node -> its name from its operands' names and its own fields
+_FORMATS = {"conv": "(%s <*> %s)", "uconv": "(%s <+> %s)",
+            "mul": "(%s * %s)", "inv": "inv(%s)", "shift": "shift(%s, %d)"}
+
+
+def name_by_formatting(ops: list[tuple]) -> str:
+    """The name of build(ops), each node's formatted in full from its
+    operands' names; a power's base in parens where it is a power."""
+    stack: list[tuple[str, str]] = []  # (name, node kind)
+    for kind, *fields in ops:
+        if kind == "atom":
+            name = catalog.make(fields[0], *fields[1]).name
+        elif kind == "pow":
+            base, base_kind = stack.pop()
+            name = ("(%s)" if base_kind == "pow" else "%s") % base \
+                + "^%d" % fields[0]
+        else:
+            n = 1 if kind in ("inv", "shift") else 2
+            names = [t for t, _ in stack[-n:]]
+            del stack[-n:]
+            name = _FORMATS[kind] % (*names, *fields)
+        stack.append((name, kind))
+    (name, _), = stack
+    return name

@@ -13,12 +13,10 @@ from dgf.catalog import make
 from dgf.euler import (
     INFINITE,
     UNKNOWN,
-    ConvergenceInfo,
     EulerFactor,
     EulerFactorList,
     _log_series,
     _peel,
-    LocalFactor,
     ZetaFactor,
     ZetaForm,
     abscissa,
@@ -33,7 +31,7 @@ from dgf.parser import parse_function
 from dgf.polys import PrimePoly, XPoly, series_div
 from dgf.sequences import terms
 
-from conftest import ef_tuples, grid_instances, zf_tuples
+from conftest import EXCEPTIONAL, ef_tuples, grid_instances, zf_tuples
 from oracles import (_zeta_base_stream, dirichlet_mul_streams,
                      expand_factor_list, log_series_by_division, series_eq,
                      totients)
@@ -306,18 +304,17 @@ def test_finite_zeta_form_of_a_cyclotomic_bell_series():
 
 def test_finite_zeta_form_leaves_out_trivial_local_factors():
     zf = finite_zeta_form(make("periodic2", 1))
-    assert zf.local == [] and str(zf) == "zeta(s)"
+    assert zf.local == {} and str(zf) == "zeta(s)"
     zf = finite_zeta_form(parse_function("gcdc(12) <*> inv(gcdc(12))"))
-    assert zf.local == [] and zf.zeta_factors == [] and str(zf) == "1"
+    assert zf.local == {} and zf.zeta_factors == [] and str(zf) == "1"
     assert zf.to_json() == {"zeta": [], "local": []}
 
 
 def test_zeta_form_local_factors():
     zf = finite_zeta_form(make("gcdc", 4))
     assert str(zf) == "zeta(s) * (1 + 2^(-s) + 2*4^(-s)) [p=2]"
-    lf = zf.local[0]
-    assert (lf.prime, lf.num, lf.den) == (2, [1, 1, 2], [1])
-    assert lf.is_polynomial()
+    assert zf.local == {2: BellRational(XPoly.from_ints([1, 1, 2]),
+                                        XPoly.from_ints([1]))}
     assert zf.to_json()["local"] == [{"prime": 2, "poly": [[1, 0], [1, 1], [2, 2]]}]
 
     zf = finite_zeta_form(make("ramanujan", 9))
@@ -328,14 +325,33 @@ def test_zeta_form_rational_local_factor():
     zf = finite_zeta_form(make("sigma_star_odd", 1))
     assert str(zf) == \
         "zeta(s-1)*zeta(s)/zeta(2s-1) * (1 - 2*2^(-s))/(1 - 2*4^(-s)) [p=2]"
-    lf = zf.local[0]
-    assert not lf.is_polynomial()
-    assert lf.series(6) == [1, -2, 2, -4, 4, -8, 8]
+    b = zf.local[2]
+    assert not b.den.is_one()
+    assert [c.constant_value() for c in b.series(6)] == \
+        [1, -2, 2, -4, 4, -8, 8]
     assert zf.to_json()["local"] == [{
         "prime": 2,
         "poly": [[1, 0], [-2, 1]],
         "den_poly": [[1, 0], [-2, 2]],
     }]
+
+
+@pytest.mark.parametrize("name,args", EXCEPTIONAL)
+def test_local_json_rebuilds_the_local_series(name, args):
+    # each JSON entry is its local series: poly the numerator, den_poly
+    # the denominator or 1 where it is absent
+    def xpoly(terms):
+        cs = [0] * (max(j for _, j in terms) + 1)
+        for c, j in terms:
+            cs[j] = c
+        return XPoly.from_ints(cs)
+
+    zf = finite_zeta_form(make(name, *args))
+    docs = zf.to_json()["local"]
+    assert [d["prime"] for d in docs] == list(zf.local)
+    for d in docs:
+        den = xpoly(d.get("den_poly", [[1, 0]]))
+        assert BellRational(xpoly(d["poly"]), den) == zf.local[d["prime"]]
 
 
 def test_zeta_form_to_coeffs_fixtures():
@@ -373,7 +389,7 @@ def test_zeta_form_applies_one_euler_factor_per_prime(monkeypatch):
         applied.clear()
         assert zeta_form_to_coeffs(zf, N) == terms(f, N)
         # every zeta factor at once per prime, then each local factor
-        assert applied == primes + [lf.prime for lf in zf.local]
+        assert applied == primes + list(zf.local)
 
 
 def test_zeta_form_round_trip_with_local():
@@ -389,16 +405,16 @@ def test_positive_zeta_factors_match_stream_product():
     # zeta(s)^2 zeta(2s-1) zeta(3s-2) (1 - 2x + 5x^2)/(1 + x) at p = 3,
     # against whole-stream Dirichlet products
     N = 3000
-    local = LocalFactor(3, [1, -2, 5], [1, 1])
+    local = BellRational(XPoly.from_ints([1, -2, 5]), XPoly.from_ints([1, 1]))
     zf = ZetaForm([ZetaFactor(1, 0, 2), ZetaFactor(2, 1, 1),
-                   ZetaFactor(3, 2, 1)], [local])
+                   ZetaFactor(3, 2, 1)], {3: local})
     want = [0, 1] + [0] * (N - 1)
     for z in zf.zeta_factors:
         for _ in range(z.gamma):
             want = dirichlet_mul_streams(want, _zeta_base_stream(z.u, z.l, N))
     at3 = [0] * (N + 1)
     for j, c in enumerate(local.series(7)):
-        at3[3**j] = c
+        at3[3**j] = c.constant_value()
     want = dirichlet_mul_streams(want, at3)
     assert zeta_form_to_coeffs(zf, N) == want[1:]
 
@@ -411,28 +427,22 @@ def test_coefficient_streams():
 
 
 def test_abscissa_values():
-    assert abscissa(factor_bell(make("phi"))).abscissa == Fraction(2)
-    assert abscissa(factor_bell(make("mu"))).abscissa == Fraction(1)
-    assert abscissa(finite_zeta_form(make("phi"))).abscissa == Fraction(2)
+    assert abscissa(factor_bell(make("phi"))) == Fraction(2)
+    assert abscissa(factor_bell(make("mu"))) == Fraction(1)
+    assert abscissa(finite_zeta_form(make("phi")).zeta_factors) == Fraction(2)
     assert str(abscissa(factor_bell(make("phi")))) == "2"
+    # l = -1 gives 0 from a factor, as the empty product does
+    assert abscissa([ZetaFactor(1, -1, 1)]) == 0
 
 
 def test_abscissa_empty_product():
     delta = dirichlet_convolve(make("mu"), make("one"))
-    ci = abscissa(factor_bell(delta))
-    assert ci.from_empty_product
-    assert ci.abscissa == 0
-    assert str(ci) == "0 (empty product)"
+    absc = abscissa(factor_bell(delta))
+    assert type(absc) is Fraction and absc == 0
+    assert abscissa([]) == abscissa(iter(())) == 0
 
 
 def test_records_print_compare_and_normalise():
-    # a record prints through "%s" % record as one argument, not as a tuple
-    ci = abscissa(factor_bell(make("phi")))
-    assert "%s" % ci == "2" and "%s" % abscissa([]) == "0 (empty product)"
-    assert repr(ci) == ("ConvergenceInfo(abscissa=Fraction(2, 1),"
-                        " from_empty_product=False)")
-    assert ci == ConvergenceInfo(Fraction(2)) != ConvergenceInfo(Fraction(2),
-                                                                 True)
     # the constructors merge exponents, drop zero ones and sort
     efl = EulerFactorList([EulerFactor(1, 0, 1, 1), EulerFactor(1, 1, 1, 2),
                            EulerFactor(1, 0, 1, -1)], truncated_at=4)
@@ -442,20 +452,26 @@ def test_records_print_compare_and_normalise():
     assert repr(efl) == ("EulerFactorList(factors=[EulerFactor(S=1, l=1, u=1,"
                          " gamma=2)], truncated_at=4, residual_ok=True)")
     assert efl.factors[0]._replace(gamma=3) == EulerFactor(1, 1, 1, 3)
+    at3 = BellRational(XPoly.from_ints([1, 2]), XPoly.from_ints([1]))
+    at2 = BellRational(XPoly.from_ints([1, 1]), XPoly.from_ints([1, -1]))
     zf = ZetaForm([ZetaFactor(1, 0, 1), ZetaFactor(1, 1, 1),
-                   ZetaFactor(1, 0, 1)],
-                  [LocalFactor(3, [1, 2]), LocalFactor(2, [1, 1], [1, -1])])
+                   ZetaFactor(1, 0, 1)], {3: at3, 2: at2})
     assert zf.zeta_factors == [ZetaFactor(1, 1, 1), ZetaFactor(1, 0, 2)]
-    assert [lf.prime for lf in zf.local] == [2, 3]
-    assert zf.local[1] == LocalFactor(3, [1, 2], [1])
+    assert list(zf.local) == [2, 3]
+    assert zf.local[3] == at3
     assert zf == ZetaForm([ZetaFactor(1, 0, 2), ZetaFactor(1, 1, 1)],
-                          zf.local[::-1])
+                          {2: at2, 3: at3})
     assert zf != ZetaForm(zf.zeta_factors)
     assert str(zf) == ("zeta(s-1)*zeta(s)^2 * (1 + 2^(-s))/(1 - 2^(-s)) [p=2]"
                        " * (1 + 2*3^(-s)) [p=3]")
+    assert zf.to_json()["local"] == [
+        {"prime": 2, "poly": [[1, 0], [1, 1]], "den_poly": [[1, 0], [-1, 1]]},
+        {"prime": 3, "poly": [[1, 0], [2, 1]]}]
     assert repr(ZetaForm([ZetaFactor(2, 0, -1)])) == (
-        "ZetaForm(zeta_factors=[ZetaFactor(u=2, l=0, gamma=-1)], local=[])")
+        "ZetaForm(zeta_factors=[ZetaFactor(u=2, l=0, gamma=-1)], local={})")
+    assert repr(ZetaForm([], {3: at3})) == (
+        "ZetaForm(zeta_factors=[], local={3: BellRational(1 + 2*x)})")
     # mutable records are unhashable, as before
-    for rec in (ci, efl, zf, zf.local[0]):
+    for rec in (efl, zf):
         with pytest.raises(TypeError):
             hash(rec)

@@ -136,9 +136,11 @@ def _zeta_form_reference(zf: ZetaForm, s: float, mp):
         S = mp.mpf(s)
         ref = mp.fprod(mp.zeta(z.u * S - z.l) ** z.gamma
                        for z in zf.zeta_factors)
-        for lf in zf.local:
-            x = mp.power(lf.prime, -S)
-            ref *= mp.polyval(lf.num[::-1], x) / mp.polyval(lf.den[::-1], x)
+        for q, b in zf.local.items():
+            x = mp.power(q, -S)
+            num, den = ([c.constant_value() for c in xp.coeffs[::-1]]
+                        for xp in (b.num, b.den))
+            ref *= mp.polyval(num, x) / mp.polyval(den, x)
         return ref
 
 
@@ -158,7 +160,7 @@ def test_zeta_form_error_holds_near_the_abscissa():
         if not isinstance(zf, ZetaForm) or all(
                 z.u < 2 and not z.l for z in zf.zeta_factors):
             continue
-        absc = float(abscissa(zf).abscissa)
+        absc = float(abscissa(zf.zeta_factors))
         for off in (1.01e-6, 1e-5, 1e-3):
             s = absc + off
             r = eval_zeta_form(zf, s)

@@ -1,6 +1,6 @@
 """Fresh-interpreter behaviour: what `import dgf.cli` loads, how the CLI
-ends when its reader closes the output pipe early, and how it answers an
-expression nested 10,000 levels deep."""
+ends when its reader closes the output pipe early, and how it answers and
+names an expression nested 10,000 levels deep."""
 from __future__ import annotations
 
 import os
@@ -108,3 +108,22 @@ def test_deep_combinator_chain_is_phi():
     proc = _python("-c", _CHAIN, stderr=subprocess.PIPE, text=True)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, "")
+
+
+def test_deep_chain_names_in_linear_memory():
+    # each node keeps only its own pieces of text, so the names of phi
+    # followed by 10,000 pointwise products with one take O(d) characters,
+    # not O(d^2).  The peak is the child's VmHWM: its ru_maxrss also
+    # counts the memory of this process, whose address space it had
+    # until exec
+    code = ("from dgf.parser import parse_function; "
+            "n = parse_function('phi' + ' * one' * 10000).name; "
+            "assert n == '(' * 10000 + 'phi' + ' * one)' * 10000, n[:40]; "
+            "print(open('/proc/self/status').read())")
+    proc = _python("-c", code, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+    peak, = (line.split()[1] for line in out.splitlines()
+             if line.startswith("VmHWM:"))
+    assert int(peak) < 100 * 1024  # kB

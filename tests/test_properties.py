@@ -26,9 +26,10 @@ from dgf.sequences import terms
 from conftest import GRID
 from oracles import (_ofactor, _scalar_pade, brute_convolve,
                      brute_unitary_convolve, capped_zeta_form, divide_binomial,
-                     expand_factor_list, fraction_pade, peel_by_division,
-                     rationalize, reduce_by_prs, reduce_by_refit, refit_bell,
-                     refit_local_bell, series_eq, series_inv, series_mul)
+                     expand_factor_list, fraction_pade, name_by_formatting,
+                     peel_by_division, rationalize, reduce_by_prs,
+                     reduce_by_refit, refit_bell, refit_local_bell, series_eq,
+                     series_inv, series_mul)
 
 MODEST = settings(deadline=None, max_examples=60)
 FEW = settings(deadline=None, max_examples=25)
@@ -241,6 +242,14 @@ def test_name_parses_back_to_the_same_function(text):
     assert g.name == f.name
     assert parse(f.name) == parse(text)
     assert terms(g, 200) == terms(f, 200)
+
+
+@MODEST
+@given(expr_strategy(st.one_of(atoms, exceptional_atoms)))
+def test_name_is_the_eager_formatting(text):
+    # the name joined from each node's own pieces is the one formatted
+    # from the operands' full names at every node
+    assert parse_function(text).name == name_by_formatting(parse(text))
 
 
 # operands whose dens do not split into binomials: const(c)'s 1 - c x,
