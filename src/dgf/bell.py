@@ -68,8 +68,9 @@ def _coprime_mod(a: list[int], b: list[int]) -> bool:
             inv = pow(b[-1], -1, M)
             while len(a) >= len(b):
                 s, c = len(a) - len(b), a[-1] * inv % M
-                a = a[:s] + [(x - c * y) % M for x, y in zip(a[s:], b)]
-                a.pop()
+                # in place, so a constant b takes linear time; the top
+                # term cancels and is dropped
+                a[s:] = [(x - c * y) % M for x, y in zip(a[s:-1], b)]
             a, b = b, a
         else:
             b.pop()

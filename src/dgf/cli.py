@@ -256,7 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--method", choices=["auto", "zeta", "euler", "sum"],
                    default="auto")
     c.add_argument("-P", "--primes", dest="P", type=_int_in(2, MAX_SIEVE),
-                   default=10**5, help="prime bound for --method euler")
+                   default=10**5,
+                   help="prime bound for --method euler; unused where the "
+                   "Bell series splits exactly into binomials, whose "
+                   "product runs over all primes")
     c.add_argument("-N", "--sum", dest="N", type=_int_in(1, MAX_SIEVE),
                    default=10**4, help="term bound for --method sum")
     c.add_argument("--accel", "--accelerate", dest="accel",

@@ -1,6 +1,7 @@
 """Floating-point evaluation of Dirichlet series over their half-plane
-of convergence: zeta products, truncated Euler products with optional
-sequence acceleration, and direct partial sums with tail estimates.
+of convergence: zeta products, Euler products (zeta products where the
+Bell series splits into binomials, else truncated with optional sequence
+acceleration), and direct partial sums with tail estimates.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 from . import sequences
 from .bell import MultiplicativeFunction
 from .errors import DgfError, DivergenceError, SieveLimitError
-from .euler import ZetaForm, abscissa, factor_bell
+from .euler import ZetaForm, abscissa, factor_bell, finite_zeta_form
 from .records import Record
 
 _BERNOULLI: list[Fraction] = []
@@ -219,31 +220,34 @@ def eval_zeta_form(zf: ZetaForm, s: float) -> EvalResult:
     local factor with a real pole in reach raises DivergenceError, exact
     values too wide for a float a DgfError."""
     with _guard(s, abscissa(zf.zeta_factors), zf.local):
-        value = 1.0
-        for z in zf.zeta_factors:
-            value *= riemann_zeta(z.u * Fraction(s) - z.l) ** z.gamma
-        for p, b in zf.local.items():
-            value *= float(_wide(b.evaluate, p, p ** -s))
-    return EvalResult(value, 1e-13 * abs(value), "zeta_form")
+        return _zeta_product(zf, s, "zeta_form")
+
+
+def _zeta_product(zf: ZetaForm, s: float, method: str) -> EvalResult:
+    """The value at s of a finite zeta form, each zeta(us - l) at the exact
+    u Fraction(s) - l, each local factor at x = q^-s, with the claimed
+    error 1e-13 |value|; run inside the caller's _guard."""
+    value = 1.0
+    for z in zf.zeta_factors:
+        value *= riemann_zeta(z.u * Fraction(s) - z.l) ** z.gamma
+    for p, b in zf.local.items():
+        value *= float(_wide(b.evaluate, p, p ** -s))
+    return EvalResult(value, 1e-13 * abs(value), method)
 
 
 def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
                        accel: str = "wynn") -> EvalResult:
-    """Product of Euler factors over primes up to P.
+    """Product of the Euler factors over the primes.
 
-    Partial products are recorded at doubling positions P/2^j and, with
-    accel="wynn", extrapolated; otherwise the raw product is returned
-    with a prime-tail error estimate; either error is at least 1e-15
-    |value|, the value's own rounding.  The primes come from the shared
-    sieve; P outside [2, sequences.MAX_SIEVE] raises SieveLimitError
-    and a function with no known Bell series a DgfError, both before any
-    work.  They are taken _BLOCK at a time, the Bell series evaluated
-    over the whole block, and multiplied in by one math.prod per
-    checkpoint segment and one for the block's tail: from a float start
-    it multiplies doubles left to right as a prime-by-prime loop would,
-    so every partial product is the same to the bit.  A real pole of the
-    Euler factor at 2 or at an exceptional prime in reach raises
-    DivergenceError, exact values too wide for a float a DgfError.
+    P outside [2, sequences.MAX_SIEVE] raises SieveLimitError, accel
+    other than "wynn" or "none" ValueError, and a function with no known
+    Bell series a DgfError, all before any work; a real pole of the Euler
+    factor at 2 or at an exceptional prime in reach raises
+    DivergenceError, exact values too wide for a float a DgfError.  Where
+    BellRational.split leaves no rest, the product runs over all primes:
+    finite_zeta_form(f) evaluated as eval_zeta_form does, with no prime
+    read and P and accel unused, method "euler_product+zeta".  Otherwise
+    _blocked_product truncates it at P.
     """
     if not 2 <= P <= sequences.MAX_SIEVE:
         raise SieveLimitError("prime bound %d is not in [2, sieve limit]" % P)
@@ -251,22 +255,42 @@ def eval_euler_product(f: MultiplicativeFunction, s: float, P: int = 10**6,
         raise ValueError("accel must be 'wynn' or 'none'")
     local = _local_bells(f)
     absc = _abscissa_of(f)
+    with _guard(s, absc, local):
+        if f.bell.split[1] is None:
+            return _zeta_product(finite_zeta_form(f), s, "euler_product+zeta")
+        return _blocked_product(f, local, absc, s, P, accel)
+
+
+def _blocked_product(f: MultiplicativeFunction, local: dict, absc: Fraction,
+                     s: float, P: int, accel: str) -> EvalResult:
+    """The Euler factors' product over the primes up to P, inside
+    eval_euler_product's guard.
+
+    Partial products are recorded at doubling positions P/2^j and, with
+    accel="wynn", extrapolated; otherwise the raw product is returned
+    with a prime-tail error estimate; either error is at least 1e-15
+    |value|, the value's own rounding.  The primes come from the shared
+    sieve, _BLOCK at a time, the Bell series evaluated over the whole
+    block, and multiplied in by one math.prod per checkpoint segment and
+    one for the block's tail: from a float start it multiplies doubles
+    left to right as a prime-by-prime loop would, so every partial
+    product is the same to the bit.
+    """
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
     prod = 1.0
     primes = sequences._SIEVE.primes(P)
-    with _guard(s, absc, local):
-        while blk := list(islice(primes, _BLOCK)):
-            vals = _block_values(f, local, blk, s)
-            # each checkpoint below the block's last prime is complete in
-            # it: the product up to there, then on from it
-            i = 0
-            while cps[len(partials)] < blk[-1]:
-                j = bisect_right(blk, cps[len(partials)])
-                prod = math.prod(vals[i:j], start=prod)
-                partials.append(prod)
-                i = j
-            prod = math.prod(vals[i:], start=prod)
+    while blk := list(islice(primes, _BLOCK)):
+        vals = _block_values(f, local, blk, s)
+        # each checkpoint below the block's last prime is complete in it:
+        # the product up to there, then on from it
+        i = 0
+        while cps[len(partials)] < blk[-1]:
+            j = bisect_right(blk, cps[len(partials)])
+            prod = math.prod(vals[i:j], start=prod)
+            partials.append(prod)
+            i = j
+        prod = math.prod(vals[i:], start=prod)
     partials += [prod] * (len(cps) - len(partials))
     # prime-tail of the log-product, scaled back to an absolute estimate
     tail = abs(prod) * (P ** (float(absc) - s)) \

@@ -776,7 +776,8 @@ def euler_factor(f, p: int, s: float) -> float:
 
 
 def euler_product(f, s: float, P: int, accel: str = "wynn") -> EvalResult:
-    """numeric.eval_euler_product multiplied out one prime at a time."""
+    """numeric._blocked_product, eval_euler_product where the split
+    leaves a rest, multiplied out one prime at a time."""
     absc = float(_abscissa_of(f))
     cps = sorted({P >> j for j in range(21) if (P >> j) >= 2})
     partials = []
@@ -792,7 +793,7 @@ def euler_product(f, s: float, P: int, accel: str = "wynn") -> EvalResult:
 def _euler_result(cps: list[int], partials: list[float], prod: float,
                   absc: float, s: float, P: int, accel: str) -> EvalResult:
     # the checkpoints past the last prime, the prime-tail estimate and the
-    # extrapolation, as numeric.eval_euler_product ends
+    # extrapolation, as numeric._blocked_product ends
     partials += [prod] * (len(cps) - len(partials))
     tail = abs(prod) * (P ** (absc - s)) / ((s - absc) * math.log(P))
     if accel == "wynn" and len(partials) >= 3:
@@ -835,7 +836,7 @@ def _block_values_by_lists(f, blk: list[int], s: float) -> list[float]:
 
 def euler_product_by_accumulate(f, s: float, P: int,
                                 accel: str = "wynn") -> EvalResult:
-    """numeric.eval_euler_product with the running product of each block
+    """numeric._blocked_product with the running product of each block
     of primes kept whole (itertools.accumulate), the checkpoints read
     off it."""
     local = numeric._local_bells(f)

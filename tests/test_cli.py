@@ -225,6 +225,9 @@ def test_eval_transcript(capsys):
     assert "zeta_form" in out
     rc, out, _ = run(capsys, ["eval", "sigma(1)", "--s", "3",
                               "--method", "euler", "-P", "2000"])
+    assert rc == 0 and "euler_product+zeta" in out
+    rc, out, _ = run(capsys, ["eval", "mu_star", "--s", "3",
+                              "--method", "euler", "-P", "2000"])
     assert rc == 0 and "euler_product+wynn" in out
     rc, out, _ = run(capsys, ["eval", "sigma(1)", "--s", "3",
                               "--method", "sum", "-N", "5000"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgf import numeric
+from dgf import numeric, sequences
 from dgf.bell import MasterEquation, MultiplicativeFunction
 from dgf.catalog import make
 from dgf.errors import DgfError, DivergenceError, SieveLimitError
@@ -92,12 +92,21 @@ def test_eval_zeta_form_with_local_factor():
 
 
 def test_eval_euler_product_within_reported_error():
+    # sigma(1) splits into binomials: zeta(s) zeta(s - 1), whatever accel
     f = make("sigma", 1)
     truth = ZETA3 * ZETA2
-    r = eval_euler_product(f, 3.0, P=2000)
+    for accel in ("wynn", "none"):
+        r = eval_euler_product(f, 3.0, P=2000, accel=accel)
+        assert r.method == "euler_product+zeta"
+        assert abs(r.value - truth) <= r.error
+    # a(p) = 0, a(p^e) = 1 for e >= 2 keeps the rest 1 - x + x^2 past the
+    # split's 1 - x, so the product is truncated: zeta(2s) zeta(3s)/zeta(6s)
+    f = parse_function("inv(eps(6)) <*> eps(2) <*> eps(3)")
+    truth = riemann_zeta(3.0) * riemann_zeta(4.5) / riemann_zeta(9.0)
+    r = eval_euler_product(f, 1.5, P=2000)
     assert r.method == "euler_product+wynn"
-    assert abs(r.value - truth) <= 10 * r.error
-    r0 = eval_euler_product(f, 3.0, P=2000, accel="none")
+    assert abs(r.value - truth) <= r.error
+    r0 = eval_euler_product(f, 1.5, P=2000, accel="none")
     assert r0.method == "euler_product"
     assert abs(r0.value - truth) <= r0.error
     # acceleration should beat the raw truncation
@@ -187,6 +196,60 @@ def test_pole_check_refuses_no_point_of_the_numeric_grid(src, absc):
     eval_partial_sum(f, s, N=1000)
 
 
+# the grid's functions that split exactly into binomials, their
+# abscissae and their Dirichlet series by mpmath, written out from the
+# definitions: gcd(n, 12) has a(2^e) = 2^min(e, 2), a(3^e) = 3 for e >= 1
+SPLIT_REFERENCES = {
+    "mu": (1, lambda z, S: 1 / z(S)),
+    "phi": (2, lambda z, S: z(S - 1) / z(S)),
+    "sigma(1)": (2, lambda z, S: z(S) * z(S - 1)),
+    "tau(4)": (1, lambda z, S: z(S) ** 4),
+    "psi_k(2)": (3, lambda z, S: z(S) * z(S - 2) / z(2 * S)),
+    "gcdc(12)": (1, lambda z, S: z(S) * (1 + 2 ** -S + 2 * 4 ** -S)
+                 * (1 + 2 * 3 ** -S)),
+}
+
+
+@pytest.mark.parametrize("src", SPLIT_REFERENCES)
+def test_split_euler_product_against_mpmath(src):
+    # over all primes, not up to P: the claim holds with >= 12 digits at
+    # every offset, the points next to the abscissa included.  Stopped at
+    # P = 10^5, mu at 1.02 printed 0.0343966 (claiming 1.49e-7) and phi
+    # at 2.01 printed 64.585 (claiming 0.777)
+    mp = pytest.importorskip("mpmath")
+    absc, ref = SPLIT_REFERENCES[src]
+    f = parse_function(src)
+    for off in (0.01, 0.02, 0.05, 0.5, 2.0):
+        s = absc + off
+        r = eval_euler_product(f, s, P=10**5)
+        assert r.method == "euler_product+zeta"
+        with mp.workdps(50):
+            want = ref(mp.zeta, mp.mpf(s))
+            actual = abs(r.value - want)
+            assert actual <= r.error, (s, r, float(actual))
+            assert actual <= 1e-12 * abs(want), (s, r, float(actual))
+
+
+def test_split_euler_product_is_the_zeta_form(monkeypatch):
+    # the same bits as eval_zeta_form, whatever P and accel, and no prime
+    # read: a fresh shared sieve is not grown
+    sieve = sequences.FactorSieve()
+    monkeypatch.setattr(sequences, "_SIEVE", sieve)
+    for src in [*SPLIT_REFERENCES, "depleted(5, 2)", "gcdc(16334)",
+                "liouville"]:
+        f = parse_function(src)
+        absc = float(numeric._abscissa_of(f))
+        for off in (0.01, 0.05, 0.5, 2.0):
+            want = eval_zeta_form(finite_zeta_form(f), absc + off)
+            for P in (2, sequences.MAX_SIEVE):
+                for accel in ("wynn", "none"):
+                    got = eval_euler_product(f, absc + off, P=P, accel=accel)
+                    assert (got.value.hex(), got.error.hex(), got.method) == \
+                        (want.value.hex(), want.error.hex(),
+                         "euler_product+zeta"), (src, off, P, accel)
+    assert sieve.limit == 1 and not sieve._primes
+
+
 def test_bounds_checked_before_any_work(monkeypatch):
     def banned(f):
         raise AssertionError("work before the bound check")
@@ -213,6 +276,7 @@ def test_eval_partial_sum_within_error():
     ("power(30)^2 * gcdc(524288)", 200.0, "sum", 10**4),
     ("mu", 60.0, "sum", 10),
     ("one", 80.0, "euler", 3),
+    ("inv(eps(6)) <*> eps(2) <*> eps(3)", 80.0, "euler", 3),
 ])
 def test_claimed_error_covers_the_rounding_of_the_value(src, s, method,
                                                         bound):
@@ -261,11 +325,24 @@ _PS = oracles.trial_primes(10 * numeric._BLOCK)
 # of the next
 _BOUNDS = (2, 3, _PS[numeric._BLOCK - 1], _PS[numeric._BLOCK])
 # the benchmark's numeric grid; a function whose exceptional prime is not
-# the first prime, and one with exceptional primes in two blocks; one with
-# no rational Bell series
+# the first prime, and one with exceptional primes in two blocks, each
+# split exactly and with a rest; one with no rational Bell series
 KERNEL_FUNCTIONS = ["mu", "phi", "sigma(1)", "tau(4)", "psi_k(2)",
                     "gcdc(12)", "mu^2 * phi", "mu_star", "depleted(5, 2)",
-                    "gcdc(%d)" % (2 * _BOUNDS[-1]), "squares"]
+                    "gcdc(%d)" % (2 * _BOUNDS[-1]), "squares",
+                    "mu_star <*> depleted(5, 2)",
+                    "mu_star <*> gcdc(%d)" % (2 * _BOUNDS[-1])]
+
+
+def _blocked(f, s: float, P: int, accel: str) -> EvalResult:
+    # eval_euler_product where the split leaves a rest; else its blocked
+    # kernel called alone, which it takes only for a rest
+    if f.bell.split[1] is not None:
+        return eval_euler_product(f, s, P=P, accel=accel)
+    local = numeric._local_bells(f)
+    absc = numeric._abscissa_of(f)
+    with numeric._guard(s, absc, local):
+        return numeric._blocked_product(f, local, absc, s, P, accel)
 
 
 @pytest.mark.parametrize("src", KERNEL_FUNCTIONS)
@@ -283,7 +360,7 @@ def test_blocked_euler_product_matches_prime_by_prime(src):
     for off in (0.01, 0.05, 0.5, 2.0):
         for P in _BOUNDS:
             for accel in ("wynn", "none"):
-                got = eval_euler_product(f, absc + off, P=P, accel=accel)
+                got = _blocked(f, absc + off, P, accel)
                 want = oracles.euler_product(f, absc + off, P, accel)
                 assert (got.value.hex(), got.error.hex(), got.method) == \
                     (want.value.hex(), want.error.hex(), want.method), \
@@ -336,7 +413,7 @@ def test_streamed_kernels_match_the_list_kernels(src):
         s = absc + off
         for P in (*_BOUNDS, 10**5) if src in GRID_FUNCTIONS else ():
             for accel in ("wynn", "none"):
-                assert _outcome(eval_euler_product, f, s, P, accel) == \
+                assert _outcome(_blocked, f, s, P, accel) == \
                     _outcome(oracles.euler_product_by_accumulate,
                              f, s, P, accel), (off, P, accel)
         for N in (1, 2, 999, 10**4):
